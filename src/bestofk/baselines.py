@@ -29,6 +29,7 @@ from .trial import TrialRecord
 __all__ = ["SubsetArm", "ParityStat", "subset_arm_identify", "parity_identify"]
 
 SUBSET_CAP = 100_000
+DRAW_ROWS = 1 << 18  # bounds the memory of one stage's draw
 
 
 @dataclass
@@ -75,7 +76,7 @@ def _eliminate_over_subsets(
 ) -> TrialRecord:
     """Successive elimination over subset arms with doubling fresh budgets.
 
-    ``statistic`` maps a (T, |S|) bit matrix to T binary outcomes; a subset is
+    ``statistic`` maps a (rows, |S|) bit matrix to one binary outcome per row; a subset is
     dropped once its upper bound falls below the best lower bound.  ``stats``
     accumulates lifetime pulls per subset; stage decisions use that stage's
     fresh draws only, matching the stagewise interval bookkeeping.
@@ -85,10 +86,17 @@ def _eliminate_over_subsets(
     ledger = QueryLedger()
     for t in range(1, stage_cap + 1):
         big_t = 2**t
+        # big_t consecutive rows observe each survivor; one draw per stage
+        # unless that would exceed DRAW_ROWS rows
+        per_draw = max(1, DRAW_ROWS // big_t)
+        ones_of = []
+        for lo in range(0, len(survivors), per_draw):
+            group = np.asarray(survivors[lo : lo + per_draw], dtype=np.int64)
+            arms = np.repeat(group, big_t, axis=0)
+            draws = sample_matrix(env, rng, len(arms), arms=arms)
+            ones_of += statistic(draws).reshape(len(group), big_t).sum(axis=1).tolist()
         mu = {}
-        for s in survivors:
-            draws = sample_matrix(env, rng, big_t)[:, np.asarray(s)]
-            ones = int(statistic(draws).sum())
+        for s, ones in zip(survivors, ones_of):
             rec = stats[s]
             rec.pulls += big_t
             setattr(rec, count_field, getattr(rec, count_field) + ones)

@@ -9,8 +9,8 @@ Fresh samples every stage; the budget doubles until k arms are accepted.
 
 ``uniform_play``/``play_and_record`` are the single-call reference
 implementations; ``stage_play`` is the batched engine behind
-``run_identification`` that feeds pre-drawn randomness to the recording
-kernels (numba or numpy backend, identical output).
+``run_identification``: it lays out a chunk of plays as queries, draws reward
+bits only for the queried arms, and hands them to the recorder.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
 from .game import ObservationTrace, QueryLedger, play
-from .kernels import queries_per_play, record_plays
+from .kernels import play_arms, queries_per_play, record_plays
 from .measures import Measure, marginal_means, sample_matrix
 from .theory import MODELS
 from .trial import StageRecord, TrialRecord
@@ -225,7 +225,7 @@ def uniform_play(
 # Batched stage engine (hot path).
 # ---------------------------------------------------------------------------
 
-CHUNK_PLAYS = 4096  # fixed so the rng stream is identical across backends
+CHUNK_PLAYS = 4096  # plays drawn per batch; fixed so a seed replays the same stream
 
 
 def stage_play(
@@ -238,12 +238,12 @@ def stage_play(
     model: str,
     plays: int,
     rng: np.random.Generator,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, int]:
     """Run ``plays`` uniform passes, returning (win counts, queries issued).
 
-    Equivalent in distribution to summing ``plays`` calls of ``uniform_play``;
-    all randomness is pre-drawn per chunk and handed to the recording kernel.
+    Equivalent in distribution to summing ``plays`` calls of ``uniform_play``.
+    Per chunk it draws the permutations and top-off sets, lays the plays out
+    as queries, draws one reward bit per queried arm and query, and records.
     """
     urec = np.asarray(sorted(int(a) for a in u_prime), dtype=np.int64)
     m = len(urec)
@@ -255,13 +255,11 @@ def stage_play(
         raise InfeasibleError("cannot build a top-off set: pools too small")
 
     q = queries_per_play(m, k1)
-    n = env.n
-    y = np.zeros(n, dtype=np.int64)
+    y = np.zeros(env.n, dtype=np.int64)
     done = 0
     while done < plays:
         b = min(CHUNK_PLAYS, plays - done)
-        bits = sample_matrix(env, rng, b * q).reshape(b, q, n)
-        perm = np.argsort(rng.random((b, m)), axis=1)
+        order = urec[np.argsort(rng.random((b, m)), axis=1)]
         if k2 > 0:
             if len(reject_pool) >= k2:
                 keys = np.argsort(rng.random((b, len(reject_pool))), axis=1)
@@ -275,11 +273,13 @@ def stage_play(
                 )
         else:
             topoff = np.zeros((b, 0), dtype=np.int64)
+        arms, recorded = play_arms(order, topoff, k1)
+        bits = sample_matrix(env, rng, b * q, arms=arms.reshape(b * q, -1)).reshape(arms.shape)
         if model == "marked":
             mark_u = rng.random((b, q))
         else:
             mark_u = np.zeros((b, q))
-        record_plays(bits, perm, topoff, urec, k1, model, mark_u, y, backend=backend)
+        record_plays(bits, arms, recorded, model, mark_u, y)
         done += b
     return y, plays * q
 
@@ -338,7 +338,6 @@ class ElimState:
     rejected: tuple[int, ...]
     t: int
     sample_size: int
-    rewards: np.ndarray
     k1: int
     k2: int
     exact_k_mode: bool
@@ -400,7 +399,6 @@ def elimination_step(
         rejected=new_r,
         t=t,
         sample_size=2**t,
-        rewards=np.zeros(state.n, dtype=np.int64),
         k1=k1,
         k2=state.k - k1 if state.exact_k_mode and 0 < k1 < state.k else 0,
         exact_k_mode=state.exact_k_mode,
@@ -421,7 +419,6 @@ class ElimConfig:
     exact_k: bool | None = None
     use_balance: bool | None = None
     stage_cap: int = 40
-    backend: str | None = None
     keep_stage_log: bool = True
 
 
@@ -476,7 +473,6 @@ def run_identification(
         rejected=(),
         t=1,
         sample_size=2,
-        rewards=np.zeros(n, dtype=np.int64),
         k1=min(n, k),
         k2=0,
         exact_k_mode=exact_k,
@@ -503,7 +499,6 @@ def run_identification(
             model,
             big_t,
             rng,
-            backend=cfg.backend,
         )
         total_queries += queries
         mu_hat = {i: y[i] / big_t for i in u_before}
@@ -518,7 +513,6 @@ def run_identification(
             rejected=r_before,
             t=t,
             sample_size=big_t,
-            rewards=y,
             k1=k1,
             k2=k2,
             exact_k_mode=exact_k,

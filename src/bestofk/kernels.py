@@ -1,86 +1,34 @@
-"""Hot recording kernels for batched uniform-play stages.
+"""Query layout and win recording for batched uniform-play stages.
 
-Both backends consume the same pre-drawn randomness (reward bits, per-play
-permutations, top-off picks, marking uniforms) and are therefore
-bit-identical; only speed differs.  Selection order: the ``BESTOFK_BACKEND``
-environment variable ("numba" or "numpy"), else numba when importable, else
-numpy.
+Per-play layout: a permutation of the sampling pool is cut into ``m // k1``
+record blocks of size k1; leftovers form a remainder block padded back to
+size k1 by the leading permutation slots (a uniform subset of the
+non-remainder arms).  Every query appends the play's top-off arms.  Record
+slots always come first within a query, so marked winners are attributed by
+slot position.
 
-Per-play layout shared by both paths: a permutation of the sampling pool is
-cut into ``m // k1`` record blocks of size k1; leftovers form a remainder
-block padded back to size k1 by the leading permutation slots (a uniform
-subset of the non-remainder arms).  Every query appends the play's top-off
-arms.  Record slots always come first within a query, so marked winners are
-attributed by slot position.
+``play_arms`` builds that layout as a (plays, queries, width) arm tensor;
+the caller draws reward bits for exactly those arms and ``record_plays``
+credits the recorded slots.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
+from .theory import MODELS
+
 __all__ = [
-    "HAS_NUMBA",
     "active_backend",
-    "set_backend",
-    "use_backend",
+    "play_arms",
     "record_plays",
     "queries_per_play",
 ]
 
-ENV_VAR = "BESTOFK_BACKEND"
-MODEL_CODES = {"bandit": 0, "marked": 1, "semi": 2}
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_override: str | None = None
-
 
 def active_backend() -> str:
-    if _override is not None:
-        return _override
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env in ("numba", "numpy"):
-        if env == "numba" and not HAS_NUMBA:
-            return "numpy"
-        return env
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def set_backend(name: str | None) -> None:
-    """Force a backend ("numba"/"numpy") or restore env-based selection (None)."""
-    global _override
-    if name is not None and name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _override = name
-
-
-@contextmanager
-def use_backend(name: str):
-    prev = _override
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(prev)
+    """Name of the recording implementation; numpy is the only one."""
+    return "numpy"
 
 
 def queries_per_play(m: int, k1: int) -> int:
@@ -88,130 +36,56 @@ def queries_per_play(m: int, k1: int) -> int:
     return -(-m // k1)
 
 
+def play_arms(order: np.ndarray, topoff: np.ndarray, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out a batch of plays as queries.
+
+    order   int64 (B, m): each play's sampling pool in permuted order
+    topoff  int64 (B, k2): per-play top-off arms (k2 may be 0)
+
+    Returns ``arms``, int64 (B, q, k1 + k2), the arms of every query, and
+    ``recorded``, bool (q, k1 + k2), the slots whose wins are credited.
+    """
+    n_plays, m = order.shape
+    k2 = topoff.shape[1]
+    q = queries_per_play(m, k1)
+    # the remainder block is padded by the first q*k1 - m arms of the order
+    padded = np.concatenate([order, order[:, : q * k1 - m]], axis=1).reshape(n_plays, q, k1)
+    arms = np.concatenate(
+        [padded, np.broadcast_to(topoff[:, None, :], (n_plays, q, k2))], axis=2
+    )
+    recorded = np.zeros((q, k1 + k2), dtype=bool)
+    recorded[:, :k1] = (np.arange(q * k1) < m).reshape(q, k1)
+    return arms, recorded
+
+
 def record_plays(
     bits: np.ndarray,
-    perm: np.ndarray,
-    topoff: np.ndarray,
-    urec: np.ndarray,
-    k1: int,
+    arms: np.ndarray,
+    recorded: np.ndarray,
     model: str,
     mark_u: np.ndarray,
     y_out: np.ndarray,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Record a batch of plays into ``y_out`` (int64, length n, in place).
 
-    bits    uint8 (B, q, n): fresh reward vectors, one per query
-    perm    int64 (B, m): per-play permutations of 0..m-1 over ``urec``
-    topoff  int64 (B, k2): per-play top-off arms (k2 may be 0)
-    urec    int64 (m,): arm ids of the sampling pool
-    mark_u  float64 (B, q): winner-choice uniforms (ignored unless marked)
+    bits      uint8 (B, q, w): the reward bit of ``arms`` in each query
+    arms      int64 (B, q, w): queried arms, as built by ``play_arms``
+    recorded  bool (q, w): slots whose wins may be credited
+    mark_u    float64 (B, q): winner-choice uniforms (ignored unless marked)
+
+    bandit credits every recorded slot of a winning query, semi every
+    recorded slot that reads 1, marked the uniformly chosen winner if its
+    slot is recorded.
     """
-    if model not in MODEL_CODES:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    code = MODEL_CODES[model]
-    chosen = backend or active_backend()
-    if chosen == "numba" and HAS_NUMBA:
-        _record_plays_numba(bits, perm, topoff, urec, k1, code, mark_u, y_out)
+    if model == "bandit":
+        hit = bits.any(axis=2, keepdims=True)
+    elif model == "semi":
+        hit = bits == 1
     else:
-        _record_plays_numpy(bits, perm, topoff, urec, k1, code, mark_u, y_out)
-    return y_out
-
-
-@njit(cache=True)
-def _record_plays_numba(bits, perm, topoff, urec, k1, code, mark_u, y_out):
-    n_plays = bits.shape[0]
-    m = urec.shape[0]
-    k2 = topoff.shape[1]
-    p = m // k1
-    r = m - p * k1
-    q = p + (1 if r > 0 else 0)
-    width = k1 + k2
-    qa = np.empty(width, np.int64)
-    for s in range(n_plays):
-        for qi in range(q):
-            if qi < p:
-                rec_len = k1
-                for j in range(k1):
-                    qa[j] = urec[perm[s, qi * k1 + j]]
-            else:
-                rec_len = r
-                for j in range(r):
-                    qa[j] = urec[perm[s, p * k1 + j]]
-                for j in range(k1 - r):
-                    qa[r + j] = urec[perm[s, j]]
-            for j in range(k2):
-                qa[k1 + j] = topoff[s, j]
-            row = bits[s, qi]
-            if code == 0:  # bandit: a win marks every record slot
-                win = False
-                for j in range(width):
-                    if row[qa[j]] == 1:
-                        win = True
-                        break
-                if win:
-                    for j in range(rec_len):
-                        y_out[qa[j]] += 1
-            elif code == 2:  # semi: record slots keep their own bits
-                for j in range(rec_len):
-                    if row[qa[j]] == 1:
-                        y_out[qa[j]] += 1
-            else:  # marked: one uniform winner, counted only if recorded
-                wins = 0
-                for j in range(width):
-                    if row[qa[j]] == 1:
-                        wins += 1
-                if wins > 0:
-                    target = int(mark_u[s, qi] * wins) + 1
-                    seen = 0
-                    for j in range(width):
-                        if row[qa[j]] == 1:
-                            seen += 1
-                            if seen == target:
-                                if j < rec_len:
-                                    y_out[qa[j]] += 1
-                                break
-    return y_out
-
-
-def _record_plays_numpy(bits, perm, topoff, urec, k1, code, mark_u, y_out):
-    n_plays = bits.shape[0]
-    m = urec.shape[0]
-    k2 = topoff.shape[1]
-    p = m // k1
-    r = m - p * k1
-    q = p + (1 if r > 0 else 0)
-
-    blocks = urec[perm[:, : p * k1]].reshape(n_plays, p, k1)
-    if r > 0:
-        rem = np.concatenate([urec[perm[:, p * k1 :]], urec[perm[:, : k1 - r]]], axis=1)
-        core = np.concatenate([blocks, rem[:, None, :]], axis=1)
-    else:
-        core = blocks
-    if k2 > 0:
-        arms = np.concatenate(
-            [core, np.broadcast_to(topoff[:, None, :], (n_plays, q, k2))], axis=2
-        )
-    else:
-        arms = core
-    rec_len = np.full(q, k1, dtype=np.int64)
-    if r > 0:
-        rec_len[-1] = r
-    rec_mask = np.arange(k1 + k2)[None, :] < rec_len[:, None]  # (q, width)
-
-    xq = np.take_along_axis(bits, arms, axis=2)  # (B, q, width)
-    if code == 0:
-        hit = xq.any(axis=2)[:, :, None] & rec_mask[None, :, :]
-        np.add.at(y_out, arms[hit], 1)
-    elif code == 2:
-        hit = (xq == 1) & rec_mask[None, :, :]
-        np.add.at(y_out, arms[hit], 1)
-    else:
-        wins = xq.sum(axis=2, dtype=np.int64)
-        target = (mark_u * wins).astype(np.int64) + 1
-        cum = np.cumsum(xq, axis=2)
-        sel = ((cum == target[:, :, None]) & (xq == 1)).argmax(axis=2)  # first hit slot
-        valid = (wins > 0) & (sel < rec_len[None, :])
-        chosen = np.take_along_axis(arms, sel[:, :, None], axis=2)[:, :, 0]
-        np.add.at(y_out, chosen[valid], 1)
+        wins = bits.sum(axis=2, keepdims=True, dtype=np.int64)
+        target = (mark_u[:, :, None] * wins).astype(np.int64) + 1
+        hit = (bits == 1) & (np.cumsum(bits, axis=2) == target)
+    y_out += np.bincount(arms[hit & recorded], minlength=len(y_out))
     return y_out

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
@@ -131,6 +132,16 @@ class CoverageMeasure:
     def n(self) -> int:
         return len(self.sets)
 
+    @cached_property
+    def members(self) -> np.ndarray:
+        """(m, n) uint8 membership table: ``members[e, i]`` is 1 iff e is in sets[i]."""
+        table = np.zeros((self.m, self.n), dtype=np.uint8)
+        for i, s in enumerate(self.sets):
+            if s:
+                table[np.fromiter(s, dtype=np.int64), i] = 1
+        table.flags.writeable = False
+        return table
+
 
 @dataclass(frozen=True)
 class JointTableMeasure:
@@ -200,53 +211,51 @@ def from_coverage(m: int, sets: Sequence[Iterable[int]]) -> CoverageMeasure:
     return CoverageMeasure(m=m, sets=tuple(frozenset(s) for s in sets))
 
 
-def sample_matrix(measure: Measure, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` independent reward vectors; returns a (size, n) uint8 array.
+def sample_matrix(measure: Measure, rng: np.random.Generator, size: int,
+                  arms: np.ndarray | None = None) -> np.ndarray:
+    """Draw ``size`` independent reward vectors, each read at its row of ``arms``.
 
-    For ``PlantedMeasure`` the latent draws follow a fixed order (Y, the
-    non-leading planted Zs, the leading Z, all Us, then the Zs of independent
-    arms) so a given seed reproduces runs bit for bit.
+    ``arms`` is an int array of shape (size, w) naming the distinct
+    coordinates each row observes; the result is a (size, w) uint8 array
+    whose row i has the joint law of the measure on ``arms[i]``, drawn
+    fresh per row.  Only the observed coordinates are drawn.  Without
+    ``arms`` every row observes all n arms and the result is (size, n).
+
+    ``PlantedMeasure`` rows draw Y and the k planted Zs, then one uniform
+    per observed arm: a planted arm reads 1 when its Z is 1 and the uniform
+    falls under 2*mu, any other arm when the uniform falls under mu (its Z*U
+    is Bernoulli(mu) and independent of everything else).
     """
     if size < 0:
         raise DomainError("size must be >= 0")
+    if arms is None:
+        arms = np.broadcast_to(np.arange(measure.n), (size, measure.n))
+    else:
+        arms = np.asarray(arms, dtype=np.int64)
+        if arms.ndim != 2 or arms.shape[0] != size:
+            raise DomainError(f"arms must have shape ({size}, w), got {arms.shape}")
     if isinstance(measure, ProductMeasure):
         means = np.asarray(measure.means)
-        return (rng.random((size, measure.n)) < means).astype(np.uint8)
+        return (rng.random(arms.shape) < means[arms]).astype(np.uint8)
     if isinstance(measure, PlantedMeasure):
-        return _sample_planted(measure, rng, size)
+        k, mu = measure.k, measure.mu
+        y = rng.random(size) < measure.p
+        z = rng.random((size, k)) < 0.5
+        odd_rest = z[:, 1:].sum(axis=1) % 2 == 1
+        z[:, 0] = np.where(y, ~odd_rest, z[:, 0])  # Y=1 forces odd parity over the planted set
+        # column j < k: threshold of planted arm j; column k: any other arm
+        rate = np.concatenate([2.0 * mu * z, np.full((size, 1), mu)], axis=1)
+        slot = np.full(measure.n, k)
+        slot[list(measure.planted_set)] = np.arange(k)
+        threshold = np.take_along_axis(rate, slot[arms], axis=1)
+        return (rng.random(arms.shape) < threshold).astype(np.uint8)
     if isinstance(measure, CoverageMeasure):
         omega = rng.integers(0, measure.m, size=size)
-        members = np.zeros((measure.m, measure.n), dtype=np.uint8)
-        for i, s in enumerate(measure.sets):
-            if s:
-                members[np.fromiter(s, dtype=np.int64), i] = 1
-        return members[omega]
+        return measure.members[omega[:, None], arms]
     if isinstance(measure, JointTableMeasure):
         atoms = rng.choice(2**measure.k, size=size, p=np.asarray(measure.probs))
-        bit_positions = np.arange(measure.k)
-        return ((atoms[:, None] >> bit_positions) & 1).astype(np.uint8)
+        return ((atoms[:, None] >> arms) & 1).astype(np.uint8)
     raise TypeError(f"unsupported measure type {type(measure).__name__}")
-
-
-def _sample_planted(measure: PlantedMeasure, rng: np.random.Generator, size: int) -> np.ndarray:
-    n, k, mu, p = measure.n, measure.k, measure.mu, measure.p
-    planted = np.asarray(measure.planted_set)
-    lead, rest = planted[0], planted[1:]
-
-    y = rng.random(size) < p
-    z_rest = rng.random((size, k - 1)) < 0.5
-    z_lead = rng.random(size) < 0.5
-    u = rng.random((size, n)) < 2.0 * mu
-    others = np.asarray([i for i in range(n) if i not in set(measure.planted_set)])
-    z_other = rng.random((size, n - k)) < 0.5
-
-    parity = z_rest.sum(axis=1) % 2 == 1
-    z = np.zeros((size, n), dtype=bool)
-    z[:, rest] = z_rest
-    z[:, lead] = np.where(y, ~parity, z_lead)  # Y=1 forces odd parity over the planted set
-    if n > k:
-        z[:, others] = z_other
-    return (z & u).astype(np.uint8)
 
 
 def sample(measure: Measure, rng: np.random.Generator) -> np.ndarray:

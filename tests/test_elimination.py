@@ -21,7 +21,7 @@ from bestofk.elimination import (
 )
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
 from bestofk.game import QueryLedger
-from bestofk.measures import ProductMeasure
+from bestofk.measures import ProductMeasure, from_coverage, make_planted
 from bestofk.oracle import exact_query_stats
 
 
@@ -35,7 +35,6 @@ def _state(n, k, undecided, accepted, rejected, t=1, exact_k=False):
         rejected=tuple(rejected),
         t=t,
         sample_size=2**t,
-        rewards=np.zeros(n, dtype=np.int64),
         k1=k1,
         k2=k - k1 if exact_k and 0 < k1 < k else 0,
         exact_k_mode=exact_k,
@@ -406,6 +405,49 @@ class TestStagePlayConsistency:
             mu_bar = stats.mu_bar[i]
             se = math.sqrt(mu_bar * (1 - mu_bar) / plays)
             assert abs(y[i] / plays - mu_bar) < 4 * se + 1e-9, (model, i)
+
+    # measures whose arms are dependent: the batched engine draws only the
+    # queried arms, so each query must still see their joint law
+    DEPENDENT = {
+        "planted": make_planted(7, 3, 0.4, 0.8, planted_set=(0, 2, 4)),
+        "coverage": from_coverage(
+            8, [{0, 1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {6, 7, 0}, {1, 4}, {7}]
+        ),
+    }
+
+    @staticmethod
+    def _assert_matches(stats, y, plays, arms):
+        for i in arms:
+            mu_bar = stats.mu_bar[i]
+            se = math.sqrt(mu_bar * (1 - mu_bar) / plays)
+            assert abs(y[i] / plays - mu_bar) < 4 * se + 1e-9, i
+
+    @pytest.mark.parametrize("model", ["bandit", "marked", "semi"])
+    @pytest.mark.parametrize("family", ["planted", "coverage"])
+    def test_dependent_measure_matches_exact_stats(self, family, model):
+        # |U'| = 5 and k1 = 3: one full block, then a remainder padded by one arm
+        env = self.DEPENDENT[family]
+        stats = exact_query_stats(env, range(5), k1=3, model=model)
+        plays = 40_000
+        y, queries = stage_play(env, range(5), (), (), 3, 0, model, plays,
+                                np.random.default_rng(14))
+        assert queries == plays * 2
+        self._assert_matches(stats, y, plays, range(5))
+
+    @pytest.mark.parametrize("model", ["bandit", "marked", "semi"])
+    @pytest.mark.parametrize("family", ["planted", "coverage"])
+    def test_dependent_measure_topoff_matches_exact_stats(self, family, model):
+        # k = 4 and k1 = 2: the top-off is reject arm 4 plus one accepted arm
+        env = self.DEPENDENT[family]
+        stats = exact_query_stats(
+            env, (0, 1, 2, 3), k1=2, model=model,
+            reject_pool=(4,), accept_pool=(5, 6), k=4, exact_k=True,
+        )
+        plays = 40_000
+        y, queries = stage_play(env, (0, 1, 2, 3), (5, 6), (4,), 2, 2, model, plays,
+                                np.random.default_rng(15))
+        assert queries == plays * 2
+        self._assert_matches(stats, y, plays, (0, 1, 2, 3))
 
     def test_reference_uniform_play_matches_exact_stats(self):
         means = (0.7, 0.5, 0.3, 0.8, 0.2)

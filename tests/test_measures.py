@@ -22,7 +22,7 @@ from bestofk.measures import (
     sample,
     sample_matrix,
 )
-from bestofk.oracle import exact_planted_table
+from bestofk.oracle import exact_planted_table, exact_table
 
 
 class TestConstruction:
@@ -181,6 +181,91 @@ class TestSampling:
             sample(m, np.random.default_rng(9))
             == sample_matrix(m, np.random.default_rng(9), 1)[0]
         ).all()
+
+
+PLANTED = make_planted(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
+COVERAGE = from_coverage(8, [{0, 1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {6, 7, 0}, {1, 4}])
+JOINT = JointTableMeasure(k=3, probs=(0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1))
+PRODUCT = ProductMeasure(means=(0.7, 0.4, 0.2, 0.1, 0.55))
+LAW_ROWS = 200_000
+
+
+def assert_law(measure, arms, draws):
+    """Each atom's frequency lies within 4 s.e. of exact_table(measure, arms)."""
+    probs = exact_table(measure, arms).probs
+    atoms = draws.astype(np.int64) @ (1 << np.arange(len(arms)))
+    freq = np.bincount(atoms, minlength=len(probs)) / len(draws)
+    se = np.sqrt(probs * (1.0 - probs) / len(draws))
+    assert (np.abs(freq - probs) <= 4 * se + 1e-12).all(), (arms, freq, probs)
+
+
+class TestObservedArms:
+    """sample_matrix(..., arms=A): row i has the exact joint law on A[i]."""
+
+    @pytest.mark.parametrize(
+        "measure,arms",
+        [
+            (PRODUCT, (3, 0, 4)),
+            (COVERAGE, (1, 2, 5, 0)),
+            (JOINT, (2, 0)),
+            (PLANTED, (1, 3, 5)),  # the planted set
+            (PLANTED, (1, 3, 5, 0)),  # the planted set plus an outside arm
+            (PLANTED, (3, 5, 6)),  # part of it
+            (PLANTED, (5, 0, 3, 1)),  # all of it, shuffled
+            (PLANTED, (0, 2, 4, 6)),  # disjoint from it
+        ],
+        ids=["product", "coverage", "joint", "planted-set", "planted-superset",
+             "planted-part", "planted-shuffled", "planted-disjoint"],
+    )
+    def test_rows_follow_exact_table(self, measure, arms):
+        rows = np.tile(np.asarray(arms), (LAW_ROWS, 1))
+        draws = sample_matrix(measure, np.random.default_rng(31), LAW_ROWS, arms=rows)
+        assert draws.shape == (LAW_ROWS, len(arms))
+        assert draws.dtype == np.uint8
+        assert_law(measure, arms, draws)
+
+    @pytest.mark.parametrize(
+        "measure,first,second",
+        [
+            (PRODUCT, (0, 1), (4, 3)),
+            (COVERAGE, (0, 2, 4), (3, 1, 5)),
+            (JOINT, (0, 1), (2, 1)),
+            (PLANTED, (1, 3, 5), (0, 3, 6)),
+        ],
+        ids=["product", "coverage", "joint", "planted"],
+    )
+    def test_each_row_reads_its_own_arms(self, measure, first, second):
+        rows = np.empty((LAW_ROWS, len(first)), dtype=np.int64)
+        rows[0::2], rows[1::2] = first, second
+        draws = sample_matrix(measure, np.random.default_rng(32), LAW_ROWS, arms=rows)
+        assert_law(measure, first, draws[0::2])
+        assert_law(measure, second, draws[1::2])
+
+    @pytest.mark.parametrize(
+        "measure",
+        [PRODUCT, COVERAGE, JOINT, make_planted(5, 3, 0.4, 0.8, planted_set=(0, 2, 4))],
+        ids=["product", "coverage", "joint", "planted"],
+    )
+    def test_default_arms_are_all_arms(self, measure):
+        everything = tuple(range(measure.n))
+        full = sample_matrix(measure, np.random.default_rng(33), LAW_ROWS)
+        assert full.shape == (LAW_ROWS, measure.n) and full.dtype == np.uint8
+        assert_law(measure, everything, full)
+        rows = np.tile(np.arange(measure.n), (LAW_ROWS, 1))
+        assert_law(measure, everything,
+                   sample_matrix(measure, np.random.default_rng(34), LAW_ROWS, arms=rows))
+
+    def test_arms_shape_checked(self):
+        with pytest.raises(DomainError):
+            sample_matrix(PRODUCT, np.random.default_rng(0), 3, arms=np.zeros((2, 2), int))
+        with pytest.raises(DomainError):
+            sample_matrix(PRODUCT, np.random.default_rng(0), 3, arms=np.zeros(3, int))
+
+    def test_coverage_membership_table_built_once(self):
+        assert COVERAGE.members is COVERAGE.members
+        assert COVERAGE.members.tolist() == [
+            [int(e in s) for s in COVERAGE.sets] for e in range(COVERAGE.m)
+        ]
 
 
 class TestSerialization:
