@@ -55,38 +55,47 @@ __all__ = [
 class Interval:
     """Empirical mean with its variance-adaptive confidence radius.
 
-    The radius is kept unclipped for comparisons; ``c_clipped`` is the
-    [0, 1]-clipped value used for logging only (means live in [0, 1], so
+    The fields are floats for one mean and arrays of its shape for an array
+    of means.  The radius is kept unclipped for comparisons; ``c_clipped`` is
+    the [0, 1]-clipped value used for logging only (means live in [0, 1], so
     clipping can never flip an accept/reject decision).
     """
 
-    mu_hat: float
-    c_hat: float
-    v_hat: float
+    mu_hat: float | np.ndarray
+    c_hat: float | np.ndarray
+    v_hat: float | np.ndarray
 
     @property
-    def c_clipped(self) -> float:
-        return min(max(self.c_hat, 0.0), 1.0)
+    def c_clipped(self) -> float | np.ndarray:
+        return np.clip(self.c_hat, 0.0, 1.0)
 
 
-def confidence_radius(mu_hat: float, T: int, n: int, t: int, delta: float) -> Interval:
+def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
+                      delta: float) -> Interval:
     """Sample-variance Bernstein radius at stage t with T = 2^t samples.
 
     v_hat = T mu(1-mu)/(T-1);
     c_hat = sqrt(2 v_hat log(8 n t^2/delta) / T) + 8 log(8 n t^2/delta) / (3(T-1)).
+
+    ``mu_hat`` is one mean or an array of means, each computed elementwise
+    in the order written above, so an array entry equals the scalar call
+    on that mean bit for bit.
     """
     if T < 2:
         raise DomainError("need T >= 2 (sample variance divides by T-1)")
-    if not (0.0 <= mu_hat <= 1.0):
+    mu = np.asarray(mu_hat, dtype=float)
+    if not ((0.0 <= mu) & (mu <= 1.0)).all():
         raise DomainError("mu_hat must lie in [0, 1]")
     if not (0.0 < delta < 1.0):
         raise DomainError("delta must lie in (0, 1)")
     if n < 1 or t < 1:
         raise DomainError("need n >= 1 and t >= 1")
     log_term = math.log(8.0 * n * t * t / delta)
-    v_hat = T * mu_hat * (1.0 - mu_hat) / (T - 1)
-    c_hat = math.sqrt(2.0 * v_hat * log_term / T) + 8.0 * log_term / (3.0 * (T - 1))
-    return Interval(mu_hat=mu_hat, c_hat=c_hat, v_hat=v_hat)
+    v_hat = T * mu * (1.0 - mu) / (T - 1)
+    c_hat = np.sqrt(2.0 * v_hat * log_term / T) + 8.0 * log_term / (3.0 * (T - 1))
+    if mu.ndim == 0:
+        return Interval(mu_hat=mu_hat, c_hat=float(c_hat), v_hat=float(v_hat))
+    return Interval(mu_hat=mu, c_hat=c_hat, v_hat=v_hat)
 
 
 def true_variance_radius(V: float, T: float, n: int, delta: float,
@@ -483,40 +492,25 @@ def run_identification(
     while state.t <= cfg.stage_cap:
         t, big_t = state.t, state.sample_size
         u_before, a_before, r_before = state.undecided, state.accepted, state.rejected
-        k1 = min(len(u_before), k)
         if use_balance:
-            sets = balance(u_before, r_before, k1, rng)
+            sets = balance(u_before, r_before, state.k1, rng)
         else:
             sets = SamplingSets(u_prime=u_before, r_prime=r_before, balancing=())
-        k2 = k - k1 if (exact_k and k1 < k) else 0
         y, queries = stage_play(
             env,
             sets.u_prime,
             a_before,
             sets.r_prime,
-            k1,
-            k2,
+            state.k1,
+            state.k2,
             model,
             big_t,
             rng,
         )
         total_queries += queries
-        mu_hat = {i: y[i] / big_t for i in u_before}
-        c_hat = {
-            i: confidence_radius(mu_hat[i], big_t, n, t, delta).c_hat for i in u_before
-        }
-        state = ElimState(
-            n=n,
-            k=k,
-            undecided=u_before,
-            accepted=a_before,
-            rejected=r_before,
-            t=t,
-            sample_size=big_t,
-            k1=k1,
-            k2=k2,
-            exact_k_mode=exact_k,
-        )
+        interval = confidence_radius(y[list(u_before)] / big_t, big_t, n, t, delta)
+        mu_hat = dict(zip(u_before, interval.mu_hat.tolist()))
+        c_hat = dict(zip(u_before, interval.c_hat.tolist()))
         state, accepted_now, rejected_now = elimination_step(state, mu_hat, c_hat)
         if cfg.keep_stage_log:
             stage_log.append(

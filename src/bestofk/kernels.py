@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .measures import fold_columns
 from .theory import MODELS
 
 __all__ = [
@@ -80,12 +81,17 @@ def record_plays(
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if model == "bandit":
-        hit = bits.any(axis=2, keepdims=True)
+        hit = fold_columns(bits, np.bitwise_or).astype(bool)[:, :, None]
     elif model == "semi":
         hit = bits == 1
     else:
-        wins = bits.sum(axis=2, keepdims=True, dtype=np.int64)
-        target = (mark_u[:, :, None] * wins).astype(np.int64) + 1
-        hit = (bits == 1) & (np.cumsum(bits, axis=2) == target)
+        # the winner credited is the int(u * wins) + 1-th one in slot order
+        wins = fold_columns(bits, np.add, dtype=np.int64)
+        target = (mark_u * wins).astype(np.int64) + 1
+        hit = np.empty(bits.shape, dtype=bool)
+        seen = np.zeros_like(target)
+        for j in range(bits.shape[2]):
+            seen += bits[:, :, j]
+            hit[:, :, j] = (seen == target) & (bits[:, :, j] == 1)
     y_out += np.bincount(arms[hit & recorded], minlength=len(y_out))
     return y_out

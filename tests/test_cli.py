@@ -1,8 +1,14 @@
 """Command-line surface and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bestofk
 
 from bestofk.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from bestofk.harness import ExperimentConfig
@@ -100,6 +106,23 @@ def test_config_errors_exit_one(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing)]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_malformed_measure_is_one_line_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"type": "product", "n": 4},
+                                "model": "semi", "k": 1, "delta": 0.1}))
+    src = str(Path(bestofk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "bestofk.cli", "run", "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines() == ["error: product measure document lacks the key 'means'"]
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_verify_subcommand(capsys):

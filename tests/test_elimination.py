@@ -64,6 +64,29 @@ class TestConfidenceRadius:
         with pytest.raises(DomainError):
             confidence_radius(0.5, T=1, n=5, t=1, delta=0.1)
 
+    @pytest.mark.parametrize("t", [1, 2, 5, 12, 30])
+    def test_array_equals_scalar_bit_for_bit(self, t):
+        big_t, n, delta = 2**t, 37, 0.05
+        rng = np.random.default_rng(t)
+        mu = np.concatenate([rng.integers(0, big_t + 1, 300) / big_t, [0.0, 0.5, 1.0]])
+        iv = confidence_radius(mu, big_t, n, t, delta)
+        assert iv.c_hat.shape == iv.v_hat.shape == mu.shape
+        log_term = math.log(8.0 * n * t * t / delta)
+        for i, m in enumerate(mu.tolist()):
+            one = confidence_radius(m, big_t, n, t, delta)
+            assert type(one.c_hat) is float and type(one.v_hat) is float
+            assert one.mu_hat == m
+            assert iv.c_hat[i] == one.c_hat and iv.v_hat[i] == one.v_hat
+            # the formula as written with math.sqrt gives the same float
+            v = big_t * m * (1.0 - m) / (big_t - 1)
+            c = math.sqrt(2.0 * v * log_term / big_t) + 8.0 * log_term / (3.0 * (big_t - 1))
+            assert one.v_hat == v and one.c_hat == c
+
+    @pytest.mark.parametrize("bad", [[0.2, 1.5], [-0.1, 0.5], [0.5, float("nan")]])
+    def test_array_with_a_mean_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(DomainError):
+            confidence_radius(np.array(bad), T=8, n=5, t=3, delta=0.1)
+
 
 class TestInversion:
     def test_radius_below_gap_on_grid(self):
@@ -242,6 +265,21 @@ class TestEliminationStep:
 
 
 class TestRunIdentification:
+    def test_one_state_per_stage(self, monkeypatch):
+        # the initial state plus the one elimination_step advances to, per stage
+        built = []
+        checks = ElimState.__post_init__
+
+        def counted(state):
+            built.append(state.t)
+            checks(state)
+
+        monkeypatch.setattr(ElimState, "__post_init__", counted)
+        env = ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))
+        rec = run_identification(env, "semi", 2, 0.1, None, np.random.default_rng(1))
+        assert rec.stages >= 2
+        assert built == list(range(1, rec.stages + 2))
+
     def test_n_equals_k_short_circuit(self):
         env = ProductMeasure(means=(0.5, 0.5))
         rec = run_identification(env, "semi", 2, 0.1, None, np.random.default_rng(0))

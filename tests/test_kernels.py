@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bestofk import kernels
 from bestofk.elimination import stage_play
+from bestofk.game import observe
 from bestofk.measures import ProductMeasure
+from bestofk.theory import MODELS
 
 
 def test_queries_per_play():
@@ -67,3 +72,61 @@ def test_numpy_path_counts_match_play_semantics():
                       np.random.default_rng(1))
     assert q == 1000
     assert not y.any()
+
+
+class FixedUniform:
+    """Stands in for a generator whose next uniform is already known."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@st.composite
+def recorder_cases(draw):
+    """A chunk of plays laid out by ``play_arms`` with hand-picked bits and marks."""
+    model = draw(st.sampled_from(MODELS))
+    k1 = draw(st.integers(1, 4))
+    m = draw(st.integers(k1, 9))  # pool size; m % k1 > 0 gives a padded remainder
+    k2 = draw(st.integers(0, 3))  # top-off arms
+    n = m + k2 + draw(st.integers(0, 2))
+    plays = draw(st.integers(1, 3))
+    perms = [draw(st.permutations(range(n))) for _ in range(plays)]
+    order = np.array([p[:m] for p in perms], dtype=np.int64)
+    topoff = np.array([p[m : m + k2] for p in perms], dtype=np.int64).reshape(plays, k2)
+    arms, recorded = kernels.play_arms(order, topoff, k1)
+    bits = draw(arrays(np.uint8, arms.shape, elements=st.integers(0, 1)))
+    mark_u = draw(arrays(np.float64, arms.shape[:2],
+                         elements=st.floats(0.0, 1.0, exclude_max=True)))
+    return model, n, arms, recorded, bits, mark_u
+
+
+@settings(max_examples=300, deadline=None)
+@given(recorder_cases())
+def test_record_plays_equals_observe_query_by_query(case):
+    """The recorder credits exactly what ``observe`` reports, query by query.
+
+    ``observe`` sees each query's slots as its arms: it orders winners by arm
+    label, and the recorder picks the marked winner in slot order, so slot
+    labels make the two orders the same.  A reported slot is then credited
+    to its arm when the slot is recorded.
+    """
+    model, n, arms, recorded, bits, mark_u = case
+    expected = np.zeros(n, dtype=np.int64)
+    plays, q, width = arms.shape
+    for p in range(plays):
+        for j in range(q):
+            obs = observe(bits[p, j], range(width), model, FixedUniform(mark_u[p, j]))
+            if model == "bandit":
+                shown = obs.query if obs.bit else ()
+            elif model == "semi":
+                shown = [s for s, b in zip(obs.query, obs.bits) if b]
+            else:
+                shown = () if obs.marked is None else (obs.marked,)
+            for s in shown:
+                if recorded[j, s]:
+                    expected[arms[p, j, s]] += 1
+    y = kernels.record_plays(bits, arms, recorded, model, mark_u, np.zeros(n, np.int64))
+    assert y.tolist() == expected.tolist()

@@ -1,9 +1,12 @@
 """Measure construction, sampling, exact rewards, and serialization."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestofk.errors import DomainError
 from bestofk.measures import (
@@ -13,9 +16,11 @@ from bestofk.measures import (
     ProductMeasure,
     dumps,
     expected_max,
+    fold_columns,
     from_coverage,
     loads,
     make_planted,
+    measure_from_dict,
     marginal_means,
     optimal_subset,
     planted_gap,
@@ -291,6 +296,31 @@ class TestSerialization:
         with pytest.raises(DomainError):
             loads('{"type": "mystery"}')
 
+    @pytest.mark.parametrize(
+        "doc,fragment",
+        [
+            ({"type": "product", "n": 4}, "'means'"),
+            ({"type": "product", "means": [0.5, "x"]}, "'means'"),
+            ({"type": "product", "means": 0.5}, "'means'"),
+            ({"type": "planted", "n": 6, "k": 2, "mu": 0.4}, "'p'"),
+            ({"type": "planted", "n": "6", "k": 2, "mu": 0.4, "p": 1.0}, "'n'"),
+            ({"type": "planted", "n": 6, "k": True, "mu": 0.4, "p": 1.0}, "'k'"),
+            ({"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 1.0,
+              "planted_set": [0, 1.5]}, "'planted_set'"),
+            ({"type": "coverage", "sets": [[0]]}, "'m'"),
+            ({"type": "coverage", "m": 4, "sets": [0, 1]}, "'sets'"),
+            ({"type": "joint_table", "k": 1}, "'probs'"),
+            ({"type": "joint_table", "k": 1.0, "probs": [0.5, 0.5]}, "'k'"),
+            (["product"], "object"),
+        ],
+    )
+    def test_malformed_document_is_a_one_line_domain_error(self, doc, fragment):
+        with pytest.raises(DomainError) as info:
+            measure_from_dict(doc)
+        message = str(info.value)
+        assert fragment in message
+        assert "\n" not in message
+
 
 class TestOptimalSubset:
     def test_product_top_k(self):
@@ -308,3 +338,55 @@ class TestOptimalSubset:
     def test_coverage_enumeration(self):
         m = from_coverage(6, [{0, 1}, {2, 3}, {3, 4, 5}])
         assert optimal_subset(m, 2) == (0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 7),
+        sets=st.lists(st.frozensets(st.integers(0, 6), max_size=5), min_size=1, max_size=6),
+        k=st.integers(1, 3),
+    )
+    def test_coverage_bitmasks_match_expected_max_enumeration(self, m, sets, k):
+        sets = [frozenset(e for e in s if e < m) for s in sets]
+        k = min(k, len(sets))
+        measure = from_coverage(m, sets)
+        values = {
+            s: len(frozenset().union(*(sets[i] for i in s))) / m
+            for s in combinations(range(len(sets)), k)
+        }
+        for s, v in values.items():
+            assert expected_max(measure, s) == v
+        best = max(values, key=values.get)  # the first maximum in scan order
+        rest = [v for s, v in values.items() if s != best]
+        unique = not rest or values[best] - max(rest) > 1e-12
+        assert optimal_subset(measure, k) == (best if unique else None)
+
+    def test_coverage_tie_returns_none(self):
+        # arm 0 with arm 1 or with arm 2 covers 3 of 4 elements
+        m = from_coverage(4, [{0, 1}, {2}, {3}, {0}])
+        assert optimal_subset(m, 2) is None
+        assert optimal_subset(from_coverage(4, [{0, 1}, {2}, {3}, {2, 3}]), 2) == (0, 3)
+
+
+class TestFoldColumns:
+    def test_folds_match_reductions(self):
+        rng = np.random.default_rng(5)
+        bits = (rng.random((40, 6, 5)) < 0.4).astype(np.uint8)
+        assert np.array_equal(fold_columns(bits, np.bitwise_or), bits.max(axis=2))
+        assert np.array_equal(fold_columns(bits, np.bitwise_xor), bits.sum(axis=2) % 2)
+        total = fold_columns(bits, np.add, dtype=np.int64)
+        assert total.dtype == np.int64
+        assert np.array_equal(total, bits.sum(axis=2))
+        assert np.array_equal(fold_columns(bits[:, :, :1], np.bitwise_or), bits[:, :, 0])
+
+    def test_does_not_alias_its_input(self):
+        bits = np.ones((3, 2), dtype=np.uint8)
+        fold_columns(bits, np.bitwise_xor)[:] = 7
+        assert (bits == 1).all()
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_planted_parity_fold_matches_sum_mod_two(self, k):
+        # the planted sampler reads the parity of the other planted Zs this way
+        z = np.random.default_rng(k).random((2000, k)) < 0.5
+        odd_rest = fold_columns(z[:, 1:], np.bitwise_xor)
+        assert odd_rest.dtype == bool
+        assert np.array_equal(odd_rest, z[:, 1:].sum(axis=1) % 2 == 1)
