@@ -14,6 +14,7 @@ stage structure, so query counts are directly comparable.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -23,10 +24,36 @@ from .errors import DomainError, SubsetCapError
 from .measures import Measure, fold_columns, sample_matrix
 from .trial import TrialRecord
 
-__all__ = ["subset_arm_identify", "parity_identify"]
+__all__ = ["SubsetArm", "ParityStat", "subset_arm_identify", "parity_identify"]
 
 SUBSET_CAP = 100_000
 DRAW_ROWS = 1 << 18  # bounds the memory of one stage's draw
+
+
+@dataclass
+class SubsetArm:
+    """Pull statistics of one subset treated as a bandit arm."""
+
+    subset: tuple[int, ...]
+    pulls: int = 0
+    ones: int = 0
+
+    def __post_init__(self):
+        if self.ones > self.pulls:
+            raise DomainError("ones cannot exceed pulls")
+
+
+@dataclass
+class ParityStat:
+    """Pull statistics of one subset's parity bit."""
+
+    subset: tuple[int, ...]
+    pulls: int = 0
+    parity_ones: int = 0
+
+    def __post_init__(self):
+        if self.parity_ones > self.pulls:
+            raise DomainError("parity_ones cannot exceed pulls")
 
 
 def _enumerate_subsets(n: int, k: int, cap: int) -> np.ndarray:

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from bestofk.baselines import parity_identify, subset_arm_identify
-from bestofk.errors import SubsetCapError
+from bestofk.baselines import ParityStat, SubsetArm, parity_identify, subset_arm_identify
+from bestofk.errors import DomainError, SubsetCapError
 from bestofk.measures import ProductMeasure, make_planted, sample_matrix
+
+
+class TestRecords:
+    def test_invariants(self):
+        SubsetArm(subset=(0, 1), pulls=5, ones=3)
+        with pytest.raises(DomainError):
+            SubsetArm(subset=(0, 1), pulls=2, ones=3)
+        with pytest.raises(DomainError):
+            ParityStat(subset=(0, 1), pulls=1, parity_ones=2)
 
 
 class TestSubsetArm:
