@@ -7,13 +7,8 @@ cross-checks all of it against exact enumeration oracles.
 """
 
 from .baselines import parity_identify, subset_arm_identify
-from .elimination import (
-    ElimConfig,
-    confidence_radius,
-    run_identification,
-    uniform_play,
-)
-from .game import Observation, QueryLedger, observe, play
+from .elimination import ElimConfig, confidence_radius, run_identification
+from .game import Observation, observe
 from .harness import ExperimentConfig, compare_to_bounds, run_experiment
 from .measures import (
     CoverageMeasure,
@@ -24,7 +19,6 @@ from .measures import (
     from_coverage,
     make_planted,
     planted_gap,
-    sample,
 )
 from .theory import (
     BoundReport,
@@ -52,15 +46,11 @@ __all__ = [
     "from_coverage",
     "make_planted",
     "planted_gap",
-    "sample",
     "Observation",
-    "QueryLedger",
     "observe",
-    "play",
     "ElimConfig",
     "confidence_radius",
     "run_identification",
-    "uniform_play",
     "parity_identify",
     "subset_arm_identify",
     "BoundReport",

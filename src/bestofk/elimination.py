@@ -7,10 +7,10 @@ arms whose lower confidence bound clears the (k_t+1)-th largest upper bound
 and reject arms whose upper bound falls under the k_t-th largest lower bound.
 Fresh samples every stage; the budget doubles until k arms are accepted.
 
-``uniform_play``/``play_and_record`` are the single-call reference
-implementations; ``stage_play`` is the batched engine behind
-``run_identification``: it lays out a chunk of plays as queries, draws reward
-bits only for the queried arms, and hands them to the recorder.
+``stage_play`` is the one sampling engine behind ``run_identification``: it
+lays out a chunk of plays as queries, draws reward bits only for the queried
+arms, and hands them to the recorder.  ``oracle.exact_query_stats`` gives the
+exact per-arm recording law it is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
-from .game import ObservationTrace, QueryLedger, play
 from .kernels import play_arms, queries_per_play, record_plays
 from .measures import Measure, marginal_means, sample_matrix
 from .theory import MODELS
@@ -37,8 +36,6 @@ __all__ = [
     "confidence_radius",
     "true_variance_radius",
     "inversion_sample_size",
-    "play_and_record",
-    "uniform_play",
     "stage_play",
     "balance",
     "balance_set_size",
@@ -129,109 +126,7 @@ def inversion_sample_size(V: float, gap: float, n: int, delta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Reference sampling path (single calls).
-# ---------------------------------------------------------------------------
-
-def play_and_record(
-    q_record: Sequence[int],
-    q_extra: Sequence[int],
-    y: np.ndarray,
-    model: str,
-    env: Measure,
-    rng: np.random.Generator,
-    ledger: QueryLedger,
-    trace: ObservationTrace | None = None,
-) -> np.ndarray:
-    """Play q_record + q_extra once; only q_record entries may be credited.
-
-    semi/marked credit each recorded arm observed at 1; bandit credits every
-    recorded arm when the query wins.
-    """
-    rec = tuple(int(a) for a in q_record)
-    extra = tuple(int(a) for a in q_extra)
-    if set(rec) & set(extra):
-        raise DomainError("record and extra sets must be disjoint")
-    obs = play(env, rec + extra, model, rng, ledger, trace=trace)
-    if model == "bandit":
-        if obs.bit == 1:
-            for a in rec:
-                y[a] += 1
-    elif model == "semi":
-        rec_set = set(rec)
-        for a, b in zip(obs.query, obs.bits):
-            if b == 1 and a in rec_set:
-                y[a] += 1
-    else:
-        if obs.marked is not None and obs.marked in set(rec):
-            y[obs.marked] += 1
-    return y
-
-
-def _draw_topoff(reject_pool: Sequence[int], accept_pool: Sequence[int], k2: int,
-                 rng: np.random.Generator) -> tuple[int, ...]:
-    """Top-off set: as many reject arms as possible, accepted arms fill in."""
-    if k2 == 0:
-        return ()
-    reject_pool = list(reject_pool)
-    accept_pool = list(accept_pool)
-    if len(reject_pool) >= k2:
-        return tuple(rng.permutation(np.asarray(reject_pool, dtype=np.int64))[:k2])
-    need = k2 - len(reject_pool)
-    if len(accept_pool) < need:
-        raise InfeasibleError("cannot build a top-off set: pools too small")
-    fill = tuple(rng.permutation(np.asarray(accept_pool, dtype=np.int64))[:need])
-    return tuple(reject_pool) + fill
-
-
-def uniform_play(
-    u_prime: Sequence[int],
-    accept: Sequence[int],
-    r_prime: Sequence[int],
-    k1: int,
-    env: Measure,
-    model: str,
-    rng: np.random.Generator,
-    ledger: QueryLedger,
-    exact_k: bool = False,
-    k: int | None = None,
-    trace: ObservationTrace | None = None,
-) -> tuple[np.ndarray, int]:
-    """One uniform pass over ``u_prime``: ceil(|U'|/k1) queries, each arm
-    recorded at most once.
-
-    The pool is randomly cut into floor(|U'|/k1) blocks of size k1; leftovers
-    are played once more, padded back to k1 by arms outside the remainder, but
-    only the leftovers are recorded.  In exact-k mode with k1 < k a top-off
-    set of k - k1 arms (rejects first, accepted arms as fill-in) joins every
-    query unrecorded.
-    """
-    pool = [int(a) for a in u_prime]
-    m = len(pool)
-    if m < 1:
-        raise DomainError("u_prime must be nonempty")
-    if not (1 <= k1 <= m):
-        raise DomainError("need 1 <= k1 <= |u_prime|")
-    k2 = 0
-    if exact_k and k is not None and k1 < k:
-        k2 = k - k1
-    s_plus = _draw_topoff(r_prime, accept, k2, rng)
-
-    perm = [int(a) for a in rng.permutation(np.asarray(pool, dtype=np.int64))]
-    y = np.zeros(env.n, dtype=np.int64)
-    p = m // k1
-    r = m - p * k1
-    for b in range(p):
-        block = tuple(perm[b * k1 : (b + 1) * k1])
-        play_and_record(block, s_plus, y, model, env, rng, ledger, trace=trace)
-    if r > 0:
-        remainder = tuple(perm[p * k1 :])
-        padding = tuple(perm[: k1 - r])  # uniform (k1-r)-subset of U' minus the remainder
-        play_and_record(remainder, padding + s_plus, y, model, env, rng, ledger, trace=trace)
-    return y, queries_per_play(m, k1)
-
-
-# ---------------------------------------------------------------------------
-# Batched stage engine (hot path).
+# Stage engine.
 # ---------------------------------------------------------------------------
 
 CHUNK_PLAYS = 4096  # plays drawn per batch; fixed so a seed replays the same stream
@@ -250,9 +145,13 @@ def stage_play(
 ) -> tuple[np.ndarray, int]:
     """Run ``plays`` uniform passes, returning (win counts, queries issued).
 
-    Equivalent in distribution to summing ``plays`` calls of ``uniform_play``.
-    Per chunk it draws the permutations and top-off sets, lays the plays out
-    as queries, draws one reward bit per queried arm and query, and records.
+    One play is a uniform pass over ``u_prime``: a random permutation cut
+    into blocks of k1, the leftovers padded back to k1 by other pool arms
+    that are not recorded twice, and in exact-k mode k2 top-off arms (rejects
+    first, accepted arms as fill-in) joined unrecorded to every query.  Per chunk
+    it draws the permutations and top-off sets, lays the plays out as
+    queries, draws one reward bit per queried arm and query, and records.
+    Each play's per-arm recording law is ``oracle.exact_query_stats``.
     """
     urec = np.asarray(sorted(int(a) for a in u_prime), dtype=np.int64)
     m = len(urec)
@@ -419,16 +318,14 @@ def elimination_step(
 class ElimConfig:
     """Knobs for run_identification.
 
-    ``exact_k``/``use_balance`` default per feedback model (exact-k on for
-    bandit and marked, balancing on for bandit when n >= ceil(7k/2)).
+    ``exact_k`` defaults per feedback model (on for bandit and marked).
     ``stage_cap`` bounds the doubling loop; hitting it flags the trial
-    inconclusive rather than returning a silent guess.
+    inconclusive rather than returning a silent guess.  Balancing is not a
+    knob: it runs under bandit feedback whenever n >= ceil(7k/2).
     """
 
     exact_k: bool | None = None
-    use_balance: bool | None = None
     stage_cap: int = 40
-    keep_stage_log: bool = True
 
 
 def run_identification(
@@ -450,6 +347,8 @@ def run_identification(
     if rng is None:
         raise DomainError("an explicit seeded generator is required")
     cfg = config or ElimConfig()
+    if cfg.stage_cap < 1:
+        raise DomainError("stage_cap must be >= 1")
     n = env.n
     if not (1 <= k <= n):
         raise DomainError("need 1 <= k <= n")
@@ -465,11 +364,9 @@ def run_identification(
             raise IdentifiabilityError("bandit identification needs every mean < 1")
 
     exact_k = cfg.exact_k if cfg.exact_k is not None else model in ("bandit", "marked")
-    use_balance = cfg.use_balance if cfg.use_balance is not None else model == "bandit"
-    if model != "bandit":
-        use_balance = False
-    if use_balance and n < math.ceil(7 * k / 2):
-        use_balance = False
+    balanced = model == "bandit"
+    if balanced and n < math.ceil(7 * k / 2):
+        balanced = False
         msg = f"balancing disabled: n={n} < ceil(7k/2)={math.ceil(7 * k / 2)}"
         run_warnings.append(msg)
         warnings.warn(msg, stacklevel=2)
@@ -492,7 +389,7 @@ def run_identification(
     while state.t <= cfg.stage_cap:
         t, big_t = state.t, state.sample_size
         u_before, a_before, r_before = state.undecided, state.accepted, state.rejected
-        if use_balance:
+        if balanced:
             sets = balance(u_before, r_before, state.k1, rng)
         else:
             sets = SamplingSets(u_prime=u_before, r_prime=r_before, balancing=())
@@ -512,22 +409,21 @@ def run_identification(
         mu_hat = dict(zip(u_before, interval.mu_hat.tolist()))
         c_hat = dict(zip(u_before, interval.c_hat.tolist()))
         state, accepted_now, rejected_now = elimination_step(state, mu_hat, c_hat)
-        if cfg.keep_stage_log:
-            stage_log.append(
-                StageRecord(
-                    t=t,
-                    undecided=len(u_before),
-                    accepted=len(a_before),
-                    rejected=len(r_before),
-                    balancing=len(sets.balancing),
-                    sample_size=big_t,
-                    queries=queries,
-                    mu_hat=mu_hat,
-                    c_hat=c_hat,
-                    accepted_now=accepted_now,
-                    rejected_now=rejected_now,
-                )
+        stage_log.append(
+            StageRecord(
+                t=t,
+                undecided=len(u_before),
+                accepted=len(a_before),
+                rejected=len(r_before),
+                balancing=len(sets.balancing),
+                sample_size=big_t,
+                queries=queries,
+                mu_hat=mu_hat,
+                c_hat=c_hat,
+                accepted_now=accepted_now,
+                rejected_now=rejected_now,
             )
+        )
         if len(state.accepted) >= k:
             return TrialRecord(
                 returned=tuple(sorted(state.accepted)),

@@ -24,6 +24,3 @@ class SubsetCapError(BestOfKError):
 class MismatchError(BestOfKError):
     """Two artifacts that must describe the same instance do not."""
 
-
-class InconclusiveError(BestOfKError):
-    """A run hit its stage cap without reaching a decision."""

@@ -1,6 +1,6 @@
-"""The Best-of-K game loop: queries, the three feedback channels, accounting.
+"""The Best-of-K feedback channels: the executable spec of one query.
 
-A query names a set of arms; nature draws a fresh reward vector per play and
+A query names a set of arms; nature draws a fresh reward vector per query and
 the observation depends on the feedback model:
 
 * ``bandit`` -- only the max bit over the queried arms,
@@ -8,22 +8,21 @@ the observation depends on the feedback model:
   uniformly among those that read 1,
 * ``semi``   -- the bit of every queried arm.
 
-Stateless apart from the per-run ledger; ledgers are single-writer.
+``observe`` applies one channel to one realized reward vector; the batched
+recorder in ``kernels`` is tested query by query against it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import IO, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import Measure, sample
 from .theory import MODELS
 
-__all__ = ["Observation", "QueryLedger", "ObservationTrace", "validate_query", "observe", "play"]
+__all__ = ["Observation", "validate_query", "observe"]
 
 
 def validate_query(arms: Iterable[int], n: int, k: int | None = None,
@@ -59,45 +58,6 @@ class Observation:
     marked: int | None = None
     bits: tuple[int, ...] | None = None
 
-    def payload(self):
-        if self.model == "bandit":
-            return self.bit
-        if self.model == "marked":
-            return self.marked
-        return self.bits
-
-
-@dataclass
-class QueryLedger:
-    """Query accounting: total plays, optionally per-subset counts."""
-
-    total_queries: int = 0
-    per_subset: dict[tuple[int, ...], int] | None = None
-
-    @classmethod
-    def with_subset_counts(cls) -> "QueryLedger":
-        return cls(per_subset={})
-
-    def record(self, query: tuple[int, ...], count: int = 1) -> None:
-        self.total_queries += count
-        if self.per_subset is not None:
-            self.per_subset[query] = self.per_subset.get(query, 0) + count
-
-
-class ObservationTrace:
-    """Line-delimited observation records {t, query, model, payload} for replay."""
-
-    def __init__(self, stream: IO[str]):
-        self._stream = stream
-        self._t = 0
-
-    def write(self, obs: Observation) -> None:
-        self._t += 1
-        rec = {"t": self._t, "query": list(obs.query), "model": obs.model,
-               "payload": obs.payload() if not isinstance(obs.payload(), tuple)
-               else list(obs.payload())}
-        self._stream.write(json.dumps(rec, sort_keys=True) + "\n")
-
 
 def observe(x: np.ndarray, query: Iterable[int], model: str,
             rng: np.random.Generator) -> Observation:
@@ -115,14 +75,3 @@ def observe(x: np.ndarray, query: Iterable[int], model: str,
         return Observation(model=model, query=q, marked=None)
     return Observation(model=model, query=q, marked=int(winners[int(rng.random() * len(winners))]))
 
-
-def play(env: Measure, query: Iterable[int], model: str, rng: np.random.Generator,
-         ledger: QueryLedger, trace: ObservationTrace | None = None) -> Observation:
-    """Draw a fresh reward vector, observe it, and charge one query to the ledger."""
-    q = validate_query(query, n=env.n)
-    x = sample(env, rng)
-    obs = observe(x, q, model, rng)
-    ledger.record(q)
-    if trace is not None:
-        trace.write(obs)
-    return obs

@@ -9,9 +9,9 @@ and contain nothing volatile, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import reprlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import parity_identify, subset_arm_identify
 from .elimination import ElimConfig, run_identification
 from .errors import DomainError, MismatchError
-from .measures import Measure, measure_from_dict, optimal_subset
+from .measures import Measure, _is_int, _is_number, measure_from_dict, optimal_subset
 from .theory import MODELS, BoundReport
 from .trial import TrialRecord
 
@@ -31,12 +31,25 @@ __all__ = [
     "ExperimentSummary",
     "run_experiment",
     "write_results",
-    "write_flat_table",
     "compare_to_bounds",
     "replicate_rng",
 ]
 
 ALGORITHMS = ("elimination", "subset_arm", "parity")
+
+_CONFIG_FIELDS = {
+    # key: (check, what a well-formed value is)
+    "k": (_is_int, "an integer"),
+    "replicates": (_is_int, "an integer"),
+    "base_seed": (_is_int, "an integer"),
+    "stage_cap": (_is_int, "an integer"),
+    "delta": (_is_number, "a number"),
+    "model": (lambda value: isinstance(value, str), "a string"),
+    "algorithm": (lambda value: isinstance(value, str), "a string"),
+    "exact_k_mode": (lambda value: value is None or isinstance(value, bool), "a bool or null"),
+    "out": (lambda value: value is None or isinstance(value, str), "a string or null"),
+    "trace": (lambda value: isinstance(value, bool), "a bool"),
+}
 
 
 @dataclass(frozen=True)
@@ -54,12 +67,22 @@ class ExperimentConfig:
     trace: bool = False
 
     def __post_init__(self):
+        for key, (check, what) in _CONFIG_FIELDS.items():
+            value = getattr(self, key)
+            if not check(value):
+                raise DomainError(
+                    f"config key {key!r} must be {what}, got {reprlib.repr(value)}"
+                )
         if self.algorithm not in ALGORITHMS:
             raise DomainError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.model not in MODELS:
             raise DomainError(f"unknown model {self.model!r}")
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
+        if self.base_seed < 0:
+            raise DomainError("base_seed must be >= 0")
+        if self.stage_cap < 1:
+            raise DomainError("stage_cap must be >= 1")
         if not (0.0 < self.delta < 1.0):
             raise DomainError("delta must lie in (0, 1)")
         if self.algorithm == "parity" and self.model != "semi":
@@ -229,27 +252,6 @@ def write_results(path: Path, records: Sequence[TrialRecord],
         for rec in ordered:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
         fh.write(json.dumps(summary.to_dict(), sort_keys=True) + "\n")
-
-
-FLAT_COLUMNS = ("replicate", "seed", "returned", "success", "total_queries",
-                "stages", "inconclusive")
-
-
-def write_flat_table(path: Path, records: Sequence[TrialRecord]) -> None:
-    """CSV export with a fixed column order, for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLAT_COLUMNS)
-        for rec in sorted(records, key=lambda r: r.replicate or 0):
-            writer.writerow([
-                rec.replicate,
-                rec.seed,
-                " ".join(str(a) for a in rec.returned),
-                rec.success,
-                rec.total_queries,
-                rec.stages,
-                rec.inconclusive,
-            ])
 
 
 def compare_to_bounds(

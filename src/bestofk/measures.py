@@ -39,7 +39,6 @@ __all__ = [
     "make_planted",
     "planted_gap",
     "from_coverage",
-    "sample",
     "sample_matrix",
     "fold_columns",
     "expected_max",
@@ -279,11 +278,6 @@ def fold_columns(bits: np.ndarray, op: np.ufunc, dtype=None) -> np.ndarray:
     return acc
 
 
-def sample(measure: Measure, rng: np.random.Generator) -> np.ndarray:
-    """Draw one reward vector (length-n uint8 array)."""
-    return sample_matrix(measure, rng, 1)[0]
-
-
 def marginal_means(measure: Measure) -> tuple[float, ...]:
     """Exact marginal mean of every arm."""
     if isinstance(measure, ProductMeasure):
@@ -304,7 +298,7 @@ def expected_max(measure: Measure, arms: Iterable[int]) -> float:
     s = tuple(sorted(set(int(a) for a in arms)))
     if not s:
         raise DomainError("arms must be nonempty")
-    if s[0] < 0 or s[-1] >= _n_of(measure):
+    if s[0] < 0 or s[-1] >= measure.n:
         raise DomainError("arm index out of range")
 
     if isinstance(measure, ProductMeasure):
@@ -335,7 +329,7 @@ def optimal_subset(measure: Measure, k: int, cap: int = 100_000) -> tuple[int, .
     Product and planted instances use closed forms; other measures enumerate
     expected_max over C(n, k) subsets when that count stays within ``cap``.
     """
-    n = _n_of(measure)
+    n = measure.n
     if not (1 <= k <= n):
         raise DomainError(f"need 1 <= k <= n, got k={k}")
     if isinstance(measure, ProductMeasure):
@@ -372,10 +366,6 @@ def _coverage(masks: Sequence[int], m: int, arms: Iterable[int]) -> float:
     for i in arms:
         union |= masks[i]
     return union.bit_count() / m
-
-
-def _n_of(measure: Measure) -> int:
-    return measure.n
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bestofk.baselines import ParityStat, SubsetArm, parity_identify, subset_arm_identify
+from bestofk.baselines import parity_identify, subset_arm_identify
 from bestofk.errors import DomainError, SubsetCapError
 from bestofk.measures import ProductMeasure, make_planted, sample_matrix
-
-
-class TestRecords:
-    def test_invariants(self):
-        SubsetArm(subset=(0, 1), pulls=5, ones=3)
-        with pytest.raises(DomainError):
-            SubsetArm(subset=(0, 1), pulls=2, ones=3)
-        with pytest.raises(DomainError):
-            ParityStat(subset=(0, 1), pulls=1, parity_ones=2)
 
 
 class TestSubsetArm:
@@ -30,6 +21,12 @@ class TestSubsetArm:
         env = ProductMeasure(means=(0.5,) * 30)
         with pytest.raises(SubsetCapError):
             subset_arm_identify(env, 15, 0.1, np.random.default_rng(0), subset_cap=1000)
+
+    @pytest.mark.parametrize("identify", [subset_arm_identify, parity_identify])
+    def test_stage_cap_below_one_rejected(self, identify):
+        env = make_planted(4, 2, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            identify(env, 2, 0.1, np.random.default_rng(0), stage_cap=0)
 
     def test_planted_recovery_rate(self):
         env = make_planted(4, 2, 0.5, 1.0)

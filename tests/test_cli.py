@@ -108,19 +108,44 @@ def test_config_errors_exit_one(tmp_path):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-def test_malformed_measure_is_one_line_error(tmp_path):
+def _run_cli(tmp_path, doc: dict) -> subprocess.CompletedProcess:
+    """``bestofk run`` on the config ``doc`` in a fresh interpreter."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"measure": {"type": "product", "n": 4},
-                                "model": "semi", "k": 1, "delta": 0.1}))
+    path.write_text(json.dumps(doc))
     src = str(Path(bestofk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "bestofk.cli", "run", "--config", str(path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_malformed_measure_is_one_line_error(tmp_path):
+    done = _run_cli(tmp_path, {"measure": {"type": "product", "n": 4},
+                               "model": "semi", "k": 1, "delta": 0.1})
     assert done.returncode == EXIT_USAGE
     assert done.stderr.splitlines() == ["error: product measure document lacks the key 'means'"]
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"algorithm": "subset_arm", "stage_cap": 0}, "error: stage_cap must be >= 1"),
+        ({"algorithm": "elimination", "stage_cap": 0}, "error: stage_cap must be >= 1"),
+        ({"k": "2"}, "error: config key 'k' must be an integer, got '2'"),
+        ({"base_seed": -1}, "error: base_seed must be >= 0"),
+    ],
+    ids=["subset_arm-stage_cap-0", "elimination-stage_cap-0", "k-str", "base_seed-negative"],
+)
+def test_bad_config_is_one_line_error(tmp_path, overrides, message):
+    doc = {"measure": measure_to_dict(ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))),
+           "model": "semi", "k": 2, "delta": 0.1, **overrides}
+    done = _run_cli(tmp_path, doc)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines() == [message]
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
 

@@ -1,4 +1,4 @@
-"""Intervals, uniform play, balancing, the elimination loop."""
+"""Intervals, stage play, balancing, the elimination loop."""
 
 import math
 
@@ -13,14 +13,11 @@ from bestofk.elimination import (
     confidence_radius,
     elimination_step,
     inversion_sample_size,
-    play_and_record,
     run_identification,
     stage_play,
     true_variance_radius,
-    uniform_play,
 )
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
-from bestofk.game import QueryLedger
 from bestofk.measures import ProductMeasure, from_coverage, make_planted
 from bestofk.oracle import exact_query_stats
 
@@ -101,84 +98,6 @@ class TestInversion:
     def test_domain(self):
         with pytest.raises(DomainError):
             inversion_sample_size(0.1, 0.0, 5, 0.1)
-
-
-class TestPlayAndRecord:
-    def test_semi_records_only_requested(self):
-        env = ProductMeasure(means=(0.0, 1.0, 0.0, 0.0, 1.0))
-        y = np.zeros(5, dtype=np.int64)
-        ledger = QueryLedger()
-        play_and_record((1, 2), (4,), y, "semi", env, np.random.default_rng(0), ledger)
-        assert y.tolist() == [0, 1, 0, 0, 0]
-        assert ledger.total_queries == 1
-
-    def test_bandit_win_marks_all_requested(self):
-        env = ProductMeasure(means=(0.0, 0.0, 1.0))
-        y = np.zeros(3, dtype=np.int64)
-        play_and_record((0, 1), (2,), y, "bandit", env, np.random.default_rng(0), QueryLedger())
-        assert y.tolist() == [1, 1, 0]
-
-    def test_bandit_loss_leaves_y(self):
-        env = ProductMeasure(means=(0.0, 0.0, 0.0))
-        y = np.zeros(3, dtype=np.int64)
-        play_and_record((0, 1), (2,), y, "bandit", env, np.random.default_rng(0), QueryLedger())
-        assert not y.any()
-
-    def test_overlap_rejected(self):
-        env = ProductMeasure(means=(0.5, 0.5))
-        with pytest.raises(DomainError):
-            play_and_record((0,), (0, 1), np.zeros(2), "semi", env,
-                            np.random.default_rng(0), QueryLedger())
-
-
-class TestUniformPlay:
-    def test_query_counts(self):
-        env = ProductMeasure(means=(0.5,) * 7)
-        rng = np.random.default_rng(1)
-        _, q6 = uniform_play(range(6), (), (), 3, env, "semi", rng, QueryLedger())
-        assert q6 == 2
-        _, q7 = uniform_play(range(7), (), (), 3, env, "semi", rng, QueryLedger())
-        assert q7 == 3
-
-    def test_ledger_matches_queries(self):
-        env = ProductMeasure(means=(0.5,) * 7)
-        rng = np.random.default_rng(2)
-        ledger = QueryLedger()
-        _, q = uniform_play(range(7), (), (), 3, env, "semi", rng, ledger)
-        assert ledger.total_queries == q == 3
-
-    def test_no_double_recording(self):
-        env = ProductMeasure(means=(0.9,) * 8)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            y, _ = uniform_play(range(8), (), (), 3, env, "bandit", rng, QueryLedger())
-            assert y.max() <= 1
-
-    def test_semi_mean_recovery(self):
-        env = ProductMeasure(means=(0.8, 0.55, 0.3, 0.15, 0.05))
-        rng = np.random.default_rng(4)
-        total = np.zeros(5)
-        calls = 10_000
-        for _ in range(calls):
-            y, _ = uniform_play(range(5), (), (), 2, env, "semi", rng, QueryLedger())
-            total += y
-        for i, mean in enumerate(env.means):
-            se = math.sqrt(mean * (1 - mean) / calls)
-            assert abs(total[i] / calls - mean) < 4 * se + 1e-9
-
-    def test_topoff_infeasible(self):
-        env = ProductMeasure(means=(0.5, 0.5, 0.5))
-        with pytest.raises(InfeasibleError):
-            uniform_play((0,), (), (), 1, env, "bandit", np.random.default_rng(5),
-                         QueryLedger(), exact_k=True, k=3)
-
-    def test_topoff_used_when_pool_allows(self):
-        env = ProductMeasure(means=(0.5, 0.5, 0.5, 0.5))
-        ledger = QueryLedger.with_subset_counts()
-        uniform_play((0,), (1,), (2, 3), 1, env, "bandit",
-                     np.random.default_rng(6), ledger, exact_k=True, k=3)
-        (query,) = ledger.per_subset
-        assert len(query) == 3 and 0 in query
 
 
 class TestBalance:
@@ -344,6 +263,13 @@ class TestRunIdentification:
         assert rec.inconclusive
         assert rec.stages == 3
 
+    def test_stage_cap_below_one_rejected(self):
+        env = ProductMeasure(means=(0.9, 0.1))
+        with pytest.raises(DomainError):
+            run_identification(
+                env, "semi", 1, 0.1, ElimConfig(stage_cap=0), np.random.default_rng(6)
+            )
+
     def test_marked_late_stage_topoff_engaged(self, monkeypatch):
         # once |U| drops below k, exact-k mode must pad queries with a top-off
         import bestofk.elimination as elim
@@ -414,6 +340,12 @@ class TestRunIdentification:
 
 
 class TestStagePlayConsistency:
+    def test_topoff_infeasible(self):
+        # k1 = 1 and k2 = 2, but the reject and accept pools are empty
+        env = ProductMeasure(means=(0.5, 0.5, 0.5))
+        with pytest.raises(InfeasibleError):
+            stage_play(env, (0,), (), (), 1, 2, "bandit", 4, np.random.default_rng(5))
+
     @pytest.mark.parametrize("model", ["bandit", "marked", "semi"])
     def test_matches_exact_stats(self, model):
         means = (0.85, 0.6, 0.45, 0.3, 0.15)
@@ -486,22 +418,3 @@ class TestStagePlayConsistency:
                                 np.random.default_rng(15))
         assert queries == plays * 2
         self._assert_matches(stats, y, plays, (0, 1, 2, 3))
-
-    def test_reference_uniform_play_matches_exact_stats(self):
-        means = (0.7, 0.5, 0.3, 0.8, 0.2)
-        env = ProductMeasure(means=means)
-        stats = exact_query_stats(
-            env, (0, 1, 2), k1=2, model="marked",
-            reject_pool=(3,), accept_pool=(4,), k=3, exact_k=True,
-        )
-        rng = np.random.default_rng(13)
-        calls = 20_000
-        total = np.zeros(5)
-        for _ in range(calls):
-            y, _ = uniform_play((0, 1, 2), (4,), (3,), 2, env, "marked", rng,
-                                QueryLedger(), exact_k=True, k=3)
-            total += y
-        for i in (0, 1, 2):
-            mu_bar = stats.mu_bar[i]
-            se = math.sqrt(mu_bar * (1 - mu_bar) / calls)
-            assert abs(total[i] / calls - mu_bar) < 4 * se + 1e-9

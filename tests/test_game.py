@@ -1,21 +1,10 @@
-"""Feedback channels, query accounting, observation traces."""
-
-import io
-import json
+"""Feedback channels and query validation."""
 
 import numpy as np
 import pytest
 
 from bestofk.errors import DomainError
-from bestofk.game import (
-    Observation,
-    ObservationTrace,
-    QueryLedger,
-    observe,
-    play,
-    validate_query,
-)
-from bestofk.measures import ProductMeasure, make_planted
+from bestofk.game import observe, validate_query
 
 
 class TestObserve:
@@ -77,47 +66,6 @@ class TestObserve:
         assert counts[3] == 0
         for arm in range(3):
             assert abs(counts[arm] / trials - 1 / 3) < 0.01
-
-
-class TestPlay:
-    def test_ledger_conservation(self):
-        env = ProductMeasure(means=(0.5, 0.5, 0.5))
-        ledger = QueryLedger.with_subset_counts()
-        rng = np.random.default_rng(4)
-        for _ in range(25):
-            play(env, (0, 2), "bandit", rng, ledger)
-        play(env, (1,), "semi", rng, ledger)
-        assert ledger.total_queries == 26
-        assert ledger.per_subset[(0, 2)] == 25
-        assert ledger.per_subset[(1,)] == 1
-
-    def test_zero_mean_env(self):
-        env = ProductMeasure(means=(0.0, 0.0))
-        ledger = QueryLedger()
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            assert play(env, (0, 1), "bandit", rng, ledger).bit == 0
-
-    def test_planted_best_always_wins(self):
-        env = make_planted(4, 2, 0.5, 1.0)
-        ledger = QueryLedger()
-        rng = np.random.default_rng(6)
-        hits = sum(
-            play(env, (0, 1), "bandit", rng, ledger).bit for _ in range(10_000)
-        )
-        assert hits == 10_000
-
-    def test_trace_records(self):
-        buf = io.StringIO()
-        trace = ObservationTrace(buf)
-        env = ProductMeasure(means=(1.0, 0.0))
-        rng = np.random.default_rng(7)
-        ledger = QueryLedger()
-        play(env, (0, 1), "semi", rng, ledger, trace=trace)
-        play(env, (0,), "bandit", rng, ledger, trace=trace)
-        lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-        assert lines[0] == {"t": 1, "query": [0, 1], "model": "semi", "payload": [1, 0]}
-        assert lines[1] == {"t": 2, "query": [0], "model": "bandit", "payload": 1}
 
 
 class TestValidateQuery:

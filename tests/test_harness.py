@@ -14,7 +14,6 @@ from bestofk.harness import (
     replicate_rng,
     run_experiment,
     summarize,
-    write_flat_table,
 )
 from bestofk.measures import measure_to_dict, make_planted, ProductMeasure
 from bestofk.theory import BoundReport, GapProfile, upper_bound_total
@@ -42,6 +41,38 @@ class TestConfig:
     def test_parity_requires_semi(self):
         with pytest.raises(DomainError):
             _product_config(algorithm="parity", model="bandit")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("k", "2"),
+            ("k", 2.0),
+            ("k", True),
+            ("replicates", "4"),
+            ("base_seed", 1.5),
+            ("stage_cap", None),
+            ("delta", "0.1"),
+            ("delta", False),
+            ("model", 3),
+            ("algorithm", None),
+            ("exact_k_mode", 1),
+            ("exact_k_mode", "true"),
+            ("out", 5),
+            ("trace", "no"),
+        ],
+    )
+    def test_field_types_checked(self, key, value):
+        with pytest.raises(DomainError, match=repr(key)):
+            _product_config(**{key: value})
+
+    def test_well_typed_fields_accepted(self):
+        cfg = _product_config(k=np.int64(2), delta=1 / 8, exact_k_mode=True)
+        assert cfg.k == 2
+
+    @pytest.mark.parametrize("key, value", [("stage_cap", 0), ("base_seed", -1)])
+    def test_out_of_range_rejected(self, key, value):
+        with pytest.raises(DomainError, match=key):
+            _product_config(**{key: value})
 
     def test_json_round_trip(self):
         cfg = _product_config()
@@ -133,15 +164,6 @@ class TestSummaries:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             summarize([], _product_config())
-
-
-class TestFlatExport:
-    def test_columns_fixed(self, tmp_path):
-        records, _ = run_experiment(_product_config(replicates=2))
-        path = tmp_path / "flat.csv"
-        write_flat_table(path, records)
-        header = path.read_text().splitlines()[0]
-        assert header == "replicate,seed,returned,success,total_queries,stages,inconclusive"
 
 
 class TestCompareToBounds:

@@ -24,7 +24,6 @@ from bestofk.measures import (
     marginal_means,
     optimal_subset,
     planted_gap,
-    sample,
     sample_matrix,
 )
 from bestofk.oracle import exact_planted_table, exact_table
@@ -150,6 +149,13 @@ class TestSampling:
         parity = draws[:, list(m.planted_set)].sum(axis=1) % 2
         assert (parity == 1).all()
 
+    def test_planted_best_always_wins(self):
+        # p = 1 and mu = 1/2: the planted pair's parity is 1, so one of them reads 1
+        m = make_planted(4, 2, 0.5, 1.0)
+        arms = np.broadcast_to(np.asarray(m.planted_set), (10_000, 2))
+        draws = sample_matrix(m, np.random.default_rng(6), 10_000, arms=arms)
+        assert fold_columns(draws, np.bitwise_or).all()
+
     def test_coverage_frequency(self):
         m = from_coverage(4, [{0, 1}, {2}])
         rng = np.random.default_rng(2)
@@ -179,13 +185,6 @@ class TestSampling:
         atom = draws[:, 0] + 2 * draws[:, 1]
         for a, p in enumerate(m.probs):
             assert abs((atom == a).mean() - p) < 4 * math.sqrt(p * (1 - p) / 200_000)
-
-    def test_single_draw_matches_matrix_head(self):
-        m = ProductMeasure(means=(0.5, 0.5))
-        assert (
-            sample(m, np.random.default_rng(9))
-            == sample_matrix(m, np.random.default_rng(9), 1)[0]
-        ).all()
 
 
 PLANTED = make_planted(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
