@@ -29,33 +29,38 @@ SUBSET_CAP = 100_000
 DRAW_ROWS = 1 << 18  # bounds the memory of one stage's draw
 
 
-def _enumerate_subsets(n: int, k: int, cap: int) -> np.ndarray:
+def _enumerate_subsets(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) in lexicographic order, one per row."""
     count = math.comb(n, k)
-    if count > cap:
-        raise SubsetCapError(f"C({n},{k}) = {count} exceeds the cap {cap}")
+    if count > SUBSET_CAP:
+        raise SubsetCapError(f"C({n},{k}) = {count} exceeds the cap {SUBSET_CAP}")
     return np.asarray(list(combinations(range(n), k)), dtype=np.int64).reshape(count, k)
 
 
 def _eliminate_over_subsets(
     env: Measure,
-    subsets: np.ndarray,
+    k: int,
     fold: np.ufunc,
     delta: float,
     rng: np.random.Generator,
     stage_cap: int,
 ) -> TrialRecord:
-    """Successive elimination over subset arms with doubling fresh budgets.
+    """Successive elimination over the k-subset arms with doubling fresh budgets.
 
     A pull of subset S reads one binary outcome: its bits folded with ``fold``
     (OR gives the max, XOR the parity).  A subset is dropped once its upper
     bound falls below the best lower bound; stage decisions use that stage's
-    fresh draws only, matching the stagewise interval bookkeeping.
+    fresh draws only, matching the stagewise interval bookkeeping.  When
+    k = n the one subset is returned without a query.
     """
+    if not (1 <= k <= env.n):
+        raise DomainError("need 1 <= k <= n")
     if stage_cap < 1:
         raise DomainError("stage_cap must be >= 1")
-    survivors = subsets
-    n_arms = len(subsets)
+    survivors = _enumerate_subsets(env.n, k)
+    n_arms = len(survivors)
+    if n_arms == 1:
+        return TrialRecord(returned=tuple(survivors[0].tolist()), total_queries=0, stages=0)
     total_queries = 0
     for t in range(1, stage_cap + 1):
         big_t = 2**t
@@ -70,7 +75,7 @@ def _eliminate_over_subsets(
             ones.append(fold_columns(draws, fold).reshape(len(group), big_t).sum(axis=1))
         total_queries += big_t * len(survivors)
         mu = np.concatenate(ones) / big_t
-        radius = confidence_radius(mu, big_t, n_arms, t, delta).c_hat
+        radius = confidence_radius(mu, big_t, n_arms, t, delta)
         keep = mu + radius >= (mu - radius).max()
         survivors, mu = survivors[keep], mu[keep]
         if len(survivors) == 1:
@@ -87,40 +92,18 @@ def _eliminate_over_subsets(
 
 
 def subset_arm_identify(
-    env: Measure,
-    k: int,
-    delta: float,
-    rng: np.random.Generator,
-    subset_cap: int = SUBSET_CAP,
-    stage_cap: int = 40,
+    env: Measure, k: int, delta: float, rng: np.random.Generator, stage_cap: int = 40
 ) -> TrialRecord:
     """Naive identifier: each subset is an independent arm under bandit feedback."""
-    n = env.n
-    if not (1 <= k <= n):
-        raise DomainError("need 1 <= k <= n")
-    subsets = _enumerate_subsets(n, k, subset_cap)
-    if len(subsets) == 1:
-        return TrialRecord(returned=tuple(subsets[0].tolist()), total_queries=0, stages=0)
-    return _eliminate_over_subsets(env, subsets, np.bitwise_or, delta, rng, stage_cap)
+    return _eliminate_over_subsets(env, k, np.bitwise_or, delta, rng, stage_cap)
 
 
 def parity_identify(
-    env: Measure,
-    k: int,
-    delta: float,
-    rng: np.random.Generator,
-    subset_cap: int = SUBSET_CAP,
-    stage_cap: int = 40,
+    env: Measure, k: int, delta: float, rng: np.random.Generator, stage_cap: int = 40
 ) -> TrialRecord:
     """Parity detector (semi-bandit only): find the subset whose XOR leaves 1/2.
 
     Intended for planted instances with mu = 1/2, where the hidden subset's
     parity is Bernoulli(1/2 + p/2) and every other subset's is exactly fair.
     """
-    n = env.n
-    if not (1 <= k <= n):
-        raise DomainError("need 1 <= k <= n")
-    subsets = _enumerate_subsets(n, k, subset_cap)
-    if len(subsets) == 1:
-        return TrialRecord(returned=tuple(subsets[0].tolist()), total_queries=0, stages=0)
-    return _eliminate_over_subsets(env, subsets, np.bitwise_xor, delta, rng, stage_cap)
+    return _eliminate_over_subsets(env, k, np.bitwise_xor, delta, rng, stage_cap)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .theory import MODELS
 from .trial import StageRecord, TrialRecord
 
 __all__ = [
-    "Interval",
     "SamplingSets",
     "ElimState",
     "ElimConfig",
@@ -48,35 +47,17 @@ __all__ = [
 # Empirical Bernstein intervals.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
-    """Empirical mean with its variance-adaptive confidence radius.
-
-    The fields are floats for one mean and arrays of its shape for an array
-    of means.  The radius is kept unclipped for comparisons; ``c_clipped`` is
-    the [0, 1]-clipped value used for logging only (means live in [0, 1], so
-    clipping can never flip an accept/reject decision).
-    """
-
-    mu_hat: float | np.ndarray
-    c_hat: float | np.ndarray
-    v_hat: float | np.ndarray
-
-    @property
-    def c_clipped(self) -> float | np.ndarray:
-        return np.clip(self.c_hat, 0.0, 1.0)
-
-
 def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
-                      delta: float) -> Interval:
+                      delta: float) -> float | np.ndarray:
     """Sample-variance Bernstein radius at stage t with T = 2^t samples.
 
     v_hat = T mu(1-mu)/(T-1);
     c_hat = sqrt(2 v_hat log(8 n t^2/delta) / T) + 8 log(8 n t^2/delta) / (3(T-1)).
 
-    ``mu_hat`` is one mean or an array of means, each computed elementwise
-    in the order written above, so an array entry equals the scalar call
-    on that mean bit for bit.
+    Returns c_hat, unclipped: a float for one mean, an array of its shape for
+    an array of means.  Each entry is computed elementwise in the order
+    written above, so an array entry equals the scalar call on that mean bit
+    for bit.
     """
     if T < 2:
         raise DomainError("need T >= 2 (sample variance divides by T-1)")
@@ -90,9 +71,7 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
     log_term = math.log(8.0 * n * t * t / delta)
     v_hat = T * mu * (1.0 - mu) / (T - 1)
     c_hat = np.sqrt(2.0 * v_hat * log_term / T) + 8.0 * log_term / (3.0 * (T - 1))
-    if mu.ndim == 0:
-        return Interval(mu_hat=mu_hat, c_hat=float(c_hat), v_hat=float(v_hat))
-    return Interval(mu_hat=mu, c_hat=c_hat, v_hat=v_hat)
+    return float(c_hat) if mu.ndim == 0 else c_hat
 
 
 def true_variance_radius(V: float, T: float, n: int, delta: float,
@@ -237,7 +216,11 @@ def balance(undecided: Sequence[int], rejected: Sequence[int], k1: int,
 
 @dataclass(frozen=True, eq=False)
 class ElimState:
-    """Algorithm state at one stage: the U/A/R partition plus stage bookkeeping."""
+    """Algorithm state at one stage: the U/A/R partition and the stage index t.
+
+    The stage's budget T = 2^t, query size k1 = min(|U|, k) and top-off size
+    k2 all follow from these fields.
+    """
 
     n: int
     k: int
@@ -245,9 +228,6 @@ class ElimState:
     accepted: tuple[int, ...]
     rejected: tuple[int, ...]
     t: int
-    sample_size: int
-    k1: int
-    k2: int
     exact_k_mode: bool
 
     def __post_init__(self):
@@ -257,59 +237,57 @@ class ElimState:
             raise DomainError("undecided/accepted/rejected must partition the arms")
         if len(self.accepted) > self.k or len(self.rejected) > self.n - self.k:
             raise DomainError("accepted/rejected sizes exceed their caps")
-        if self.k1 != min(len(self.undecided), self.k):
-            raise DomainError("k1 must equal min(|U|, k)")
-        if self.sample_size != 2**self.t:
-            raise DomainError("sample size must equal 2^t")
+
+    @property
+    def sample_size(self) -> int:
+        return 2**self.t
+
+    @property
+    def k1(self) -> int:
+        return min(len(self.undecided), self.k)
+
+    @property
+    def k2(self) -> int:
+        """Top-off arms joined to each query in exact-k mode once |U| < k."""
+        return self.k - self.k1 if self.exact_k_mode and 0 < self.k1 < self.k else 0
 
 
 def elimination_step(
     state: ElimState,
-    mu_hat: dict[int, float],
-    c_hat: dict[int, float],
+    mu_hat: np.ndarray,
+    c_hat: np.ndarray,
 ) -> tuple[ElimState, tuple[int, ...], tuple[int, ...]]:
     """Apply the accept/reject rules on one snapshot of intervals.
 
-    Accept i when mu_i - c_i clears the (k_t+1)-th largest upper bound over
-    the undecided set; reject i when mu_i + c_i falls under the k_t-th
-    largest lower bound.  Once n-k arms are rejected the leftovers are
-    accepted.  Returns the advanced state (t+1, budget doubled) plus the
-    newly accepted/rejected arms.
-    """
-    U = state.undecided
-    if set(mu_hat) != set(U) or set(c_hat) != set(U):
-        raise DomainError("need exactly one interval per undecided arm")
-    k_t = state.k - len(state.accepted)
-    uppers = {i: mu_hat[i] + c_hat[i] for i in U}
-    lowers = {i: mu_hat[i] - c_hat[i] for i in U}
-    upper_sorted = sorted(uppers.values(), reverse=True)
-    lower_sorted = sorted(lowers.values(), reverse=True)
-    accept_bar = upper_sorted[k_t]  # (k_t+1)-th largest
-    reject_bar = lower_sorted[k_t - 1]  # k_t-th largest
-    accepted_now = tuple(i for i in U if lowers[i] > accept_bar)
-    rejected_now = tuple(i for i in U if uppers[i] < reject_bar)
+    ``mu_hat`` and ``c_hat`` hold one entry per undecided arm, in the order
+    of ``state.undecided``.  Accept i when mu_i - c_i clears the (k_t+1)-th
+    largest upper bound over the undecided set; reject i when mu_i + c_i
+    falls under the k_t-th largest lower bound.  Returns the advanced state
+    (t+1, budget doubled) plus the newly accepted/rejected arms.
 
-    new_a = tuple(sorted(state.accepted + accepted_now))
-    new_r = tuple(sorted(state.rejected + rejected_now))
-    decided = set(accepted_now) | set(rejected_now)
-    new_u = tuple(i for i in U if i not in decided)
-    if len(new_r) == state.n - state.k and new_u:
-        accepted_now = accepted_now + new_u
-        new_a = tuple(sorted(new_a + new_u))
-        new_u = ()
-    t = state.t + 1
-    k1 = min(len(new_u), state.k)
-    advanced = ElimState(
-        n=state.n,
-        k=state.k,
-        undecided=new_u,
-        accepted=new_a,
-        rejected=new_r,
-        t=t,
-        sample_size=2**t,
-        k1=k1,
-        k2=state.k - k1 if state.exact_k_mode and 0 < k1 < state.k else 0,
-        exact_k_mode=state.exact_k_mode,
+    The completion rule (once n-k arms are rejected, accept the rest) needs
+    no step of its own: the k_t arms then left have lower bounds at or above
+    the k_t-th largest, which every rejected arm's upper bound falls under,
+    so they clear the (k_t+1)-th largest upper bound and the accept rule
+    takes them.  This holds because every radius is >= 0.
+    """
+    U = np.asarray(state.undecided, dtype=np.int64)
+    mu_hat, c_hat = np.asarray(mu_hat, dtype=float), np.asarray(c_hat, dtype=float)
+    if mu_hat.shape != U.shape or c_hat.shape != U.shape or not (c_hat >= 0).all():
+        raise DomainError("need one interval per undecided arm, with radius >= 0")
+    k_t = state.k - len(state.accepted)
+    uppers, lowers = mu_hat + c_hat, mu_hat - c_hat
+    accept_bar = np.sort(uppers)[-(k_t + 1)]  # (k_t+1)-th largest
+    reject_bar = np.sort(lowers)[-k_t]  # k_t-th largest
+    accepting, rejecting = lowers > accept_bar, uppers < reject_bar
+    accepted_now = tuple(U[accepting].tolist())
+    rejected_now = tuple(U[rejecting].tolist())
+    advanced = replace(
+        state,
+        undecided=tuple(U[~(accepting | rejecting)].tolist()),
+        accepted=tuple(sorted(state.accepted + accepted_now)),
+        rejected=tuple(sorted(state.rejected + rejected_now)),
+        t=state.t + 1,
     )
     return advanced, accepted_now, rejected_now
 
@@ -371,73 +349,53 @@ def run_identification(
         run_warnings.append(msg)
         warnings.warn(msg, stacklevel=2)
 
-    state = ElimState(
-        n=n,
-        k=k,
-        undecided=tuple(range(n)),
-        accepted=(),
-        rejected=(),
-        t=1,
-        sample_size=2,
-        k1=min(n, k),
-        k2=0,
-        exact_k_mode=exact_k,
-    )
+    state = ElimState(n=n, k=k, undecided=tuple(range(n)), accepted=(), rejected=(),
+                      t=1, exact_k_mode=exact_k)
     total_queries = 0
     stage_log: list[StageRecord] = []
 
-    while state.t <= cfg.stage_cap:
-        t, big_t = state.t, state.sample_size
-        u_before, a_before, r_before = state.undecided, state.accepted, state.rejected
+    while state.t <= cfg.stage_cap and len(state.accepted) < k:
+        before, big_t = state, state.sample_size
         if balanced:
-            sets = balance(u_before, r_before, state.k1, rng)
+            sets = balance(before.undecided, before.rejected, before.k1, rng)
         else:
-            sets = SamplingSets(u_prime=u_before, r_prime=r_before, balancing=())
+            sets = SamplingSets(u_prime=before.undecided, r_prime=before.rejected, balancing=())
         y, queries = stage_play(
             env,
             sets.u_prime,
-            a_before,
+            before.accepted,
             sets.r_prime,
-            state.k1,
-            state.k2,
+            before.k1,
+            before.k2,
             model,
             big_t,
             rng,
         )
         total_queries += queries
-        interval = confidence_radius(y[list(u_before)] / big_t, big_t, n, t, delta)
-        mu_hat = dict(zip(u_before, interval.mu_hat.tolist()))
-        c_hat = dict(zip(u_before, interval.c_hat.tolist()))
-        state, accepted_now, rejected_now = elimination_step(state, mu_hat, c_hat)
+        mu_hat = y[list(before.undecided)] / big_t
+        c_hat = confidence_radius(mu_hat, big_t, n, before.t, delta)
+        state, accepted_now, rejected_now = elimination_step(before, mu_hat, c_hat)
         stage_log.append(
             StageRecord(
-                t=t,
-                undecided=len(u_before),
-                accepted=len(a_before),
-                rejected=len(r_before),
+                t=before.t,
+                undecided=len(before.undecided),
+                accepted=len(before.accepted),
+                rejected=len(before.rejected),
                 balancing=len(sets.balancing),
                 sample_size=big_t,
                 queries=queries,
-                mu_hat=mu_hat,
-                c_hat=c_hat,
+                mu_hat=dict(zip(before.undecided, mu_hat.tolist())),
+                c_hat=dict(zip(before.undecided, c_hat.tolist())),
                 accepted_now=accepted_now,
                 rejected_now=rejected_now,
             )
         )
-        if len(state.accepted) >= k:
-            return TrialRecord(
-                returned=tuple(sorted(state.accepted)),
-                total_queries=total_queries,
-                stages=t,
-                warnings=tuple(run_warnings),
-                stage_log=tuple(stage_log),
-            )
 
     return TrialRecord(
-        returned=tuple(sorted(state.accepted)),
+        returned=state.accepted,
         total_queries=total_queries,
-        stages=cfg.stage_cap,
-        inconclusive=True,
+        stages=state.t - 1,
+        inconclusive=len(state.accepted) < k,
         warnings=tuple(run_warnings),
         stage_log=tuple(stage_log),
     )

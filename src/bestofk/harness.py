@@ -13,7 +13,7 @@ import json
 import math
 import reprlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise DomainError("delta must lie in (0, 1)")
         if self.algorithm == "parity" and self.model != "semi":
             raise DomainError("the parity baseline is defined for semi-bandit feedback only")
+        if self.trace and self.algorithm != "elimination":
+            raise DomainError("trace needs algorithm 'elimination': the baselines keep no stage log")
 
     def build_measure(self) -> Measure:
         return measure_from_dict(self.measure)
@@ -101,20 +103,7 @@ class ExperimentConfig:
         return cls(**doc)
 
     def to_json(self) -> str:
-        doc = {
-            "measure": self.measure,
-            "model": self.model,
-            "k": self.k,
-            "delta": self.delta,
-            "algorithm": self.algorithm,
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "exact_k_mode": self.exact_k_mode,
-            "stage_cap": self.stage_cap,
-            "out": self.out,
-            "trace": self.trace,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def replicate_rng(base_seed: int, replicate: int) -> np.random.Generator:
@@ -208,20 +197,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
             rec = run_identification(
                 env, config.model, config.k, config.delta, elim_cfg, seed_rng
             )
-        elif config.algorithm == "subset_arm":
-            rec = subset_arm_identify(
-                env, config.k, config.delta, seed_rng, stage_cap=config.stage_cap
-            )
         else:
-            rec = parity_identify(
-                env, config.k, config.delta, seed_rng, stage_cap=config.stage_cap
-            )
+            identify = subset_arm_identify if config.algorithm == "subset_arm" else parity_identify
+            rec = identify(env, config.k, config.delta, seed_rng, stage_cap=config.stage_cap)
         elapsed = time.perf_counter() - started
         success = None
         if truth is not None and not rec.inconclusive:
             success = tuple(sorted(rec.returned)) == truth
         records.append(
-            rec.with_harness_fields(
+            replace(
+                rec,
                 replicate=r,
                 seed=derived_seed(config.base_seed, r),
                 success=success,

@@ -53,6 +53,9 @@ __all__ = [
 # Sum of a loaded joint table may deviate from 1 by at most this much before
 # the load is rejected; smaller deviations are renormalized and recorded.
 TABLE_NORMALIZATION_TOL = 1e-9
+# A sum this close to 1 is rounding: the table is kept as given, so a
+# renormalized table (whose sum is 1 only up to rounding) loads back unchanged.
+TABLE_ROUNDING_TOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,10 @@ class JointTableMeasure:
         total = float(probs.sum())
         if abs(total - 1.0) > TABLE_NORMALIZATION_TOL:
             raise DomainError(f"atom mass {total} deviates from 1 beyond {TABLE_NORMALIZATION_TOL}")
+        if abs(total - 1.0) > TABLE_ROUNDING_TOL:
+            probs = probs / total
         object.__setattr__(self, "normalization_correction", total - 1.0)
-        object.__setattr__(self, "probs", tuple(float(x) for x in probs / total))
+        object.__setattr__(self, "probs", tuple(float(x) for x in probs))
 
     @property
     def n(self) -> int:

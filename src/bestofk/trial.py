@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = ["StageRecord", "TrialRecord"]
 
@@ -58,11 +58,6 @@ class TrialRecord:
     wall_time: float | None = None
     warnings: tuple[str, ...] = ()
     stage_log: tuple[StageRecord, ...] = field(default=(), repr=False)
-
-    def with_harness_fields(self, *, replicate: int, seed: int,
-                            success: bool | None, wall_time: float) -> "TrialRecord":
-        return replace(self, replicate=replicate, seed=seed,
-                       success=success, wall_time=wall_time)
 
     def to_dict(self) -> dict:
         # wall_time deliberately omitted: files must be deterministic

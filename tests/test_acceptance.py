@@ -138,7 +138,7 @@ def test_c05_interval_validity():
         draws = rng.binomial(big_t, mu_bars, size=(runs, n_arms)) / big_t
         for j in range(n_arms):
             for run in range(runs):
-                c = confidence_radius(float(draws[run, j]), big_t, n_arms, t, delta).c_hat
+                c = confidence_radius(float(draws[run, j]), big_t, n_arms, t, delta)
                 if abs(draws[run, j] - mu_bars[j]) > c:
                     covered[run] = False
     rate = covered.mean()

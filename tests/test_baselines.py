@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bestofk.baselines import parity_identify, subset_arm_identify
+from bestofk.baselines import SUBSET_CAP, parity_identify, subset_arm_identify
 from bestofk.errors import DomainError, SubsetCapError
 from bestofk.measures import ProductMeasure, make_planted, sample_matrix
 
@@ -19,8 +19,9 @@ class TestSubsetArm:
 
     def test_cap(self):
         env = ProductMeasure(means=(0.5,) * 30)
+        assert math.comb(30, 15) > SUBSET_CAP
         with pytest.raises(SubsetCapError):
-            subset_arm_identify(env, 15, 0.1, np.random.default_rng(0), subset_cap=1000)
+            subset_arm_identify(env, 15, 0.1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("identify", [subset_arm_identify, parity_identify])
     def test_stage_cap_below_one_rejected(self, identify):

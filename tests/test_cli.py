@@ -108,15 +108,15 @@ def test_config_errors_exit_one(tmp_path):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-def _run_cli(tmp_path, doc: dict) -> subprocess.CompletedProcess:
-    """``bestofk run`` on the config ``doc`` in a fresh interpreter."""
+def _run_cli(tmp_path, doc: dict, *options: str) -> subprocess.CompletedProcess:
+    """``bestofk run`` on the config ``doc`` (plus ``options``) in a fresh interpreter."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     src = str(Path(bestofk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
-        [sys.executable, "-m", "bestofk.cli", "run", "--config", str(path)],
+        [sys.executable, "-m", "bestofk.cli", "run", "--config", str(path), *options],
         capture_output=True, text=True, env=env, timeout=60,
     )
 
@@ -130,6 +130,9 @@ def test_malformed_measure_is_one_line_error(tmp_path):
     assert done.stdout == ""
 
 
+TRACE_NEEDS_ELIMINATION = "error: trace needs algorithm 'elimination': the baselines keep no stage log"
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -137,8 +140,13 @@ def test_malformed_measure_is_one_line_error(tmp_path):
         ({"algorithm": "elimination", "stage_cap": 0}, "error: stage_cap must be >= 1"),
         ({"k": "2"}, "error: config key 'k' must be an integer, got '2'"),
         ({"base_seed": -1}, "error: base_seed must be >= 0"),
+        ({"k": 5}, "error: need 1 <= k <= n, got k=5"),
+        ({"k": 0}, "error: need 1 <= k <= n, got k=0"),
+        ({"algorithm": "subset_arm", "trace": True}, TRACE_NEEDS_ELIMINATION),
+        ({"algorithm": "parity", "trace": True}, TRACE_NEEDS_ELIMINATION),
     ],
-    ids=["subset_arm-stage_cap-0", "elimination-stage_cap-0", "k-str", "base_seed-negative"],
+    ids=["subset_arm-stage_cap-0", "elimination-stage_cap-0", "k-str", "base_seed-negative",
+         "k-above-n", "k-0", "subset_arm-trace", "parity-trace"],
 )
 def test_bad_config_is_one_line_error(tmp_path, overrides, message):
     doc = {"measure": measure_to_dict(ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))),
@@ -148,6 +156,17 @@ def test_bad_config_is_one_line_error(tmp_path, overrides, message):
     assert done.stderr.splitlines() == [message]
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+def test_trace_option_rejected_for_baselines(tmp_path):
+    # the --trace override is checked like the config key: no empty .trace file
+    out = tmp_path / "res.jsonl"
+    doc = {"measure": measure_to_dict(make_planted(4, 2, 0.5, 1.0)), "model": "bandit",
+           "k": 2, "delta": 0.1, "algorithm": "subset_arm"}
+    done = _run_cli(tmp_path, doc, "--trace", "--out", str(out))
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines() == [TRACE_NEEDS_ELIMINATION]
+    assert not out.exists() and not Path(f"{out}.trace").exists()
 
 
 def test_verify_subcommand(capsys):

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestofk.errors import DomainError, MismatchError
 from bestofk.harness import (
@@ -74,10 +76,50 @@ class TestConfig:
         with pytest.raises(DomainError, match=key):
             _product_config(**{key: value})
 
+    @pytest.mark.parametrize("algorithm", ["subset_arm", "parity"])
+    def test_trace_needs_elimination(self, algorithm):
+        with pytest.raises(DomainError, match="trace needs algorithm 'elimination'"):
+            _product_config(algorithm=algorithm, trace=True)
+        assert not _product_config(algorithm=algorithm).trace
+
     def test_json_round_trip(self):
         cfg = _product_config()
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        means=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+        data=st.data(),
+        delta=st.floats(1e-6, 0.999),
+        algorithm=st.sampled_from(["elimination", "subset_arm"]),
+        model=st.sampled_from(["semi", "marked", "bandit"]),
+        replicates=st.integers(1, 1000),
+        base_seed=st.integers(0, 2**63),
+        exact_k_mode=st.sampled_from([None, False, True]),
+        stage_cap=st.integers(1, 60),
+        out=st.one_of(st.none(), st.text(max_size=12)),
+    )
+    def test_json_round_trip_any_config(self, means, data, delta, algorithm, model,
+                                        replicates, base_seed, exact_k_mode, stage_cap, out):
+        cfg = ExperimentConfig(
+            measure=measure_to_dict(ProductMeasure(means=tuple(means))),
+            model=model,
+            k=data.draw(st.integers(1, len(means))),
+            delta=delta,
+            algorithm=algorithm,
+            replicates=replicates,
+            base_seed=base_seed,
+            exact_k_mode=exact_k_mode,
+            stage_cap=stage_cap,
+            out=out,
+            trace=algorithm == "elimination" and data.draw(st.booleans()),
+        )
+        text = cfg.to_json()
+        again = ExperimentConfig.from_json(text)
+        assert again == cfg
+        assert again.to_json() == text
+        assert list(json.loads(text)) == sorted(ExperimentConfig.__dataclass_fields__)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(DomainError):

@@ -291,6 +291,33 @@ class TestSerialization:
         else:
             assert again.probs == measure.probs
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_any_measure(self, data):
+        unit = st.floats(0.0, 1.0)
+        family = data.draw(st.sampled_from(["product", "planted", "coverage", "joint_table"]))
+        if family == "product":
+            measure = ProductMeasure(means=tuple(data.draw(st.lists(unit, min_size=1, max_size=8))))
+        elif family == "planted":
+            n = data.draw(st.integers(2, 8))
+            k = data.draw(st.integers(2, n))
+            measure = make_planted(
+                n, k, data.draw(st.floats(0.0, 0.5, exclude_min=True)),
+                data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+                planted_set=data.draw(st.permutations(range(n)))[:k],
+            )
+        elif family == "coverage":
+            m = data.draw(st.integers(1, 12))
+            sets = data.draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=6))
+            measure = from_coverage(m, sets)
+        else:
+            k = data.draw(st.integers(1, 4))
+            weights = data.draw(st.lists(unit, min_size=2**k, max_size=2**k).filter(any))
+            measure = JointTableMeasure(k=k, probs=tuple(w / math.fsum(weights) for w in weights))
+        again = loads(dumps(measure))
+        assert type(again) is type(measure)
+        assert again == measure
+
     def test_unknown_type_rejected(self):
         with pytest.raises(DomainError):
             loads('{"type": "mystery"}')
