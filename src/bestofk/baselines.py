@@ -20,12 +20,11 @@ import numpy as np
 
 from .elimination import confidence_radius
 from .errors import DomainError, SubsetCapError
-from .measures import Measure, fold_columns, sample_matrix
+from .measures import SUBSET_CAP, Measure, fold_columns, sample_matrix
 from .trial import TrialRecord
 
 __all__ = ["subset_arm_identify", "parity_identify"]
 
-SUBSET_CAP = 100_000
 DRAW_ROWS = 1 << 18  # bounds the memory of one stage's draw
 
 

@@ -16,7 +16,6 @@ exact per-arm recording law it is tested against.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -330,24 +329,18 @@ def run_identification(
     n = env.n
     if not (1 <= k <= n):
         raise DomainError("need 1 <= k <= n")
-    run_warnings: list[str] = []
-
     if k == n:
         # the answer is forced; sampling would be pointless
         return TrialRecord(returned=tuple(range(n)), total_queries=0, stages=0)
 
-    if model == "bandit":
-        means = marginal_means(env)
-        if any(m >= 1.0 for m in means):
-            raise IdentifiabilityError("bandit identification needs every mean < 1")
+    if model == "bandit" and any(m >= 1.0 for m in marginal_means(env)):
+        raise IdentifiabilityError("bandit identification needs every mean < 1")
 
     exact_k = cfg.exact_k if cfg.exact_k is not None else model in ("bandit", "marked")
-    balanced = model == "bandit"
-    if balanced and n < math.ceil(7 * k / 2):
-        balanced = False
-        msg = f"balancing disabled: n={n} < ceil(7k/2)={math.ceil(7 * k / 2)}"
-        run_warnings.append(msg)
-        warnings.warn(msg, stacklevel=2)
+    balanced = model == "bandit" and n >= math.ceil(7 * k / 2)
+    run_warnings = ()
+    if model == "bandit" and not balanced:
+        run_warnings = (f"balancing disabled: n={n} < ceil(7k/2)={math.ceil(7 * k / 2)}",)
 
     state = ElimState(n=n, k=k, undecided=tuple(range(n)), accepted=(), rejected=(),
                       t=1, exact_k_mode=exact_k)
@@ -396,6 +389,6 @@ def run_identification(
         total_queries=total_queries,
         stages=state.t - 1,
         inconclusive=len(state.accepted) < k,
-        warnings=tuple(run_warnings),
+        warnings=run_warnings,
         stage_log=tuple(stage_log),
     )

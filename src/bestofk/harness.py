@@ -73,6 +73,9 @@ class ExperimentConfig:
                 raise DomainError(
                     f"config key {key!r} must be {what}, got {reprlib.repr(value)}"
                 )
+            if check is _is_int:
+                # numpy integers pass the check but not json.dumps
+                object.__setattr__(self, key, int(value))
         if self.algorithm not in ALGORITHMS:
             raise DomainError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.model not in MODELS:

@@ -10,6 +10,14 @@ Four measure families are supported:
   fires when a uniform element lands in its set.
 * ``JointTableMeasure`` -- an explicit joint table over {0,1}^k.
 
+Each family lives in one ``Measure`` subclass that holds its sampler
+(``draw``), exact marginals and E[max], exact law by enumeration
+(``exact_probs``, the oracle's source), best k-subset (``optimum``) and
+document (``to_dict``: the class's fields).  ``sample_matrix``,
+``marginal_means``, ``expected_max``, ``optimal_subset`` and
+``measure_to_dict`` stay as checked module-level entry points; the
+benchmark's tracer times ``sample_matrix`` and ``optimal_subset`` by name.
+
 Arms are 0-based everywhere.  All randomness flows through explicit
 ``numpy.random.Generator`` instances; measures themselves are immutable and
 safe to share across workers.
@@ -21,10 +29,11 @@ import json
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from abc import ABC, abstractmethod
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +45,7 @@ __all__ = [
     "CoverageMeasure",
     "JointTableMeasure",
     "Measure",
+    "SUBSET_CAP",
     "make_planted",
     "planted_gap",
     "from_coverage",
@@ -56,12 +66,89 @@ TABLE_NORMALIZATION_TOL = 1e-9
 # A sum this close to 1 is rounding: the table is kept as given, so a
 # renormalized table (whose sum is 1 only up to rounding) loads back unchanged.
 TABLE_ROUNDING_TOL = 64 * np.finfo(float).eps
+# Most k-subsets an enumeration over all of them may score.
+SUBSET_CAP = 100_000
+
+
+class Measure(ABC):
+    """A law over {0,1}^n.  Families are frozen dataclasses with an arm count
+    ``n``; ``kind`` is the document type."""
+
+    kind: ClassVar[str]
+
+    @abstractmethod
+    def draw(self, rng: np.random.Generator, arms: np.ndarray) -> np.ndarray:
+        """(size, w) uint8 draws; row i has the joint law on the distinct ``arms[i]``."""
+
+    @abstractmethod
+    def marginals(self) -> tuple[float, ...]:
+        """Exact marginal mean of every arm."""
+
+    @abstractmethod
+    def expected_max(self, s: Sequence[int]) -> float:
+        """Exact E[max over ``s``] for sorted, distinct, in-range arms (unchecked)."""
+
+    @abstractmethod
+    def exact_probs(self, arms: Sequence[int]) -> np.ndarray:
+        """Dense joint law of distinct ``arms`` by enumeration; atom bit b tracks ``arms[b]``."""
+
+    def optimum(self, k: int) -> tuple[int, ...] | None:
+        """The unique best k-subset by scoring all C(n, k), or None if tied or past the cap."""
+        if math.comb(self.n, k) > SUBSET_CAP:
+            return None
+        value = self.expected_max
+        best, best_val, runner_up = None, -1.0, -1.0
+        for s in combinations(range(self.n), k):
+            v = value(s)
+            if v > best_val:
+                best, best_val, runner_up = s, v, best_val
+            elif v > runner_up:
+                runner_up = v
+        if best_val - runner_up <= 1e-12:
+            return None
+        return best
+
+    def to_dict(self) -> dict:
+        doc = {"type": self.kind, "n": self.n}
+        for f in fields(self):
+            if f.compare:
+                doc[f.name] = _plain(getattr(self, f.name))
+        return doc
+
+
+def _plain(value):
+    """A field value as JSON data: tuples become lists, sets sorted lists."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _product_probs(means: Sequence[float]) -> np.ndarray:
+    """Dense product table; concat order makes atom bit b track variable b."""
+    probs = np.ones(1)
+    for m in means:
+        probs = np.concatenate([probs * (1.0 - m), probs * m])
+    return probs
+
+
+def _marginalize(probs: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Dense law of the variables at ``positions`` of a dense joint table."""
+    idx = np.arange(len(probs))
+    code = np.zeros(len(idx), dtype=np.int64)
+    for out_bit, p in enumerate(positions):
+        code |= ((idx >> p) & 1) << out_bit
+    sub = np.zeros(2 ** len(positions))
+    np.add.at(sub, code, probs)
+    return sub
 
 
 @dataclass(frozen=True)
-class ProductMeasure:
+class ProductMeasure(Measure):
     """n independent Bernoulli arms with means ``means``."""
 
+    kind: ClassVar[str] = "product"
     means: tuple[float, ...]
 
     def __post_init__(self):
@@ -75,36 +162,60 @@ class ProductMeasure:
     def n(self) -> int:
         return len(self.means)
 
+    def draw(self, rng, arms):
+        means = np.asarray(self.means)
+        return (rng.random(arms.shape) < means[arms]).astype(np.uint8)
+
+    def marginals(self):
+        return self.means
+
+    def expected_max(self, s):
+        return 1.0 - math.prod(1.0 - self.means[i] for i in s)
+
+    def exact_probs(self, arms):
+        return _product_probs([self.means[a] for a in arms])
+
+    def optimum(self, k):
+        """The top k means; None when the k-th and (k+1)-th tie."""
+        order = sorted(range(self.n), key=lambda i: (-self.means[i], i))
+        if k < self.n and self.means[order[k - 1]] == self.means[order[k]]:
+            return None
+        return tuple(sorted(order[:k]))
+
 
 @dataclass(frozen=True)
-class PlantedMeasure:
+class PlantedMeasure(Measure):
     """Parity-coupled hard instance hiding ``planted_set`` among independent arms.
 
     Latent variables: Y ~ Bernoulli(p), Z_i ~ Bernoulli(1/2), U_i ~ Bernoulli(2*mu).
     Every arm is Z_i * U_i except the first planted arm, whose Z is replaced by
     the complement of the parity of the other planted Zs whenever Y = 1.  All
     marginals equal mu; all strict sub-collections of the planted set are
-    mutually independent.
+    mutually independent.  ``planted_set`` defaults to arms 0..k-1.
 
     The dataclass itself tolerates p = 0 (the fully independent degenerate
     case, used by exact-table cross-checks); the public constructor
     ``make_planted`` requires p > 0.
     """
 
+    kind: ClassVar[str] = "planted"
     n: int
     k: int
     mu: float
     p: float
-    planted_set: tuple[int, ...]
+    planted_set: Sequence[int] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "k", int(self.k))
         if not (2 <= self.k <= self.n):
             raise DomainError(f"need 2 <= k <= n, got k={self.k}, n={self.n}")
         if not (0.0 < self.mu <= 0.5):
             raise DomainError(f"need 0 < mu <= 1/2, got mu={self.mu}")
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"need 0 <= p <= 1, got p={self.p}")
-        s = tuple(sorted(int(i) for i in self.planted_set))
+        given = range(self.k) if self.planted_set is None else self.planted_set
+        s = tuple(sorted(int(i) for i in given))
         if len(s) != self.k or len(set(s)) != self.k:
             raise DomainError("planted_set must hold k distinct arms")
         if s[0] < 0 or s[-1] >= self.n:
@@ -113,15 +224,80 @@ class PlantedMeasure:
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "p", float(self.p))
 
+    def draw(self, rng, arms):
+        """Draw Y and the k planted Zs, then one uniform per observed arm.
+
+        A planted arm reads 1 when its Z is 1 and the uniform falls under
+        2*mu, any other arm when the uniform falls under mu (its Z*U is
+        Bernoulli(mu) and independent of everything else).
+        """
+        size, k, mu = len(arms), self.k, self.mu
+        y = rng.random(size) < self.p
+        z = rng.random((size, k)) < 0.5
+        odd_rest = fold_columns(z[:, 1:], np.bitwise_xor)
+        z[:, 0] = np.where(y, ~odd_rest, z[:, 0])  # Y=1 forces odd parity over the planted set
+        # column j < k: threshold of planted arm j; column k: any other arm
+        rate = np.concatenate([2.0 * mu * z, np.full((size, 1), mu)], axis=1)
+        slot = np.full(self.n, k)
+        slot[list(self.planted_set)] = np.arange(k)
+        threshold = np.take_along_axis(rate, slot[arms], axis=1)
+        return (rng.random(arms.shape) < threshold).astype(np.uint8)
+
+    def marginals(self):
+        return (self.mu,) * self.n
+
+    def expected_max(self, s):
+        mu, k = self.mu, self.k
+        if set(self.planted_set) <= set(s):
+            # all-zero mass over the planted block is (1-mu)^k - p*mu^k
+            all_zero = ((1.0 - mu) ** k - self.p * mu**k) * (1.0 - mu) ** (len(s) - k)
+        else:
+            all_zero = (1.0 - mu) ** len(s)
+        return 1.0 - all_zero
+
+    def exact_probs(self, arms):
+        """Enumerate the planted latents exactly.
+
+        The effective Z vector over the planted set is uniform on {0,1}^k when
+        Y=0 and uniform on the odd-parity strings when Y=1; given Z, the
+        requested arms are independent with means Z_i * 2*mu (planted) or mu
+        (outside), so each latent configuration contributes one product table.
+        """
+        mu, p, k = self.mu, self.p, self.k
+        planted_pos = {a: j for j, a in enumerate(self.planted_set)}
+        probs = np.zeros(2 ** len(arms))
+        for z_code in range(2**k):
+            odd = bin(z_code).count("1") % 2 == 1
+            # Y=0 weight is uniform over all strings; Y=1 only over odd parity
+            w = (1.0 - p) * 2.0**-k + (p * 2.0 ** -(k - 1) if odd else 0.0)
+            if w == 0.0:
+                continue
+            means = [
+                (2.0 * mu if (z_code >> planted_pos[a]) & 1 else 0.0)
+                if a in planted_pos
+                else mu
+                for a in arms
+            ]
+            probs += w * _product_probs(means)
+        return probs
+
+    def optimum(self, k):
+        """The planted set when k matches it; otherwise the C(n, k) enumeration."""
+        if k == self.k and self.p > 0:
+            return self.planted_set
+        return super().optimum(k)
+
 
 @dataclass(frozen=True)
-class CoverageMeasure:
+class CoverageMeasure(Measure):
     """Arm i fires iff a uniform element of a size-m universe lies in ``sets[i]``."""
 
+    kind: ClassVar[str] = "coverage"
     m: int
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", int(self.m))
         if self.m < 1:
             raise DomainError("universe size m must be >= 1")
         if len(self.sets) < 1:
@@ -152,22 +328,45 @@ class CoverageMeasure:
         """Per-arm bitmask over the universe: bit e of ``masks[i]`` is set iff e is in sets[i]."""
         return tuple(sum(1 << e for e in s) for s in self.sets)
 
+    def draw(self, rng, arms):
+        omega = rng.integers(0, self.m, size=len(arms))
+        return self.members[omega[:, None], arms]
+
+    def marginals(self):
+        return tuple(len(s) / self.m for s in self.sets)
+
+    def expected_max(self, s):
+        """Share of the universe covered by the union of the arms' sets."""
+        masks, union = self.masks, 0
+        for i in s:
+            union |= masks[i]
+        return union.bit_count() / self.m
+
+    def exact_probs(self, arms):
+        counts = np.zeros(2 ** len(arms))
+        for omega in range(self.m):
+            counts[sum(1 << b for b, a in enumerate(arms) if omega in self.sets[a])] += 1
+        return counts / self.m
+
 
 @dataclass(frozen=True)
-class JointTableMeasure:
+class JointTableMeasure(Measure):
     """Explicit joint table over {0,1}^k.
 
     ``probs[j]`` is the probability of the atom whose bit i equals
     ``(j >> i) & 1`` (arm i maps to bit i).  A loaded table whose mass deviates
     from 1 by at most ``TABLE_NORMALIZATION_TOL`` is renormalized; the applied
-    correction is kept in ``normalization_correction``.
+    correction is kept in ``normalization_correction``.  The table is the
+    law, so the exact marginals and E[max] read it through ``exact_probs``.
     """
 
+    kind: ClassVar[str] = "joint_table"
     k: int
     probs: tuple[float, ...]
     normalization_correction: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", int(self.k))
         if self.k < 1:
             raise DomainError("dimension k must be >= 1")
         if len(self.probs) != 2**self.k:
@@ -188,8 +387,22 @@ class JointTableMeasure:
     def n(self) -> int:
         return self.k
 
+    def draw(self, rng, arms):
+        atoms = rng.choice(2**self.k, size=len(arms), p=np.asarray(self.probs))
+        return ((atoms[:, None] >> arms) & 1).astype(np.uint8)
 
-Measure = Union[ProductMeasure, PlantedMeasure, CoverageMeasure, JointTableMeasure]
+    def marginals(self):
+        return tuple(float(self.exact_probs((i,))[1]) for i in range(self.k))
+
+    def expected_max(self, s):
+        return 1.0 - float(self.exact_probs(s)[0])
+
+    def exact_probs(self, arms):
+        return _marginalize(np.asarray(self.probs), arms)
+
+
+_FAMILIES = {cls.kind: cls for cls in (ProductMeasure, PlantedMeasure, CoverageMeasure,
+                                       JointTableMeasure)}
 
 
 def make_planted(n: int, k: int, mu: float, p: float,
@@ -202,9 +415,7 @@ def make_planted(n: int, k: int, mu: float, p: float,
     """
     if not (0.0 < p <= 1.0):
         raise DomainError(f"need 0 < p <= 1, got p={p}")
-    if planted_set is None:
-        planted_set = tuple(range(k))
-    return PlantedMeasure(n=n, k=k, mu=mu, p=p, planted_set=tuple(planted_set))
+    return PlantedMeasure(n=n, k=k, mu=mu, p=p, planted_set=planted_set)
 
 
 def planted_gap(mu: float, p: float, k: int) -> float:
@@ -232,11 +443,6 @@ def sample_matrix(measure: Measure, rng: np.random.Generator, size: int,
     whose row i has the joint law of the measure on ``arms[i]``, drawn
     fresh per row.  Only the observed coordinates are drawn.  Without
     ``arms`` every row observes all n arms and the result is (size, n).
-
-    ``PlantedMeasure`` rows draw Y and the k planted Zs, then one uniform
-    per observed arm: a planted arm reads 1 when its Z is 1 and the uniform
-    falls under 2*mu, any other arm when the uniform falls under mu (its Z*U
-    is Bernoulli(mu) and independent of everything else).
     """
     if size < 0:
         raise DomainError("size must be >= 0")
@@ -246,28 +452,7 @@ def sample_matrix(measure: Measure, rng: np.random.Generator, size: int,
         arms = np.asarray(arms, dtype=np.int64)
         if arms.ndim != 2 or arms.shape[0] != size:
             raise DomainError(f"arms must have shape ({size}, w), got {arms.shape}")
-    if isinstance(measure, ProductMeasure):
-        means = np.asarray(measure.means)
-        return (rng.random(arms.shape) < means[arms]).astype(np.uint8)
-    if isinstance(measure, PlantedMeasure):
-        k, mu = measure.k, measure.mu
-        y = rng.random(size) < measure.p
-        z = rng.random((size, k)) < 0.5
-        odd_rest = fold_columns(z[:, 1:], np.bitwise_xor)
-        z[:, 0] = np.where(y, ~odd_rest, z[:, 0])  # Y=1 forces odd parity over the planted set
-        # column j < k: threshold of planted arm j; column k: any other arm
-        rate = np.concatenate([2.0 * mu * z, np.full((size, 1), mu)], axis=1)
-        slot = np.full(measure.n, k)
-        slot[list(measure.planted_set)] = np.arange(k)
-        threshold = np.take_along_axis(rate, slot[arms], axis=1)
-        return (rng.random(arms.shape) < threshold).astype(np.uint8)
-    if isinstance(measure, CoverageMeasure):
-        omega = rng.integers(0, measure.m, size=size)
-        return measure.members[omega[:, None], arms]
-    if isinstance(measure, JointTableMeasure):
-        atoms = rng.choice(2**measure.k, size=size, p=np.asarray(measure.probs))
-        return ((atoms[:, None] >> arms) & 1).astype(np.uint8)
-    raise TypeError(f"unsupported measure type {type(measure).__name__}")
+    return measure.draw(rng, arms)
 
 
 def fold_columns(bits: np.ndarray, op: np.ufunc, dtype=None) -> np.ndarray:
@@ -285,17 +470,7 @@ def fold_columns(bits: np.ndarray, op: np.ufunc, dtype=None) -> np.ndarray:
 
 def marginal_means(measure: Measure) -> tuple[float, ...]:
     """Exact marginal mean of every arm."""
-    if isinstance(measure, ProductMeasure):
-        return measure.means
-    if isinstance(measure, PlantedMeasure):
-        return (measure.mu,) * measure.n
-    if isinstance(measure, CoverageMeasure):
-        return tuple(len(s) / measure.m for s in measure.sets)
-    if isinstance(measure, JointTableMeasure):
-        probs = np.asarray(measure.probs)
-        idx = np.arange(2**measure.k)
-        return tuple(float(probs[(idx >> i) & 1 == 1].sum()) for i in range(measure.k))
-    raise TypeError(f"unsupported measure type {type(measure).__name__}")
+    return measure.marginals()
 
 
 def expected_max(measure: Measure, arms: Iterable[int]) -> float:
@@ -305,72 +480,14 @@ def expected_max(measure: Measure, arms: Iterable[int]) -> float:
         raise DomainError("arms must be nonempty")
     if s[0] < 0 or s[-1] >= measure.n:
         raise DomainError("arm index out of range")
-
-    if isinstance(measure, ProductMeasure):
-        return 1.0 - math.prod(1.0 - measure.means[i] for i in s)
-    if isinstance(measure, PlantedMeasure):
-        mu, k, p = measure.mu, measure.k, measure.p
-        if set(measure.planted_set) <= set(s):
-            # all-zero mass over the planted block is (1-mu)^k - p*mu^k
-            all_zero = ((1.0 - mu) ** k - p * mu**k) * (1.0 - mu) ** (len(s) - k)
-        else:
-            all_zero = (1.0 - mu) ** len(s)
-        return 1.0 - all_zero
-    if isinstance(measure, CoverageMeasure):
-        return _coverage(measure.masks, measure.m, s)
-    if isinstance(measure, JointTableMeasure):
-        probs = np.asarray(measure.probs)
-        idx = np.arange(2**measure.k)
-        mask = np.zeros(len(idx), dtype=bool)
-        for i in s:
-            mask |= (idx >> i) & 1 == 1
-        return float(probs[mask].sum())
-    raise TypeError(f"unsupported measure type {type(measure).__name__}")
+    return measure.expected_max(s)
 
 
-def optimal_subset(measure: Measure, k: int, cap: int = 100_000) -> tuple[int, ...] | None:
-    """The unique reward-maximizing k-subset, or None if unknown/non-unique.
-
-    Product and planted instances use closed forms; other measures enumerate
-    expected_max over C(n, k) subsets when that count stays within ``cap``.
-    """
-    n = measure.n
-    if not (1 <= k <= n):
+def optimal_subset(measure: Measure, k: int) -> tuple[int, ...] | None:
+    """The unique reward-maximizing k-subset, or None if unknown/non-unique."""
+    if not (1 <= k <= measure.n):
         raise DomainError(f"need 1 <= k <= n, got k={k}")
-    if isinstance(measure, ProductMeasure):
-        order = sorted(range(n), key=lambda i: (-measure.means[i], i))
-        if k < n and measure.means[order[k - 1]] == measure.means[order[k]]:
-            return None
-        return tuple(sorted(order[:k]))
-    if isinstance(measure, PlantedMeasure):
-        if k == measure.k and measure.p > 0:
-            return measure.planted_set
-        # fall through to enumeration for mismatched k
-    if math.comb(n, k) > cap:
-        return None
-    if isinstance(measure, CoverageMeasure):
-        # expected_max's value without its per-call argument checks
-        value = partial(_coverage, measure.masks, measure.m)
-    else:
-        value = partial(expected_max, measure)
-    best, best_val, runner_up = None, -1.0, -1.0
-    for s in combinations(range(n), k):
-        v = value(s)
-        if v > best_val:
-            best, best_val, runner_up = s, v, best_val
-        elif v > runner_up:
-            runner_up = v
-    if best_val - runner_up <= 1e-12:
-        return None
-    return best
-
-
-def _coverage(masks: Sequence[int], m: int, arms: Iterable[int]) -> float:
-    """Share of the size-m universe covered by the union of the arms' sets."""
-    union = 0
-    for i in arms:
-        union |= masks[i]
-    return union.bit_count() / m
+    return measure.optimum(k)
 
 
 # ---------------------------------------------------------------------------
@@ -378,28 +495,7 @@ def _coverage(masks: Sequence[int], m: int, arms: Iterable[int]) -> float:
 # ---------------------------------------------------------------------------
 
 def measure_to_dict(measure: Measure) -> dict:
-    if isinstance(measure, ProductMeasure):
-        return {"type": "product", "n": measure.n, "means": list(measure.means)}
-    if isinstance(measure, PlantedMeasure):
-        return {
-            "type": "planted",
-            "n": measure.n,
-            "k": measure.k,
-            "mu": measure.mu,
-            "p": measure.p,
-            "planted_set": list(measure.planted_set),
-        }
-    if isinstance(measure, CoverageMeasure):
-        return {
-            "type": "coverage",
-            "n": measure.n,
-            "m": measure.m,
-            "sets": [sorted(s) for s in measure.sets],
-        }
-    if isinstance(measure, JointTableMeasure):
-        return {"type": "joint_table", "n": measure.n, "k": measure.k,
-                "probs": list(measure.probs)}
-    raise TypeError(f"unsupported measure type {type(measure).__name__}")
+    return measure.to_dict()
 
 
 def _is_int(value) -> bool:
@@ -429,39 +525,32 @@ _FIELDS = {
 
 
 def measure_from_dict(doc: dict) -> Measure:
-    """Rebuild a measure from its document; a malformed document raises ``DomainError``."""
+    """Rebuild a measure from its document; a malformed document raises ``DomainError``.
+
+    ``type`` picks the family; the keys are its compared fields (those with
+    a default may be left out), each checked against ``_FIELDS``.
+    """
     if not isinstance(doc, dict):
         raise DomainError(f"a measure document must be an object, got {type(doc).__name__}")
     kind = doc.get("type")
-
-    def get(key, default=None):
-        if key not in doc:
-            if default is not None:
-                return default
-            raise DomainError(f"{kind} measure document lacks the key {key!r}")
-        check, what = _FIELDS[key]
-        if not check(doc[key]):
+    cls = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DomainError(f"unknown measure type {kind!r}")
+    values = {}
+    for f in fields(cls):
+        if not f.compare:
+            continue
+        if f.name not in doc:
+            if f.default is MISSING:
+                raise DomainError(f"{kind} measure document lacks the key {f.name!r}")
+            continue
+        check, what = _FIELDS[f.name]
+        if not check(doc[f.name]):
             raise DomainError(
-                f"{kind} measure key {key!r} must be {what}, got {reprlib.repr(doc[key])}"
+                f"{kind} measure key {f.name!r} must be {what}, got {reprlib.repr(doc[f.name])}"
             )
-        return doc[key]
-
-    if kind == "product":
-        return ProductMeasure(means=tuple(get("means")))
-    if kind == "planted":
-        k = int(get("k"))
-        return PlantedMeasure(
-            n=int(get("n")),
-            k=k,
-            mu=float(get("mu")),
-            p=float(get("p")),
-            planted_set=tuple(get("planted_set", range(k))),
-        )
-    if kind == "coverage":
-        return CoverageMeasure(m=int(get("m")), sets=tuple(frozenset(s) for s in get("sets")))
-    if kind == "joint_table":
-        return JointTableMeasure(k=int(get("k")), probs=tuple(get("probs")))
-    raise DomainError(f"unknown measure type {kind!r}")
+        values[f.name] = doc[f.name]
+    return cls(**values)
 
 
 def dumps(measure: Measure) -> str:

@@ -1,10 +1,10 @@
 """Exact brute-force computations on small instances.
 
 Everything here is an independent check on the sampling layer and the
-closed-form calculators: full joint tables by enumeration, factorization
-tests, and exact per-arm recording probabilities for the uniform-play
-sampling scheme.  Caps keep the whole validation suite fast (14 modeled
-variables at most).
+closed-form calculators: full joint tables by enumeration (each family's
+``exact_probs``, which never calls its sampler), factorization tests, and
+exact per-arm recording probabilities for the uniform-play sampling scheme.
+Caps keep the whole validation suite fast (14 modeled variables at most).
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .measures import (
-    CoverageMeasure,
-    JointTableMeasure,
-    Measure,
-    PlantedMeasure,
-    ProductMeasure,
-)
-from .theory import poisson_binomial_pmf
+from .measures import Measure, PlantedMeasure, ProductMeasure, _marginalize
 
 __all__ = [
     "ExactTable",
@@ -61,17 +54,11 @@ class ExactTable:
     def marginal(self, positions: Sequence[int]) -> "ExactTable":
         """Marginal over ``positions`` (indices into this table's variables)."""
         pos = tuple(positions)
-        sub = np.zeros(2 ** len(pos))
-        idx = np.arange(len(self.probs))
-        code = np.zeros(len(idx), dtype=np.int64)
-        for out_bit, p in enumerate(pos):
-            code |= (((idx >> p) & 1) << out_bit).astype(np.int64)
-        np.add.at(sub, code, self.probs)
-        return ExactTable(arms=tuple(self.arms[p] for p in pos), probs=sub)
+        return ExactTable(arms=tuple(self.arms[p] for p in pos),
+                          probs=_marginalize(self.probs, pos))
 
     def mean(self, position: int) -> float:
-        idx = np.arange(len(self.probs))
-        return float(self.probs[(idx >> position) & 1 == 1].sum())
+        return float(_marginalize(self.probs, (position,))[1])
 
 
 def exact_table(measure: Measure, arms: Iterable[int]) -> ExactTable:
@@ -83,70 +70,11 @@ def exact_table(measure: Measure, arms: Iterable[int]) -> ExactTable:
         raise DomainError("arm index out of range")
     if len(arms) > ENUMERATION_CAP:
         raise DomainError(f"enumeration capped at {ENUMERATION_CAP} variables")
-
-    if isinstance(measure, ProductMeasure):
-        return _product_table(arms, [measure.means[a] for a in arms])
-    if isinstance(measure, PlantedMeasure):
-        return _planted_table(measure, arms)
-    if isinstance(measure, CoverageMeasure):
-        probs = np.zeros(2 ** len(arms))
-        for omega in range(measure.m):
-            atom = 0
-            for bit, a in enumerate(arms):
-                if omega in measure.sets[a]:
-                    atom |= 1 << bit
-            probs[atom] += 1.0 / measure.m
-        return ExactTable(arms=arms, probs=probs)
-    if isinstance(measure, JointTableMeasure):
-        full = ExactTable(arms=tuple(range(measure.k)), probs=np.asarray(measure.probs))
-        return full.marginal(arms)
-    raise TypeError(f"unsupported measure type {type(measure).__name__}")
-
-
-def _product_probs(means: Sequence[float]) -> np.ndarray:
-    """Dense product table; concat order makes atom bit b track variable b."""
-    probs = np.ones(1)
-    for m in means:
-        probs = np.concatenate([probs * (1.0 - m), probs * m])
-    return probs
-
-
-def _product_table(arms: tuple[int, ...], means: Sequence[float]) -> ExactTable:
-    return ExactTable(arms=arms, probs=_product_probs(means))
-
-
-def _planted_table(measure: PlantedMeasure, arms: tuple[int, ...]) -> ExactTable:
-    """Enumerate the planted latents exactly.
-
-    The effective Z vector over the planted set is uniform on {0,1}^k when
-    Y=0 and uniform on the odd-parity strings when Y=1; given Z, the requested
-    arms are independent with means Z_i * 2*mu (planted) or mu (outside), so
-    each latent configuration contributes one product table.
-    """
-    mu, p, k = measure.mu, measure.p, measure.k
-    planted_pos = {a: j for j, a in enumerate(measure.planted_set)}
-
-    probs = np.zeros(2 ** len(arms))
-    for z_code in range(2**k):
-        odd = bin(z_code).count("1") % 2 == 1
-        # Y=0 weight is uniform over all strings; Y=1 only over odd parity
-        w = (1.0 - p) * 2.0**-k + (p * 2.0 ** -(k - 1) if odd else 0.0)
-        if w == 0.0:
-            continue
-        means = [
-            (2.0 * mu if (z_code >> planted_pos[a]) & 1 else 0.0)
-            if a in planted_pos
-            else mu
-            for a in arms
-        ]
-        probs += w * _product_probs(means)
-    return ExactTable(arms=arms, probs=probs)
+    return ExactTable(arms=arms, probs=measure.exact_probs(arms))
 
 
 def exact_planted_table(measure: PlantedMeasure, n_extra: int = 0) -> ExactTable:
     """Joint law of the planted set plus ``n_extra`` independent arms."""
-    if measure.k + n_extra > ENUMERATION_CAP:
-        raise DomainError(f"enumeration capped at {ENUMERATION_CAP} variables")
     extras = [a for a in range(measure.n) if a not in set(measure.planted_set)][:n_extra]
     if len(extras) < n_extra:
         raise DomainError("not enough independent arms for the requested table")
@@ -262,27 +190,14 @@ def _topoff_support(reject_pool: tuple[int, ...], accept_pool: tuple[int, ...],
 
 def _record_prob(measure: Measure, i: int, others: tuple[int, ...], model: str) -> float:
     """Pr(arm i recorded with value 1) in a query {i} + others."""
-    if isinstance(measure, ProductMeasure):
-        mu_i = measure.means[i]
-        if model == "semi":
-            return mu_i
-        if model == "bandit":
-            return 1.0 - (1.0 - mu_i) * math.prod(1.0 - measure.means[a] for a in others)
-        pmf = poisson_binomial_pmf([measure.means[a] for a in others])
-        return mu_i * float(sum(pmf[s] / (1 + s) for s in range(len(pmf))))
-    # generic path through the exact joint table
-    table = exact_table(measure, (i,) + others)
-    idx = np.arange(len(table.probs))
-    bit_i = (idx >> 0) & 1
+    probs = exact_table(measure, (i,) + others).probs
+    fires = np.arange(len(probs)) & 1 == 1
     if model == "semi":
-        return float(table.probs[bit_i == 1].sum())
-    others_count = np.zeros(len(idx))
-    for b in range(1, len(others) + 1):
-        others_count += (idx >> b) & 1
+        return float(probs[fires].sum())
+    others_on = np.array([bin(atom >> 1).count("1") for atom in range(len(probs))])
     if model == "bandit":
-        return float(table.probs[(bit_i == 1) | (others_count > 0)].sum())
-    mask = bit_i == 1
-    return float((table.probs[mask] / (1.0 + others_count[mask])).sum())
+        return float(probs[fires | (others_on > 0)].sum())
+    return float((probs[fires] / (1.0 + others_on[fires])).sum())
 
 
 def kappa_constants(u_prime_size: int, k1: int) -> tuple[float, float]:

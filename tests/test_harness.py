@@ -67,9 +67,17 @@ class TestConfig:
         with pytest.raises(DomainError, match=repr(key)):
             _product_config(**{key: value})
 
-    def test_well_typed_fields_accepted(self):
-        cfg = _product_config(k=np.int64(2), delta=1 / 8, exact_k_mode=True)
-        assert cfg.k == 2
+    def test_well_typed_fields_accepted(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        cfg = _product_config(k=np.int64(2), replicates=np.int64(2), base_seed=np.uint8(7),
+                              stage_cap=np.int32(40), delta=1 / 8, exact_k_mode=True,
+                              out=str(out))
+        assert cfg.k == 2 and type(cfg.k) is int
+        records, summary = run_experiment(cfg)
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(lines) == len(records) + 1 == 3
+        assert lines[-1] == summary.to_dict()
+        assert lines[-1]["config"]["k"] == 2
 
     @pytest.mark.parametrize("key, value", [("stage_cap", 0), ("base_seed", -1)])
     def test_out_of_range_rejected(self, key, value):

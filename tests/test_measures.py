@@ -338,6 +338,7 @@ class TestSerialization:
             ({"type": "joint_table", "k": 1}, "'probs'"),
             ({"type": "joint_table", "k": 1.0, "probs": [0.5, 0.5]}, "'k'"),
             (["product"], "object"),
+            ({"type": ["product"], "means": [0.5]}, "unknown measure type"),
         ],
     )
     def test_malformed_document_is_a_one_line_domain_error(self, doc, fragment):

@@ -1,6 +1,7 @@
 """Exact-enumeration oracle: tables, independence, query statistics."""
 
-from itertools import permutations
+import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bestofk.oracle import (
     independence_check,
     verify_all,
 )
+from bestofk.theory import poisson_binomial_pmf
 
 
 class TestExactPlantedTable:
@@ -149,6 +151,33 @@ class TestExactQueryStats:
         pair_13 = 0.5 * 1.0 + 0.5 * (2.0 / 3.0)
         assert pair_13 == pytest.approx(5.0 / 6.0)
         assert pair_13 > pair_12
+
+
+def closed_form_record_prob(means, i, others, model):
+    """Pr(arm i recorded with value 1) in the query {i} + others of a product instance."""
+    mu_i = means[i]
+    if model == "semi":
+        return mu_i
+    if model == "bandit":
+        return 1.0 - (1.0 - mu_i) * math.prod(1.0 - means[a] for a in others)
+    # marked: arm i is named with chance 1/(1+s) when s other arms read 1
+    pmf = poisson_binomial_pmf([means[a] for a in others])
+    return mu_i * float(sum(pmf[s] / (1 + s) for s in range(len(pmf))))
+
+
+class TestProductClosedForms:
+    """The product recording laws in closed form agree with the enumerated tables."""
+
+    @pytest.mark.parametrize("model", ["bandit", "marked", "semi"])
+    @pytest.mark.parametrize("pool", [3, 4, 5, 6])
+    def test_mu_bar_matches_exact_query_stats(self, pool, model):
+        means = tuple(np.random.default_rng(pool).uniform(0.0, 1.0, size=pool))
+        for k1 in range(1, pool + 1):
+            stats = exact_query_stats(ProductMeasure(means=means), range(pool), k1, model)
+            for i in range(pool):
+                rests = list(combinations([a for a in range(pool) if a != i], k1 - 1))
+                closed = sum(closed_form_record_prob(means, i, r, model) for r in rests)
+                assert abs(stats.mu_bar[i] - closed / len(rests)) <= 1e-12, (k1, i)
 
 
 class TestAllZeroProb:
