@@ -7,7 +7,7 @@ cross-checks all of it against exact enumeration oracles.
 """
 
 from .baselines import parity_identify, subset_arm_identify
-from .elimination import ElimConfig, confidence_radius, run_identification
+from .elimination import confidence_radius, run_identification
 from .game import Observation, observe
 from .harness import ExperimentConfig, compare_to_bounds, run_experiment
 from .measures import (
@@ -48,7 +48,6 @@ __all__ = [
     "planted_gap",
     "Observation",
     "observe",
-    "ElimConfig",
     "confidence_radius",
     "run_identification",
     "parity_identify",

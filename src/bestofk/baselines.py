@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .elimination import confidence_radius
+from .elimination import STAGE_CAP, confidence_radius
 from .errors import DomainError, SubsetCapError
 from .measures import SUBSET_CAP, Measure, fold_columns, sample_matrix
 from .trial import TrialRecord
@@ -91,14 +91,14 @@ def _eliminate_over_subsets(
 
 
 def subset_arm_identify(
-    env: Measure, k: int, delta: float, rng: np.random.Generator, stage_cap: int = 40
+    env: Measure, k: int, delta: float, rng: np.random.Generator, stage_cap: int = STAGE_CAP
 ) -> TrialRecord:
     """Naive identifier: each subset is an independent arm under bandit feedback."""
     return _eliminate_over_subsets(env, k, np.bitwise_or, delta, rng, stage_cap)
 
 
 def parity_identify(
-    env: Measure, k: int, delta: float, rng: np.random.Generator, stage_cap: int = 40
+    env: Measure, k: int, delta: float, rng: np.random.Generator, stage_cap: int = STAGE_CAP
 ) -> TrialRecord:
     """Parity detector (semi-bandit only): find the subset whose XOR leaves 1/2.
 

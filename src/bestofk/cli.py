@@ -75,7 +75,8 @@ def _applicable_bounds(config: ExperimentConfig) -> list[BoundReport]:
         )
     elif isinstance(env, ProductMeasure):
         profile = GapProfile(means=marginal_means(env), k=config.k)
-        reports.append(upper_bound_total(profile, config.model, config.delta))
+        reports.append(upper_bound_total(profile, config.model, config.delta,
+                                         fewer_than_k_allowed=config.exact_k_mode is False))
         if config.model in ("bandit", "semi"):
             reports.append(
                 independent_lower_bound(

@@ -30,10 +30,8 @@ from .trial import StageRecord, TrialRecord
 __all__ = [
     "SamplingSets",
     "ElimState",
-    "ElimConfig",
+    "STAGE_CAP",
     "confidence_radius",
-    "true_variance_radius",
-    "inversion_sample_size",
     "stage_play",
     "balance",
     "balance_set_size",
@@ -73,41 +71,12 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
     return float(c_hat) if mu.ndim == 0 else c_hat
 
 
-def true_variance_radius(V: float, T: float, n: int, delta: float,
-                         t: float | None = None) -> float:
-    """Oracle-variance radius sqrt(2 V L / T) + 14 L / (3(T-1)), L = log(8 n t^2/delta).
-
-    ``t`` defaults to log2(T), matching the doubling schedule.
-    """
-    if T <= 1:
-        raise DomainError("need T > 1")
-    if t is None:
-        t = math.log2(T)
-    log_term = math.log(8.0 * n * t * t / delta)
-    return math.sqrt(2.0 * V * log_term / T) + 14.0 * log_term / (3.0 * (T - 1))
-
-
-def inversion_sample_size(V: float, gap: float, n: int, delta: float) -> float:
-    """Samples guaranteeing the oracle-variance radius drops below ``gap``:
-
-    (16 V/gap^2 + 14/gap) * log((24 n/delta) log((12 n/delta)(16 V/gap^2 + 14/gap))).
-    """
-    if gap <= 0.0:
-        raise DomainError("gap must be positive")
-    if V < 0.0:
-        raise DomainError("variance must be nonnegative")
-    alpha = 16.0 * V / gap**2 + 14.0 / gap
-    inner = (12.0 * n / delta) * alpha
-    if inner <= 1.0:
-        raise DomainError("inversion undefined: inner log argument <= 1")
-    return alpha * math.log((24.0 * n / delta) * math.log(inner))
-
-
 # ---------------------------------------------------------------------------
 # Stage engine.
 # ---------------------------------------------------------------------------
 
 CHUNK_PLAYS = 4096  # plays drawn per batch; fixed so a seed replays the same stream
+STAGE_CAP = 40  # default bound on the doubling stages of every identifier
 
 
 def stage_play(
@@ -291,40 +260,28 @@ def elimination_step(
     return advanced, accepted_now, rejected_now
 
 
-@dataclass(frozen=True)
-class ElimConfig:
-    """Knobs for run_identification.
-
-    ``exact_k`` defaults per feedback model (on for bandit and marked).
-    ``stage_cap`` bounds the doubling loop; hitting it flags the trial
-    inconclusive rather than returning a silent guess.  Balancing is not a
-    knob: it runs under bandit feedback whenever n >= ceil(7k/2).
-    """
-
-    exact_k: bool | None = None
-    stage_cap: int = 40
-
-
 def run_identification(
     env: Measure,
     model: str,
     k: int,
     delta: float,
-    config: ElimConfig | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    stage_cap: int = STAGE_CAP,
+    exact_k_mode: bool | None = None,
 ) -> TrialRecord:
     """Identify the best k-subset under the given feedback model.
 
-    Returns the accepted arms, total queries, and a per-stage log.  When the
-    environment exposes marginal means, bandit mode rejects instances with a
-    unit mean (they are unidentifiable from max-only feedback).
+    Returns the accepted arms, total queries, and a per-stage log.
+    ``stage_cap`` bounds the doubling loop; hitting it flags the trial
+    inconclusive rather than returning a silent guess.  ``exact_k_mode``
+    defaults per feedback model (on for bandit and marked).  Balancing is
+    not a setting: it runs under bandit feedback whenever n >= ceil(7k/2).
+    Bandit mode rejects instances with a unit mean (they are unidentifiable
+    from max-only feedback).
     """
     if model not in MODELS:
         raise DomainError(f"unknown model {model!r}")
-    if rng is None:
-        raise DomainError("an explicit seeded generator is required")
-    cfg = config or ElimConfig()
-    if cfg.stage_cap < 1:
+    if stage_cap < 1:
         raise DomainError("stage_cap must be >= 1")
     n = env.n
     if not (1 <= k <= n):
@@ -336,7 +293,7 @@ def run_identification(
     if model == "bandit" and any(m >= 1.0 for m in marginal_means(env)):
         raise IdentifiabilityError("bandit identification needs every mean < 1")
 
-    exact_k = cfg.exact_k if cfg.exact_k is not None else model in ("bandit", "marked")
+    exact_k = exact_k_mode if exact_k_mode is not None else model in ("bandit", "marked")
     balanced = model == "bandit" and n >= math.ceil(7 * k / 2)
     run_warnings = ()
     if model == "bandit" and not balanced:
@@ -347,7 +304,7 @@ def run_identification(
     total_queries = 0
     stage_log: list[StageRecord] = []
 
-    while state.t <= cfg.stage_cap and len(state.accepted) < k:
+    while state.t <= stage_cap and len(state.accepted) < k:
         before, big_t = state, state.sample_size
         if balanced:
             sets = balance(before.undecided, before.rejected, before.k1, rng)

@@ -25,9 +25,8 @@ from .theory import MODELS
 __all__ = ["Observation", "validate_query", "observe"]
 
 
-def validate_query(arms: Iterable[int], n: int, k: int | None = None,
-                   exact_k: bool = False) -> tuple[int, ...]:
-    """Check a query against the arm count and optional size bound; returns it sorted."""
+def validate_query(arms: Iterable[int], n: int) -> tuple[int, ...]:
+    """Check a query against the arm count; returns it sorted."""
     q = tuple(sorted(int(a) for a in arms))
     if not q:
         raise DomainError("query must be nonempty")
@@ -35,11 +34,6 @@ def validate_query(arms: Iterable[int], n: int, k: int | None = None,
         raise DomainError("query arms must be distinct")
     if q[0] < 0 or q[-1] >= n:
         raise DomainError("arm index out of range")
-    if k is not None:
-        if exact_k and len(q) != k:
-            raise DomainError(f"exact-k mode requires |query| == {k}")
-        if len(q) > k:
-            raise DomainError(f"query size {len(q)} exceeds k={k}")
     return q
 
 

@@ -363,7 +363,7 @@ class JointTableMeasure(Measure):
     kind: ClassVar[str] = "joint_table"
     k: int
     probs: tuple[float, ...]
-    normalization_correction: float = field(default=0.0, compare=False)
+    normalization_correction: float = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "k", int(self.k))
@@ -527,8 +527,9 @@ _FIELDS = {
 def measure_from_dict(doc: dict) -> Measure:
     """Rebuild a measure from its document; a malformed document raises ``DomainError``.
 
-    ``type`` picks the family; the keys are its compared fields (those with
-    a default may be left out), each checked against ``_FIELDS``.
+    ``type`` picks the family; the other keys are its compared fields (those
+    with a default may be left out), each checked against ``_FIELDS``, and
+    an optional ``n`` that must equal the measure's arm count.
     """
     if not isinstance(doc, dict):
         raise DomainError(f"a measure document must be an object, got {type(doc).__name__}")
@@ -536,10 +537,12 @@ def measure_from_dict(doc: dict) -> Measure:
     cls = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DomainError(f"unknown measure type {kind!r}")
+    compared = [f for f in fields(cls) if f.compare]
+    extra = set(doc) - {"type", "n"} - {f.name for f in compared}
+    if extra:
+        raise DomainError(f"unknown {kind} measure keys: {sorted(extra)}")
     values = {}
-    for f in fields(cls):
-        if not f.compare:
-            continue
+    for f in compared:
         if f.name not in doc:
             if f.default is MISSING:
                 raise DomainError(f"{kind} measure document lacks the key {f.name!r}")
@@ -550,7 +553,11 @@ def measure_from_dict(doc: dict) -> Measure:
                 f"{kind} measure key {f.name!r} must be {what}, got {reprlib.repr(doc[f.name])}"
             )
         values[f.name] = doc[f.name]
-    return cls(**values)
+    measure = cls(**values)
+    if "n" in doc and not (_is_int(doc["n"]) and doc["n"] == measure.n):
+        raise DomainError(f"{kind} measure key 'n' must be its arm count {measure.n}, "
+                          f"got {reprlib.repr(doc['n'])}")
+    return measure
 
 
 def dumps(measure: Measure) -> str:

@@ -27,7 +27,6 @@ __all__ = [
     "independence_check",
     "all_zero_prob",
     "exact_query_stats",
-    "kappa_constants",
     "verify_all",
 ]
 
@@ -110,13 +109,12 @@ class QueryStatistics:
     """Exact per-arm recording law of one uniform-play query.
 
     ``mu_bar[i]`` is the probability arm i is recorded with value 1 given it
-    sits in the drawn block; ``variance[i] = mu_bar[i] * (1 - mu_bar[i])``.
-    ``all_zero`` is the probability a drawn query (block plus top-off) shows
-    all zeros.
+    sits in the drawn block, so one play records it as a Bernoulli(mu_bar[i])
+    bit.  ``all_zero`` is the probability a drawn query (block plus top-off)
+    shows all zeros.
     """
 
     mu_bar: dict[int, float]
-    variance: dict[int, float]
     all_zero: float
 
 
@@ -128,14 +126,14 @@ def exact_query_stats(
     reject_pool: Sequence[int] = (),
     accept_pool: Sequence[int] = (),
     k: int | None = None,
-    exact_k: bool = False,
 ) -> QueryStatistics:
     """Exact recording probabilities under S ~ Unif[u_prime, k1] plus top-off.
 
     The block containing a given arm together with any padding is distributed
     as a uniform k1-subset of ``u_prime`` containing that arm, so only the
-    identity of the arm's own block matters; the top-off set (when exact-k
-    mode needs one) is averaged over its own law.
+    identity of the arm's own block matters.  Passing ``k`` means exact-k
+    mode: each query is topped off with k - k1 arms from the pools, and the
+    top-off set is averaged over its own law.
     """
     u_prime = tuple(int(a) for a in u_prime)
     if len(u_prime) > ENUMERATION_CAP:
@@ -145,15 +143,10 @@ def exact_query_stats(
     if model not in ("bandit", "marked", "semi"):
         raise DomainError(f"unknown model {model!r}")
 
-    k2 = 0
-    if exact_k:
-        if k is None:
-            raise DomainError("exact_k mode needs k")
-        k2 = max(0, k - k1)
+    k2 = 0 if k is None else max(0, k - k1)
     topoffs = _topoff_support(tuple(reject_pool), tuple(accept_pool), k2)
 
     mu_bar: dict[int, float] = {}
-    variance: dict[int, float] = {}
     n_rest = len(u_prime) - 1
     weight_rest = 1.0 / math.comb(n_rest, k1 - 1)
     for i in u_prime:
@@ -163,14 +156,13 @@ def exact_query_stats(
             for w_plus, s_plus in topoffs:
                 acc += weight_rest * w_plus * _record_prob(measure, i, rest + s_plus, model)
         mu_bar[i] = acc
-        variance[i] = acc * (1.0 - acc)
 
     zero = 0.0
     weight_block = 1.0 / math.comb(len(u_prime), k1)
     for block in combinations(u_prime, k1):
         for w_plus, s_plus in topoffs:
             zero += weight_block * w_plus * all_zero_prob(measure, block + s_plus)
-    return QueryStatistics(mu_bar=mu_bar, variance=variance, all_zero=zero)
+    return QueryStatistics(mu_bar=mu_bar, all_zero=zero)
 
 
 def _topoff_support(reject_pool: tuple[int, ...], accept_pool: tuple[int, ...],
@@ -198,26 +190,6 @@ def _record_prob(measure: Measure, i: int, others: tuple[int, ...], model: str) 
     if model == "bandit":
         return float(probs[fires | (others_on > 0)].sum())
     return float((probs[fires] / (1.0 + others_on[fires])).sum())
-
-
-def kappa_constants(u_prime_size: int, k1: int) -> tuple[float, float]:
-    """Occlusion constants of a uniform size-k1 draw from a size-m pool.
-
-    kappa1 = Pr(j not in S | i in S) = 1 - (k1-1)/(m-1): how often a fixed
-    other arm stays out of the query.  kappa2 = (k1-1)/(m-2*k1): the co-draw
-    mass against the pool slack (0 for singleton queries; infinite when the
-    pool cannot hold two disjoint queries).
-    """
-    if not (1 <= k1 <= u_prime_size) or u_prime_size < 2:
-        raise DomainError("need 1 <= k1 <= m and m >= 2")
-    kappa1 = 1.0 - (k1 - 1) / (u_prime_size - 1)
-    if k1 == 1:
-        kappa2 = 0.0
-    elif u_prime_size - 2 * k1 <= 0:
-        kappa2 = math.inf
-    else:
-        kappa2 = (k1 - 1) / (u_prime_size - 2 * k1)
-    return kappa1, kappa2
 
 
 # ---------------------------------------------------------------------------

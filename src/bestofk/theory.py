@@ -1,13 +1,14 @@
 """Closed-form calculators for every bound used by the toolkit.
 
 Covers the Bernoulli KL value and its sandwich bounds, the log-inflation
-transform turning complexity terms into sample counts, the information
-sharing terms for marked/bandit feedback, the per-arm complexity terms and
-total-query expressions for all three feedback models, the dependent and
-independent lower bounds, and the feasibility range of the all-zeros
-probability for equal-mean (k-1)-wise independent vectors together with the
-machinery that rebuilds a full joint table from that single degree of
-freedom.
+transform turning complexity terms into sample counts, the oracle-variance
+radius with its sample-size inversion, the occlusion constants of uniform
+play, the information sharing terms for marked/bandit feedback, the per-arm
+complexity terms and total-query expressions for all three feedback models,
+the dependent and independent lower bounds, and the feasibility range of the
+all-zeros probability for equal-mean (k-1)-wise independent vectors together
+with the machinery that rebuilds a full joint table from that single degree
+of freedom.
 
 Logs are natural throughout; the transform keeps its explicit log2(e)
 constant.  All functions are pure.
@@ -30,8 +31,10 @@ __all__ = [
     "FeasibilityRange",
     "bernoulli_kl",
     "kl_bounds",
-    "kl_upper_linearized",
     "calT",
+    "true_variance_radius",
+    "inversion_sample_size",
+    "kappa_constants",
     "poisson_binomial_pmf",
     "info_sharing",
     "tau_terms",
@@ -102,22 +105,8 @@ def kl_bounds(x: float, y: float) -> tuple[float, float]:
     return lower, upper
 
 
-def kl_upper_linearized(x: float, y: float) -> float | None:
-    """Linearized-denominator upper form (y-x)^2/2 / (x(1-x) - [(y-x)(2x-1)]_+).
-
-    Returned for completeness when the denominator is positive, None
-    otherwise.  Caution: the linearization overshoots the true infimum of
-    z(1-z) on wide intervals, so this value can undershoot d(x, y); only the
-    ``kl_bounds`` upper form is a guaranteed bound.
-    """
-    denom = x * (1.0 - x) - max((y - x) * (2.0 * x - 1.0), 0.0)
-    if denom <= 0.0:
-        return None
-    return (y - x) ** 2 / 2.0 / denom
-
-
 # ---------------------------------------------------------------------------
-# The log-inflation transform and the Poisson-binomial helper.
+# The log-inflation transform, the stage calculators, the Poisson-binomial helper.
 # ---------------------------------------------------------------------------
 
 def calT(tau: float, n: int, delta: float) -> float:
@@ -136,6 +125,54 @@ def calT(tau: float, n: int, delta: float) -> float:
     if inner <= 1.0:
         raise DomainError("transform undefined: inner log argument <= 1")
     return tau * math.log((16.0 * n * LOG2E / delta) * math.log(inner))
+
+
+def true_variance_radius(V: float, T: float, n: int, delta: float) -> float:
+    """Oracle-variance radius sqrt(2 V L / T) + 14 L / (3(T-1)), L = log(8 n t^2/delta).
+
+    t = log2(T), matching the doubling schedule.
+    """
+    if T <= 1:
+        raise DomainError("need T > 1")
+    t = math.log2(T)
+    log_term = math.log(8.0 * n * t * t / delta)
+    return math.sqrt(2.0 * V * log_term / T) + 14.0 * log_term / (3.0 * (T - 1))
+
+
+def inversion_sample_size(V: float, gap: float, n: int, delta: float) -> float:
+    """Samples guaranteeing the oracle-variance radius drops below ``gap``:
+
+    (16 V/gap^2 + 14/gap) * log((24 n/delta) log((12 n/delta)(16 V/gap^2 + 14/gap))).
+    """
+    if gap <= 0.0:
+        raise DomainError("gap must be positive")
+    if V < 0.0:
+        raise DomainError("variance must be nonnegative")
+    alpha = 16.0 * V / gap**2 + 14.0 / gap
+    inner = (12.0 * n / delta) * alpha
+    if inner <= 1.0:
+        raise DomainError("inversion undefined: inner log argument <= 1")
+    return alpha * math.log((24.0 * n / delta) * math.log(inner))
+
+
+def kappa_constants(u_prime_size: int, k1: int) -> tuple[float, float]:
+    """Occlusion constants of a uniform size-k1 draw from a size-m pool.
+
+    kappa1 = Pr(j not in S | i in S) = 1 - (k1-1)/(m-1): how often a fixed
+    other arm stays out of the query.  kappa2 = (k1-1)/(m-2*k1): the co-draw
+    mass against the pool slack (0 for singleton queries; infinite when the
+    pool cannot hold two disjoint queries).
+    """
+    if not (1 <= k1 <= u_prime_size) or u_prime_size < 2:
+        raise DomainError("need 1 <= k1 <= m and m >= 2")
+    kappa1 = 1.0 - (k1 - 1) / (u_prime_size - 1)
+    if k1 == 1:
+        kappa2 = 0.0
+    elif u_prime_size - 2 * k1 <= 0:
+        kappa2 = math.inf
+    else:
+        kappa2 = (k1 - 1) / (u_prime_size - 2 * k1)
+    return kappa1, kappa2
 
 
 def poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:

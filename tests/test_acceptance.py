@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from bestofk.baselines import subset_arm_identify
-from bestofk.elimination import (
-    confidence_radius,
-    inversion_sample_size,
-    run_identification,
-    stage_play,
-    true_variance_radius,
-)
+from bestofk.elimination import confidence_radius, run_identification, stage_play
 from bestofk.errors import InfeasibleError
 from bestofk.harness import ExperimentConfig, replicate_rng, run_experiment
 from bestofk.measures import ProductMeasure, make_planted, measure_to_dict, sample_matrix
@@ -32,10 +26,12 @@ from bestofk.theory import (
     feasible_range,
     h_sharing,
     info_sharing,
+    inversion_sample_size,
     joint_from_w0,
     kl_bounds,
     phi,
     simplified_dependent_lower_bound,
+    true_variance_radius,
     w0_atoms,
 )
 
@@ -100,8 +96,7 @@ def test_c03_identification_correctness():
     for model, env in instances.items():
         wins = 0
         for r in range(replicates):
-            rec = run_identification(env, model, 3, delta, None,
-                                     replicate_rng(2024, r))
+            rec = run_identification(env, model, 3, delta, replicate_rng(2024, r))
             wins += rec.returned == (0, 1, 2)
         rates[model] = wins / replicates
         assert rates[model] >= floor, (model, rates[model], floor)

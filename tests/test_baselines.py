@@ -1,13 +1,17 @@
-"""Subset-as-arm eliminator and the parity detector."""
+"""Subset-as-arm eliminator, the parity detector, and the calling convention
+all three identifiers share."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from bestofk.baselines import SUBSET_CAP, parity_identify, subset_arm_identify
+from bestofk.elimination import STAGE_CAP, run_identification
 from bestofk.errors import DomainError, SubsetCapError
-from bestofk.measures import ProductMeasure, make_planted, sample_matrix
+from bestofk.harness import ExperimentConfig
+from bestofk.measures import ProductMeasure, make_planted, measure_to_dict, sample_matrix
 
 
 class TestSubsetArm:
@@ -51,15 +55,12 @@ class TestSubsetArm:
         assert 0.5 * expected <= ratio <= 1.5 * expected
 
     def test_agreement_with_elimination_on_wide_gaps(self):
-        from bestofk.elimination import run_identification
-
         env = ProductMeasure(means=(0.85, 0.75, 0.25, 0.15))
         agree = 0
         runs = 100
         for seed in range(runs):
             a = subset_arm_identify(env, 2, 0.1, np.random.default_rng(seed))
-            b = run_identification(env, "semi", 2, 0.1, None,
-                                   np.random.default_rng(seed))
+            b = run_identification(env, "semi", 2, 0.1, np.random.default_rng(seed))
             agree += tuple(sorted(a.returned)) == tuple(sorted(b.returned))
         assert agree >= 95
 
@@ -101,3 +102,19 @@ class TestParity:
         env = make_planted(2, 2, 0.5, 1.0)
         rec = parity_identify(env, 2, 0.1, np.random.default_rng(0))
         assert rec.returned == (0, 1) and rec.total_queries == 0
+
+
+class TestCallingConvention:
+    @pytest.mark.parametrize("identify", [run_identification, subset_arm_identify, parity_identify])
+    def test_rng_then_stage_cap(self, identify):
+        params = inspect.signature(identify).parameters
+        names = list(params)
+        after_delta = names[names.index("delta") + 1 : names.index("delta") + 3]
+        assert after_delta == ["rng", "stage_cap"]
+        assert params["rng"].default is inspect.Parameter.empty
+        assert params["stage_cap"].default == STAGE_CAP
+
+    def test_experiment_config_default_stage_cap(self):
+        cfg = ExperimentConfig(measure=measure_to_dict(ProductMeasure(means=(0.9, 0.1))),
+                               model="semi", k=1, delta=0.1)
+        assert cfg.stage_cap == STAGE_CAP

@@ -13,6 +13,7 @@ import bestofk
 from bestofk.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from bestofk.harness import ExperimentConfig
 from bestofk.measures import ProductMeasure, make_planted, measure_to_dict
+from bestofk.theory import GapProfile, upper_bound_total
 
 
 @pytest.fixture
@@ -70,6 +71,24 @@ def test_bounds_subcommand_product(product_config_path, capsys):
     assert "upper_bound_total[semi]" in text
     assert "independent_lower_bound[semi]" in text
     assert "input means:" in text
+
+
+@pytest.mark.parametrize("exact_k_mode", [None, True, False])
+def test_bounds_follow_exact_k_mode(tmp_path, capsys, exact_k_mode):
+    # a marked run without exact-k queries fewer than k arms: the bound is the fewer-than-k form
+    means = (0.8, 0.7, 0.6, 0.3, 0.3, 0.3)
+    cfg = ExperimentConfig(measure=measure_to_dict(ProductMeasure(means=means)), model="marked",
+                           k=3, delta=0.1, exact_k_mode=exact_k_mode)
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert main(["bounds", "--config", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    fewer = exact_k_mode is False
+    expected = upper_bound_total(GapProfile(means=means, k=3), "marked", 0.1,
+                                 fewer_than_k_allowed=fewer)
+    assert f"value: {expected.value!r}" in text
+    assert f"input fewer_than_k_allowed: {fewer!r}" in text
+    assert ("note: fewer-than-k form" in text) == fewer
 
 
 def test_bounds_subcommand_planted(tmp_path, capsys):
@@ -144,9 +163,16 @@ TRACE_NEEDS_ELIMINATION = "error: trace needs algorithm 'elimination': the basel
         ({"k": 0}, "error: need 1 <= k <= n, got k=0"),
         ({"algorithm": "subset_arm", "trace": True}, TRACE_NEEDS_ELIMINATION),
         ({"algorithm": "parity", "trace": True}, TRACE_NEEDS_ELIMINATION),
+        ({"algorithm": "subset_arm", "exact_k_mode": False},
+         "error: exact_k_mode needs algorithm 'elimination': the baselines query whole k-subsets"),
+        ({"measure": {"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 0.9, "planted": [3, 4]}},
+         "error: unknown planted measure keys: ['planted']"),
+        ({"measure": {"type": "product", "n": 5, "means": [0.9, 0.6, 0.2]}},
+         "error: product measure key 'n' must be its arm count 3, got 5"),
     ],
     ids=["subset_arm-stage_cap-0", "elimination-stage_cap-0", "k-str", "base_seed-negative",
-         "k-above-n", "k-0", "subset_arm-trace", "parity-trace"],
+         "k-above-n", "k-0", "subset_arm-trace", "parity-trace", "subset_arm-exact_k_mode",
+         "measure-unknown-key", "measure-n-mismatch"],
 )
 def test_bad_config_is_one_line_error(tmp_path, overrides, message):
     doc = {"measure": measure_to_dict(ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))),

@@ -8,20 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bestofk.elimination import (
-    ElimConfig,
     ElimState,
     balance,
     balance_set_size,
     confidence_radius,
     elimination_step,
-    inversion_sample_size,
     run_identification,
     stage_play,
-    true_variance_radius,
 )
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
 from bestofk.measures import ProductMeasure, from_coverage, make_planted
 from bestofk.oracle import exact_query_stats
+from bestofk.theory import inversion_sample_size, kappa_constants, true_variance_radius
 
 
 def _state(n, k, undecided, accepted, rejected, t=1, exact_k=False):
@@ -102,8 +100,6 @@ class TestBalance:
         assert sets.u_prime == tuple(range(10))
 
     def test_small_u_example(self):
-        from bestofk.oracle import kappa_constants
-
         assert balance_set_size(3, 3) == 4
         sets = balance((0, 1, 2), range(3, 11), 3, np.random.default_rng(1))
         assert len(sets.balancing) == 4
@@ -114,8 +110,6 @@ class TestBalance:
         assert kappa2 == pytest.approx(2.0) and kappa2 <= 2.0
 
     def test_balanced_pools_keep_kappas_in_range(self):
-        from bestofk.oracle import kappa_constants
-
         rng = np.random.default_rng(10)
         for u_size in range(2, 12):
             for k1 in range(1, min(u_size, 6) + 1):
@@ -246,13 +240,13 @@ class TestRunIdentification:
 
         monkeypatch.setattr(ElimState, "__post_init__", counted)
         env = ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))
-        rec = run_identification(env, "semi", 2, 0.1, None, np.random.default_rng(1))
+        rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(1))
         assert rec.stages >= 2
         assert built == list(range(1, rec.stages + 2))
 
     def test_n_equals_k_short_circuit(self):
         env = ProductMeasure(means=(0.5, 0.5))
-        rec = run_identification(env, "semi", 2, 0.1, None, np.random.default_rng(0))
+        rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(0))
         assert rec.returned == (0, 1)
         assert rec.total_queries == 0 and rec.stages == 0
 
@@ -260,13 +254,13 @@ class TestRunIdentification:
         env = ProductMeasure(means=(0.9, 0.1))
         wins = 0
         for seed in range(200):
-            rec = run_identification(env, "semi", 1, 0.1, None, np.random.default_rng(seed))
+            rec = run_identification(env, "semi", 1, 0.1, np.random.default_rng(seed))
             wins += rec.returned == (0,)
         assert wins >= 180
 
     def test_budget_doubling_and_query_accounting(self):
         env = ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))
-        rec = run_identification(env, "semi", 2, 0.1, None, np.random.default_rng(1))
+        rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(1))
         sizes = [s.sample_size for s in rec.stage_log]
         assert sizes[0] == 2
         assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
@@ -278,7 +272,7 @@ class TestRunIdentification:
 
     def test_semi_efficiency_bound(self):
         env = ProductMeasure(means=(0.9, 0.6, 0.2, 0.1, 0.05))
-        rec = run_identification(env, "semi", 2, 0.1, None, np.random.default_rng(2))
+        rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(2))
         for s in rec.stage_log:
             per_play = s.queries / s.sample_size
             assert per_play <= 2 * max(1, s.undecided / 2)
@@ -286,18 +280,18 @@ class TestRunIdentification:
     def test_bandit_identifiability_guard(self):
         env = ProductMeasure(means=(1.0, 0.5, 0.2, 0.2, 0.2, 0.2, 0.2))
         with pytest.raises(IdentifiabilityError):
-            run_identification(env, "bandit", 2, 0.1, None, np.random.default_rng(3))
+            run_identification(env, "bandit", 2, 0.1, np.random.default_rng(3))
 
     def test_bandit_small_n_warns_and_runs(self):
         env = ProductMeasure(means=(0.9, 0.05, 0.05))
-        rec = run_identification(env, "bandit", 1, 0.1, None, np.random.default_rng(4))
+        rec = run_identification(env, "bandit", 1, 0.1, np.random.default_rng(4))
         assert rec.returned == (0,)
         assert any("balancing disabled" in w for w in rec.warnings)
 
     def test_bandit_balancing_kicks_in(self):
         # once the undecided pool shrinks below 5k/2 the balancing set fills it
         env = ProductMeasure(means=(0.9, 0.6, 0.3, 0.05, 0.05, 0.05, 0.05))
-        rec = run_identification(env, "bandit", 2, 0.1, None, np.random.default_rng(0))
+        rec = run_identification(env, "bandit", 2, 0.1, np.random.default_rng(0))
         assert rec.returned == (0, 1)
         balanced = [s for s in rec.stage_log if s.balancing > 0]
         assert balanced
@@ -307,18 +301,14 @@ class TestRunIdentification:
 
     def test_stage_cap_inconclusive(self):
         env = ProductMeasure(means=(0.51, 0.5))
-        rec = run_identification(
-            env, "semi", 1, 0.1, ElimConfig(stage_cap=3), np.random.default_rng(6)
-        )
+        rec = run_identification(env, "semi", 1, 0.1, np.random.default_rng(6), stage_cap=3)
         assert rec.inconclusive
         assert rec.stages == 3
 
     def test_stage_cap_below_one_rejected(self):
         env = ProductMeasure(means=(0.9, 0.1))
         with pytest.raises(DomainError):
-            run_identification(
-                env, "semi", 1, 0.1, ElimConfig(stage_cap=0), np.random.default_rng(6)
-            )
+            run_identification(env, "semi", 1, 0.1, np.random.default_rng(6), stage_cap=0)
 
     def test_marked_late_stage_topoff_engaged(self, monkeypatch):
         # once |U| drops below k, exact-k mode must pad queries with a top-off
@@ -333,7 +323,7 @@ class TestRunIdentification:
 
         monkeypatch.setattr(elim, "stage_play", spy)
         env = ProductMeasure(means=(0.9, 0.85, 0.5, 0.45, 0.05))
-        rec = run_identification(env, "marked", 3, 0.1, None, np.random.default_rng(21))
+        rec = run_identification(env, "marked", 3, 0.1, np.random.default_rng(21))
         assert rec.returned == (0, 1, 2)
         assert any(k2 > 0 and k1 < 3 for _, k1, k2 in calls)
         for u_size, k1, k2 in calls:
@@ -344,7 +334,7 @@ class TestRunIdentification:
         semi_env = ProductMeasure(means=(0.8, 0.7, 0.6, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3))
         bandit_env = ProductMeasure(means=semi_env.means + (0.3,))
         for model, env in (("marked", semi_env), ("bandit", bandit_env)):
-            rec = run_identification(env, model, 3, 0.1, None, np.random.default_rng(7))
+            rec = run_identification(env, model, 3, 0.1, np.random.default_rng(7))
             assert rec.returned == (0, 1, 2), model
 
     def test_semi_queries_stay_below_calculated_upper_bound(self):
@@ -354,15 +344,14 @@ class TestRunIdentification:
         env = ProductMeasure(means=means)
         bound = upper_bound_total(GapProfile(means=means, k=3), "semi", 0.1).value
         for seed in range(20):
-            rec = run_identification(env, "semi", 3, 0.1, None,
-                                     np.random.default_rng(500 + seed))
+            rec = run_identification(env, "semi", 3, 0.1, np.random.default_rng(500 + seed))
             assert rec.returned == (0, 1, 2)
             assert rec.total_queries <= bound
 
     def test_bandit_efficiency_bound(self):
         # balanced stages: |U'| <= 5|U|/2 so queries per pass <= ceil(2.5|U|/k1)
         env = ProductMeasure(means=(0.9, 0.6, 0.3, 0.05, 0.05, 0.05, 0.05))
-        rec = run_identification(env, "bandit", 2, 0.1, None, np.random.default_rng(8))
+        rec = run_identification(env, "bandit", 2, 0.1, np.random.default_rng(8))
         for s in rec.stage_log:
             k1 = min(s.undecided, 2)
             per_play = s.queries / s.sample_size
@@ -374,7 +363,7 @@ class TestRunIdentification:
         k, runs, delta = 2, 200, 0.1
         bad = 0
         for seed in range(runs):
-            rec = run_identification(env, "semi", k, delta, None,
+            rec = run_identification(env, "semi", k, delta,
                                      np.random.default_rng(10_000 + seed))
             wrong = False
             for s in rec.stage_log:
@@ -385,7 +374,7 @@ class TestRunIdentification:
 
     def test_requires_explicit_rng(self):
         env = ProductMeasure(means=(0.9, 0.1))
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             run_identification(env, "semi", 1, 0.1)
 
 
@@ -416,7 +405,7 @@ class TestStagePlayConsistency:
         env = ProductMeasure(means=means)
         stats = exact_query_stats(
             env, (0, 1, 2), k1=2, model=model,
-            reject_pool=(3,), accept_pool=(4,), k=3, exact_k=True,
+            reject_pool=(3,), accept_pool=(4,), k=3,
         )
         plays = 40_000
         y, _ = stage_play(env, (0, 1, 2), (4,), (3,), 2, 1, model, plays,
@@ -461,7 +450,7 @@ class TestStagePlayConsistency:
         env = self.DEPENDENT[family]
         stats = exact_query_stats(
             env, (0, 1, 2, 3), k1=2, model=model,
-            reject_pool=(4,), accept_pool=(5, 6), k=4, exact_k=True,
+            reject_pool=(4,), accept_pool=(5, 6), k=4,
         )
         plays = 40_000
         y, queries = stage_play(env, (0, 1, 2, 3), (5, 6), (4,), 2, 2, model, plays,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bestofk.errors import DomainError
-from bestofk.game import observe, validate_query
+from bestofk.game import observe
 
 
 class TestObserve:
@@ -67,13 +67,3 @@ class TestObserve:
         for arm in range(3):
             assert abs(counts[arm] / trials - 1 / 3) < 0.01
 
-
-class TestValidateQuery:
-    def test_exact_k(self):
-        with pytest.raises(DomainError):
-            validate_query((0, 1), 5, k=3, exact_k=True)
-        assert validate_query((2, 0, 1), 5, k=3, exact_k=True) == (0, 1, 2)
-
-    def test_size_bound(self):
-        with pytest.raises(DomainError):
-            validate_query((0, 1, 2, 3), 5, k=3)

@@ -90,6 +90,13 @@ class TestConfig:
             _product_config(algorithm=algorithm, trace=True)
         assert not _product_config(algorithm=algorithm).trace
 
+    @pytest.mark.parametrize("algorithm", ["subset_arm", "parity"])
+    @pytest.mark.parametrize("exact_k_mode", [False, True])
+    def test_exact_k_mode_needs_elimination(self, algorithm, exact_k_mode):
+        with pytest.raises(DomainError, match="exact_k_mode needs algorithm 'elimination'"):
+            _product_config(algorithm=algorithm, exact_k_mode=exact_k_mode)
+        assert _product_config(algorithm=algorithm).exact_k_mode is None
+
     def test_json_round_trip(self):
         cfg = _product_config()
         again = ExperimentConfig.from_json(cfg.to_json())
@@ -118,7 +125,7 @@ class TestConfig:
             algorithm=algorithm,
             replicates=replicates,
             base_seed=base_seed,
-            exact_k_mode=exact_k_mode,
+            exact_k_mode=exact_k_mode if algorithm == "elimination" else None,
             stage_cap=stage_cap,
             out=out,
             trace=algorithm == "elimination" and data.draw(st.booleans()),
@@ -234,12 +241,3 @@ class TestCompareToBounds:
         with pytest.raises(MismatchError):
             compare_to_bounds(summary, [wrong])
 
-    def test_validation_mode_soft_floor(self):
-        _, summary = run_experiment(_product_config(replicates=10))
-        lower = BoundReport(
-            name="independent_lower_bound[semi]",
-            inputs={"n": 4, "k": 2},
-            value=1.0,
-        )
-        report = compare_to_bounds(summary, [lower], validation_mode=True)
-        assert report["bounds"][lower.name]["soft_floor_ok"]

@@ -65,6 +65,8 @@ class TestConstruction:
         m = JointTableMeasure(k=2, probs=tuple(probs))
         assert abs(sum(m.probs) - 1.0) < 1e-15
         assert m.normalization_correction == pytest.approx(5e-10)
+        with pytest.raises(TypeError):
+            JointTableMeasure(k=2, probs=tuple(probs), normalization_correction=0.0)
         with pytest.raises(DomainError):
             JointTableMeasure(k=2, probs=(0.25, 0.25, 0.25, 0.26))
         with pytest.raises(DomainError):
@@ -339,6 +341,10 @@ class TestSerialization:
             ({"type": "joint_table", "k": 1.0, "probs": [0.5, 0.5]}, "'k'"),
             (["product"], "object"),
             ({"type": ["product"], "means": [0.5]}, "unknown measure type"),
+            ({"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 0.9, "planted": [3, 4]},
+             "['planted']"),
+            ({"type": "product", "n": 5, "means": [0.9, 0.6, 0.2]}, "'n' must be its arm count 3"),
+            ({"type": "coverage", "n": 2.0, "m": 4, "sets": [[0], [1]]}, "got 2.0"),
         ],
     )
     def test_malformed_document_is_a_one_line_domain_error(self, doc, fragment):

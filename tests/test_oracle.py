@@ -122,13 +122,13 @@ class TestExactQueryStats:
         base = exact_query_stats(m, (0, 1, 2), k1=2, model="bandit")
         padded = exact_query_stats(
             m, (0, 1, 2), k1=2, model="bandit",
-            reject_pool=(3,), accept_pool=(4,), k=3, exact_k=True,
+            reject_pool=(3,), accept_pool=(4,), k=3,
         )
         # the high-mean top-off arm occludes more
         assert padded.mu_bar[0] > base.mu_bar[0]
         agreement = exact_query_stats(
             m, (0, 1, 2), k1=2, model="semi",
-            reject_pool=(3,), accept_pool=(4,), k=3, exact_k=True,
+            reject_pool=(3,), accept_pool=(4,), k=3,
         )
         assert agreement.mu_bar[1] == pytest.approx(0.4, abs=1e-15)
 

@@ -19,7 +19,6 @@ from bestofk.theory import (
     info_sharing,
     joint_from_w0,
     kl_bounds,
-    kl_upper_linearized,
     phi,
     poisson_binomial_pmf,
     psi,
@@ -52,14 +51,6 @@ class TestBernoulliKL:
             lo, hi = kl_bounds(float(x), float(y))
             d = bernoulli_kl(float(x), float(y))
             assert lo - 1e-12 <= d <= hi + 1e-12
-
-    def test_linearized_form_exposed_but_not_a_bound(self):
-        # valid on narrow intervals...
-        v = kl_upper_linearized(0.4, 0.45)
-        assert v is not None and v >= bernoulli_kl(0.4, 0.45)
-        # ...and known to undershoot on wide ones
-        wide = kl_upper_linearized(0.5, 0.999)
-        assert wide is not None and wide < bernoulli_kl(0.5, 0.999)
 
 
 class TestCalT:
