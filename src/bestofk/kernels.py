@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .measures import fold_columns
 from .theory import MODELS
 
@@ -79,7 +80,7 @@ def record_plays(
     slot is recorded.
     """
     if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
+        raise DomainError(f"unknown model {model!r}")
     if model == "bandit":
         hit = fold_columns(bits, np.bitwise_or).astype(bool)[:, :, None]
     elif model == "semi":

@@ -4,15 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import bestofk
-
+from bestofk import oracle, theory
 from bestofk.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from bestofk.harness import ExperimentConfig
-from bestofk.measures import ProductMeasure, make_planted, measure_to_dict
+from bestofk.measures import PlantedMeasure, ProductMeasure, make_planted, measure_to_dict
 from bestofk.theory import GapProfile, upper_bound_total
 
 
@@ -106,6 +107,18 @@ def test_bounds_subcommand_planted(tmp_path, capsys):
     assert "all_zeros_feasible_range" in text
 
 
+def test_bounds_planted_k_mismatch_exits_one(tmp_path, capsys):
+    # the planted bounds are for the measure's k; printing them for another k misleads
+    cfg = ExperimentConfig(measure=measure_to_dict(make_planted(6, 2, 0.4, 0.9)),
+                           model="bandit", k=3, delta=0.1)
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert main(["bounds", "--config", str(path)]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: planted measure has k=2, config has k=3"]
+
+
 def test_bounds_unsupported_measure_exits_one(tmp_path):
     cfg = ExperimentConfig(
         measure={"type": "coverage", "m": 4, "sets": [[0, 1], [2]]},
@@ -127,17 +140,20 @@ def test_config_errors_exit_one(tmp_path):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def _cli(*args: str) -> subprocess.CompletedProcess:
+    """``bestofk *args`` in a fresh interpreter."""
+    src = str(Path(bestofk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "bestofk.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def _run_cli(tmp_path, doc: dict, *options: str) -> subprocess.CompletedProcess:
     """``bestofk run`` on the config ``doc`` (plus ``options``) in a fresh interpreter."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(bestofk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run(
-        [sys.executable, "-m", "bestofk.cli", "run", "--config", str(path), *options],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return _cli("run", "--config", str(path), *options)
 
 
 def test_malformed_measure_is_one_line_error(tmp_path):
@@ -195,17 +211,34 @@ def test_trace_option_rejected_for_baselines(tmp_path):
     assert not out.exists() and not Path(f"{out}.trace").exists()
 
 
-def test_verify_subcommand(capsys):
-    assert main(["verify", "--max-k", "3"]) == EXIT_OK
-    assert "ok" in capsys.readouterr().out
+def test_verify_subcommand():
+    # the verify budget: the whole oracle suite, interpreter start included, within 5 s
+    started = time.perf_counter()
+    done = _cli("verify")
+    elapsed = time.perf_counter() - started
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == f"ok: {len(oracle.CHECKS)} oracle checks passed\n"
+    assert elapsed < 5.0, elapsed
 
 
-def test_verify_detects_violations(monkeypatch, capsys):
-    import bestofk.oracle as oracle_mod
+def _product_law(self, arms):
+    return ProductMeasure(means=(self.mu,) * len(arms)).exact_probs(range(len(arms)))
 
-    monkeypatch.setattr(
-        oracle_mod, "verify_all", lambda max_k=6: [{"check": "synthetic", "k": max_k}]
-    )
-    assert main(["verify", "--max-k", "2"]) == EXIT_VERIFY_FAIL
-    out = capsys.readouterr()
-    assert json.loads(out.out.splitlines()[0])["check"] == "synthetic"
+
+# one deliberately broken calculator per check: (owner, attribute, replacement)
+MUTANTS = {
+    "check_planted": (PlantedMeasure, "exact_probs", _product_law),
+    "check_w0": (theory, "phi", lambda p, mu, k: 0.0),
+    "check_mu_bar_order": (oracle, "_record_prob", lambda measure, i, others, model: 0.5),
+    "check_kl_sandwich": (theory, "kl_bounds", lambda x, y: (1.0, 1.0)),
+    "check_calT": (theory, "calT", lambda tau, n, delta: tau**2),
+}
+
+
+@pytest.mark.parametrize("check", oracle.CHECKS, ids=lambda check: check.__name__)
+def test_verify_detects_broken_calculator(monkeypatch, capsys, check):
+    monkeypatch.setattr(*MUTANTS[check.__name__])
+    assert check() != []
+    assert main(["verify"]) == EXIT_VERIFY_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(isinstance(json.loads(line)["check"], str) for line in lines)

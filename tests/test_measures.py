@@ -26,7 +26,7 @@ from bestofk.measures import (
     planted_gap,
     sample_matrix,
 )
-from bestofk.oracle import exact_planted_table, exact_table
+from bestofk.oracle import exact_table
 
 
 class TestConstruction:
@@ -116,7 +116,7 @@ class TestExpectedMax:
 
     def test_planted_superset_closed_form_matches_oracle(self):
         m = make_planted(6, 3, 0.25, 0.75)
-        table = exact_planted_table(m, n_extra=1)
+        table = exact_table(m, m.planted_set + (3,))
         assert expected_max(m, (0, 1, 2, 3)) == pytest.approx(
             1.0 - float(table.probs[0]), abs=1e-12
         )

@@ -9,13 +9,11 @@ import pytest
 from bestofk.errors import DomainError
 from bestofk.measures import PlantedMeasure, ProductMeasure, from_coverage, make_planted
 from bestofk.oracle import (
-    ExactTable,
+    CHECKS,
     all_zero_prob,
-    exact_planted_table,
     exact_query_stats,
     exact_table,
     independence_check,
-    verify_all,
 )
 from bestofk.theory import poisson_binomial_pmf
 
@@ -23,42 +21,29 @@ from bestofk.theory import poisson_binomial_pmf
 class TestExactPlantedTable:
     def test_mu_half_p_one_k_two(self):
         m = make_planted(4, 2, 0.5, 1.0)
-        t = exact_planted_table(m)
+        t = exact_table(m, m.planted_set)
         assert np.allclose(t.probs, [0.0, 0.5, 0.5, 0.0], atol=1e-15)
 
     def test_p_zero_reduces_to_product(self):
         m = PlantedMeasure(n=5, k=3, mu=0.35, p=0.0, planted_set=(0, 1, 2))
-        t = exact_planted_table(m)
+        t = exact_table(m, m.planted_set)
         prod = exact_table(ProductMeasure(means=(0.35,) * 3), (0, 1, 2))
         assert np.allclose(t.probs, prod.probs, atol=1e-15)
 
     def test_all_zero_mass_example(self):
         m = make_planted(5, 3, 0.4, 0.7)
-        t = exact_planted_table(m)
+        t = exact_table(m, m.planted_set)
         assert float(t.probs[0]) == pytest.approx(0.1712, abs=1e-12)
 
     def test_size_cap(self):
         m = make_planted(20, 6, 0.3, 0.5)
-        with pytest.raises(DomainError):
-            exact_planted_table(m, n_extra=9)
-
-    @pytest.mark.parametrize("mu", [0.1, 0.25, 0.4, 0.5])
-    @pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
-    def test_marginals_and_gap_grid(self, mu, p):
-        for k in range(2, 7):
-            m = make_planted(k + 1, k, mu, p)
-            t = exact_planted_table(m)
-            for i in range(k):
-                assert abs(t.mean(i) - mu) <= 1e-12
-            ok, dev = independence_check(t, k - 1)
-            assert ok, (k, mu, p, dev)
-            gap = 1.0 - float(t.probs[0]) - (1.0 - (1.0 - mu) ** k)
-            assert abs(gap - p * mu**k) <= 1e-12
+        with pytest.raises(DomainError, match="capped at 14"):
+            exact_table(m, range(15))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_permutation_invariance_inside_planted_set(self, k):
         m = make_planted(k + 2, k, 0.35, 0.6)
-        t = exact_planted_table(m)
+        t = exact_table(m, m.planted_set)
         base = np.asarray(t.probs)
         for perm in permutations(range(k)):
             relabeled = np.empty_like(base)
@@ -80,7 +65,7 @@ class TestIndependenceCheck:
 
     def test_planted_k3_orders(self):
         m = make_planted(4, 3, 0.4, 0.8)
-        t = exact_planted_table(m)
+        t = exact_table(m, m.planted_set)
         ok2, _ = independence_check(t, 2)
         assert ok2
         ok3, dev3 = independence_check(t, 3)
@@ -109,13 +94,6 @@ class TestExactQueryStats:
         stats = exact_query_stats(m, range(4), k1=2, model="semi")
         for i in range(4):
             assert stats.mu_bar[i] == pytest.approx(m.means[i], abs=1e-15)
-
-    @pytest.mark.parametrize("model", ["bandit", "marked"])
-    def test_order_preserving(self, model):
-        means = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2)
-        stats = exact_query_stats(ProductMeasure(means=means), range(8), k1=3, model=model)
-        mu_bar = [stats.mu_bar[i] for i in range(8)]
-        assert all(a > b for a, b in zip(mu_bar, mu_bar[1:]))
 
     def test_topoff_changes_bandit_rate(self):
         m = ProductMeasure(means=(0.5, 0.4, 0.3, 0.9, 0.1))
@@ -205,7 +183,7 @@ class TestParityConditionalFixtures:
     def test_conditional_means(self, p):
         mu = 0.5
         m = PlantedMeasure(n=4, k=3, mu=mu, p=p, planted_set=(0, 1, 2))
-        t = exact_planted_table(m)
+        t = exact_table(m, m.planted_set)
         idx = np.arange(len(t.probs))
         lead = (idx >> 0) & 1
         parity_rest = (((idx >> 1) & 1) + ((idx >> 2) & 1)) % 2
@@ -233,11 +211,12 @@ class TestParityConditionalFixtures:
 class TestMarginalHelper:
     def test_marginal_consistency(self):
         m = make_planted(5, 3, 0.25, 1.0)
-        t = exact_planted_table(m, n_extra=1)
+        t = exact_table(m, m.planted_set + (3,))
         sub = t.marginal((0, 3))
         assert sub.mean(0) == pytest.approx(0.25, abs=1e-14)
         assert float(np.sum(sub.probs)) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_verify_all_clean():
-    assert verify_all(max_k=4) == []
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+def test_check_clean(check):
+    assert check() == []
