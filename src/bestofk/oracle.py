@@ -27,10 +27,16 @@ __all__ = [
     "independence_check",
     "all_zero_prob",
     "exact_query_stats",
+    "planted_violations",
     "check_planted",
+    "w0_endpoint_violations",
+    "w0_table_violations",
     "check_w0",
+    "mu_bar_order_violations",
     "check_mu_bar_order",
+    "kl_sandwich_violations",
     "check_kl_sandwich",
+    "calT_violations",
     "check_calT",
     "CHECKS",
     "verify_all",
@@ -192,8 +198,9 @@ def _record_prob(measure: Measure, i: int, others: tuple[int, ...], model: str) 
 
 # ---------------------------------------------------------------------------
 # Validation suite behind the `verify` CLI subcommand.  Each check runs one
-# fixed grid and returns its violations as machine-readable dicts; it reads
-# the calculators through their module at call time.
+# fixed grid through its cell function and returns its violations as
+# machine-readable dicts; the cell functions let a test run one cell, and they
+# read the calculators through their module at call time.
 # ---------------------------------------------------------------------------
 
 def _equal_mean_violations(table: ExactTable, family: str, **where) -> list[dict]:
@@ -208,48 +215,61 @@ def _equal_mean_violations(table: ExactTable, family: str, **where) -> list[dict
     return out
 
 
-def check_planted() -> list[dict]:
-    """Planted construction: marginals mu, (k-1)-wise independence, gap p mu^k.
-
-    Grid: k in 2..6, mu in {0.1, 0.25, 0.4, 0.5}, p in {0.25, 0.5, 1}, n = k + 1;
-    every quantity within 1e-12.
-    """
-    out = []
-    for k in range(2, 7):
-        for mu in (0.1, 0.25, 0.4, 0.5):
-            for p in (0.25, 0.5, 1.0):
-                m = make_planted(n=k + 1, k=k, mu=mu, p=p)
-                table = exact_table(m, m.planted_set)
-                out += _equal_mean_violations(table, "planted", k=k, mu=mu, p=p)
-                gap = 1.0 - float(table.probs[0]) - (1.0 - (1.0 - mu) ** k)
-                if abs(gap - p * mu**k) > 1e-12:
-                    out.append({"check": "planted_gap", "k": k, "mu": mu, "p": p, "value": gap})
+def planted_violations(k: int, mu: float, p: float) -> list[dict]:
+    """The planted set of ``make_planted(k + 1, k, mu, p)`` has marginals mu,
+    is (k-1)-wise independent and has all-zeros gap p mu^k, each within 1e-12."""
+    m = make_planted(n=k + 1, k=k, mu=mu, p=p)
+    table = exact_table(m, m.planted_set)
+    out = _equal_mean_violations(table, "planted", k=k, mu=mu, p=p)
+    gap = 1.0 - float(table.probs[0]) - (1.0 - (1.0 - mu) ** k)
+    if abs(gap - p * mu**k) > 1e-12:
+        out.append({"check": "planted_gap", "k": k, "mu": mu, "p": p, "value": gap})
     return out
+
+
+def check_planted() -> list[dict]:
+    """Planted construction on k in 2..6, mu in {0.1, 0.25, 0.4, 0.5},
+    p in {0.25, 0.5, 1}."""
+    return [v for k in range(2, 7) for mu in (0.1, 0.25, 0.4, 0.5)
+            for p in (0.25, 0.5, 1.0) for v in planted_violations(k, mu, p)]
+
+
+def w0_endpoint_violations(k: int, mu: float) -> list[dict]:
+    """The feasible range's endpoints equal Phi(k_even) and Phi(k_odd) within 1e-12."""
+    fr = theory.feasible_range(mu, k)
+    out = []
+    for end, value, p in (("lo", fr.lo, fr.k_even), ("hi", fr.hi, fr.k_odd)):
+        phi = theory.phi(p, mu, k)
+        if abs(value - phi) > 1e-12:
+            out.append({"check": "w0_endpoints", "k": k, "mu": mu, "end": end,
+                        "value": value, "phi": phi})
+    return out
+
+
+def w0_table_violations(k: int, mu: float, w0: float) -> list[dict]:
+    """The table ``joint_from_w0`` builds has marginals mu within 1e-12 and is
+    (k-1)-wise independent."""
+    jt = theory.joint_from_w0(mu, k, w0)
+    table = ExactTable(arms=tuple(range(k)), probs=np.asarray(jt.probs))
+    return _equal_mean_violations(table, "w0", k=k, mu=mu, w0=w0)
 
 
 def check_w0() -> list[dict]:
     """The all-zeros mass w0 pins one equal-mean (k-1)-wise independent law.
 
-    For k in 2..6 and mu in {0.1, 0.25, 0.4}: the feasible range's endpoints
-    equal Phi(k_even) and Phi(k_odd) within 1e-12; on 20 evenly spaced points
-    of the range (plus 7 for k <= 5) the rebuilt table has marginals mu within
-    1e-12 and is (k-1)-wise independent; 1e-9 outside either endpoint the raw
-    atoms go negative and ``joint_from_w0`` raises ``InfeasibleError``.
+    For k in 2..6 and mu in {0.1, 0.25, 0.4}: the endpoints of the feasible
+    range; the tables on 20 evenly spaced points of the range (plus 7 for
+    k <= 5); and 1e-9 outside either endpoint the raw atoms go negative and
+    ``joint_from_w0`` raises ``InfeasibleError``.
     """
     out = []
     for k in range(2, 7):
         for mu in (0.1, 0.25, 0.4):
+            out += w0_endpoint_violations(k, mu)
             fr = theory.feasible_range(mu, k)
-            for end, value, p in (("lo", fr.lo, fr.k_even), ("hi", fr.hi, fr.k_odd)):
-                phi = theory.phi(p, mu, k)
-                if abs(value - phi) > 1e-12:
-                    out.append({"check": "w0_endpoints", "k": k, "mu": mu, "end": end,
-                                "value": value, "phi": phi})
             sizes = (20, 7) if k <= 5 else (20,)
             for w0 in np.concatenate([np.linspace(fr.lo, fr.hi, s) for s in sizes]).tolist():
-                jt = theory.joint_from_w0(mu, k, w0)
-                table = ExactTable(arms=tuple(range(k)), probs=np.asarray(jt.probs))
-                out += _equal_mean_violations(table, "w0", k=k, mu=mu, w0=w0)
+                out += w0_table_violations(k, mu, w0)
             for w0 in (fr.lo - 1e-9, fr.hi + 1e-9):
                 min_atom = float(theory.w0_atoms(mu, k, w0).min())
                 try:
@@ -263,53 +283,63 @@ def check_w0() -> list[dict]:
     return out
 
 
-def check_mu_bar_order() -> list[dict]:
+def mu_bar_order_violations(model: str) -> list[dict]:
     """Uniform play preserves the order of the means: on the 8-arm product
-    instance 0.9, 0.8, ..., 0.2 with k1 = 3, ``mu_bar`` is strictly decreasing
-    under every feedback model."""
-    out = []
+    instance 0.9, 0.8, ..., 0.2 with k1 = 3, ``mu_bar`` is strictly decreasing."""
     prod = ProductMeasure(means=(0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2))
-    for model in theory.MODELS:
-        mu_bar = exact_query_stats(prod, range(8), k1=3, model=model).mu_bar
-        if not all(mu_bar[i] > mu_bar[i + 1] for i in range(7)):
-            out.append({"check": "mu_bar_order", "model": model, "mu_bar": mu_bar})
+    mu_bar = exact_query_stats(prod, range(8), k1=3, model=model).mu_bar
+    if all(mu_bar[i] > mu_bar[i + 1] for i in range(7)):
+        return []
+    return [{"check": "mu_bar_order", "model": model, "mu_bar": mu_bar}]
+
+
+def check_mu_bar_order() -> list[dict]:
+    """The ``mu_bar`` order under every feedback model of ``theory.MODELS``."""
+    return [v for model in theory.MODELS for v in mu_bar_order_violations(model)]
+
+
+def kl_sandwich_violations(seed: int, edge: float, count: int) -> list[dict]:
+    """``kl_bounds`` brackets ``bernoulli_kl`` within 1e-12 on ``count`` pairs
+    drawn uniformly from [edge, 1 - edge] (all x, then all y) under ``seed``."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(edge, 1 - edge, count)
+    ys = rng.uniform(edge, 1 - edge, count)
+    out = []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        lo, hi = theory.kl_bounds(x, y)
+        d = theory.bernoulli_kl(x, y)
+        if not (lo - 1e-12 <= d <= hi + 1e-12):
+            out.append({"check": "kl_sandwich", "seed": seed, "x": x, "y": y,
+                        "d": d, "lo": lo, "hi": hi})
     return out
 
 
 def check_kl_sandwich() -> list[dict]:
-    """``kl_bounds`` brackets ``bernoulli_kl`` within 1e-12 on 13,000 random
-    pairs: seed 0 (2,000 pairs in [1e-3, 1 - 1e-3]), seed 11 (1,000 in
-    [1e-4, 1 - 1e-4]) and seed 99 (10,000 in [1e-6, 1 - 1e-6]); each seed
-    draws all its x, then all its y."""
-    out = []
-    for seed, edge, count in ((0, 1e-3, 2000), (11, 1e-4, 1000), (99, 1e-6, 10_000)):
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(edge, 1 - edge, count)
-        ys = rng.uniform(edge, 1 - edge, count)
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            lo, hi = theory.kl_bounds(x, y)
-            d = theory.bernoulli_kl(x, y)
-            if not (lo - 1e-12 <= d <= hi + 1e-12):
-                out.append({"check": "kl_sandwich", "seed": seed, "x": x, "y": y,
-                            "d": d, "lo": lo, "hi": hi})
-    return out
+    """The KL sandwich on 13,000 random pairs: seed 0 (2,000 pairs in
+    [1e-3, 1 - 1e-3]), seed 11 (1,000 in [1e-4, 1 - 1e-4]) and seed 99
+    (10,000 in [1e-6, 1 - 1e-6])."""
+    return [v for seed, edge, count in ((0, 1e-3, 2000), (11, 1e-4, 1000), (99, 1e-6, 10_000))
+            for v in kl_sandwich_violations(seed, edge, count)]
+
+
+def calT_violations(tau: float, n: int, kp: int, delta: float) -> list[dict]:
+    """calT(k' tau) <= 2 k' calT(tau) + 1e-9."""
+    lhs = theory.calT(tau * kp, n, delta)
+    rhs = 2 * kp * theory.calT(tau, n, delta)
+    if lhs <= rhs + 1e-9:
+        return []
+    return [{"check": "calT_identity", "tau": tau, "n": n, "k_prime": kp,
+             "delta": delta, "lhs": lhs, "rhs": rhs}]
 
 
 def check_calT() -> list[dict]:
-    """calT(k' tau) <= 2 k' calT(tau) + 1e-9 on three grids, 180 points."""
+    """The calT identity on three grids, 180 points."""
     points = [(tau, 16, kp, 0.05) for tau in (0.5, 3.0, 40.0, 1e3) for kp in (1, 2, 5, 11)]
     points += [(tau, n, kp, 0.1) for tau in (0.3, 1.0, 4.0, 20.0, 1e3, 1e5)
                for n in (2, 10, 50, 200) for kp in (1, 2, 3, 5, 7, 11) if kp <= n]
     points += [(tau, n, kp, 0.1) for tau in (0.5, 2.0, 17.0, 300.0, 1e4)
                for n in (2, 8, 64) for kp in range(1, n + 1, max(1, n // 4))]
-    out = []
-    for tau, n, kp, delta in points:
-        lhs = theory.calT(tau * kp, n, delta)
-        rhs = 2 * kp * theory.calT(tau, n, delta)
-        if lhs > rhs + 1e-9:
-            out.append({"check": "calT_identity", "tau": tau, "n": n, "k_prime": kp,
-                        "delta": delta, "lhs": lhs, "rhs": rhs})
-    return out
+    return [v for point in points for v in calT_violations(*point)]
 
 
 CHECKS = (check_planted, check_w0, check_mu_bar_order, check_kl_sandwich, check_calT)

@@ -221,6 +221,14 @@ def test_verify_subcommand():
     assert elapsed < 5.0, elapsed
 
 
+def test_verify_detects_violations(monkeypatch, capsys):
+    # the CLI prints whatever verify_all reports, one JSON object per line
+    monkeypatch.setattr(oracle, "verify_all", lambda: [{"check": "synthetic", "k": 2}])
+    assert main(["verify"]) == EXIT_VERIFY_FAIL
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
+        {"check": "synthetic", "k": 2}]
+
+
 def _product_law(self, arms):
     return ProductMeasure(means=(self.mu,) * len(arms)).exact_probs(range(len(arms)))
 

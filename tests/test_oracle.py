@@ -14,8 +14,10 @@ from bestofk.oracle import (
     exact_query_stats,
     exact_table,
     independence_check,
+    mu_bar_order_violations,
+    planted_violations,
 )
-from bestofk.theory import poisson_binomial_pmf
+from bestofk.theory import MODELS, poisson_binomial_pmf
 
 
 class TestExactPlantedTable:
@@ -39,6 +41,12 @@ class TestExactPlantedTable:
         m = make_planted(20, 6, 0.3, 0.5)
         with pytest.raises(DomainError, match="capped at 14"):
             exact_table(m, range(15))
+
+    @pytest.mark.parametrize("mu", [0.1, 0.25, 0.4, 0.5])
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
+    def test_marginals_and_gap_grid(self, mu, p):
+        # one (p, mu) cell of oracle.check_planted, so a failure names its cell
+        assert [v for k in range(2, 7) for v in planted_violations(k, mu, p)] == []
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_permutation_invariance_inside_planted_set(self, k):
@@ -94,6 +102,11 @@ class TestExactQueryStats:
         stats = exact_query_stats(m, range(4), k1=2, model="semi")
         for i in range(4):
             assert stats.mu_bar[i] == pytest.approx(m.means[i], abs=1e-15)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_order_preserving(self, model):
+        # one model of oracle.check_mu_bar_order
+        assert mu_bar_order_violations(model) == []
 
     def test_topoff_changes_bandit_rate(self):
         m = ProductMeasure(means=(0.5, 0.4, 0.3, 0.9, 0.1))

@@ -7,6 +7,12 @@ import numpy as np
 import pytest
 
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
+from bestofk.oracle import (
+    calT_violations,
+    kl_sandwich_violations,
+    w0_endpoint_violations,
+    w0_table_violations,
+)
 from bestofk.theory import (
     GapProfile,
     bernoulli_kl,
@@ -41,6 +47,10 @@ class TestBernoulliKL:
         assert bernoulli_kl(0.0, 0.3) == pytest.approx(-math.log(0.7))
         assert bernoulli_kl(1.0, 0.3) == pytest.approx(-math.log(0.3))
 
+    def test_sandwich_random_pairs(self):
+        # the seed-11 cell of oracle.check_kl_sandwich
+        assert kl_sandwich_violations(11, 1e-4, 1000) == []
+
 
 class TestCalT:
     def test_reference_value(self):
@@ -51,6 +61,12 @@ class TestCalT:
         taus = np.linspace(0.5, 500, 50)
         vals = [calT(float(t), 7, 0.05) for t in taus]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_doubling_identity_grid(self):
+        # one of oracle.check_calT's three grids
+        assert [v for tau in (0.5, 2.0, 17.0, 300.0, 1e4) for n in (2, 8, 64)
+                for kp in range(1, n + 1, max(1, n // 4))
+                for v in calT_violations(tau, n, kp, 0.1)] == []
 
     def test_domain_rejection(self):
         with pytest.raises(DomainError):
@@ -322,6 +338,11 @@ class TestFeasibility:
         assert fr.hi == pytest.approx(0.4375, abs=1e-12)
         assert fr.lo <= 0.75**3 <= fr.hi
 
+    def test_endpoints_match_phi(self):
+        # the endpoint part of oracle.check_w0
+        assert [v for mu in (0.1, 0.25, 0.4) for k in range(2, 7)
+                for v in w0_endpoint_violations(k, mu)] == []
+
     def test_phi_closed_form(self):
         for mu in (0.05, 0.2, 0.45):
             rho = mu / (1 - mu)
@@ -368,6 +389,14 @@ class TestJointFromW0:
     def test_round_trip_w0(self):
         jt = joint_from_w0(0.3, 4, 0.25)
         assert jt.probs[0] == pytest.approx(0.25, abs=1e-12)
+
+    def test_marginals_and_independence_on_grid(self):
+        # the 7-point part of oracle.check_w0's grid
+        for mu in (0.1, 0.25, 0.4):
+            for k in (2, 3, 4, 5):
+                fr = feasible_range(mu, k)
+                for w0 in np.linspace(fr.lo, fr.hi, 7).tolist():
+                    assert w0_table_violations(k, mu, w0) == []
 
     def test_outside_raises_with_negative_atom(self):
         fr = feasible_range(0.25, 3)
