@@ -16,7 +16,6 @@ from .measures import (
     PlantedMeasure,
     ProductMeasure,
     expected_max,
-    from_coverage,
     make_planted,
     planted_gap,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "PlantedMeasure",
     "ProductMeasure",
     "expected_max",
-    "from_coverage",
     "make_planted",
     "planted_gap",
     "Observation",

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
 from .kernels import play_arms, queries_per_play, record_plays
 from .measures import Measure, marginal_means, sample_matrix
-from .theory import MODELS
+from .theory import check_model
 from .trial import StageRecord, TrialRecord
 
 __all__ = [
@@ -279,8 +279,7 @@ def run_identification(
     Bandit mode rejects instances with a unit mean (they are unidentifiable
     from max-only feedback).
     """
-    if model not in MODELS:
-        raise DomainError(f"unknown model {model!r}")
+    check_model(model)
     if stage_cap < 1:
         raise DomainError("stage_cap must be >= 1")
     n = env.n

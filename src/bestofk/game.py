@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError
-from .theory import MODELS
+from .theory import check_model
 
 __all__ = ["Observation", "validate_query", "observe"]
 
@@ -56,8 +56,7 @@ class Observation:
 def observe(x: np.ndarray, query: Iterable[int], model: str,
             rng: np.random.Generator) -> Observation:
     """Apply one feedback channel to a realized reward vector."""
-    if model not in MODELS:
-        raise DomainError(f"unknown model {model!r}")
+    check_model(model)
     q = validate_query(query, n=len(x))
     vals = np.asarray([x[a] for a in q], dtype=np.uint8)
     if model == "bandit":

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-import reprlib
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,8 +21,8 @@ import numpy as np
 from .baselines import parity_identify, subset_arm_identify
 from .elimination import STAGE_CAP, run_identification
 from .errors import DomainError, MismatchError
-from .measures import Measure, _is_int, _is_number, measure_from_dict, optimal_subset
-from .theory import MODELS, BoundReport
+from .measures import Measure, checked, document, measure_from_dict, optimal_subset, read_fields
+from .theory import BoundReport, check_model
 from .trial import TrialRecord
 
 __all__ = [
@@ -36,21 +35,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("elimination", "subset_arm", "parity")
-
-_CONFIG_FIELDS = {
-    # key: (check, what a well-formed value is)
-    "k": (_is_int, "an integer"),
-    "replicates": (_is_int, "an integer"),
-    "base_seed": (_is_int, "an integer"),
-    "stage_cap": (_is_int, "an integer"),
-    "delta": (_is_number, "a number"),
-    "model": (lambda value: isinstance(value, str), "a string"),
-    "algorithm": (lambda value: isinstance(value, str), "a string"),
-    "exact_k_mode": (lambda value: value is None or isinstance(value, bool), "a bool or null"),
-    "out": (lambda value: value is None or isinstance(value, str), "a string or null"),
-    "trace": (lambda value: isinstance(value, bool), "a bool"),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,19 +51,11 @@ class ExperimentConfig:
     trace: bool = False
 
     def __post_init__(self):
-        for key, (check, what) in _CONFIG_FIELDS.items():
-            value = getattr(self, key)
-            if not check(value):
-                raise DomainError(
-                    f"config key {key!r} must be {what}, got {reprlib.repr(value)}"
-                )
-            if check is _is_int:
-                # numpy integers pass the check but not json.dumps
-                object.__setattr__(self, key, int(value))
+        for f in fields(self):
+            object.__setattr__(self, f.name, checked("config", f.name, getattr(self, f.name)))
         if self.algorithm not in ALGORITHMS:
             raise DomainError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.model not in MODELS:
-            raise DomainError(f"unknown model {self.model!r}")
+        check_model(self.model)
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
         if self.base_seed < 0:
@@ -102,15 +78,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        doc = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise DomainError(f"unknown config keys: {sorted(extra)}")
-        return cls(**doc)
+        return cls(**read_fields(cls, json.loads(text), "config"))
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(document(self), sort_keys=True)
 
 
 def replicate_rng(base_seed: int, replicate: int) -> np.random.Generator:
@@ -131,19 +102,10 @@ class ExperimentSummary:
     success_ci: tuple[float, float] | None
     query_quantiles: dict[str, float]
     inconclusive: int
-    config_echo: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "summary",
-            "replicates": self.replicates,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "success_ci": list(self.success_ci) if self.success_ci else None,
-            "query_quantiles": self.query_quantiles,
-            "inconclusive": self.inconclusive,
-            "config": self.config_echo,
-        }
+        return document(self, kind="summary")
 
 
 def _wilson_interval(successes: int, total: int) -> tuple[float, float]:
@@ -188,7 +150,7 @@ def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> Exper
         success_ci=ci,
         query_quantiles=qs,
         inconclusive=sum(1 for r in records if r.inconclusive),
-        config_echo=echo,
+        config=echo,
     )
 
 
@@ -231,7 +193,7 @@ def _write_stage_trace(path: Path, records: Sequence[TrialRecord]) -> None:
     with open(path, "w") as fh:
         for rec in sorted(records, key=lambda r: r.replicate or 0):
             for stage in rec.stage_log:
-                doc = {"kind": "stage", "replicate": rec.replicate, **stage.to_dict()}
+                doc = document(stage, kind="stage", replicate=rec.replicate)
                 fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
@@ -255,7 +217,7 @@ def compare_to_bounds(summary: ExperimentSummary, bounds: Sequence[BoundReport])
     """
     if summary.replicates == 0:
         raise DomainError("empty summary")
-    cfg = summary.config_echo
+    cfg = summary.config
     n_cfg = cfg.get("measure", {}).get("n")
     report: dict[str, dict] = {}
     median = summary.query_quantiles["median"]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
 from .measures import fold_columns
-from .theory import MODELS
+from .theory import check_model
 
 __all__ = [
     "active_backend",
@@ -79,8 +78,7 @@ def record_plays(
     recorded slot that reads 1, marked the uniformly chosen winner if its
     slot is recorded.
     """
-    if model not in MODELS:
-        raise DomainError(f"unknown model {model!r}")
+    check_model(model)
     if model == "bandit":
         hit = fold_columns(bits, np.bitwise_or).astype(bool)[:, :, None]
     elif model == "semi":

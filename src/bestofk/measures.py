@@ -13,7 +13,7 @@ Four measure families are supported:
 Each family lives in one ``Measure`` subclass that holds its sampler
 (``draw``), exact marginals and E[max], exact law by enumeration
 (``exact_probs``, the oracle's source), best k-subset (``optimum``) and
-document (``to_dict``: the class's fields).  ``sample_matrix``,
+document (``to_dict``: the class's compared fields).  ``sample_matrix``,
 ``marginal_means``, ``expected_max``, ``optimal_subset`` and
 ``measure_to_dict`` stay as checked module-level entry points; the
 benchmark's tracer times ``sample_matrix`` and ``optimal_subset`` by name.
@@ -48,7 +48,6 @@ __all__ = [
     "SUBSET_CAP",
     "make_planted",
     "planted_gap",
-    "from_coverage",
     "sample_matrix",
     "fold_columns",
     "expected_max",
@@ -68,6 +67,8 @@ TABLE_NORMALIZATION_TOL = 1e-9
 TABLE_ROUNDING_TOL = 64 * np.finfo(float).eps
 # Most k-subsets an enumeration over all of them may score.
 SUBSET_CAP = 100_000
+# Largest planted k: the gap p * mu**k <= 2**-k, and 2**-1075 is 0.0 in floating point.
+PLANTED_K_MAX = 1074
 
 
 class Measure(ABC):
@@ -109,20 +110,7 @@ class Measure(ABC):
         return best
 
     def to_dict(self) -> dict:
-        doc = {"type": self.kind, "n": self.n}
-        for f in fields(self):
-            if f.compare:
-                doc[f.name] = _plain(getattr(self, f.name))
-        return doc
-
-
-def _plain(value):
-    """A field value as JSON data: tuples become lists, sets sorted lists."""
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
+        return document(self, type=self.kind, n=self.n)
 
 
 def _product_probs(means: Sequence[float]) -> np.ndarray:
@@ -210,6 +198,8 @@ class PlantedMeasure(Measure):
         object.__setattr__(self, "k", int(self.k))
         if not (2 <= self.k <= self.n):
             raise DomainError(f"need 2 <= k <= n, got k={self.k}, n={self.n}")
+        if self.k > PLANTED_K_MAX:
+            raise DomainError(f"need k <= {PLANTED_K_MAX} (the gap underflows), got k={self.k}")
         if not (0.0 < self.mu <= 0.5):
             raise DomainError(f"need 0 < mu <= 1/2, got mu={self.mu}")
         if not (0.0 <= self.p <= 1.0):
@@ -369,14 +359,16 @@ class JointTableMeasure(Measure):
         object.__setattr__(self, "k", int(self.k))
         if self.k < 1:
             raise DomainError("dimension k must be >= 1")
-        if len(self.probs) != 2**self.k:
-            raise DomainError(f"need 2**k = {2**self.k} atoms, got {len(self.probs)}")
+        atoms = len(self.probs)
+        # bit lengths first: 2**k for a huge k would not fit in memory
+        if atoms.bit_length() != self.k + 1 or atoms != 1 << self.k:
+            raise DomainError(f"need 2**k atoms for k={self.k}, got {atoms}")
         probs = np.asarray(self.probs, dtype=float)
         if np.any(probs < -1e-12):
             raise DomainError("negative atom probability")
         probs = np.clip(probs, 0.0, None)
         total = float(probs.sum())
-        if abs(total - 1.0) > TABLE_NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= TABLE_NORMALIZATION_TOL:  # NaN mass fails too
             raise DomainError(f"atom mass {total} deviates from 1 beyond {TABLE_NORMALIZATION_TOL}")
         if abs(total - 1.0) > TABLE_ROUNDING_TOL:
             probs = probs / total
@@ -427,11 +419,6 @@ def planted_gap(mu: float, p: float, k: int) -> float:
     if not (0.0 < p <= 1.0):
         raise DomainError(f"need 0 < p <= 1, got p={p}")
     return p * mu**k
-
-
-def from_coverage(m: int, sets: Sequence[Iterable[int]]) -> CoverageMeasure:
-    """Coverage measure: arm i is the indicator of ``sets[i]`` under a uniform element."""
-    return CoverageMeasure(m=m, sets=tuple(frozenset(s) for s in sets))
 
 
 def sample_matrix(measure: Measure, rng: np.random.Generator, size: int,
@@ -491,7 +478,8 @@ def optimal_subset(measure: Measure, k: int) -> tuple[int, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: structured text documents, exact for binary rationals.
+# Documents: one key -> check table and one reader for every config and
+# measure key, one writer for every record.  Floats round-trip exactly.
 # ---------------------------------------------------------------------------
 
 def measure_to_dict(measure: Measure) -> dict:
@@ -506,12 +494,16 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is(*types):
+    return lambda value: isinstance(value, types)
+
+
 def _list_of(check):
     return lambda value: isinstance(value, (list, tuple)) and all(check(v) for v in value)
 
 
-_FIELDS = {
-    # key: (check, what a well-formed value is)
+FIELDS = {
+    # key: (check, what a well-formed value is); measure keys
     "n": (_is_int, "an integer"),
     "k": (_is_int, "an integer"),
     "m": (_is_int, "an integer"),
@@ -521,39 +513,98 @@ _FIELDS = {
     "probs": (_list_of(_is_number), "a list of numbers"),
     "planted_set": (_list_of(_is_int), "a list of integers"),
     "sets": (_list_of(_list_of(_is_int)), "a list of integer lists"),
+    # config keys (k is shared)
+    "measure": (_is(dict), "an object"),
+    "model": (_is(str), "a string"),
+    "delta": (_is_number, "a number"),
+    "algorithm": (_is(str), "a string"),
+    "replicates": (_is_int, "an integer"),
+    "base_seed": (_is_int, "an integer"),
+    "exact_k_mode": (_is(bool, type(None)), "a bool or null"),
+    "stage_cap": (_is_int, "an integer"),
+    "out": (_is(str, type(None)), "a string or null"),
+    "trace": (_is(bool), "a bool"),
 }
+
+
+def checked(label: str, key: str, value):
+    """``value`` if it passes the ``FIELDS`` check of ``key``, else a ``DomainError``.
+
+    Integers come back as plain ``int``: numpy integers pass the check but
+    not ``json.dumps``.
+    """
+    check, what = FIELDS[key]
+    if not check(value):
+        raise DomainError(f"{label} key {key!r} must be {what}, got {reprlib.repr(value)}")
+    return int(value) if check is _is_int else value
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise DomainError(f"a {what} document must be an object, got {reprlib.repr(doc)}")
+    return doc
+
+
+def read_fields(cls, doc, label: str, ignored: Sequence[str] = ()) -> dict:
+    """Checked keyword arguments for the dataclass ``cls`` from the JSON value ``doc``.
+
+    ``doc`` must be an object whose keys are compared fields of ``cls`` or
+    ``ignored`` keys (the caller reads those).  Every field without a default
+    must be present, and every value present must pass its ``FIELDS`` check.
+    Each failure is a one-line ``DomainError`` naming ``label``.
+    """
+    compared = [f for f in fields(cls) if f.compare]
+    unknown = set(_object(doc, label)) - set(ignored) - {f.name for f in compared}
+    if unknown:
+        raise DomainError(f"unknown {label} keys: {sorted(unknown)}")
+    values = {}
+    for f in compared:
+        if f.name in doc:
+            values[f.name] = checked(label, f.name, doc[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise DomainError(f"{label} document lacks the key {f.name!r}")
+    return values
+
+
+def _plain(value):
+    """A value as JSON data: tuples become lists, sets sorted lists, dict keys strings.
+
+    String keys keep ``json.dumps(..., sort_keys=True)`` sorting key 10
+    before key 2, as the written trace files do.
+    """
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return value
+
+
+def document(record, **head) -> dict:
+    """``head`` and the compared fields of the dataclass ``record``, as JSON data.
+
+    A field declared ``compare=False`` is derived or volatile and is never written.
+    """
+    doc = dict(head)
+    for f in fields(record):
+        if f.compare:
+            doc[f.name] = _plain(getattr(record, f.name))
+    return doc
 
 
 def measure_from_dict(doc: dict) -> Measure:
     """Rebuild a measure from its document; a malformed document raises ``DomainError``.
 
     ``type`` picks the family; the other keys are its compared fields (those
-    with a default may be left out), each checked against ``_FIELDS``, and
-    an optional ``n`` that must equal the measure's arm count.
+    with a default may be left out), read by ``read_fields``, and an optional
+    ``n`` that must equal the measure's arm count.
     """
-    if not isinstance(doc, dict):
-        raise DomainError(f"a measure document must be an object, got {type(doc).__name__}")
-    kind = doc.get("type")
+    kind = _object(doc, "measure").get("type")
     cls = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DomainError(f"unknown measure type {kind!r}")
-    compared = [f for f in fields(cls) if f.compare]
-    extra = set(doc) - {"type", "n"} - {f.name for f in compared}
-    if extra:
-        raise DomainError(f"unknown {kind} measure keys: {sorted(extra)}")
-    values = {}
-    for f in compared:
-        if f.name not in doc:
-            if f.default is MISSING:
-                raise DomainError(f"{kind} measure document lacks the key {f.name!r}")
-            continue
-        check, what = _FIELDS[f.name]
-        if not check(doc[f.name]):
-            raise DomainError(
-                f"{kind} measure key {f.name!r} must be {what}, got {reprlib.repr(doc[f.name])}"
-            )
-        values[f.name] = doc[f.name]
-    measure = cls(**values)
+    measure = cls(**read_fields(cls, doc, f"{kind} measure", ignored=("type", "n")))
     if "n" in doc and not (_is_int(doc["n"]) and doc["n"] == measure.n):
         raise DomainError(f"{kind} measure key 'n' must be its arm count {measure.n}, "
                           f"got {reprlib.repr(doc['n'])}")

@@ -144,8 +144,7 @@ def exact_query_stats(
         raise DomainError(f"enumeration capped at {ENUMERATION_CAP} arms")
     if not (1 <= k1 <= len(u_prime)):
         raise DomainError("need 1 <= k1 <= |u_prime|")
-    if model not in theory.MODELS:
-        raise DomainError(f"unknown model {model!r}")
+    theory.check_model(model)
 
     k2 = 0 if k is None else max(0, k - k1)
     topoffs = _topoff_support(tuple(reject_pool), tuple(accept_pool), k2)

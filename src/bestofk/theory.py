@@ -55,7 +55,8 @@ LOG2E = math.log2(math.e)
 MODELS = ("bandit", "marked", "semi")
 
 
-def _check_model(model: str) -> None:
+def check_model(model: str) -> None:
+    """Raise ``DomainError`` unless ``model`` names one of ``MODELS``."""
     if model not in MODELS:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
 
@@ -195,7 +196,7 @@ def info_sharing(means: Sequence[float], k: int, model: str) -> float:
     Poisson-binomial pmf.  bandit: product of (1 - mean) over the same arms
     (0 when some mean is 1, which destroys identifiability).  semi: 1.
     """
-    _check_model(model)
+    check_model(model)
     if k < 1:
         raise DomainError("k must be >= 1")
     if len(means) < k - 1:
@@ -280,7 +281,7 @@ def tau_terms(profile: GapProfile, model: str) -> list[float]:
     bandit: 66/gap + 2560 * [2(1-mu_{k+1})mu_i + (1-mu_{k+1})^2 (1-H^B)] / gap^2
             (top side; mirrored below), an upper bound on the true term.
     """
-    _check_model(model)
+    check_model(model)
     k, means, gaps, variances = profile.k, profile.means, profile.gaps, profile.variances
     n = profile.n
     if model == "semi":
@@ -320,7 +321,7 @@ def upper_bound_total(profile: GapProfile, model: str, delta: float,
     bandit: 20 T(tau^B_(1)/H^B) + (5/k) sum_{i>k} T(tau^B_(i)/H^B); requires
             n >= 7k/2 and every mean < 1.
     """
-    _check_model(model)
+    check_model(model)
     n, k = profile.n, profile.k
     inputs = {"model": model, "n": n, "k": k, "delta": delta,
               "means": profile.means, "fewer_than_k_allowed": fewer_than_k_allowed}
@@ -378,7 +379,7 @@ def dependent_lower_bound(n: int, k: int, mu: float, p: float, delta: float,
     semi:
         (2/3) mu^{2k} (1-p) C(n,k) gap^-2 log(1/(2 delta))
     """
-    _check_model(model)
+    check_model(model)
     if not (2 <= k < n):
         raise DomainError("need 2 <= k < n")
     if not (0.0 < mu <= 0.5):
@@ -443,7 +444,7 @@ def independent_lower_bound(means: Sequence[float], k: int, p_pull: int,
     semi:   j >= k: (1-mu-D) mu / D^2;            j < k: (1-mu)(mu-D)/D^2
     Total: (max_j tau_j + (1/p_pull) sum_j tau_j) log(1/(2 delta)).
     """
-    _check_model(model)
+    check_model(model)
     if model == "marked":
         raise DomainError("the independent lower bound covers bandit and semi observations")
     if not (0.0 < delta < 0.5):

@@ -1,8 +1,15 @@
-"""Shared result records for identification runs (all algorithms emit these)."""
+"""Shared result records for identification runs (all algorithms emit these).
+
+A record's document is its compared fields: a field declared
+``compare=False`` (a timing, the per-stage log) is neither written nor part
+of equality, so results files are byte-identical across reruns of a seed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .measures import document
 
 __all__ = ["StageRecord", "TrialRecord"]
 
@@ -23,29 +30,14 @@ class StageRecord:
     accepted_now: tuple[int, ...]
     rejected_now: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "undecided": self.undecided,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "balancing": self.balancing,
-            "sample_size": self.sample_size,
-            "queries": self.queries,
-            "mu_hat": {str(i): v for i, v in sorted(self.mu_hat.items())},
-            "c_hat": {str(i): v for i, v in sorted(self.c_hat.items())},
-            "accepted_now": list(self.accepted_now),
-            "rejected_now": list(self.rejected_now),
-        }
-
 
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one identification run.
 
     ``success`` stays None when the instance has no known unique answer.
-    ``wall_time`` is measured but never serialized (results files must be
-    byte-identical across reruns of the same seed).
+    ``wall_time`` is measured but never written; ``stage_log`` goes to the
+    stage trace, not to the results file.
     """
 
     returned: tuple[int, ...]
@@ -55,20 +47,9 @@ class TrialRecord:
     replicate: int | None = None
     seed: int | None = None
     success: bool | None = None
-    wall_time: float | None = None
+    wall_time: float | None = field(default=None, compare=False)
     warnings: tuple[str, ...] = ()
-    stage_log: tuple[StageRecord, ...] = field(default=(), repr=False)
+    stage_log: tuple[StageRecord, ...] = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        # wall_time deliberately omitted: files must be deterministic
-        return {
-            "kind": "trial",
-            "replicate": self.replicate,
-            "seed": self.seed,
-            "returned": list(self.returned),
-            "success": self.success,
-            "total_queries": self.total_queries,
-            "stages": self.stages,
-            "inconclusive": self.inconclusive,
-            "warnings": list(self.warnings),
-        }
+        return document(self, kind="trial")

@@ -166,6 +166,7 @@ def test_malformed_measure_is_one_line_error(tmp_path):
 
 
 TRACE_NEEDS_ELIMINATION = "error: trace needs algorithm 'elimination': the baselines keep no stage log"
+DROP = object()  # an override that removes the key
 
 
 @pytest.mark.parametrize(
@@ -185,14 +186,26 @@ TRACE_NEEDS_ELIMINATION = "error: trace needs algorithm 'elimination': the basel
          "error: unknown planted measure keys: ['planted']"),
         ({"measure": {"type": "product", "n": 5, "means": [0.9, 0.6, 0.2]}},
          "error: product measure key 'n' must be its arm count 3, got 5"),
+        ({"measure": {"type": "joint_table", "k": 20000, "probs": [0.5, 0.5]}},
+         "error: need 2**k atoms for k=20000, got 2"),
+        ({"delta": DROP}, "error: config document lacks the key 'delta'"),
+        # a root that is not an object replaces the whole document
+        ([], "error: a config document must be an object, got []"),
+        ("x", "error: a config document must be an object, got 'x'"),
+        (5, "error: a config document must be an object, got 5"),
+        (None, "error: a config document must be an object, got None"),
     ],
     ids=["subset_arm-stage_cap-0", "elimination-stage_cap-0", "k-str", "base_seed-negative",
          "k-above-n", "k-0", "subset_arm-trace", "parity-trace", "subset_arm-exact_k_mode",
-         "measure-unknown-key", "measure-n-mismatch"],
+         "measure-unknown-key", "measure-n-mismatch", "joint-table-huge-k", "no-delta",
+         "root-list", "root-str", "root-int", "root-null"],
 )
 def test_bad_config_is_one_line_error(tmp_path, overrides, message):
-    doc = {"measure": measure_to_dict(ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))),
-           "model": "semi", "k": 2, "delta": 0.1, **overrides}
+    doc = overrides
+    if isinstance(overrides, dict):
+        doc = {"measure": measure_to_dict(ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))),
+               "model": "semi", "k": 2, "delta": 0.1, **overrides}
+        doc = {key: value for key, value in doc.items() if value is not DROP}
     done = _run_cli(tmp_path, doc)
     assert done.returncode == EXIT_USAGE
     assert done.stderr.splitlines() == [message]

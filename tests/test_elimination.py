@@ -17,7 +17,7 @@ from bestofk.elimination import (
     stage_play,
 )
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
-from bestofk.measures import ProductMeasure, from_coverage, make_planted
+from bestofk.measures import CoverageMeasure, ProductMeasure, make_planted
 from bestofk.oracle import exact_query_stats
 from bestofk.theory import inversion_sample_size, kappa_constants, true_variance_radius
 
@@ -419,7 +419,7 @@ class TestStagePlayConsistency:
     # queried arms, so each query must still see their joint law
     DEPENDENT = {
         "planted": make_planted(7, 3, 0.4, 0.8, planted_set=(0, 2, 4)),
-        "coverage": from_coverage(
+        "coverage": CoverageMeasure(
             8, [{0, 1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {6, 7, 0}, {1, 4}, {7}]
         ),
     }

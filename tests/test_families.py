@@ -23,7 +23,6 @@ from bestofk.measures import (
     ProductMeasure,
     dumps,
     expected_max,
-    from_coverage,
     loads,
     make_planted,
     marginal_means,
@@ -52,7 +51,7 @@ def planted(draw):
 @st.composite
 def coverages(draw):
     m = draw(st.integers(1, 10))
-    return from_coverage(m, draw(st.lists(st.frozensets(st.integers(0, m - 1)),
+    return CoverageMeasure(m, draw(st.lists(st.frozensets(st.integers(0, m - 1)),
                                           min_size=1, max_size=6)))
 
 
@@ -82,7 +81,7 @@ FAMILIES = {
         planted(),
     ),
     "coverage": Family(
-        CoverageMeasure, from_coverage(6, [{0, 1}, {4, 2}, set(), {5, 1, 3}, {0, 2, 4}]),
+        CoverageMeasure, CoverageMeasure(6, [{0, 1}, {4, 2}, set(), {5, 1, 3}, {0, 2, 4}]),
         '{"m": 6, "n": 5, "sets": [[0, 1], [2, 4], [], [1, 3, 5], [0, 2, 4]],'
         ' "type": "coverage"}',
         coverages(),

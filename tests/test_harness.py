@@ -17,7 +17,7 @@ from bestofk.harness import (
     run_experiment,
     summarize,
 )
-from bestofk.measures import measure_to_dict, make_planted, ProductMeasure
+from bestofk.measures import FIELDS, measure_from_dict, measure_to_dict, make_planted, ProductMeasure
 from bestofk.theory import BoundReport, GapProfile, upper_bound_total
 
 
@@ -33,6 +33,40 @@ def _product_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+MEASURE_DOCS = [
+    {"type": "product", "n": 3, "means": [0.9, 0.5, 0.2]},
+    {"type": "planted", "n": 5, "k": 2, "mu": 0.4, "p": 0.5, "planted_set": [1, 3]},
+    {"type": "coverage", "m": 4, "sets": [[0, 1], [2], [1, 3]]},
+    {"type": "joint_table", "k": 2, "probs": [0.1, 0.2, 0.3, 0.4]},
+]
+CONFIG_DOC = {"model": "semi", "k": 2, "delta": 0.1, "algorithm": "elimination",
+              "replicates": 2, "base_seed": 0, "exact_k_mode": None, "stage_cap": 5, "out": None,
+              "trace": False}
+
+
+def _near(docs, **values):
+    """One of ``docs`` (its keys also drawn from ``values``) with some keys dropped, some
+    holding any JSON value, and maybe one more key, known elsewhere or unknown."""
+    def mutate(doc, drop, new, extra):
+        return {**{k: v for k, v in doc.items() if k not in drop}, **new, **extra}
+
+    def variants(doc):
+        own = st.sampled_from(sorted(doc) + sorted(values))
+        other = st.sampled_from(sorted({*FIELDS, "type"})) | st.text(max_size=4)
+        doc = st.fixed_dictionaries({**{k: st.just(v) for k, v in doc.items()}, **values})
+        return st.builds(mutate, doc, st.sets(own, max_size=2),
+                         st.dictionaries(own, JSON, max_size=2),
+                         st.dictionaries(other, JSON, max_size=1))
+
+    return st.sampled_from(docs).flatmap(variants)
 
 
 class TestConfig:
@@ -140,6 +174,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig.from_json('{"measure": {}, "model": "semi", "k": 1, "delta": 0.1, "zzz": 1}')
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_json_loads_or_is_a_domain_error(self, data):
+        # any root; or a well-formed config or measure document with keys dropped, keys
+        # holding any JSON value and unknown keys added
+        doc = data.draw(JSON | _near(MEASURE_DOCS) | _near([CONFIG_DOC], measure=_near(MEASURE_DOCS)))
+        for load in (lambda: ExperimentConfig.from_json(json.dumps(doc)),
+                     lambda: measure_from_dict(doc)):
+            try:
+                load()
+            except DomainError as exc:
+                assert "\n" not in str(exc)
+
 
 class TestSeeding:
     def test_replicates_are_distinct_streams(self):
@@ -208,6 +255,47 @@ class TestRunExperiment:
             records, summary = run_experiment(cfg)
             assert summary.replicates == 3
             assert all(r.success is not None for r in records)
+
+
+# (config document, sha256 of its results file, of its .trace file or None): between
+# them the three feedback models, the four measure families and the three algorithms
+GOLDEN = {
+    "product-semi-elimination-traced": (
+        {"measure": {"type": "product", "n": 5, "means": [0.9, 0.7, 0.4, 0.2, 0.1]},
+         "model": "semi", "k": 2, "delta": 0.1, "replicates": 3, "base_seed": 11, "trace": True},
+        "6a07fc9a740509ee9a93c0b84a83bb38f491e461624e70b2e1b1819df83a3d63",
+        "6c8242aa9e529201d86b11fd134fb1ea063db4c2eee438ce0304e88f5bd61981"),
+    "planted-bandit-subset_arm": (
+        {"measure": {"type": "planted", "n": 4, "k": 2, "mu": 0.5, "p": 1.0},
+         "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 3,
+         "base_seed": 12},
+        "cbd2e3e4b5172853ff7b0dc132ae6b9213110e38f5232ea42abfd2e2573c27a5", None),
+    "coverage-marked-elimination": (
+        {"measure": {"type": "coverage", "m": 10, "sets": [[0, 1, 2, 3], [4, 5, 6], [7], [8]]},
+         "model": "marked", "k": 2, "delta": 0.1, "replicates": 3, "base_seed": 13},
+        "6eaafb4d84cdf6d4aa2497b44c7d8393f5efbc619fc6ace25b7121855f95982b", None),
+    "joint_table-bandit-elimination": (
+        {"measure": {"type": "joint_table", "k": 3,
+                     "probs": [0.2, 0.3, 0.1, 0.1, 0.05, 0.1, 0.05, 0.1]},
+         "model": "bandit", "k": 1, "delta": 0.1, "replicates": 3, "base_seed": 14},
+        "a17b429be410153a7b1da421e00dedd326bba1455af2abeefc129ba568cef839", None),
+    "planted-semi-parity": (
+        {"measure": {"type": "planted", "n": 4, "k": 2, "mu": 0.5, "p": 1.0},
+         "model": "semi", "k": 2, "delta": 0.1, "algorithm": "parity", "replicates": 3,
+         "base_seed": 15},
+        "92670a1cb9036827a68e13d00fac36fe62f7fbfc7fe5ddde99fad4f60d609b15", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_results_bytes_are_pinned(tmp_path, name):
+    # a change to what a run draws, decides or writes shows here as a new hash
+    doc, results_sha, trace_sha = GOLDEN[name]
+    out = tmp_path / "r.jsonl"
+    run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "out": str(out)})))
+    written = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+               for path in (out, tmp_path / "r.jsonl.trace")]
+    assert written == [results_sha, trace_sha]
 
 
 class TestSummaries:

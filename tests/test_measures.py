@@ -17,7 +17,6 @@ from bestofk.measures import (
     dumps,
     expected_max,
     fold_columns,
-    from_coverage,
     loads,
     make_planted,
     measure_from_dict,
@@ -58,7 +57,7 @@ class TestConstruction:
 
     def test_coverage_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            from_coverage(4, [{0, 4}])
+            CoverageMeasure(4, [{0, 4}])
 
     def test_joint_table_normalization(self):
         probs = [0.25, 0.25, 0.25, 0.25 + 5e-10]
@@ -101,7 +100,7 @@ class TestExpectedMax:
     def test_unit_mean_dominates(self):
         m = ProductMeasure(means=(1.0, 0.2, 0.3))
         assert expected_max(m, (0, 2)) == 1.0
-        cov = from_coverage(4, [set(range(4)), {0}])
+        cov = CoverageMeasure(4, [set(range(4)), {0}])
         assert expected_max(cov, (0, 1)) == 1.0
 
     def test_empty_rejected(self):
@@ -124,16 +123,16 @@ class TestExpectedMax:
 
 class TestCoverage:
     def test_full_set_mean_one(self):
-        m = from_coverage(3, [set(range(3))])
+        m = CoverageMeasure(3, [set(range(3))])
         assert marginal_means(m) == (1.0,)
 
     def test_union_reward(self):
-        m = from_coverage(4, [{0, 1}, {2}])
+        m = CoverageMeasure(4, [{0, 1}, {2}])
         assert expected_max(m, (0, 1)) == pytest.approx(0.75)
 
     def test_disjoint_pairs_exhaustive(self):
         # three pairwise-disjoint 2-element sets over a 6-element universe
-        m = from_coverage(6, [{0, 1}, {2, 3}, {4, 5}])
+        m = CoverageMeasure(6, [{0, 1}, {2, 3}, {4, 5}])
         for pair in ((0, 1), (0, 2), (1, 2)):
             assert expected_max(m, pair) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
@@ -159,7 +158,7 @@ class TestSampling:
         assert fold_columns(draws, np.bitwise_or).all()
 
     def test_coverage_frequency(self):
-        m = from_coverage(4, [{0, 1}, {2}])
+        m = CoverageMeasure(4, [{0, 1}, {2}])
         rng = np.random.default_rng(2)
         draws = sample_matrix(m, rng, 100_000)
         freq = draws[:, 0].mean()
@@ -190,7 +189,7 @@ class TestSampling:
 
 
 PLANTED = make_planted(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
-COVERAGE = from_coverage(8, [{0, 1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {6, 7, 0}, {1, 4}])
+COVERAGE = CoverageMeasure(8, [{0, 1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {6, 7, 0}, {1, 4}])
 JOINT = JointTableMeasure(k=3, probs=(0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1))
 PRODUCT = ProductMeasure(means=(0.7, 0.4, 0.2, 0.1, 0.55))
 LAW_ROWS = 200_000
@@ -280,7 +279,7 @@ class TestSerialization:
         [
             ProductMeasure(means=(0.1, 0.625, 1.0)),
             make_planted(6, 3, 0.3, 0.7, planted_set=(0, 2, 4)),
-            from_coverage(5, [{0, 1}, {2, 4}]),
+            CoverageMeasure(5, [{0, 1}, {2, 4}]),
             JointTableMeasure(k=2, probs=(0.1, 0.2, 0.3, 0.4)),
         ],
     )
@@ -311,7 +310,7 @@ class TestSerialization:
         elif family == "coverage":
             m = data.draw(st.integers(1, 12))
             sets = data.draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=6))
-            measure = from_coverage(m, sets)
+            measure = CoverageMeasure(m, sets)
         else:
             k = data.draw(st.integers(1, 4))
             weights = data.draw(st.lists(unit, min_size=2**k, max_size=2**k).filter(any))
@@ -345,6 +344,10 @@ class TestSerialization:
              "['planted']"),
             ({"type": "product", "n": 5, "means": [0.9, 0.6, 0.2]}, "'n' must be its arm count 3"),
             ({"type": "coverage", "n": 2.0, "m": 4, "sets": [[0], [1]]}, "got 2.0"),
+            # a short document naming a huge instance is rejected before anything is built
+            ({"type": "joint_table", "k": 20000, "probs": [0.5, 0.5]}, "got 2"),
+            ({"type": "planted", "n": 10**12, "k": 10**12, "mu": 0.4, "p": 0.9}, "k <= 1074"),
+            ({"type": "joint_table", "k": 1, "probs": [float("nan"), 0.5]}, "atom mass nan"),
         ],
     )
     def test_malformed_document_is_a_one_line_domain_error(self, doc, fragment):
@@ -369,7 +372,7 @@ class TestOptimalSubset:
         assert optimal_subset(m, 3) == (1, 2, 5)
 
     def test_coverage_enumeration(self):
-        m = from_coverage(6, [{0, 1}, {2, 3}, {3, 4, 5}])
+        m = CoverageMeasure(6, [{0, 1}, {2, 3}, {3, 4, 5}])
         assert optimal_subset(m, 2) == (0, 2)
 
     @settings(max_examples=60, deadline=None)
@@ -381,7 +384,7 @@ class TestOptimalSubset:
     def test_coverage_bitmasks_match_expected_max_enumeration(self, m, sets, k):
         sets = [frozenset(e for e in s if e < m) for s in sets]
         k = min(k, len(sets))
-        measure = from_coverage(m, sets)
+        measure = CoverageMeasure(m, sets)
         values = {
             s: len(frozenset().union(*(sets[i] for i in s))) / m
             for s in combinations(range(len(sets)), k)
@@ -395,9 +398,9 @@ class TestOptimalSubset:
 
     def test_coverage_tie_returns_none(self):
         # arm 0 with arm 1 or with arm 2 covers 3 of 4 elements
-        m = from_coverage(4, [{0, 1}, {2}, {3}, {0}])
+        m = CoverageMeasure(4, [{0, 1}, {2}, {3}, {0}])
         assert optimal_subset(m, 2) is None
-        assert optimal_subset(from_coverage(4, [{0, 1}, {2}, {3}, {2, 3}]), 2) == (0, 3)
+        assert optimal_subset(CoverageMeasure(4, [{0, 1}, {2}, {3}, {2, 3}]), 2) == (0, 3)
 
 
 class TestFoldColumns:

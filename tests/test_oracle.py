@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bestofk.errors import DomainError
-from bestofk.measures import PlantedMeasure, ProductMeasure, from_coverage, make_planted
+from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure, make_planted
 from bestofk.oracle import (
     CHECKS,
     all_zero_prob,
@@ -89,7 +89,7 @@ class TestIndependenceCheck:
             assert ok, (s, dev)
 
     def test_coverage_table(self):
-        m = from_coverage(4, [{0, 1}, {0, 1, 2}])
+        m = CoverageMeasure(4, [{0, 1}, {0, 1, 2}])
         t = exact_table(m, (0, 1))
         # Pr(both fire) = 1/2 but the product of marginals is 3/8
         ok, dev = independence_check(t, 2)
