@@ -16,8 +16,6 @@ from .measures import (
     PlantedMeasure,
     ProductMeasure,
     expected_max,
-    make_planted,
-    planted_gap,
 )
 from .theory import (
     BoundReport,
@@ -42,8 +40,6 @@ __all__ = [
     "PlantedMeasure",
     "ProductMeasure",
     "expected_max",
-    "make_planted",
-    "planted_gap",
     "Observation",
     "observe",
     "confidence_radius",

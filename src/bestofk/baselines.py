@@ -63,15 +63,20 @@ def _eliminate_over_subsets(
     total_queries = 0
     for t in range(1, stage_cap + 1):
         big_t = 2**t
-        # big_t consecutive rows observe each survivor; one draw per stage
-        # unless that would exceed DRAW_ROWS rows
-        per_draw = max(1, DRAW_ROWS // big_t)
+        # big_t consecutive rows observe each survivor; a draw holds at most
+        # DRAW_ROWS rows: whole survivors while they fit, else one survivor's
+        # rows over big_t // DRAW_ROWS draws
+        rows = min(big_t, DRAW_ROWS)
+        per_draw = DRAW_ROWS // rows
         ones = []
         for lo in range(0, len(survivors), per_draw):
             group = survivors[lo : lo + per_draw]
-            arms = np.repeat(group, big_t, axis=0)
-            draws = sample_matrix(env, rng, len(arms), arms=arms)
-            ones.append(fold_columns(draws, fold).reshape(len(group), big_t).sum(axis=1))
+            arms = np.repeat(group, rows, axis=0)
+            hits = 0
+            for _ in range(big_t // rows):
+                draws = sample_matrix(env, rng, len(arms), arms=arms)
+                hits += fold_columns(draws, fold).reshape(len(group), rows).sum(axis=1)
+            ones.append(hits)
         total_queries += big_t * len(survivors)
         mu = np.concatenate(ones) / big_t
         radius = confidence_radius(mu, big_t, n_arms, t, delta)

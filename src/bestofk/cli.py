@@ -18,7 +18,7 @@ import sys
 
 from .errors import BestOfKError, MismatchError
 from .harness import ExperimentConfig, run_experiment
-from .measures import PlantedMeasure, ProductMeasure, marginal_means
+from .measures import PlantedMeasure, ProductMeasure, measure_from_dict
 from .theory import (
     BoundReport,
     GapProfile,
@@ -58,7 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _applicable_bounds(config: ExperimentConfig) -> list[BoundReport]:
-    env = config.build_measure()
+    env = measure_from_dict(config.measure)
     reports: list[BoundReport] = []
     if isinstance(env, PlantedMeasure):
         if config.k != env.k:
@@ -76,7 +76,7 @@ def _applicable_bounds(config: ExperimentConfig) -> list[BoundReport]:
             )
         )
     elif isinstance(env, ProductMeasure):
-        profile = GapProfile(means=marginal_means(env), k=config.k)
+        profile = GapProfile(means=env.marginals(), k=config.k)
         reports.append(upper_bound_total(profile, config.model, config.delta,
                                          fewer_than_k_allowed=config.exact_k_mode is False))
         if config.model in ("bandit", "semi"):
@@ -141,8 +141,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (BestOfKError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (BestOfKError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a short config can name an instance too large to hold
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

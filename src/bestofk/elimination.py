@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
 from .kernels import play_arms, queries_per_play, record_plays
-from .measures import Measure, marginal_means, sample_matrix
+from .measures import Measure, sample_matrix
 from .theory import check_model
 from .trial import StageRecord, TrialRecord
 
@@ -289,7 +289,7 @@ def run_identification(
         # the answer is forced; sampling would be pointless
         return TrialRecord(returned=tuple(range(n)), total_queries=0, stages=0)
 
-    if model == "bandit" and any(m >= 1.0 for m in marginal_means(env)):
+    if model == "bandit" and any(m >= 1.0 for m in env.marginals()):
         raise IdentifiabilityError("bandit identification needs every mean < 1")
 
     exact_k = exact_k_mode if exact_k_mode is not None else model in ("bandit", "marked")

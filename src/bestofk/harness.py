@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import parity_identify, subset_arm_identify
 from .elimination import STAGE_CAP, run_identification
 from .errors import DomainError, MismatchError
-from .measures import Measure, checked, document, measure_from_dict, optimal_subset, read_fields
+from .measures import checked, document, measure_from_dict, optimal_subset, read_fields
 from .theory import BoundReport, check_model
 from .trial import TrialRecord
 
@@ -72,9 +72,6 @@ class ExperimentConfig:
             raise DomainError(
                 "exact_k_mode needs algorithm 'elimination': the baselines query whole k-subsets"
             )
-
-    def build_measure(self) -> Measure:
-        return measure_from_dict(self.measure)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -156,7 +153,7 @@ def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> Exper
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], ExperimentSummary]:
     """Run all replicates; optionally persist records + summary to config.out."""
-    env = config.build_measure()
+    env = measure_from_dict(config.measure)
     truth = optimal_subset(env, config.k)
     records: list[TrialRecord] = []
     for r in range(config.replicates):

@@ -13,10 +13,11 @@ Four measure families are supported:
 Each family lives in one ``Measure`` subclass that holds its sampler
 (``draw``), exact marginals and E[max], exact law by enumeration
 (``exact_probs``, the oracle's source), best k-subset (``optimum``) and
-document (``to_dict``: the class's compared fields).  ``sample_matrix``,
-``marginal_means``, ``expected_max``, ``optimal_subset`` and
-``measure_to_dict`` stay as checked module-level entry points; the
-benchmark's tracer times ``sample_matrix`` and ``optimal_subset`` by name.
+document (``to_dict``: the class's compared fields).  Callers use those
+methods directly.  Three module-level entry points stay because they check
+their input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the
+arm set) and ``optimal_subset`` (k); the benchmark's tracer also times
+``sample_matrix`` and ``optimal_subset`` by name.
 
 Arms are 0-based everywhere.  All randomness flows through explicit
 ``numpy.random.Generator`` instances; measures themselves are immutable and
@@ -25,12 +26,11 @@ safe to share across workers.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import reprlib
 from abc import ABC, abstractmethod
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import combinations
 from typing import ClassVar, Iterable, Sequence
@@ -46,21 +46,15 @@ __all__ = [
     "JointTableMeasure",
     "Measure",
     "SUBSET_CAP",
-    "make_planted",
-    "planted_gap",
     "sample_matrix",
     "fold_columns",
     "expected_max",
-    "marginal_means",
     "optimal_subset",
-    "measure_to_dict",
     "measure_from_dict",
-    "dumps",
-    "loads",
 ]
 
 # Sum of a loaded joint table may deviate from 1 by at most this much before
-# the load is rejected; smaller deviations are renormalized and recorded.
+# the load is rejected; smaller deviations are renormalized.
 TABLE_NORMALIZATION_TOL = 1e-9
 # A sum this close to 1 is rounding: the table is kept as given, so a
 # renormalized table (whose sum is 1 only up to rounding) loads back unchanged.
@@ -179,11 +173,11 @@ class PlantedMeasure(Measure):
     Every arm is Z_i * U_i except the first planted arm, whose Z is replaced by
     the complement of the parity of the other planted Zs whenever Y = 1.  All
     marginals equal mu; all strict sub-collections of the planted set are
-    mutually independent.  ``planted_set`` defaults to arms 0..k-1.
-
-    The dataclass itself tolerates p = 0 (the fully independent degenerate
-    case, used by exact-table cross-checks); the public constructor
-    ``make_planted`` requires p > 0.
+    mutually independent, and the planted set beats every other k-subset by
+    ``p * mu**k``.  Needs 2 <= k <= n, 0 < mu <= 1/2 (the coupling needs
+    2*mu <= 1) and 0 <= p <= 1; p = 0 is the fully independent degenerate
+    case.  ``planted_set`` defaults to arms 0..k-1 and may be any k distinct
+    arms.
     """
 
     kind: ClassVar[str] = "planted"
@@ -345,15 +339,13 @@ class JointTableMeasure(Measure):
 
     ``probs[j]`` is the probability of the atom whose bit i equals
     ``(j >> i) & 1`` (arm i maps to bit i).  A loaded table whose mass deviates
-    from 1 by at most ``TABLE_NORMALIZATION_TOL`` is renormalized; the applied
-    correction is kept in ``normalization_correction``.  The table is the
-    law, so the exact marginals and E[max] read it through ``exact_probs``.
+    from 1 by at most ``TABLE_NORMALIZATION_TOL`` is renormalized.  The table
+    is the law, so the exact marginals and E[max] read it through ``exact_probs``.
     """
 
     kind: ClassVar[str] = "joint_table"
     k: int
     probs: tuple[float, ...]
-    normalization_correction: float = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "k", int(self.k))
@@ -372,7 +364,6 @@ class JointTableMeasure(Measure):
             raise DomainError(f"atom mass {total} deviates from 1 beyond {TABLE_NORMALIZATION_TOL}")
         if abs(total - 1.0) > TABLE_ROUNDING_TOL:
             probs = probs / total
-        object.__setattr__(self, "normalization_correction", total - 1.0)
         object.__setattr__(self, "probs", tuple(float(x) for x in probs))
 
     @property
@@ -395,30 +386,6 @@ class JointTableMeasure(Measure):
 
 _FAMILIES = {cls.kind: cls for cls in (ProductMeasure, PlantedMeasure, CoverageMeasure,
                                        JointTableMeasure)}
-
-
-def make_planted(n: int, k: int, mu: float, p: float,
-                 planted_set: Sequence[int] | None = None) -> PlantedMeasure:
-    """Build the planted dependent measure with gap ``p * mu**k``.
-
-    Requires 2 <= k <= n, 0 < mu <= 1/2 (the coupling needs 2*mu <= 1) and
-    0 < p <= 1.  ``planted_set`` defaults to arms 0..k-1 and may be any k
-    distinct arms to relabel the hidden subset.
-    """
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"need 0 < p <= 1, got p={p}")
-    return PlantedMeasure(n=n, k=k, mu=mu, p=p, planted_set=planted_set)
-
-
-def planted_gap(mu: float, p: float, k: int) -> float:
-    """Reward gap of the planted instance: ``p * mu**k``."""
-    if k < 2:
-        raise DomainError(f"need k >= 2, got k={k}")
-    if not (0.0 < mu <= 0.5):
-        raise DomainError(f"need 0 < mu <= 1/2, got mu={mu}")
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"need 0 < p <= 1, got p={p}")
-    return p * mu**k
 
 
 def sample_matrix(measure: Measure, rng: np.random.Generator, size: int,
@@ -455,11 +422,6 @@ def fold_columns(bits: np.ndarray, op: np.ufunc, dtype=None) -> np.ndarray:
     return acc
 
 
-def marginal_means(measure: Measure) -> tuple[float, ...]:
-    """Exact marginal mean of every arm."""
-    return measure.marginals()
-
-
 def expected_max(measure: Measure, arms: Iterable[int]) -> float:
     """Exact value of E[max over ``arms``] under the measure."""
     s = tuple(sorted(set(int(a) for a in arms)))
@@ -481,10 +443,6 @@ def optimal_subset(measure: Measure, k: int) -> tuple[int, ...] | None:
 # Documents: one key -> check table and one reader for every config and
 # measure key, one writer for every record.  Floats round-trip exactly.
 # ---------------------------------------------------------------------------
-
-def measure_to_dict(measure: Measure) -> dict:
-    return measure.to_dict()
-
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -610,11 +568,3 @@ def measure_from_dict(doc: dict) -> Measure:
                           f"got {reprlib.repr(doc['n'])}")
     return measure
 
-
-def dumps(measure: Measure) -> str:
-    """Serialize to a JSON document; floats round-trip exactly."""
-    return json.dumps(measure_to_dict(measure), sort_keys=True)
-
-
-def loads(text: str) -> Measure:
-    return measure_from_dict(json.loads(text))

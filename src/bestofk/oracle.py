@@ -18,14 +18,13 @@ import numpy as np
 
 from . import theory
 from .errors import DomainError, InfeasibleError
-from .measures import Measure, ProductMeasure, _marginalize, make_planted
+from .measures import Measure, PlantedMeasure, ProductMeasure, _marginalize
 
 __all__ = [
     "ExactTable",
     "QueryStatistics",
     "exact_table",
     "independence_check",
-    "all_zero_prob",
     "exact_query_stats",
     "planted_violations",
     "check_planted",
@@ -103,11 +102,6 @@ def independence_check(table: ExactTable, order: int) -> tuple[bool, float]:
     return worst <= 1e-12, worst
 
 
-def all_zero_prob(measure: Measure, arms: Iterable[int]) -> float:
-    """Exact probability that every arm in ``arms`` reads 0."""
-    return float(exact_table(measure, arms).probs[0])
-
-
 @dataclass(frozen=True)
 class QueryStatistics:
     """Exact per-arm recording law of one uniform-play query.
@@ -164,7 +158,7 @@ def exact_query_stats(
     weight_block = 1.0 / math.comb(len(u_prime), k1)
     for block in combinations(u_prime, k1):
         for w_plus, s_plus in topoffs:
-            zero += weight_block * w_plus * all_zero_prob(measure, block + s_plus)
+            zero += weight_block * w_plus * float(exact_table(measure, block + s_plus).probs[0])
     return QueryStatistics(mu_bar=mu_bar, all_zero=zero)
 
 
@@ -215,9 +209,9 @@ def _equal_mean_violations(table: ExactTable, family: str, **where) -> list[dict
 
 
 def planted_violations(k: int, mu: float, p: float) -> list[dict]:
-    """The planted set of ``make_planted(k + 1, k, mu, p)`` has marginals mu,
+    """The planted set of ``PlantedMeasure(k + 1, k, mu, p)`` has marginals mu,
     is (k-1)-wise independent and has all-zeros gap p mu^k, each within 1e-12."""
-    m = make_planted(n=k + 1, k=k, mu=mu, p=p)
+    m = PlantedMeasure(n=k + 1, k=k, mu=mu, p=p)
     table = exact_table(m, m.planted_set)
     out = _equal_mean_violations(table, "planted", k=k, mu=mu, p=p)
     gap = 1.0 - float(table.probs[0]) - (1.0 - (1.0 - mu) ** k)

@@ -15,7 +15,7 @@ import numpy as np
 from bestofk.baselines import subset_arm_identify
 from bestofk.elimination import confidence_radius, run_identification, stage_play
 from bestofk.harness import ExperimentConfig, replicate_rng, run_experiment
-from bestofk.measures import ProductMeasure, make_planted, measure_to_dict, sample_matrix
+from bestofk.measures import PlantedMeasure, ProductMeasure, sample_matrix
 from bestofk.oracle import (
     check_calT,
     check_kl_sandwich,
@@ -134,7 +134,7 @@ def test_c07_parity_estimator():
     se = math.sqrt(0.25 / draws_per)
     rng = np.random.default_rng(31)
     for p in P_GRID:
-        env = make_planted(5, 2, 0.5, p)
+        env = PlantedMeasure(5, 2, 0.5, p)
         draws = sample_matrix(env, rng, draws_per)
         star = float((draws[:, 0] ^ draws[:, 1]).mean())
         assert abs(star - (0.5 + p / 2)) < 4 * se, (p, star)
@@ -149,7 +149,7 @@ def test_c08_combinatorial_scaling():
     seeds = 25
     medians = {}
     for n in (4, 5, 6):
-        env = make_planted(n, 2, 0.5, 1.0)
+        env = PlantedMeasure(n, 2, 0.5, 1.0)
         totals = [
             subset_arm_identify(env, 2, 0.1, replicate_rng(808, 100 * n + s)).total_queries
             for s in range(seeds)
@@ -199,7 +199,7 @@ def test_c09_calculator_goldens():
 def test_c10_determinism(tmp_path):
     started = time.perf_counter()
     config = ExperimentConfig(
-        measure=measure_to_dict(ProductMeasure(means=(0.85, 0.6, 0.25, 0.1))),
+        measure=ProductMeasure(means=(0.85, 0.6, 0.25, 0.1)).to_dict(),
         model="marked",
         k=2,
         delta=0.1,

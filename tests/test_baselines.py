@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from bestofk import baselines
 from bestofk.baselines import SUBSET_CAP, parity_identify, subset_arm_identify
 from bestofk.elimination import STAGE_CAP, run_identification
 from bestofk.errors import DomainError, SubsetCapError
 from bestofk.harness import ExperimentConfig
-from bestofk.measures import ProductMeasure, make_planted, measure_to_dict, sample_matrix
+from bestofk.measures import PlantedMeasure, ProductMeasure, sample_matrix
 
 
 class TestSubsetArm:
@@ -29,12 +30,31 @@ class TestSubsetArm:
 
     @pytest.mark.parametrize("identify", [subset_arm_identify, parity_identify])
     def test_stage_cap_below_one_rejected(self, identify):
-        env = make_planted(4, 2, 0.5, 1.0)
+        env = PlantedMeasure(4, 2, 0.5, 1.0)
         with pytest.raises(DomainError):
             identify(env, 2, 0.1, np.random.default_rng(0), stage_cap=0)
 
+    def test_every_draw_is_bounded(self, monkeypatch):
+        # the top three arms tie, so all 8 stages run; past the row bound a
+        # survivor's rows split over several draws, and a product measure
+        # draws its rows in order, so the record cannot change
+        env = ProductMeasure(means=(0.5, 0.5, 0.5, 0.3))
+        whole = subset_arm_identify(env, 2, 0.1, np.random.default_rng(7), stage_cap=8)
+        rows = []
+
+        def counted(measure, rng, size, arms=None):
+            rows.append(len(arms))
+            return sample_matrix(measure, rng, size, arms=arms)
+
+        monkeypatch.setattr(baselines, "DRAW_ROWS", 16)
+        monkeypatch.setattr(baselines, "sample_matrix", counted)
+        split = subset_arm_identify(env, 2, 0.1, np.random.default_rng(7), stage_cap=8)
+        assert whole.inconclusive and whole.stages == 8
+        assert max(rows) == 16 and sum(rows) == whole.total_queries
+        assert split == whole
+
     def test_planted_recovery_rate(self):
-        env = make_planted(4, 2, 0.5, 1.0)
+        env = PlantedMeasure(4, 2, 0.5, 1.0)
         wins = 0
         for seed in range(100):
             rec = subset_arm_identify(env, 2, 0.1, np.random.default_rng(seed))
@@ -46,7 +66,7 @@ class TestSubsetArm:
         for n in (4, 6):
             totals = []
             for seed in range(25):
-                env = make_planted(n, 2, 0.5, 1.0)
+                env = PlantedMeasure(n, 2, 0.5, 1.0)
                 rec = subset_arm_identify(env, 2, 0.1, np.random.default_rng(1000 + seed))
                 totals.append(rec.total_queries)
             medians[n] = float(np.median(totals))
@@ -69,7 +89,7 @@ class TestParity:
     def test_planted_parity_means(self):
         rng = np.random.default_rng(3)
         for p in (0.25, 0.5, 1.0):
-            env = make_planted(5, 2, 0.5, p)
+            env = PlantedMeasure(5, 2, 0.5, p)
             draws = sample_matrix(env, rng, 100_000)
             star = (draws[:, 0] ^ draws[:, 1]).mean()
             se = math.sqrt(0.25 / 100_000)
@@ -78,7 +98,7 @@ class TestParity:
             assert abs(other - 0.5) < 4 * se
 
     def test_recovers_planted_set(self):
-        env = make_planted(5, 2, 0.5, 1.0)
+        env = PlantedMeasure(5, 2, 0.5, 1.0)
         wins = 0
         for seed in range(50):
             rec = parity_identify(env, 2, 0.1, np.random.default_rng(seed))
@@ -91,7 +111,7 @@ class TestParity:
         for p in (1.0, 0.5):
             totals = []
             for seed in range(50):
-                env = make_planted(4, 2, 0.5, p)
+                env = PlantedMeasure(4, 2, 0.5, p)
                 rec = parity_identify(env, 2, 0.1, np.random.default_rng(300 + seed))
                 totals.append(rec.total_queries)
             medians[p] = float(np.median(totals))
@@ -99,7 +119,7 @@ class TestParity:
         assert 2.0 <= ratio <= 8.0  # 4x within a factor of 2
 
     def test_single_subset_trivial(self):
-        env = make_planted(2, 2, 0.5, 1.0)
+        env = PlantedMeasure(2, 2, 0.5, 1.0)
         rec = parity_identify(env, 2, 0.1, np.random.default_rng(0))
         assert rec.returned == (0, 1) and rec.total_queries == 0
 
@@ -115,6 +135,6 @@ class TestCallingConvention:
         assert params["stage_cap"].default == STAGE_CAP
 
     def test_experiment_config_default_stage_cap(self):
-        cfg = ExperimentConfig(measure=measure_to_dict(ProductMeasure(means=(0.9, 0.1))),
+        cfg = ExperimentConfig(measure=ProductMeasure(means=(0.9, 0.1)).to_dict(),
                                model="semi", k=1, delta=0.1)
         assert cfg.stage_cap == STAGE_CAP

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from bestofk import baselines, elimination, harness, kernels
-from bestofk.measures import ProductMeasure, make_planted, measure_to_dict
+from bestofk.measures import PlantedMeasure, ProductMeasure
 from bestofk.trial import TrialRecord
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -66,7 +66,7 @@ def test_names_the_experiment_script_reads():
 
 @pytest.mark.parametrize("algorithm, measure", [
     ("elimination", ProductMeasure(means=(0.9, 0.6, 0.3, 0.1))),
-    ("subset_arm", make_planted(4, 2, 0.5, 1.0)),
+    ("subset_arm", PlantedMeasure(4, 2, 0.5, 1.0)),
 ])
 def test_loop_marks_and_per_replicate_calls(algorithm, measure):
     # optimal_subset before the loop, replicate_rng once per replicate, summarize after
@@ -82,7 +82,7 @@ def test_loop_marks_and_per_replicate_calls(algorithm, measure):
         patches += tracer.patch_everywhere(original, marked)
     try:
         records, _ = harness.run_experiment(harness.ExperimentConfig(
-            measure=measure_to_dict(measure), model="semi", k=2, delta=0.1,
+            measure=measure.to_dict(), model="semi", k=2, delta=0.1,
             algorithm=algorithm, replicates=3))
     finally:
         tracer.restore(patches)
@@ -92,10 +92,10 @@ def test_loop_marks_and_per_replicate_calls(algorithm, measure):
 
 def test_tracer_sees_every_layer_of_a_run(tmp_path):
     elim_config = harness.ExperimentConfig(
-        measure=measure_to_dict(ProductMeasure(means=(0.9, 0.6, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1))),
+        measure=ProductMeasure(means=(0.9, 0.6, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1)).to_dict(),
         model="bandit", k=2, delta=0.1, replicates=2, out=str(tmp_path / "a.jsonl"))
     subset_config = harness.ExperimentConfig(
-        measure=measure_to_dict(make_planted(4, 2, 0.5, 1.0)), model="bandit", k=2,
+        measure=PlantedMeasure(4, 2, 0.5, 1.0).to_dict(), model="bandit", k=2,
         delta=0.1, algorithm="subset_arm", replicates=2, out=str(tmp_path / "b.jsonl"))
     with tracer.Tracer() as traced:
         harness.run_experiment(elim_config)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -13,14 +14,14 @@ import bestofk
 from bestofk import oracle, theory
 from bestofk.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from bestofk.harness import ExperimentConfig
-from bestofk.measures import PlantedMeasure, ProductMeasure, make_planted, measure_to_dict
+from bestofk.measures import PlantedMeasure, ProductMeasure
 from bestofk.theory import GapProfile, upper_bound_total
 
 
 @pytest.fixture
 def product_config_path(tmp_path):
     cfg = ExperimentConfig(
-        measure=measure_to_dict(ProductMeasure(means=(0.9, 0.5, 0.2))),
+        measure=ProductMeasure(means=(0.9, 0.5, 0.2)).to_dict(),
         model="semi",
         k=1,
         delta=0.1,
@@ -53,7 +54,7 @@ def test_run_seed_override_changes_results(product_config_path, tmp_path):
 
 def test_run_inconclusive_exit_code(tmp_path):
     cfg = ExperimentConfig(
-        measure=measure_to_dict(ProductMeasure(means=(0.51, 0.5))),
+        measure=ProductMeasure(means=(0.51, 0.5)).to_dict(),
         model="semi",
         k=1,
         delta=0.1,
@@ -78,7 +79,7 @@ def test_bounds_subcommand_product(product_config_path, capsys):
 def test_bounds_follow_exact_k_mode(tmp_path, capsys, exact_k_mode):
     # a marked run without exact-k queries fewer than k arms: the bound is the fewer-than-k form
     means = (0.8, 0.7, 0.6, 0.3, 0.3, 0.3)
-    cfg = ExperimentConfig(measure=measure_to_dict(ProductMeasure(means=means)), model="marked",
+    cfg = ExperimentConfig(measure=ProductMeasure(means=means).to_dict(), model="marked",
                            k=3, delta=0.1, exact_k_mode=exact_k_mode)
     path = tmp_path / "cfg.json"
     path.write_text(cfg.to_json())
@@ -94,7 +95,7 @@ def test_bounds_follow_exact_k_mode(tmp_path, capsys, exact_k_mode):
 
 def test_bounds_subcommand_planted(tmp_path, capsys):
     cfg = ExperimentConfig(
-        measure=measure_to_dict(make_planted(5, 2, 0.4, 0.5)),
+        measure=PlantedMeasure(5, 2, 0.4, 0.5).to_dict(),
         model="bandit",
         k=2,
         delta=0.1,
@@ -109,7 +110,7 @@ def test_bounds_subcommand_planted(tmp_path, capsys):
 
 def test_bounds_planted_k_mismatch_exits_one(tmp_path, capsys):
     # the planted bounds are for the measure's k; printing them for another k misleads
-    cfg = ExperimentConfig(measure=measure_to_dict(make_planted(6, 2, 0.4, 0.9)),
+    cfg = ExperimentConfig(measure=PlantedMeasure(6, 2, 0.4, 0.9).to_dict(),
                            model="bandit", k=3, delta=0.1)
     path = tmp_path / "cfg.json"
     path.write_text(cfg.to_json())
@@ -140,20 +141,23 @@ def test_config_errors_exit_one(tmp_path):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-def _cli(*args: str) -> subprocess.CompletedProcess:
-    """``bestofk *args`` in a fresh interpreter."""
+def _cli(*args: str, memory_limit: int | None = None) -> subprocess.CompletedProcess:
+    """``bestofk *args`` in a fresh interpreter, its address space capped at
+    ``memory_limit`` bytes if given."""
     src = str(Path(bestofk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "bestofk.cli", *args],
+    cap = None if memory_limit is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit)))
+    return subprocess.run([sys.executable, "-m", "bestofk.cli", *args], preexec_fn=cap,
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def _run_cli(tmp_path, doc: dict, *options: str) -> subprocess.CompletedProcess:
+def _run_cli(tmp_path, doc: dict, *options: str, **kwargs) -> subprocess.CompletedProcess:
     """``bestofk run`` on the config ``doc`` (plus ``options``) in a fresh interpreter."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    return _cli("run", "--config", str(path), *options)
+    return _cli("run", "--config", str(path), *options, **kwargs)
 
 
 def test_malformed_measure_is_one_line_error(tmp_path):
@@ -167,6 +171,7 @@ def test_malformed_measure_is_one_line_error(tmp_path):
 
 TRACE_NEEDS_ELIMINATION = "error: trace needs algorithm 'elimination': the baselines keep no stage log"
 DROP = object()  # an override that removes the key
+HUGE_INT = object()  # a 5001-digit integer literal, which json.dumps cannot write
 
 
 @pytest.mark.parametrize(
@@ -189,6 +194,9 @@ DROP = object()  # an override that removes the key
         ({"measure": {"type": "joint_table", "k": 20000, "probs": [0.5, 0.5]}},
          "error: need 2**k atoms for k=20000, got 2"),
         ({"delta": DROP}, "error: config document lacks the key 'delta'"),
+        ({"k": HUGE_INT}, "error: Exceeds the limit (4300 digits) for integer string conversion: "
+                          "value has 5001 digits; use sys.set_int_max_str_digits() to increase "
+                          "the limit"),
         # a root that is not an object replaces the whole document
         ([], "error: a config document must be an object, got []"),
         ("x", "error: a config document must be an object, got 'x'"),
@@ -198,25 +206,43 @@ DROP = object()  # an override that removes the key
     ids=["subset_arm-stage_cap-0", "elimination-stage_cap-0", "k-str", "base_seed-negative",
          "k-above-n", "k-0", "subset_arm-trace", "parity-trace", "subset_arm-exact_k_mode",
          "measure-unknown-key", "measure-n-mismatch", "joint-table-huge-k", "no-delta",
-         "root-list", "root-str", "root-int", "root-null"],
+         "k-5001-digits", "root-list", "root-str", "root-int", "root-null"],
 )
 def test_bad_config_is_one_line_error(tmp_path, overrides, message):
     doc = overrides
     if isinstance(overrides, dict):
-        doc = {"measure": measure_to_dict(ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))),
+        doc = {"measure": ProductMeasure(means=(0.9, 0.6, 0.2, 0.1)).to_dict(),
                "model": "semi", "k": 2, "delta": 0.1, **overrides}
         doc = {key: value for key, value in doc.items() if value is not DROP}
-    done = _run_cli(tmp_path, doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc, default=lambda _: "HUGE").replace('"HUGE"', "9" * 5001))
+    done = _cli("run", "--config", str(path))
     assert done.returncode == EXIT_USAGE
     assert done.stderr.splitlines() == [message]
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("model, measure", [
+    ("bandit", {"type": "planted", "n": 10**10, "k": 2, "mu": 0.4, "p": 0.9}),
+    ("semi", {"type": "planted", "n": 10**10, "k": 2, "mu": 0.4, "p": 0.9}),
+    ("semi", {"type": "coverage", "m": 10**13, "sets": [[0], [1], [2]]}),
+], ids=["planted-bandit", "planted-semi", "coverage-semi"])
+def test_instance_too_large_to_hold_is_one_line_error(tmp_path, model, measure):
+    # a short config names the instance; under a 1.5 GB address space, which
+    # numpy's import fits well within, the run cannot allocate it
+    done = _run_cli(tmp_path, {"measure": measure, "model": model, "k": 2, "delta": 0.1},
+                    memory_limit=1536 << 20)
+    assert done.returncode == EXIT_USAGE
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: out of memory")
+    assert done.stdout == ""
+
+
 def test_trace_option_rejected_for_baselines(tmp_path):
     # the --trace override is checked like the config key: no empty .trace file
     out = tmp_path / "res.jsonl"
-    doc = {"measure": measure_to_dict(make_planted(4, 2, 0.5, 1.0)), "model": "bandit",
+    doc = {"measure": PlantedMeasure(4, 2, 0.5, 1.0).to_dict(), "model": "bandit",
            "k": 2, "delta": 0.1, "algorithm": "subset_arm"}
     done = _run_cli(tmp_path, doc, "--trace", "--out", str(out))
     assert done.returncode == EXIT_USAGE

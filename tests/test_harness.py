@@ -17,13 +17,13 @@ from bestofk.harness import (
     run_experiment,
     summarize,
 )
-from bestofk.measures import FIELDS, measure_from_dict, measure_to_dict, make_planted, ProductMeasure
+from bestofk.measures import FIELDS, measure_from_dict, PlantedMeasure, ProductMeasure
 from bestofk.theory import BoundReport, GapProfile, upper_bound_total
 
 
 def _product_config(**overrides):
     base = dict(
-        measure=measure_to_dict(ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))),
+        measure=ProductMeasure(means=(0.9, 0.6, 0.2, 0.1)).to_dict(),
         model="semi",
         k=2,
         delta=0.1,
@@ -152,7 +152,7 @@ class TestConfig:
     def test_json_round_trip_any_config(self, means, data, delta, algorithm, model,
                                         replicates, base_seed, exact_k_mode, stage_cap, out):
         cfg = ExperimentConfig(
-            measure=measure_to_dict(ProductMeasure(means=tuple(means))),
+            measure=ProductMeasure(means=tuple(means)).to_dict(),
             model=model,
             k=data.draw(st.integers(1, len(means))),
             delta=delta,
@@ -202,7 +202,7 @@ class TestSeeding:
 class TestRunExperiment:
     def test_trivial_forced_answer(self):
         cfg = _product_config(
-            measure=measure_to_dict(ProductMeasure(means=(0.9, 0.6))),
+            measure=ProductMeasure(means=(0.9, 0.6)).to_dict(),
             k=2,
             replicates=1,
         )
@@ -246,7 +246,7 @@ class TestRunExperiment:
         assert {"t", "sample_size", "queries", "mu_hat", "c_hat"} <= set(trace_lines[0])
 
     def test_subset_arm_and_parity_paths(self):
-        planted = measure_to_dict(make_planted(4, 2, 0.5, 1.0))
+        planted = PlantedMeasure(4, 2, 0.5, 1.0).to_dict()
         for algorithm, model in (("subset_arm", "bandit"), ("parity", "semi")):
             cfg = ExperimentConfig(
                 measure=planted, model=model, k=2, delta=0.1,

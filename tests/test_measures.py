@@ -1,5 +1,6 @@
 """Measure construction, sampling, exact rewards, and serialization."""
 
+import json
 import math
 from itertools import combinations
 
@@ -14,15 +15,10 @@ from bestofk.measures import (
     JointTableMeasure,
     PlantedMeasure,
     ProductMeasure,
-    dumps,
     expected_max,
     fold_columns,
-    loads,
-    make_planted,
     measure_from_dict,
-    marginal_means,
     optimal_subset,
-    planted_gap,
     sample_matrix,
 )
 from bestofk.oracle import exact_table
@@ -31,29 +27,31 @@ from bestofk.oracle import exact_table
 class TestConstruction:
     def test_planted_rejects_mu_above_half(self):
         with pytest.raises(DomainError):
-            make_planted(5, 2, 0.6, 1.0)
+            PlantedMeasure(5, 2, 0.6, 1.0)
 
     def test_planted_rejects_bad_k(self):
         with pytest.raises(DomainError):
-            make_planted(5, 1, 0.3, 1.0)
+            PlantedMeasure(5, 1, 0.3, 1.0)
         with pytest.raises(DomainError):
-            make_planted(5, 6, 0.3, 1.0)
+            PlantedMeasure(5, 6, 0.3, 1.0)
 
     def test_planted_accepts_k_equals_n(self):
-        m = make_planted(2, 2, 0.5, 1.0)
+        m = PlantedMeasure(2, 2, 0.5, 1.0)
         assert m.planted_set == (0, 1)
 
-    def test_planted_rejects_p_zero_via_constructor(self):
-        with pytest.raises(DomainError):
-            make_planted(5, 2, 0.3, 0.0)
-        # the dataclass itself tolerates the degenerate fixture
-        assert PlantedMeasure(n=5, k=2, mu=0.3, p=0.0, planted_set=(0, 1)).p == 0.0
+    def test_planted_p_domain(self):
+        # p = 0 is the fully independent degenerate case: no subset stands out
+        m = PlantedMeasure(5, 2, 0.3, 0.0)
+        assert m.p == 0.0 and optimal_subset(m, 2) is None
+        for p in (-0.1, 1.1, float("nan")):
+            with pytest.raises(DomainError):
+                PlantedMeasure(5, 2, 0.3, p)
 
     def test_planted_relabeling(self):
-        m = make_planted(6, 3, 0.25, 0.5, planted_set=(1, 3, 5))
+        m = PlantedMeasure(6, 3, 0.25, 0.5, planted_set=(1, 3, 5))
         assert m.planted_set == (1, 3, 5)
         with pytest.raises(DomainError):
-            make_planted(6, 3, 0.25, 0.5, planted_set=(1, 3, 6))
+            PlantedMeasure(6, 3, 0.25, 0.5, planted_set=(1, 3, 6))
 
     def test_coverage_rejects_out_of_range(self):
         with pytest.raises(DomainError):
@@ -63,9 +61,7 @@ class TestConstruction:
         probs = [0.25, 0.25, 0.25, 0.25 + 5e-10]
         m = JointTableMeasure(k=2, probs=tuple(probs))
         assert abs(sum(m.probs) - 1.0) < 1e-15
-        assert m.normalization_correction == pytest.approx(5e-10)
-        with pytest.raises(TypeError):
-            JointTableMeasure(k=2, probs=tuple(probs), normalization_correction=0.0)
+        assert m.probs == pytest.approx([x / (1.0 + 5e-10) for x in probs], rel=1e-15)
         with pytest.raises(DomainError):
             JointTableMeasure(k=2, probs=(0.25, 0.25, 0.25, 0.26))
         with pytest.raises(DomainError):
@@ -73,19 +69,24 @@ class TestConstruction:
 
 
 class TestPlantedGap:
+    """The planted set 0..k-1 beats the k-subset 1..k by exactly p * mu**k."""
+
+    @staticmethod
+    def gap(m):
+        return expected_max(m, m.planted_set) - expected_max(m, range(1, m.k + 1))
+
     def test_half_mu_unit_p(self):
-        assert planted_gap(0.5, 1.0, 2) == 0.25
+        assert self.gap(PlantedMeasure(3, 2, 0.5, 1.0)) == 0.25
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_mu_half_closed_form(self, p, k):
-        assert planted_gap(0.5, p, k) == pytest.approx(p * 2.0**-k, rel=0, abs=0)
+        assert self.gap(PlantedMeasure(k + 1, k, 0.5, p)) == p * 2.0**-k
 
-    def test_degenerate_inputs_rejected(self):
+    def test_degenerate_inputs(self):
+        assert self.gap(PlantedMeasure(3, 2, 0.5, 0.0)) == 0.0
         with pytest.raises(DomainError):
-            planted_gap(0.5, 0.0, 2)
-        with pytest.raises(DomainError):
-            planted_gap(0.0, 1.0, 2)
+            PlantedMeasure(3, 2, 0.0, 1.0)
 
 
 class TestExpectedMax:
@@ -94,7 +95,7 @@ class TestExpectedMax:
         assert expected_max(m, (0, 1)) == pytest.approx(15.0 / 16.0, abs=1e-15)
 
     def test_planted_best_subset_is_one(self):
-        m = make_planted(2, 2, 0.5, 1.0)
+        m = PlantedMeasure(2, 2, 0.5, 1.0)
         assert expected_max(m, (0, 1)) == pytest.approx(1.0, abs=1e-15)
 
     def test_unit_mean_dominates(self):
@@ -108,13 +109,13 @@ class TestExpectedMax:
             expected_max(ProductMeasure(means=(0.5,)), ())
 
     def test_planted_gap_between_subsets(self):
-        m = make_planted(6, 3, 0.3, 0.5)
+        m = PlantedMeasure(6, 3, 0.3, 0.5)
         best = expected_max(m, m.planted_set)
         other = expected_max(m, (0, 1, 3))
-        assert best - other == pytest.approx(planted_gap(0.3, 0.5, 3), abs=1e-15)
+        assert best - other == pytest.approx(0.5 * 0.3**3, abs=1e-15)
 
     def test_planted_superset_closed_form_matches_oracle(self):
-        m = make_planted(6, 3, 0.25, 0.75)
+        m = PlantedMeasure(6, 3, 0.25, 0.75)
         table = exact_table(m, m.planted_set + (3,))
         assert expected_max(m, (0, 1, 2, 3)) == pytest.approx(
             1.0 - float(table.probs[0]), abs=1e-12
@@ -124,7 +125,7 @@ class TestExpectedMax:
 class TestCoverage:
     def test_full_set_mean_one(self):
         m = CoverageMeasure(3, [set(range(3))])
-        assert marginal_means(m) == (1.0,)
+        assert m.marginals() == (1.0,)
 
     def test_union_reward(self):
         m = CoverageMeasure(4, [{0, 1}, {2}])
@@ -144,7 +145,7 @@ class TestSampling:
         assert not sample_matrix(m, rng, 100).any()
 
     def test_planted_parity_deterministic_at_p_one(self):
-        m = make_planted(5, 3, 0.5, 1.0)
+        m = PlantedMeasure(5, 3, 0.5, 1.0)
         rng = np.random.default_rng(1)
         draws = sample_matrix(m, rng, 20_000)
         parity = draws[:, list(m.planted_set)].sum(axis=1) % 2
@@ -152,7 +153,7 @@ class TestSampling:
 
     def test_planted_best_always_wins(self):
         # p = 1 and mu = 1/2: the planted pair's parity is 1, so one of them reads 1
-        m = make_planted(4, 2, 0.5, 1.0)
+        m = PlantedMeasure(4, 2, 0.5, 1.0)
         arms = np.broadcast_to(np.asarray(m.planted_set), (10_000, 2))
         draws = sample_matrix(m, np.random.default_rng(6), 10_000, arms=arms)
         assert fold_columns(draws, np.bitwise_or).all()
@@ -174,7 +175,7 @@ class TestSampling:
         assert abs(draws.mean() - exact) < 4 * se
 
     def test_sample_reproducible_per_seed(self):
-        m = make_planted(7, 3, 0.4, 0.5)
+        m = PlantedMeasure(7, 3, 0.4, 0.5)
         a = sample_matrix(m, np.random.default_rng(123), 50)
         b = sample_matrix(m, np.random.default_rng(123), 50)
         assert (a == b).all()
@@ -188,7 +189,7 @@ class TestSampling:
             assert abs((atom == a).mean() - p) < 4 * math.sqrt(p * (1 - p) / 200_000)
 
 
-PLANTED = make_planted(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
+PLANTED = PlantedMeasure(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
 COVERAGE = CoverageMeasure(8, [{0, 1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {6, 7, 0}, {1, 4}])
 JOINT = JointTableMeasure(k=3, probs=(0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1))
 PRODUCT = ProductMeasure(means=(0.7, 0.4, 0.2, 0.1, 0.55))
@@ -248,7 +249,7 @@ class TestObservedArms:
 
     @pytest.mark.parametrize(
         "measure",
-        [PRODUCT, COVERAGE, JOINT, make_planted(5, 3, 0.4, 0.8, planted_set=(0, 2, 4))],
+        [PRODUCT, COVERAGE, JOINT, PlantedMeasure(5, 3, 0.4, 0.8, planted_set=(0, 2, 4))],
         ids=["product", "coverage", "joint", "planted"],
     )
     def test_default_arms_are_all_arms(self, measure):
@@ -278,15 +279,15 @@ class TestSerialization:
         "measure",
         [
             ProductMeasure(means=(0.1, 0.625, 1.0)),
-            make_planted(6, 3, 0.3, 0.7, planted_set=(0, 2, 4)),
+            PlantedMeasure(6, 3, 0.3, 0.7, planted_set=(0, 2, 4)),
             CoverageMeasure(5, [{0, 1}, {2, 4}]),
             JointTableMeasure(k=2, probs=(0.1, 0.2, 0.3, 0.4)),
         ],
     )
     def test_round_trip_exact(self, measure):
-        again = loads(dumps(measure))
+        again = measure_from_dict(json.loads(json.dumps(measure.to_dict())))
         assert type(again) is type(measure)
-        assert marginal_means(again) == marginal_means(measure)
+        assert again.marginals() == measure.marginals()
         if not isinstance(measure, JointTableMeasure):
             assert again == measure
         else:
@@ -302,7 +303,7 @@ class TestSerialization:
         elif family == "planted":
             n = data.draw(st.integers(2, 8))
             k = data.draw(st.integers(2, n))
-            measure = make_planted(
+            measure = PlantedMeasure(
                 n, k, data.draw(st.floats(0.0, 0.5, exclude_min=True)),
                 data.draw(st.floats(0.0, 1.0, exclude_min=True)),
                 planted_set=data.draw(st.permutations(range(n)))[:k],
@@ -315,13 +316,13 @@ class TestSerialization:
             k = data.draw(st.integers(1, 4))
             weights = data.draw(st.lists(unit, min_size=2**k, max_size=2**k).filter(any))
             measure = JointTableMeasure(k=k, probs=tuple(w / math.fsum(weights) for w in weights))
-        again = loads(dumps(measure))
+        again = measure_from_dict(json.loads(json.dumps(measure.to_dict())))
         assert type(again) is type(measure)
         assert again == measure
 
     def test_unknown_type_rejected(self):
         with pytest.raises(DomainError):
-            loads('{"type": "mystery"}')
+            measure_from_dict(json.loads('{"type": "mystery"}'))
 
     @pytest.mark.parametrize(
         "doc,fragment",
@@ -368,7 +369,7 @@ class TestOptimalSubset:
         assert optimal_subset(m, 1) is None
 
     def test_planted(self):
-        m = make_planted(6, 3, 0.4, 0.5, planted_set=(1, 2, 5))
+        m = PlantedMeasure(6, 3, 0.4, 0.5, planted_set=(1, 2, 5))
         assert optimal_subset(m, 3) == (1, 2, 5)
 
     def test_coverage_enumeration(self):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from bestofk.errors import DomainError
-from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure, make_planted
+from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure
 from bestofk.oracle import (
     CHECKS,
-    all_zero_prob,
     exact_query_stats,
     exact_table,
     independence_check,
@@ -22,7 +21,7 @@ from bestofk.theory import MODELS, poisson_binomial_pmf
 
 class TestExactPlantedTable:
     def test_mu_half_p_one_k_two(self):
-        m = make_planted(4, 2, 0.5, 1.0)
+        m = PlantedMeasure(4, 2, 0.5, 1.0)
         t = exact_table(m, m.planted_set)
         assert np.allclose(t.probs, [0.0, 0.5, 0.5, 0.0], atol=1e-15)
 
@@ -33,12 +32,12 @@ class TestExactPlantedTable:
         assert np.allclose(t.probs, prod.probs, atol=1e-15)
 
     def test_all_zero_mass_example(self):
-        m = make_planted(5, 3, 0.4, 0.7)
+        m = PlantedMeasure(5, 3, 0.4, 0.7)
         t = exact_table(m, m.planted_set)
         assert float(t.probs[0]) == pytest.approx(0.1712, abs=1e-12)
 
     def test_size_cap(self):
-        m = make_planted(20, 6, 0.3, 0.5)
+        m = PlantedMeasure(20, 6, 0.3, 0.5)
         with pytest.raises(DomainError, match="capped at 14"):
             exact_table(m, range(15))
 
@@ -50,7 +49,7 @@ class TestExactPlantedTable:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_permutation_invariance_inside_planted_set(self, k):
-        m = make_planted(k + 2, k, 0.35, 0.6)
+        m = PlantedMeasure(k + 2, k, 0.35, 0.6)
         t = exact_table(m, m.planted_set)
         base = np.asarray(t.probs)
         for perm in permutations(range(k)):
@@ -72,7 +71,7 @@ class TestIndependenceCheck:
             assert ok and dev <= 1e-12
 
     def test_planted_k3_orders(self):
-        m = make_planted(4, 3, 0.4, 0.8)
+        m = PlantedMeasure(4, 3, 0.4, 0.8)
         t = exact_table(m, m.planted_set)
         ok2, _ = independence_check(t, 2)
         assert ok2
@@ -82,7 +81,7 @@ class TestIndependenceCheck:
 
     def test_other_size_k_sets_fully_factorize(self):
         # dropping any single hidden arm restores full independence
-        m = make_planted(5, 3, 0.35, 0.9)
+        m = PlantedMeasure(5, 3, 0.35, 0.9)
         for s in ((0, 1, 3), (0, 2, 4), (1, 2, 3), (0, 3, 4)):
             t = exact_table(m, s)
             ok, dev = independence_check(t, 3)
@@ -174,11 +173,11 @@ class TestProductClosedForms:
 class TestAllZeroProb:
     def test_product(self):
         m = ProductMeasure(means=(0.2, 0.5))
-        assert all_zero_prob(m, (0, 1)) == pytest.approx(0.4, abs=1e-15)
+        assert exact_table(m, (0, 1)).probs[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_planted_matches_closed_form(self):
-        m = make_planted(6, 3, 0.3, 0.5)
-        assert all_zero_prob(m, m.planted_set) == pytest.approx(
+        m = PlantedMeasure(6, 3, 0.3, 0.5)
+        assert exact_table(m, m.planted_set).probs[0] == pytest.approx(
             0.7**3 - 0.5 * 0.3**3, abs=1e-14
         )
 
@@ -223,7 +222,7 @@ class TestParityConditionalFixtures:
 
 class TestMarginalHelper:
     def test_marginal_consistency(self):
-        m = make_planted(5, 3, 0.25, 1.0)
+        m = PlantedMeasure(5, 3, 0.25, 1.0)
         t = exact_table(m, m.planted_set + (3,))
         sub = t.marginal((0, 3))
         assert sub.mean(0) == pytest.approx(0.25, abs=1e-14)
