@@ -76,6 +76,7 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
 # ---------------------------------------------------------------------------
 
 CHUNK_PLAYS = 4096  # plays drawn per batch; fixed so a seed replays the same stream
+CHUNK_ELEMENTS = 2**20  # bound on plays x pool arms per batch, so memory stays flat in n
 STAGE_CAP = 40  # default bound on the doubling stages of every identifier
 
 
@@ -96,6 +97,7 @@ def stage_play(
     into blocks of k1, the leftovers padded back to k1 by other pool arms
     that are not recorded twice, and in exact-k mode k2 top-off arms (rejects
     first, accepted arms as fill-in) joined unrecorded to every query.  Per chunk
+    (at most ``CHUNK_PLAYS`` plays and ``CHUNK_ELEMENTS`` plays x pool arms)
     it draws the permutations and top-off sets, lays the plays out as
     queries, draws one reward bit per queried arm and query, and records.
     Each play's per-arm recording law is ``oracle.exact_query_stats``.
@@ -110,10 +112,11 @@ def stage_play(
         raise InfeasibleError("cannot build a top-off set: pools too small")
 
     q = queries_per_play(m, k1)
+    chunk = max(1, min(CHUNK_PLAYS, CHUNK_ELEMENTS // m))
     y = np.zeros(env.n, dtype=np.int64)
     done = 0
     while done < plays:
-        b = min(CHUNK_PLAYS, plays - done)
+        b = min(chunk, plays - done)
         order = urec[np.argsort(rng.random((b, m)), axis=1)]
         if k2 > 0:
             if len(reject_pool) >= k2:

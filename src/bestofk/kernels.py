@@ -7,9 +7,11 @@ non-remainder arms).  Every query appends the play's top-off arms.  Record
 slots always come first within a query, so marked winners are attributed by
 slot position.
 
-``play_arms`` builds that layout as a (plays, queries, width) arm tensor;
-the caller draws reward bits for exactly those arms and ``record_plays``
-credits the recorded slots.
+``play_arms`` writes that layout into one preallocated (plays, queries,
+k1 + k2) arm buffer: pool blocks, then the padded remainder block, then the
+top-off arms broadcast into every query.  The caller draws reward bits for
+exactly those arms, and ``record_plays`` credits the recorded slots with one
+``np.bincount`` over the flat indices of the credited slots.
 """
 
 from __future__ import annotations
@@ -49,11 +51,14 @@ def play_arms(order: np.ndarray, topoff: np.ndarray, k1: int) -> tuple[np.ndarra
     n_plays, m = order.shape
     k2 = topoff.shape[1]
     q = queries_per_play(m, k1)
-    # the remainder block is padded by the first q*k1 - m arms of the order
-    padded = np.concatenate([order, order[:, : q * k1 - m]], axis=1).reshape(n_plays, q, k1)
-    arms = np.concatenate(
-        [padded, np.broadcast_to(topoff[:, None, :], (n_plays, q, k2))], axis=2
-    )
+    full, rem = divmod(m, k1)
+    arms = np.empty((n_plays, q, k1 + k2), dtype=np.int64)
+    arms[:, :full, :k1] = order[:, : full * k1].reshape(n_plays, full, k1)
+    if rem:
+        # the remainder block is padded by the first k1 - rem arms of the order
+        arms[:, full, :rem] = order[:, full * k1 :]
+        arms[:, full, rem:k1] = order[:, : k1 - rem]
+    arms[:, :, k1:] = topoff[:, None, :]
     recorded = np.zeros((q, k1 + k2), dtype=bool)
     recorded[:, :k1] = (np.arange(q * k1) < m).reshape(q, k1)
     return arms, recorded
@@ -92,5 +97,5 @@ def record_plays(
         for j in range(bits.shape[2]):
             seen += bits[:, :, j]
             hit[:, :, j] = (seen == target) & (bits[:, :, j] == 1)
-    y_out += np.bincount(arms[hit & recorded], minlength=len(y_out))
+    y_out += np.bincount(arms.ravel()[np.flatnonzero(hit & recorded)], minlength=len(y_out))
     return y_out

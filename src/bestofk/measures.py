@@ -144,9 +144,15 @@ class ProductMeasure(Measure):
     def n(self) -> int:
         return len(self.means)
 
-    def draw(self, rng, arms):
+    @cached_property
+    def mean_array(self) -> np.ndarray:
+        """Read-only float array of ``means``, built once per measure."""
         means = np.asarray(self.means)
-        return (rng.random(arms.shape) < means[arms]).astype(np.uint8)
+        means.flags.writeable = False
+        return means
+
+    def draw(self, rng, arms):
+        return (rng.random(arms.shape) < self.mean_array[arms]).view(np.uint8)
 
     def marginals(self):
         return self.means
@@ -222,10 +228,16 @@ class PlantedMeasure(Measure):
         z[:, 0] = np.where(y, ~odd_rest, z[:, 0])  # Y=1 forces odd parity over the planted set
         # column j < k: threshold of planted arm j; column k: any other arm
         rate = np.concatenate([2.0 * mu * z, np.full((size, 1), mu)], axis=1)
-        slot = np.full(self.n, k)
-        slot[list(self.planted_set)] = np.arange(k)
-        threshold = np.take_along_axis(rate, slot[arms], axis=1)
+        threshold = np.take_along_axis(rate, self.slots[arms], axis=1)
         return (rng.random(arms.shape) < threshold).astype(np.uint8)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """Read-only int array: ``slots[a]`` is a's position in ``planted_set``, else k."""
+        slots = np.full(self.n, self.k)
+        slots[list(self.planted_set)] = np.arange(self.k)
+        slots.flags.writeable = False
+        return slots
 
     def marginals(self):
         return (self.mu,) * self.n
@@ -314,7 +326,8 @@ class CoverageMeasure(Measure):
 
     def draw(self, rng, arms):
         omega = rng.integers(0, self.m, size=len(arms))
-        return self.members[omega[:, None], arms]
+        # one flat gather: row omega, column a of the (m, n) table
+        return self.members.ravel()[omega[:, None] * self.n + arms]
 
     def marginals(self):
         return tuple(len(s) / self.m for s in self.sets)

@@ -108,12 +108,10 @@ class QueryStatistics:
 
     ``mu_bar[i]`` is the probability arm i is recorded with value 1 given it
     sits in the drawn block, so one play records it as a Bernoulli(mu_bar[i])
-    bit.  ``all_zero`` is the probability a drawn query (block plus top-off)
-    shows all zeros.
+    bit.
     """
 
     mu_bar: dict[int, float]
-    all_zero: float
 
 
 def exact_query_stats(
@@ -153,13 +151,7 @@ def exact_query_stats(
             for w_plus, s_plus in topoffs:
                 acc += weight_rest * w_plus * _record_prob(measure, i, rest + s_plus, model)
         mu_bar[i] = acc
-
-    zero = 0.0
-    weight_block = 1.0 / math.comb(len(u_prime), k1)
-    for block in combinations(u_prime, k1):
-        for w_plus, s_plus in topoffs:
-            zero += weight_block * w_plus * float(exact_table(measure, block + s_plus).probs[0])
-    return QueryStatistics(mu_bar=mu_bar, all_zero=zero)
+    return QueryStatistics(mu_bar=mu_bar)
 
 
 def _topoff_support(reject_pool: tuple[int, ...], accept_pool: tuple[int, ...],

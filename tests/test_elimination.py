@@ -1,13 +1,20 @@
 """Intervals, stage play, balancing, the elimination loop."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bestofk
 from bestofk.elimination import (
+    CHUNK_ELEMENTS,
+    CHUNK_PLAYS,
     ElimState,
     balance,
     balance_set_size,
@@ -457,3 +464,34 @@ class TestStagePlayConsistency:
                                 np.random.default_rng(15))
         assert queries == plays * 2
         self._assert_matches(stats, y, plays, (0, 1, 2, 3))
+
+
+class TestStageMemory:
+    def test_large_pool_spans_chunks(self):
+        # 300 arms: 3495 plays per chunk, so 4096 plays take a full and a partial
+        # chunk; every arm reads 1 and semi feedback records it once per play
+        n, plays = 300, CHUNK_PLAYS
+        assert CHUNK_ELEMENTS // n < plays
+        y, queries = stage_play(ProductMeasure(means=(1.0,) * n), range(n), (), (), 7, 0,
+                                "semi", plays, np.random.default_rng(3))
+        assert queries == plays * 43
+        assert y.tolist() == [plays] * n
+
+    def test_wide_stage_peak_rss_is_bounded(self):
+        # one 4096-play semi stage over 2048 arms; with 4096-play chunks it
+        # peaked at 299 MB; with chunks of 2**20 elements it peaks near 80 MB
+        script = (
+            "import resource, numpy as np\n"
+            "from bestofk.elimination import stage_play\n"
+            "from bestofk.measures import ProductMeasure\n"
+            "env = ProductMeasure(means=tuple(np.linspace(0.1, 0.9, 2048)))\n"
+            "stage_play(env, range(2048), (), (), 8, 0, 'semi', 4096, np.random.default_rng(1))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(bestofk.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 150, peak_mb

@@ -284,6 +284,29 @@ GOLDEN = {
          "model": "semi", "k": 2, "delta": 0.1, "algorithm": "parity", "replicates": 3,
          "base_seed": 15},
         "92670a1cb9036827a68e13d00fac36fe62f7fbfc7fe5ddde99fad4f60d609b15", None),
+    # stages 13-14 run 8192 and 16384 plays, so each spans several stage chunks,
+    # on pools whose last block is padded
+    "product-semi-chunks": (
+        {"measure": {"type": "product", "n": 5, "means": [0.6, 0.5, 0.5, 0.5, 0.2]},
+         "model": "semi", "k": 2, "delta": 0.1, "replicates": 2, "base_seed": 21,
+         "stage_cap": 14, "trace": True},
+        "ff361ea4d91669751d934f3f965e618ad21f4c51c5959df91f7cd88ae3b7da88",
+        "c9063b88117b7e476f5d39109aa9568a2220904c989973fe378fa298e39bf1c1"),
+    "coverage-marked-chunks": (
+        {"measure": {"type": "coverage", "m": 100,
+                     "sets": [list(range(40)), list(range(40, 70)), list(range(70, 99)),
+                              list(range(20)) + list(range(70, 80)), [99]]},
+         "model": "marked", "k": 2, "delta": 0.1, "replicates": 2, "base_seed": 22,
+         "stage_cap": 14},
+        "d769a0f138067044b55aef58b4f0961c11ba206ff09403a98a8068729cc1a21e", None),
+    # the last two stages balance 3 rejected arms into a 5-arm pool and top
+    # every 2-arm block off with one more arm
+    "product-bandit-chunks": (
+        {"measure": {"type": "product", "n": 11, "means": [0.6, 0.6, 0.3, 0.3] + [0.05] * 7},
+         "model": "bandit", "k": 3, "delta": 0.1, "replicates": 1, "base_seed": 23,
+         "stage_cap": 14, "trace": True},
+        "3d1e57f9fef2f0417f8fbf4d8be3011fb35c48eb9a94e121c660aa9c4f423151",
+        "20f52403ad09aa2270a2278b0c492169aab5edc4a8ad96c138462d751d2cd68c"),
 }
 
 

@@ -44,6 +44,27 @@ def test_play_arms_layout():
     assert recorded.all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(0, 3), st.integers(1, 4))
+def test_play_arms_follows_the_per_play_spec(data, k1, k2, plays):
+    """Query j, slot s < k1 holds the pool arm at position j*k1 + s of the
+    order, wrapping round to its leading arms past m, and is recorded only
+    before the wrap; slot k1 + i holds top-off arm i in every query."""
+    m = data.draw(st.integers(k1, 20))
+    perms = [data.draw(st.permutations(range(m + k2))) for _ in range(plays)]
+    order = np.array([p[:m] for p in perms], dtype=np.int64)
+    topoff = np.array([p[m:] for p in perms], dtype=np.int64).reshape(plays, k2)
+    arms, recorded = kernels.play_arms(order, topoff, k1)
+    q = kernels.queries_per_play(m, k1)
+    assert arms.shape == (plays, q, k1 + k2) and recorded.shape == (q, k1 + k2)
+    for p in range(plays):
+        for j in range(q):
+            expected = [order[p, (j * k1 + s) % m] for s in range(k1)] + topoff[p].tolist()
+            assert arms[p, j].tolist() == expected
+    for j in range(q):
+        assert recorded[j].tolist() == [j * k1 + s < m for s in range(k1)] + [False] * k2
+
+
 @pytest.mark.parametrize(
     "model,mark,expected",
     [

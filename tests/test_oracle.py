@@ -122,11 +122,6 @@ class TestExactQueryStats:
         )
         assert agreement.mu_bar[1] == pytest.approx(0.4, abs=1e-15)
 
-    def test_all_zero_probability(self):
-        m = ProductMeasure(means=(0.5, 0.5, 0.5))
-        stats = exact_query_stats(m, (0, 1, 2), k1=2, model="bandit")
-        assert stats.all_zero == pytest.approx(0.25, abs=1e-15)
-
     def test_size_cap(self):
         m = ProductMeasure(means=(0.5,) * 16)
         with pytest.raises(DomainError):
