@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
 from .kernels import play_arms, queries_per_play, record_plays
-from .measures import Measure, sample_matrix
+from .measures import Measure, held_buffer, sample_matrix
 from .theory import check_model
 from .trial import StageRecord, TrialRecord
 
@@ -101,6 +101,12 @@ def stage_play(
     it draws the permutations and top-off sets, lays the plays out as
     queries, draws one reward bit per queried arm and query, and records.
     Each play's per-arm recording law is ``oracle.exact_query_stats``.
+
+    The chunk's permutation keys, permuted pool and arm layout are written
+    into views of buffers held across chunks, stages and calls
+    (``measures.held_buffer``), so no chunk re-faults freed pages; each holds
+    at most one chunk.  ``order`` is gathered with ``np.take(..., mode="clip")``
+    because the default raise mode copies through a fresh temporary.
     """
     urec = np.asarray(sorted(int(a) for a in u_prime), dtype=np.int64)
     m = len(urec)
@@ -117,7 +123,9 @@ def stage_play(
     done = 0
     while done < plays:
         b = min(chunk, plays - done)
-        order = urec[np.argsort(rng.random((b, m)), axis=1)]
+        keys = rng.random(out=held_buffer("stage.keys", (b, m), np.float64))
+        order = np.take(urec, np.argsort(keys, axis=1), mode="clip",
+                        out=held_buffer("stage.order", (b, m), np.int64))
         if k2 > 0:
             if len(reject_pool) >= k2:
                 keys = np.argsort(rng.random((b, len(reject_pool))), axis=1)
@@ -131,13 +139,12 @@ def stage_play(
                 )
         else:
             topoff = np.zeros((b, 0), dtype=np.int64)
-        arms, recorded = play_arms(order, topoff, k1)
+        arms, recorded = play_arms(
+            order, topoff, k1, out=held_buffer("stage.arms", (b, q, k1 + k2), np.int64)
+        )
         bits = sample_matrix(env, rng, b * q, arms=arms.reshape(b * q, -1)).reshape(arms.shape)
-        if model == "marked":
-            mark_u = rng.random((b, q))
-        else:
-            mark_u = np.zeros((b, q))
-        record_plays(bits, arms, recorded, model, mark_u, y)
+        mark_u = rng.random((b, q)) if model == "marked" else None
+        record_plays(bits, arms, recorded, model, y, mark_u)
         done += b
     return y, plays * q
 

@@ -7,17 +7,28 @@ non-remainder arms).  Every query appends the play's top-off arms.  Record
 slots always come first within a query, so marked winners are attributed by
 slot position.
 
-``play_arms`` writes that layout into one preallocated (plays, queries,
-k1 + k2) arm buffer: pool blocks, then the padded remainder block, then the
-top-off arms broadcast into every query.  The caller draws reward bits for
-exactly those arms, and ``record_plays`` credits the recorded slots with one
+``play_arms`` writes that layout into one (plays, queries, k1 + k2) arm
+buffer: pool blocks, then the padded remainder block, then the top-off arms
+broadcast into every query.  The caller draws reward bits for exactly those
+arms, and ``record_plays`` credits the recorded slots with one
 ``np.bincount`` over the flat indices of the credited slots.
+
+``stage_play`` passes the arm buffer as ``out``: a view of a buffer held for
+the life of the process (``measures.held_buffer``), as are the chunk's
+permutation keys, its permuted pool and the product draw's uniforms and
+gathered means.  Freed, these multi-megabyte chunk arrays are trimmed off
+the heap by glibc and page-faulted in again by the next chunk; held, each
+grows to the largest chunk asked of it, at most ``CHUNK_ELEMENTS`` pool or
+query slots plus the remainder block's padding.  They are filled with
+``out=`` arguments; ``np.take`` gets ``mode="clip"`` (its indices are in
+range), because in its default raise mode it fills a fresh copy of ``out``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .measures import fold_columns
 from .theory import check_model
 
@@ -39,11 +50,15 @@ def queries_per_play(m: int, k1: int) -> int:
     return -(-m // k1)
 
 
-def play_arms(order: np.ndarray, topoff: np.ndarray, k1: int) -> tuple[np.ndarray, np.ndarray]:
+def play_arms(
+    order: np.ndarray, topoff: np.ndarray, k1: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Lay out a batch of plays as queries.
 
     order   int64 (B, m): each play's sampling pool in permuted order
     topoff  int64 (B, k2): per-play top-off arms (k2 may be 0)
+    out     int64 (B, q, k1 + k2), optional: the buffer to write ``arms`` into;
+            every element is overwritten
 
     Returns ``arms``, int64 (B, q, k1 + k2), the arms of every query, and
     ``recorded``, bool (q, k1 + k2), the slots whose wins are credited.
@@ -52,7 +67,7 @@ def play_arms(order: np.ndarray, topoff: np.ndarray, k1: int) -> tuple[np.ndarra
     k2 = topoff.shape[1]
     q = queries_per_play(m, k1)
     full, rem = divmod(m, k1)
-    arms = np.empty((n_plays, q, k1 + k2), dtype=np.int64)
+    arms = np.empty((n_plays, q, k1 + k2), dtype=np.int64) if out is None else out
     arms[:, :full, :k1] = order[:, : full * k1].reshape(n_plays, full, k1)
     if rem:
         # the remainder block is padded by the first k1 - rem arms of the order
@@ -69,21 +84,24 @@ def record_plays(
     arms: np.ndarray,
     recorded: np.ndarray,
     model: str,
-    mark_u: np.ndarray,
     y_out: np.ndarray,
+    mark_u: np.ndarray | None = None,
 ) -> np.ndarray:
     """Record a batch of plays into ``y_out`` (int64, length n, in place).
 
     bits      uint8 (B, q, w): the reward bit of ``arms`` in each query
     arms      int64 (B, q, w): queried arms, as built by ``play_arms``
     recorded  bool (q, w): slots whose wins may be credited
-    mark_u    float64 (B, q): winner-choice uniforms (ignored unless marked)
+    mark_u    float64 (B, q): winner-choice uniforms, needed under marked
+              feedback only
 
     bandit credits every recorded slot of a winning query, semi every
     recorded slot that reads 1, marked the uniformly chosen winner if its
     slot is recorded.
     """
     check_model(model)
+    if model == "marked" and mark_u is None:
+        raise DomainError("marked feedback needs the winner-choice uniforms mark_u")
     if model == "bandit":
         hit = fold_columns(bits, np.bitwise_or).astype(bool)[:, :, None]
     elif model == "semi":

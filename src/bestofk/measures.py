@@ -48,6 +48,7 @@ __all__ = [
     "SUBSET_CAP",
     "sample_matrix",
     "fold_columns",
+    "held_buffer",
     "expected_max",
     "optimal_subset",
     "measure_from_dict",
@@ -152,7 +153,15 @@ class ProductMeasure(Measure):
         return means
 
     def draw(self, rng, arms):
-        return (rng.random(arms.shape) < self.mean_array[arms]).view(np.uint8)
+        """Compare held uniforms with held gathered means; the bits are fresh.
+
+        ``np.take`` clips rather than raises, because in raise mode it fills a
+        temporary copy of ``out``; ``arms`` must lie in range(n).
+        """
+        uniforms = rng.random(out=held_buffer("draw.uniforms", arms.shape, np.float64))
+        means = np.take(self.mean_array, arms, mode="clip",
+                        out=held_buffer("draw.means", arms.shape, np.float64))
+        return (uniforms < means).view(np.uint8)
 
     def marginals(self):
         return self.means
@@ -433,6 +442,28 @@ def fold_columns(bits: np.ndarray, op: np.ufunc, dtype=None) -> np.ndarray:
     for j in range(1, bits.shape[-1]):
         op(acc, bits[..., j], out=acc)
     return acc
+
+
+# Flat scratch buffers by name, each as large as the largest view asked of it.
+_HELD: dict[str, np.ndarray] = {}
+
+
+def held_buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the flat scratch buffer held as ``name``.
+
+    The buffer grows to the largest view asked of it and is kept for the life
+    of the process, so a chunk loop writes its temporaries into pages that are
+    already mapped instead of allocating, freeing and (after glibc trims the
+    heap) page-faulting them in again on every chunk.  Its contents are
+    whatever the last user wrote: fill the view before reading it, and never
+    return it to a caller, because the next request under ``name`` overwrites it.
+    """
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    flat = _HELD.get(name)
+    if flat is None or flat.dtype != dtype or flat.size < size:
+        flat = _HELD[name] = np.empty(size, dtype=dtype)
+    return flat[:size].reshape(shape)
 
 
 def expected_max(measure: Measure, arms: Iterable[int]) -> float:

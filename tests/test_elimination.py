@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bestofk
+from bestofk import measures
 from bestofk.elimination import (
     CHUNK_ELEMENTS,
     CHUNK_PLAYS,
@@ -467,6 +468,54 @@ class TestStagePlayConsistency:
 
 
 class TestStageMemory:
+    # (u_prime, accept, r_prime, k1, k2, model): 11 arms in blocks of 4 leave a
+    # remainder of 3 padded by one arm; the top-off cases join 2 arms to every
+    # query, from the rejects alone or from one reject and the accepted arms
+    STAGES = {
+        "padded-remainder": (range(11), (), (), 4, 0, "semi"),
+        "topoff-rejects": ((0, 1, 2, 3, 4), (), (9, 10, 11), 3, 2, "bandit"),
+        "topoff-fill": ((0, 1, 2, 3, 4), (6, 7, 8), (5,), 3, 2, "marked"),
+    }
+    ENV = ProductMeasure(means=tuple(np.linspace(0.05, 0.95, 12)))
+
+    def _stage(self, case):
+        # 5000 plays: a full chunk, then a smaller one reusing its buffers
+        y, queries = stage_play(self.ENV, *self.STAGES[case], 5000, np.random.default_rng(21))
+        return y.tolist(), queries
+
+    @pytest.mark.parametrize("case", sorted(STAGES))
+    def test_held_buffers_carry_no_stale_state(self, case, monkeypatch):
+        monkeypatch.setattr(measures, "_HELD", {})
+        cold = self._stage(case)
+        # a wider stage leaves larger buffers whose leading elements the next
+        # stage reuses; a narrower one rewrites only those leading elements
+        wide = ProductMeasure(means=tuple(np.linspace(0.1, 0.9, 300)))
+        for u_prime, k1 in ((range(300), 7), (range(3), 2)):
+            stage_play(wide, u_prime, (), (), k1, 0, "semi", 5000, np.random.default_rng(1))
+            assert self._stage(case) == cold
+        for buf in measures._HELD.values():
+            buf.fill(-1)
+        assert self._stage(case) == cold
+
+    def test_held_buffers_stay_one_chunk(self, monkeypatch):
+        # a chunk holds five held arrays (keys, order, arms, the draw's uniforms
+        # and gathered means) of at most CHUNK_ELEMENTS elements each, plus the
+        # remainder block's padding; smaller stages later reuse them and add none
+        monkeypatch.setattr(measures, "_HELD", {})
+        n, k1 = 2048, 8
+        env = ProductMeasure(means=tuple(np.linspace(0.1, 0.9, n)))
+        stage_play(env, range(n), (), (), k1, 0, "semi", CHUNK_PLAYS, np.random.default_rng(1))
+        held = sum(buf.nbytes for buf in measures._HELD.values())
+        padding = CHUNK_ELEMENTS // n * (k1 - 1)
+        assert held <= 5 * 8 * (CHUNK_ELEMENTS + padding), held
+        for stage in [
+            (range(5), (), (), 2, 0, "semi"),
+            (range(3), (3, 4), range(5, 40), 3, 5, "bandit"),
+            (range(10), (), (), 4, 0, "marked"),
+        ]:
+            stage_play(env, *stage, CHUNK_PLAYS, np.random.default_rng(2))
+            assert sum(buf.nbytes for buf in measures._HELD.values()) == held
+
     def test_large_pool_spans_chunks(self):
         # 300 arms: 3495 plays per chunk, so 4096 plays take a full and a partial
         # chunk; every arm reads 1 and semi feedback records it once per play

@@ -26,7 +26,6 @@ def test_unknown_model_rejected():
             np.zeros((1, 1, 2), np.int64),
             np.ones((1, 2), bool),
             "nope",
-            np.zeros((1, 1)),
             np.zeros(2, np.int64),
         )
 
@@ -81,8 +80,8 @@ def test_record_plays_credits_recorded_slots(model, mark, expected):
     arms = np.array([[[0, 1, 4], [2, 3, 4]]])
     bits = np.array([[[0, 0, 1], [1, 1, 0]]], np.uint8)
     recorded = np.array([[True, True, False], [True, True, False]])
-    y = kernels.record_plays(bits, arms, recorded, model, np.full((1, 2), mark),
-                             np.zeros(5, np.int64))
+    y = kernels.record_plays(bits, arms, recorded, model, np.zeros(5, np.int64),
+                             np.full((1, 2), mark))
     assert {a: int(c) for a, c in enumerate(y) if c} == expected
 
 
@@ -149,5 +148,5 @@ def test_record_plays_equals_observe_query_by_query(case):
             for s in shown:
                 if recorded[j, s]:
                     expected[arms[p, j, s]] += 1
-    y = kernels.record_plays(bits, arms, recorded, model, mark_u, np.zeros(n, np.int64))
+    y = kernels.record_plays(bits, arms, recorded, model, np.zeros(n, np.int64), mark_u)
     assert y.tolist() == expected.tolist()

@@ -174,6 +174,17 @@ class TestSampling:
         se = math.sqrt(exact * (1 - exact) / 100_000)
         assert abs(draws.mean() - exact) < 4 * se
 
+    def test_product_draws_are_independent_arrays(self):
+        # the draw writes its uniforms and means into held buffers; the bits
+        # it returns are its own, so a second draw leaves the first unchanged
+        m = ProductMeasure(means=(0.5,) * 6)
+        rng = np.random.default_rng(7)
+        first = sample_matrix(m, rng, 1000)
+        kept = first.copy()
+        second = sample_matrix(m, rng, 1000)
+        assert (first == kept).all()
+        assert not np.shares_memory(first, second)
+
     def test_sample_reproducible_per_seed(self):
         m = PlantedMeasure(7, 3, 0.4, 0.5)
         a = sample_matrix(m, np.random.default_rng(123), 50)
