@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
-from .kernels import play_arms, queries_per_play, record_plays
+from .kernels import lowest_keys, permute_pool, play_arms, queries_per_play, record_plays
 from .measures import Measure, held_buffer, sample_matrix
 from .theory import check_model
 from .trial import StageRecord, TrialRecord
@@ -76,7 +76,7 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
 # ---------------------------------------------------------------------------
 
 CHUNK_PLAYS = 4096  # plays drawn per batch; fixed so a seed replays the same stream
-CHUNK_ELEMENTS = 2**20  # bound on plays x pool arms per batch, so memory stays flat in n
+CHUNK_ELEMENTS = 2**20  # bound on plays x keys per play in a batch, so memory stays flat in n
 STAGE_CAP = 40  # default bound on the doubling stages of every identifier
 
 
@@ -96,17 +96,21 @@ def stage_play(
     One play is a uniform pass over ``u_prime``: a random permutation cut
     into blocks of k1, the leftovers padded back to k1 by other pool arms
     that are not recorded twice, and in exact-k mode k2 top-off arms (rejects
-    first, accepted arms as fill-in) joined unrecorded to every query.  Per chunk
-    (at most ``CHUNK_PLAYS`` plays and ``CHUNK_ELEMENTS`` plays x pool arms)
-    it draws the permutations and top-off sets, lays the plays out as
+    first, accepted arms as fill-in) joined unrecorded to every query.  Per
+    chunk (at most ``CHUNK_PLAYS`` plays, and at most ``CHUNK_ELEMENTS``
+    plays x the widest row of keys a play draws: its pool or its top-off
+    pool) it draws the permutations and top-off sets, lays the plays out as
     queries, draws one reward bit per queried arm and query, and records.
     Each play's per-arm recording law is ``oracle.exact_query_stats``.
 
-    The chunk's permutation keys, permuted pool and arm layout are written
-    into views of buffers held across chunks, stages and calls
-    (``measures.held_buffer``), so no chunk re-faults freed pages; each holds
-    at most one chunk.  ``order`` is gathered with ``np.take(..., mode="clip")``
-    because the default raise mode copies through a fresh temporary.
+    A chunk's permutation is one in-place sort of packed (key, arm) codes
+    (``kernels.permute_pool``; ``np.argsort`` for pools holding an arm of
+    2**11 or above), and its top-off arms are a partial selection of the
+    first k2 (or k2 - |R'|) top-off keys (``kernels.lowest_keys``).  The
+    permutation keys, the codes (``stage.perm``, the permuted pool once
+    masked) and the arm layout are written into views of buffers held
+    across chunks, stages and calls (``measures.held_buffer``), so no chunk
+    re-faults freed pages; each holds at most one chunk.
     """
     urec = np.asarray(sorted(int(a) for a in u_prime), dtype=np.int64)
     m = len(urec)
@@ -118,22 +122,21 @@ def stage_play(
         raise InfeasibleError("cannot build a top-off set: pools too small")
 
     q = queries_per_play(m, k1)
-    chunk = max(1, min(CHUNK_PLAYS, CHUNK_ELEMENTS // m))
+    # a play draws m permutation keys and one key per arm of its top-off pool
+    topoff_keys = 0 if k2 == 0 else len(reject_pool if len(reject_pool) >= k2 else accept_pool)
+    chunk = max(1, min(CHUNK_PLAYS, CHUNK_ELEMENTS // max(m, topoff_keys)))
     y = np.zeros(env.n, dtype=np.int64)
     done = 0
     while done < plays:
         b = min(chunk, plays - done)
         keys = rng.random(out=held_buffer("stage.keys", (b, m), np.float64))
-        order = np.take(urec, np.argsort(keys, axis=1), mode="clip",
-                        out=held_buffer("stage.order", (b, m), np.int64))
+        order = permute_pool(keys, urec, held_buffer("stage.perm", (b, m), np.int64))
         if k2 > 0:
             if len(reject_pool) >= k2:
-                keys = np.argsort(rng.random((b, len(reject_pool))), axis=1)
-                topoff = reject_pool[keys[:, :k2]]
+                topoff = reject_pool[lowest_keys(rng.random((b, len(reject_pool))), k2)]
             else:
                 need = k2 - len(reject_pool)
-                keys = np.argsort(rng.random((b, len(accept_pool))), axis=1)
-                fill = accept_pool[keys[:, :need]]
+                fill = accept_pool[lowest_keys(rng.random((b, len(accept_pool))), need)]
                 topoff = np.concatenate(
                     [np.broadcast_to(reject_pool, (b, len(reject_pool))), fill], axis=1
                 )

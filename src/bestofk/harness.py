@@ -152,7 +152,11 @@ def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> Exper
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], ExperimentSummary]:
-    """Run all replicates; optionally persist records + summary to config.out."""
+    """Run all replicates; optionally persist records + summary to config.out.
+
+    The returned records keep their ``stage_log`` only when ``config.trace``
+    is on: the stage trace is its only reader.
+    """
     env = measure_from_dict(config.measure)
     truth = optimal_subset(env, config.k)
     records: list[TrialRecord] = []
@@ -176,6 +180,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
                 seed=derived_seed(config.base_seed, r),
                 success=success,
                 wall_time=elapsed,
+                stage_log=rec.stage_log if config.trace else (),
             )
         )
     summary = summarize(records, config)

@@ -7,21 +7,35 @@ non-remainder arms).  Every query appends the play's top-off arms.  Record
 slots always come first within a query, so marked winners are attributed by
 slot position.
 
-``play_arms`` writes that layout into one (plays, queries, k1 + k2) arm
+``permute_pool`` orders each play's pool by its uniform keys.  A key from
+``Generator.random`` is j * 2**-53 for an integer j < 2**53, so while every
+pool arm is below 2**11 the key and the arm pack exactly into one uint64
+code, (j << b) | arm with b the bit length of the largest arm; one in-place
+sort of the codes orders the arms by key (exact ties by arm, which is pool
+order), and masking the codes down to their low b bits leaves the permuted
+arms where the codes were.  Pools holding a larger arm take ``np.argsort``.
+``lowest_keys`` picks the top-off arms: the first k of each row of keys in
+key order, by ``argmin`` for one arm and ``argpartition`` plus a sort of the
+k picked keys otherwise, rather than a full sort of the row.
+
+``play_arms`` writes the layout into one (plays, queries, k1 + k2) arm
 buffer: pool blocks, then the padded remainder block, then the top-off arms
 broadcast into every query.  The caller draws reward bits for exactly those
-arms, and ``record_plays`` credits the recorded slots with one
-``np.bincount`` over the flat indices of the credited slots.
+arms, and ``record_plays`` credits the recorded slots.  Under bandit feedback
+a winning query credits every recorded slot, so one weighted ``np.bincount``
+over all slots counts the wins, each slot weighted by its query's OR and its
+recorded flag; semi and marked credits are sparse, so those models count the
+flat indices of the credited slots.
 
-``stage_play`` passes the arm buffer as ``out``: a view of a buffer held for
-the life of the process (``measures.held_buffer``), as are the chunk's
-permutation keys, its permuted pool and the product draw's uniforms and
-gathered means.  Freed, these multi-megabyte chunk arrays are trimmed off
-the heap by glibc and page-faulted in again by the next chunk; held, each
-grows to the largest chunk asked of it, at most ``CHUNK_ELEMENTS`` pool or
-query slots plus the remainder block's padding.  They are filled with
-``out=`` arguments; ``np.take`` gets ``mode="clip"`` (its indices are in
-range), because in its default raise mode it fills a fresh copy of ``out``.
+``stage_play`` passes the codes and the arm buffer as ``out``: views of
+buffers held for the life of the process (``measures.held_buffer``), as are
+the chunk's permutation keys and the product draw's uniforms and gathered
+means.  Freed, these multi-megabyte chunk arrays are trimmed off the heap by
+glibc and page-faulted in again by the next chunk; held, each grows to the
+largest chunk asked of it, at most ``CHUNK_ELEMENTS`` pool or query slots
+plus the remainder block's padding.  They are filled with ``out=``
+arguments; ``np.take`` gets ``mode="clip"`` (its indices are in range),
+because in its default raise mode it fills a fresh copy of ``out``.
 """
 
 from __future__ import annotations
@@ -33,7 +47,10 @@ from .measures import fold_columns
 from .theory import check_model
 
 __all__ = [
+    "PACKED_ARM_BITS",
     "active_backend",
+    "lowest_keys",
+    "permute_pool",
     "play_arms",
     "record_plays",
     "queries_per_play",
@@ -48,6 +65,51 @@ def active_backend() -> str:
 def queries_per_play(m: int, k1: int) -> int:
     """ceil(m / k1): block count including the padded remainder block."""
     return -(-m // k1)
+
+
+# Generator.random keys carry 53 bits, which leaves 11 bits of a uint64 for the arm
+PACKED_ARM_BITS = 64 - 53
+
+
+def permute_pool(keys: np.ndarray, pool: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Order each play's pool by its keys.
+
+    keys  float64 (B, m): uniforms from ``Generator.random``, one per pool arm
+    pool  int64 (m,): the pool's arms, ascending
+    out   int64 (B, m): the buffer to write into; every element is overwritten
+
+    Returns ``out``, row i holding ``pool`` in the order of
+    ``np.argsort(keys[i], kind="stable")``.  When an arm is 2**``PACKED_ARM_BITS``
+    or above, ``np.argsort`` orders the rows, and the order of exact ties is
+    whatever its default sort leaves.
+    """
+    arm_bits = int(pool.max()).bit_length()
+    if arm_bits > PACKED_ARM_BITS:
+        return np.take(pool, np.argsort(keys, axis=1), mode="clip", out=out)
+    # keys * 2**53 is the integer j, exact in float64 and in int64; numpy casts
+    # a float of 2**63 or more to uint64 several times slower, so shift after
+    np.multiply(keys, 2.0**53, out=out, casting="unsafe")
+    codes = out.view(np.uint64)
+    codes <<= arm_bits
+    codes |= pool.view(np.uint64)
+    codes.sort(axis=1)
+    codes &= np.uint64((1 << arm_bits) - 1)
+    return out
+
+
+def lowest_keys(keys: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest keys of each row, smallest first.
+
+    keys  float64 (B, P), with 1 <= k <= P
+
+    Returns int64 (B, k), equal to ``np.argsort(keys, axis=1)[:, :k]`` for
+    rows of distinct keys, without sorting the rest of each row.
+    """
+    if k == 1:
+        return keys.argmin(axis=1)[:, None]
+    picked = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    rank = np.take_along_axis(keys, picked, axis=1).argsort(axis=1)
+    return np.take_along_axis(picked, rank, axis=1)
 
 
 def play_arms(
@@ -102,9 +164,15 @@ def record_plays(
     check_model(model)
     if model == "marked" and mark_u is None:
         raise DomainError("marked feedback needs the winner-choice uniforms mark_u")
+    n_plays, q, w = bits.shape
     if model == "bandit":
-        hit = fold_columns(bits, np.bitwise_or).astype(bool)[:, :, None]
-    elif model == "semi":
+        # weight every slot by its query's OR, then drop the unrecorded slots
+        weights = np.repeat(fold_columns(bits, np.bitwise_or), w).reshape(n_plays, q * w)
+        weights &= recorded.ravel()
+        wins = np.bincount(arms.ravel(), weights=weights.ravel(), minlength=len(y_out))
+        y_out += wins.astype(np.int64)  # whole counts below 2**53, exact in float64
+        return y_out
+    if model == "semi":
         hit = bits == 1
     else:
         # the winner credited is the int(u * wins) + 1-th one in slot order
@@ -112,7 +180,7 @@ def record_plays(
         target = (mark_u * wins).astype(np.int64) + 1
         hit = np.empty(bits.shape, dtype=bool)
         seen = np.zeros_like(target)
-        for j in range(bits.shape[2]):
+        for j in range(w):
             seen += bits[:, :, j]
             hit[:, :, j] = (seen == target) & (bits[:, :, j] == 1)
     y_out += np.bincount(arms.ravel()[np.flatnonzero(hit & recorded)], minlength=len(y_out))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -498,7 +499,7 @@ class TestStageMemory:
         assert self._stage(case) == cold
 
     def test_held_buffers_stay_one_chunk(self, monkeypatch):
-        # a chunk holds five held arrays (keys, order, arms, the draw's uniforms
+        # a chunk holds five held arrays (keys, perm, arms, the draw's uniforms
         # and gathered means) of at most CHUNK_ELEMENTS elements each, plus the
         # remainder block's padding; smaller stages later reuse them and add none
         monkeypatch.setattr(measures, "_HELD", {})
@@ -526,21 +527,56 @@ class TestStageMemory:
         assert queries == plays * 43
         assert y.tolist() == [plays] * n
 
-    def test_wide_stage_peak_rss_is_bounded(self):
-        # one 4096-play semi stage over 2048 arms; with 4096-play chunks it
-        # peaked at 299 MB; with chunks of 2**20 elements it peaks near 80 MB
+    @staticmethod
+    def _peak_rss_mb(stage: str) -> float:
+        # peak RSS of a fresh interpreter that runs one 4096-play stage over
+        # 2048 arms; ``stage`` holds stage_play's arguments from u_prime to model.
+        # It reads VmHWM, the peak of the interpreter's own address space:
+        # ru_maxrss keeps the peak of the address space exec replaced, which
+        # after a vfork is that of this test process
         script = (
-            "import resource, numpy as np\n"
+            "import numpy as np\n"
             "from bestofk.elimination import stage_play\n"
             "from bestofk.measures import ProductMeasure\n"
             "env = ProductMeasure(means=tuple(np.linspace(0.1, 0.9, 2048)))\n"
-            "stage_play(env, range(2048), (), (), 8, 0, 'semi', 4096, np.random.default_rng(1))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            f"stage_play(env, {stage}, 4096, np.random.default_rng(1))\n"
+            "print(*[l for l in open('/proc/self/status') if l.startswith('VmHWM:')])\n"
         )
         src = str(Path(bestofk.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=60, check=True)
-        peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        return int(done.stdout.split()[1]) / 1024  # "VmHWM: <KiB> kB"
+
+    def test_wide_stage_peak_rss_is_bounded(self):
+        # one semi stage over all 2048 arms; with 4096-play chunks it peaked at
+        # 299 MB; with chunks of 2**20 elements it peaks near 80 MB
+        peak_mb = self._peak_rss_mb("range(2048), (), (), 8, 0, 'semi'")
         assert peak_mb < 150, peak_mb
+
+    def test_wide_topoff_stage_peak_rss_is_bounded(self):
+        # a late bandit stage: a 4-arm pool whose queries are topped off with 4
+        # of 2044 rejects; with chunks sized by the pool alone, its 4096 x 2044
+        # top-off keys peaked at 163 MB; sized by the widest key row, near 52 MB
+        peak_mb = self._peak_rss_mb("range(4), (), range(4, 2048), 4, 4, 'bandit'")
+        assert peak_mb < 100, peak_mb
+
+    @pytest.mark.parametrize("model,bound_mb", [("semi", 11), ("bandit", 11), ("marked", 9)])
+    def test_warm_stage_allocations_are_bounded(self, model, bound_mb):
+        # the peak of fresh numpy allocations in a warm 4096-play stage over 256
+        # arms: the reward bits (1 MB) and the recorder's temporaries (10 MB with
+        # semi's index list); one more chunk-sized int64 array is 8 MB, and the
+        # bandit recorder's slot index list took the bandit stage to 17.1 MB
+        env = ProductMeasure(means=tuple(np.linspace(0.05, 0.95, 256)))
+        stage = (env, range(256), (), (), 8, 0, model, CHUNK_PLAYS)
+        stage_play(*stage, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            stage_play(*stage, np.random.default_rng(2))
+            peak_mb = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < bound_mb, peak_mb

@@ -239,11 +239,16 @@ class TestRunExperiment:
     def test_trace_file(self, tmp_path):
         out = tmp_path / "r.jsonl"
         cfg = _product_config(out=str(out), trace=True, replicates=2)
-        run_experiment(cfg)
+        records, _ = run_experiment(cfg)
         trace_lines = [json.loads(l) for l in (tmp_path / "r.jsonl.trace").read_text().splitlines()]
         assert trace_lines
         assert all(l["kind"] == "stage" for l in trace_lines)
         assert {"t", "sample_size", "queries", "mu_hat", "c_hat"} <= set(trace_lines[0])
+        assert len(trace_lines) == sum(len(r.stage_log) for r in records)
+        # untraced, the records keep no stage log
+        untraced, _ = run_experiment(_product_config(replicates=2))
+        assert [r.stage_log for r in untraced] == [(), ()]
+        assert [r.stages for r in untraced] == [r.stages for r in records]
 
     def test_subset_arm_and_parity_paths(self):
         planted = PlantedMeasure(4, 2, 0.5, 1.0).to_dict()

@@ -64,6 +64,50 @@ def test_play_arms_follows_the_per_play_spec(data, k1, k2, plays):
         assert recorded[j].tolist() == [j * k1 + s < m for s in range(k1)] + [False] * k2
 
 
+# pool widths: small pools, and the widest packed pools around the 2**11 arm bound
+POOL_WIDTHS = st.one_of(st.integers(1, 40), st.sampled_from([1024, 2048, 2049]))
+
+
+def _pool(data, m, limits):
+    """m distinct ascending arms below m or below one of ``limits`` of at least m."""
+    top = data.draw(st.sampled_from(sorted({m} | {t for t in limits if t >= m})))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    return np.sort(np.random.default_rng(seed).choice(top, m, replace=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), POOL_WIDTHS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_permute_pool_equals_stable_argsort(data, m, rows, seed):
+    # pools of arms below 2**11 take the packed sort, the others np.argsort
+    pool = _pool(data, m, (2048, 4096))
+    keys = np.random.default_rng(seed).random((rows, m))
+    order = kernels.permute_pool(keys, pool, np.empty((rows, m), np.int64))
+    assert order.tolist() == pool[np.argsort(keys, axis=1, kind="stable")].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), POOL_WIDTHS.filter(lambda m: m <= 2048), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_permute_pool_orders_exact_ties_by_pool_position(data, m, rows, seed):
+    # keys from four uniforms, the least and greatest among them, so rows tie
+    # exactly; a packed pool lists tied arms in pool order, as a stable sort does
+    pool = _pool(data, m, (2048,))
+    assert pool[-1] < 2**kernels.PACKED_ARM_BITS
+    values = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    keys = values[np.random.default_rng(seed).integers(0, len(values), (rows, m))]
+    order = kernels.permute_pool(keys, pool, np.empty((rows, m), np.int64))
+    assert order.tolist() == pool[np.argsort(keys, axis=1, kind="stable")].tolist()
+
+
+@settings(max_examples=15, deadline=None)
+@given(POOL_WIDTHS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_lowest_keys_equals_the_argsort_prefix(m, rows, seed):
+    keys = np.random.default_rng(seed).random((rows, m))
+    ranked = np.argsort(keys, axis=1)
+    for k in range(1, m + 1):
+        assert np.array_equal(kernels.lowest_keys(keys, k), ranked[:, :k]), k
+
+
 @pytest.mark.parametrize(
     "model,mark,expected",
     [
