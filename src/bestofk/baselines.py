@@ -20,12 +20,10 @@ import numpy as np
 
 from .elimination import STAGE_CAP, confidence_radius
 from .errors import DomainError, SubsetCapError
-from .measures import SUBSET_CAP, Measure, fold_columns, sample_matrix
+from .measures import DRAW_ELEMENTS, SUBSET_CAP, Measure, fold_columns, sample_matrix
 from .trial import TrialRecord
 
 __all__ = ["subset_arm_identify", "parity_identify"]
-
-DRAW_ROWS = 1 << 18  # bounds the memory of one stage's draw
 
 
 def _enumerate_subsets(n: int, k: int) -> np.ndarray:
@@ -61,13 +59,16 @@ def _eliminate_over_subsets(
     if n_arms == 1:
         return TrialRecord(returned=tuple(survivors[0].tolist()), total_queries=0, stages=0)
     total_queries = 0
+    # a draw holds at most draw_rows rows of k arms: the largest power of two
+    # (so it divides every larger 2**t) with draw_rows * k <= DRAW_ELEMENTS
+    draw_rows = 1 << ((DRAW_ELEMENTS // k).bit_length() - 1)
     for t in range(1, stage_cap + 1):
         big_t = 2**t
-        # big_t consecutive rows observe each survivor; a draw holds at most
-        # DRAW_ROWS rows: whole survivors while they fit, else one survivor's
-        # rows over big_t // DRAW_ROWS draws
-        rows = min(big_t, DRAW_ROWS)
-        per_draw = DRAW_ROWS // rows
+        # big_t consecutive rows observe each survivor; a draw holds whole
+        # survivors while they fit, else one survivor's rows over
+        # big_t // draw_rows draws
+        rows = min(big_t, draw_rows)
+        per_draw = draw_rows // rows
         ones = []
         for lo in range(0, len(survivors), per_draw):
             group = survivors[lo : lo + per_draw]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
 from .kernels import lowest_keys, permute_pool, play_arms, queries_per_play, record_plays
-from .measures import Measure, held_buffer, sample_matrix
+from .measures import DRAW_ELEMENTS, Measure, held_buffer, sample_matrix
 from .theory import check_model
 from .trial import StageRecord, TrialRecord
 
@@ -76,7 +76,6 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
 # ---------------------------------------------------------------------------
 
 CHUNK_PLAYS = 4096  # plays drawn per batch; fixed so a seed replays the same stream
-CHUNK_ELEMENTS = 2**20  # bound on plays x keys per play in a batch, so memory stays flat in n
 STAGE_CAP = 40  # default bound on the doubling stages of every identifier
 
 
@@ -97,7 +96,7 @@ def stage_play(
     into blocks of k1, the leftovers padded back to k1 by other pool arms
     that are not recorded twice, and in exact-k mode k2 top-off arms (rejects
     first, accepted arms as fill-in) joined unrecorded to every query.  Per
-    chunk (at most ``CHUNK_PLAYS`` plays, and at most ``CHUNK_ELEMENTS``
+    chunk (at most ``CHUNK_PLAYS`` plays, and at most ``DRAW_ELEMENTS``
     plays x the widest row of keys a play draws: its pool or its top-off
     pool) it draws the permutations and top-off sets, lays the plays out as
     queries, draws one reward bit per queried arm and query, and records.
@@ -124,7 +123,7 @@ def stage_play(
     q = queries_per_play(m, k1)
     # a play draws m permutation keys and one key per arm of its top-off pool
     topoff_keys = 0 if k2 == 0 else len(reject_pool if len(reject_pool) >= k2 else accept_pool)
-    chunk = max(1, min(CHUNK_PLAYS, CHUNK_ELEMENTS // max(m, topoff_keys)))
+    chunk = max(1, min(CHUNK_PLAYS, DRAW_ELEMENTS // max(m, topoff_keys)))
     y = np.zeros(env.n, dtype=np.int64)
     done = 0
     while done < plays:

@@ -19,6 +19,9 @@ their input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the
 arm set) and ``optimal_subset`` (k); the benchmark's tracer also times
 ``sample_matrix`` and ``optimal_subset`` by name.
 
+The planted sampler takes all its doubles from one generator call into
+``held_buffer`` scratch; callers bound each draw by ``DRAW_ELEMENTS``.
+
 Arms are 0-based everywhere.  All randomness flows through explicit
 ``numpy.random.Generator`` instances; measures themselves are immutable and
 safe to share across workers.
@@ -46,6 +49,7 @@ __all__ = [
     "JointTableMeasure",
     "Measure",
     "SUBSET_CAP",
+    "DRAW_ELEMENTS",
     "sample_matrix",
     "fold_columns",
     "held_buffer",
@@ -224,21 +228,29 @@ class PlantedMeasure(Measure):
         object.__setattr__(self, "p", float(self.p))
 
     def draw(self, rng, arms):
-        """Draw Y and the k planted Zs, then one uniform per observed arm.
+        """One generator call gives, in order, Y per row, the k planted Zs per
+        row and one uniform per observed arm.
 
-        A planted arm reads 1 when its Z is 1 and the uniform falls under
-        2*mu, any other arm when the uniform falls under mu (its Z*U is
-        Bernoulli(mu) and independent of everything else).
+        An arm reads 1 when its uniform is under its threshold (2*mu planted,
+        mu otherwise) and its gate, read flat at row * (k + 1) + ``slots[arm]``
+        from a table of the Zs and an all-ones last column, is 1.  For u in
+        [0, 1), u < 2*mu*Z is Z and (u < 2*mu); any other arm's Z*U is
+        Bernoulli(mu) and independent of everything else.
         """
-        size, k, mu = len(arms), self.k, self.mu
-        y = rng.random(size) < self.p
-        z = rng.random((size, k)) < 0.5
+        size, k = len(arms), self.k
+        block = (size * (1 + k + arms.shape[1]),)
+        u = rng.random(out=held_buffer("draw.uniforms", block, np.float64))
+        y = u[:size] < self.p
+        gate = np.ones((size, k + 1), dtype=bool)
+        z = gate[:, :k]
+        np.less(u[size : size * (1 + k)].reshape(size, k), 0.5, out=z)
         odd_rest = fold_columns(z[:, 1:], np.bitwise_xor)
-        z[:, 0] = np.where(y, ~odd_rest, z[:, 0])  # Y=1 forces odd parity over the planted set
-        # column j < k: threshold of planted arm j; column k: any other arm
-        rate = np.concatenate([2.0 * mu * z, np.full((size, 1), mu)], axis=1)
-        threshold = np.take_along_axis(rate, self.slots[arms], axis=1)
-        return (rng.random(arms.shape) < threshold).astype(np.uint8)
+        np.copyto(z[:, 0], ~odd_rest, where=y)  # Y=1 forces odd parity over the planted set
+        cell = np.take(self.slots, arms)
+        cell += np.arange(0, size * (k + 1), k + 1)[:, None]
+        bits = u[size * (1 + k) :].reshape(arms.shape) < np.take(self.thresholds, arms)
+        bits &= np.take(gate, cell)
+        return bits.view(np.uint8)
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -247,6 +259,13 @@ class PlantedMeasure(Measure):
         slots[list(self.planted_set)] = np.arange(self.k)
         slots.flags.writeable = False
         return slots
+
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        """Read-only float array: 2*mu for a planted arm, mu for any other."""
+        thresholds = np.where(self.slots < self.k, 2.0 * self.mu, self.mu)
+        thresholds.flags.writeable = False
+        return thresholds
 
     def marginals(self):
         return (self.mu,) * self.n
@@ -446,6 +465,9 @@ def fold_columns(bits: np.ndarray, op: np.ufunc, dtype=None) -> np.ndarray:
 
 # Flat scratch buffers by name, each as large as the largest view asked of it.
 _HELD: dict[str, np.ndarray] = {}
+# Bound on the elements of one stage chunk (plays x keys per play) and of one
+# baseline draw (rows x observed arms), so their arrays stay flat in n and k.
+DRAW_ELEMENTS = 2**20
 
 
 def held_buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:

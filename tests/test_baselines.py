@@ -12,7 +12,13 @@ from bestofk.baselines import SUBSET_CAP, parity_identify, subset_arm_identify
 from bestofk.elimination import STAGE_CAP, run_identification
 from bestofk.errors import DomainError, SubsetCapError
 from bestofk.harness import ExperimentConfig
-from bestofk.measures import PlantedMeasure, ProductMeasure, sample_matrix
+from bestofk.measures import (
+    CoverageMeasure,
+    JointTableMeasure,
+    PlantedMeasure,
+    ProductMeasure,
+    sample_matrix,
+)
 
 
 class TestSubsetArm:
@@ -34,24 +40,38 @@ class TestSubsetArm:
         with pytest.raises(DomainError):
             identify(env, 2, 0.1, np.random.default_rng(0), stage_cap=0)
 
-    def test_every_draw_is_bounded(self, monkeypatch):
-        # the top three arms tie, so all 8 stages run; past the row bound a
-        # survivor's rows split over several draws, and a product measure
-        # draws its rows in order, so the record cannot change
-        env = ProductMeasure(means=(0.5, 0.5, 0.5, 0.3))
-        whole = subset_arm_identify(env, 2, 0.1, np.random.default_rng(7), stage_cap=8)
+    @pytest.mark.parametrize(
+        "env,k,replays",
+        [
+            (ProductMeasure(means=(0.5, 0.5, 0.5, 0.3)), 2, True),
+            (ProductMeasure(means=(0.5, 0.5, 0.5, 0.5, 0.3)), 3, True),
+            (JointTableMeasure(k=3, probs=(0.125,) * 8), 2, True),
+            (PlantedMeasure(4, 2, 0.5, 0.0), 2, False),
+            (CoverageMeasure(4, [{0}, {1}, {2}, {3}]), 2, False),
+        ],
+        ids=["product", "product-k3", "joint_table", "planted", "coverage"],
+    )
+    def test_every_draw_is_bounded(self, env, k, replays, monkeypatch):
+        # every k-subset ties, so all 8 stages run; a draw holds at most the
+        # largest power of two rows with rows * k <= DRAW_ELEMENTS (16 here),
+        # so past 16 rows a survivor's rows split over several draws.  Product
+        # and joint-table draws read the stream row by row, so their records
+        # cannot change; a planted draw reads Y, Z and the uniforms of all its
+        # rows in turn, and a coverage draw buffers its integers per call
+        whole = subset_arm_identify(env, k, 0.1, np.random.default_rng(7), stage_cap=8)
         rows = []
 
         def counted(measure, rng, size, arms=None):
             rows.append(len(arms))
             return sample_matrix(measure, rng, size, arms=arms)
 
-        monkeypatch.setattr(baselines, "DRAW_ROWS", 16)
+        monkeypatch.setattr(baselines, "DRAW_ELEMENTS", 20 * k)  # 20 rows, down to 16
         monkeypatch.setattr(baselines, "sample_matrix", counted)
-        split = subset_arm_identify(env, 2, 0.1, np.random.default_rng(7), stage_cap=8)
-        assert whole.inconclusive and whole.stages == 8
-        assert max(rows) == 16 and sum(rows) == whole.total_queries
-        assert split == whole
+        split = subset_arm_identify(env, k, 0.1, np.random.default_rng(7), stage_cap=8)
+        assert split.stages == 8
+        assert max(rows) == 16 and sum(rows) == split.total_queries
+        if replays:
+            assert whole.inconclusive and split == whole
 
     def test_planted_recovery_rate(self):
         env = PlantedMeasure(4, 2, 0.5, 1.0)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import bestofk
 from bestofk import measures
 from bestofk.elimination import (
-    CHUNK_ELEMENTS,
     CHUNK_PLAYS,
     ElimState,
     balance,
@@ -26,7 +25,7 @@ from bestofk.elimination import (
     stage_play,
 )
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
-from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure
+from bestofk.measures import DRAW_ELEMENTS, CoverageMeasure, PlantedMeasure, ProductMeasure
 from bestofk.oracle import exact_query_stats
 from bestofk.theory import inversion_sample_size, kappa_constants, true_variance_radius
 
@@ -500,15 +499,15 @@ class TestStageMemory:
 
     def test_held_buffers_stay_one_chunk(self, monkeypatch):
         # a chunk holds five held arrays (keys, perm, arms, the draw's uniforms
-        # and gathered means) of at most CHUNK_ELEMENTS elements each, plus the
+        # and gathered means) of at most DRAW_ELEMENTS elements each, plus the
         # remainder block's padding; smaller stages later reuse them and add none
         monkeypatch.setattr(measures, "_HELD", {})
         n, k1 = 2048, 8
         env = ProductMeasure(means=tuple(np.linspace(0.1, 0.9, n)))
         stage_play(env, range(n), (), (), k1, 0, "semi", CHUNK_PLAYS, np.random.default_rng(1))
         held = sum(buf.nbytes for buf in measures._HELD.values())
-        padding = CHUNK_ELEMENTS // n * (k1 - 1)
-        assert held <= 5 * 8 * (CHUNK_ELEMENTS + padding), held
+        padding = DRAW_ELEMENTS // n * (k1 - 1)
+        assert held <= 5 * 8 * (DRAW_ELEMENTS + padding), held
         for stage in [
             (range(5), (), (), 2, 0, "semi"),
             (range(3), (3, 4), range(5, 40), 3, 5, "bandit"),
@@ -521,7 +520,7 @@ class TestStageMemory:
         # 300 arms: 3495 plays per chunk, so 4096 plays take a full and a partial
         # chunk; every arm reads 1 and semi feedback records it once per play
         n, plays = 300, CHUNK_PLAYS
-        assert CHUNK_ELEMENTS // n < plays
+        assert DRAW_ELEMENTS // n < plays
         y, queries = stage_play(ProductMeasure(means=(1.0,) * n), range(n), (), (), 7, 0,
                                 "semi", plays, np.random.default_rng(3))
         assert queries == plays * 43

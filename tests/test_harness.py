@@ -312,6 +312,22 @@ GOLDEN = {
          "stage_cap": 14, "trace": True},
         "3d1e57f9fef2f0417f8fbf4d8be3011fb35c48eb9a94e121c660aa9c4f423151",
         "20f52403ad09aa2270a2278b0c492169aab5edc4a8ad96c138462d751d2cd68c"),
+    # the subset-planted-n8 benchmark config: 28 subset arms, planted draws of
+    # up to 14,336 rows
+    "planted-bandit-subset_arm-n8": (
+        {"measure": {"type": "planted", "n": 8, "k": 2, "mu": 0.5, "p": 1.0},
+         "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 2,
+         "base_seed": 24},
+        "e7fb4985ca9bece6b2b44a28b224ff903b8ec552a1ceadb82dfef5b45c0695e7", None),
+    # planted draws of up to 8192 rows inside stage chunks; planted runs can
+    # stall, and this one decides no arm before the cap ends it
+    "planted-marked-elimination": (
+        {"measure": {"type": "planted", "n": 6, "k": 3, "mu": 0.3, "p": 1.0,
+                     "planted_set": [1, 3, 4]},
+         "model": "marked", "k": 3, "delta": 0.1, "replicates": 2, "base_seed": 25,
+         "stage_cap": 12, "trace": True},
+        "bbeab980f82d4f168668bdfa4f657d4e8c030f69d04f6b6bef16f63d3155e95d",
+        "45c91fd5f32bbce212e5689d78f855eb875bbec0979df5d35be89e0766799760"),
 }
 
 

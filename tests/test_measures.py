@@ -200,7 +200,64 @@ class TestSampling:
             assert abs((atom == a).mean() - p) < 4 * math.sqrt(p * (1 - p) / 200_000)
 
 
-PLANTED = PlantedMeasure(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
+def planted_reference(measure, rng, arms):
+    """The planted draw in three generator calls: Y, the Zs, then the uniforms.
+
+    Every arm's threshold is gathered per row from its slot: 2*mu*Z for the
+    planted arm at position j, mu for any other arm.
+    """
+    size, k, mu = len(arms), measure.k, measure.mu
+    y = rng.random(size) < measure.p
+    z = rng.random((size, k)) < 0.5
+    odd_rest = z[:, 1:].sum(axis=1) % 2 == 1
+    z[:, 0] = np.where(y, ~odd_rest, z[:, 0])  # Y=1 forces odd parity over the planted set
+    rate = np.concatenate([2.0 * mu * z, np.full((size, 1), mu)], axis=1)
+    position = {a: j for j, a in enumerate(measure.planted_set)}
+    slots = np.asarray([[position.get(a, k) for a in row] for row in arms.tolist()],
+                       dtype=np.int64).reshape(arms.shape)
+    threshold = np.take_along_axis(rate, slots, axis=1)
+    return (rng.random(arms.shape) < threshold).astype(np.uint8)
+
+
+class TestPlantedDraw:
+    """PlantedMeasure.draw reads the reference's doubles in its order, bit for bit."""
+
+    @staticmethod
+    def assert_same_draw(measure, arms, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bits = measure.draw(rng, arms)
+        assert bits.dtype == np.uint8 and bits.shape == arms.shape
+        assert bits.tolist() == planted_reference(measure, ref_rng, arms).tolist()
+        assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        p=st.sampled_from([0.0, 0.3, 1.0]),
+        mu=st.sampled_from([0.2, 0.5]),
+        size=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_three_call_reference(self, data, p, mu, size, seed):
+        n = data.draw(st.integers(2, 12))
+        k = data.draw(st.integers(2, n))
+        planted = data.draw(st.permutations(range(n)))[:k]
+        w = data.draw(st.integers(1, n))
+        # each row observes w distinct arms in a random order
+        arms = np.argsort(np.random.default_rng(seed).random((size, n)), axis=1)[:, :w]
+        self.assert_same_draw(PlantedMeasure(n, k, mu, p, planted_set=planted), arms, seed)
+
+    def test_matches_reference_at_k_65(self):
+        measure = PlantedMeasure(80, 65, 0.5, 0.3, planted_set=range(10, 75))
+        arms = np.argsort(np.random.default_rng(5).random((300, 80)), axis=1)[:, :70]
+        self.assert_same_draw(measure, arms, 6)
+
+    def test_arm_out_of_range_raises(self):
+        with pytest.raises(IndexError):
+            PLANTED.draw(np.random.default_rng(0), np.asarray([[0, PLANTED.n]]))
+
+
+PLANTED =PlantedMeasure(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
 COVERAGE = CoverageMeasure(8, [{0, 1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {6, 7, 0}, {1, 4}])
 JOINT = JointTableMeasure(k=3, probs=(0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1))
 PRODUCT = ProductMeasure(means=(0.7, 0.4, 0.2, 0.1, 0.55))
