@@ -16,13 +16,14 @@ exact per-arm recording law it is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
-from .kernels import lowest_keys, permute_pool, play_arms, queries_per_play, record_plays
+from .kernels import (lowest_keys, permute_pool, play_arms, queries_per_play, record_plays,
+                      record_slots)
 from .measures import DRAW_ELEMENTS, Measure, held_buffer, sample_matrix
 from .theory import check_model
 from .trial import StageRecord, TrialRecord
@@ -59,7 +60,7 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
     if T < 2:
         raise DomainError("need T >= 2 (sample variance divides by T-1)")
     mu = np.asarray(mu_hat, dtype=float)
-    if not ((0.0 <= mu) & (mu <= 1.0)).all():
+    if not (0.0 <= mu.min(initial=1.0) and mu.max(initial=0.0) <= 1.0):  # so does NaN
         raise DomainError("mu_hat must lie in [0, 1]")
     if not (0.0 < delta < 1.0):
         raise DomainError("delta must lie in (0, 1)")
@@ -99,8 +100,11 @@ def stage_play(
     chunk (at most ``CHUNK_PLAYS`` plays, and at most ``DRAW_ELEMENTS``
     plays x the widest row of keys a play draws: its pool or its top-off
     pool) it draws the permutations and top-off sets, lays the plays out as
-    queries, draws one reward bit per queried arm and query, and records.
-    Each play's per-arm recording law is ``oracle.exact_query_stats``.
+    queries, draws one reward bit per queried arm and query, and credits
+    wins through the permuted pool order (``kernels.record_plays``).  The
+    sorted pools, the query count, the chunk size and the slot recording
+    each order position are computed once per stage.  Each play's per-arm
+    recording law is ``oracle.exact_query_stats``.
 
     A chunk's permutation is one in-place sort of packed (key, arm) codes
     (``kernels.permute_pool``; ``np.argsort`` for pools holding an arm of
@@ -111,16 +115,17 @@ def stage_play(
     across chunks, stages and calls (``measures.held_buffer``), so no chunk
     re-faults freed pages; each holds at most one chunk.
     """
-    urec = np.asarray(sorted(int(a) for a in u_prime), dtype=np.int64)
+    urec = np.array(sorted(u_prime), dtype=np.int64)
     m = len(urec)
     if not (1 <= k1 <= m):
         raise DomainError("need 1 <= k1 <= |u_prime|")
-    reject_pool = np.asarray(sorted(int(a) for a in r_prime), dtype=np.int64)
-    accept_pool = np.asarray(sorted(int(a) for a in accept), dtype=np.int64)
+    reject_pool = np.array(sorted(r_prime), dtype=np.int64)
+    accept_pool = np.array(sorted(accept), dtype=np.int64)
     if k2 > 0 and len(reject_pool) + len(accept_pool) < k2:
         raise InfeasibleError("cannot build a top-off set: pools too small")
 
     q = queries_per_play(m, k1)
+    slots = record_slots(m, k1, k2)
     # a play draws m permutation keys and one key per arm of its top-off pool
     topoff_keys = 0 if k2 == 0 else len(reject_pool if len(reject_pool) >= k2 else accept_pool)
     chunk = max(1, min(CHUNK_PLAYS, DRAW_ELEMENTS // max(m, topoff_keys)))
@@ -141,12 +146,12 @@ def stage_play(
                 )
         else:
             topoff = np.zeros((b, 0), dtype=np.int64)
-        arms, recorded = play_arms(
+        arms = play_arms(
             order, topoff, k1, out=held_buffer("stage.arms", (b, q, k1 + k2), np.int64)
         )
         bits = sample_matrix(env, rng, b * q, arms=arms.reshape(b * q, -1)).reshape(arms.shape)
         mark_u = rng.random((b, q)) if model == "marked" else None
-        record_plays(bits, arms, recorded, model, y, mark_u)
+        record_plays(bits, order, slots, model, y, mark_u)
         done += b
     return y, plays * q
 
@@ -177,8 +182,8 @@ def balance(undecided: Sequence[int], rejected: Sequence[int], k1: int,
     at least 1/2, low-mean fraction bounded); infeasible when the reject set
     cannot supply |B| arms, which the n >= ceil(7k/2) guard rules out.
     """
-    undecided = tuple(sorted(int(a) for a in undecided))
-    rejected = tuple(sorted(int(a) for a in rejected))
+    undecided = tuple(sorted(map(int, undecided)))
+    rejected = tuple(sorted(map(int, rejected)))
     size = balance_set_size(len(undecided), k1)
     if size > len(rejected):
         raise InfeasibleError(
@@ -186,12 +191,10 @@ def balance(undecided: Sequence[int], rejected: Sequence[int], k1: int,
         )
     if size == 0:
         return SamplingSets(u_prime=undecided, r_prime=rejected, balancing=())
-    picked = tuple(
-        int(a) for a in rng.permutation(np.asarray(rejected, dtype=np.int64))[:size]
-    )
+    shuffled = rng.permutation(np.asarray(rejected, dtype=np.int64)).tolist()
+    picked = tuple(shuffled[:size])
     u_prime = tuple(sorted(undecided + picked))
-    r_prime = tuple(sorted(set(rejected) - set(picked)))
-    return SamplingSets(u_prime=u_prime, r_prime=r_prime, balancing=picked)
+    return SamplingSets(u_prime=u_prime, r_prime=tuple(sorted(shuffled[size:])), balancing=picked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +256,7 @@ def elimination_step(
     """
     U = np.asarray(state.undecided, dtype=np.int64)
     mu_hat, c_hat = np.asarray(mu_hat, dtype=float), np.asarray(c_hat, dtype=float)
-    if mu_hat.shape != U.shape or c_hat.shape != U.shape or not (c_hat >= 0).all():
+    if mu_hat.shape != U.shape or c_hat.shape != U.shape or not c_hat.min(initial=0.0) >= 0:
         raise DomainError("need one interval per undecided arm, with radius >= 0")
     k_t = state.k - len(state.accepted)
     uppers, lowers = mu_hat + c_hat, mu_hat - c_hat
@@ -262,11 +265,13 @@ def elimination_step(
     accepting, rejecting = lowers > accept_bar, uppers < reject_bar
     accepted_now = tuple(U[accepting].tolist())
     rejected_now = tuple(U[rejecting].tolist())
-    advanced = replace(
-        state,
+    # the masks split U, so the advanced state keeps the partition unchecked
+    advanced = object.__new__(ElimState)
+    vars(advanced).update(
+        vars(state),
         undecided=tuple(U[~(accepting | rejecting)].tolist()),
-        accepted=tuple(sorted(state.accepted + accepted_now)),
-        rejected=tuple(sorted(state.rejected + rejected_now)),
+        accepted=tuple(sorted(state.accepted + accepted_now)) if accepted_now else state.accepted,
+        rejected=tuple(sorted(state.rejected + rejected_now)) if rejected_now else state.rejected,
         t=state.t + 1,
     )
     return advanced, accepted_now, rejected_now
@@ -316,24 +321,15 @@ def run_identification(
     stage_log: list[StageRecord] = []
 
     while state.t <= stage_cap and len(state.accepted) < k:
-        before, big_t = state, state.sample_size
+        before, big_t, k1 = state, state.sample_size, state.k1
         if balanced:
-            sets = balance(before.undecided, before.rejected, before.k1, rng)
+            sets = balance(before.undecided, before.rejected, k1, rng)
         else:
             sets = SamplingSets(u_prime=before.undecided, r_prime=before.rejected, balancing=())
-        y, queries = stage_play(
-            env,
-            sets.u_prime,
-            before.accepted,
-            sets.r_prime,
-            before.k1,
-            before.k2,
-            model,
-            big_t,
-            rng,
-        )
+        y, queries = stage_play(env, sets.u_prime, before.accepted, sets.r_prime, k1, before.k2,
+                                model, big_t, rng)
         total_queries += queries
-        mu_hat = y[list(before.undecided)] / big_t
+        mu_hat = y.take(before.undecided) / big_t
         c_hat = confidence_radius(mu_hat, big_t, n, before.t, delta)
         state, accepted_now, rejected_now = elimination_step(before, mu_hat, c_hat)
         stage_log.append(

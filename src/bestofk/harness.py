@@ -116,6 +116,16 @@ def _wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _quantile(ordered: Sequence[int], q: float) -> float:
+    """``np.quantile(ordered, q)`` of a sorted nonempty list, bit for bit, without
+    the ``numpy.ma`` import (about 20 ms) it makes: the virtual index (n - 1) q
+    and numpy's lerp, taken from the upper neighbour once the fraction is 1/2."""
+    index = (len(ordered) - 1) * q
+    lo = math.floor(index)
+    a, b, t = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)], index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> ExperimentSummary:
     """Order-independent aggregation of a trial batch."""
     if not records:
@@ -123,9 +133,9 @@ def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> Exper
     queries = sorted(r.total_queries for r in records)
     qs = {
         "min": float(queries[0]),
-        "q25": float(np.quantile(queries, 0.25)),
-        "median": float(np.quantile(queries, 0.5)),
-        "q75": float(np.quantile(queries, 0.75)),
+        "q25": _quantile(queries, 0.25),
+        "median": _quantile(queries, 0.5),
+        "q75": _quantile(queries, 0.75),
         "max": float(queries[-1]),
         "mean": float(np.mean(queries)),
     }

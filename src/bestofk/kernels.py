@@ -20,12 +20,13 @@ k picked keys otherwise, rather than a full sort of the row.
 
 ``play_arms`` writes the layout into one (plays, queries, k1 + k2) arm
 buffer: pool blocks, then the padded remainder block, then the top-off arms
-broadcast into every query.  The caller draws reward bits for exactly those
-arms, and ``record_plays`` credits the recorded slots.  Under bandit feedback
-a winning query credits every recorded slot, so one weighted ``np.bincount``
-over all slots counts the wins, each slot weighted by its query's OR and its
-recorded flag; semi and marked credits are sparse, so those models count the
-flat indices of the credited slots.
+broadcast into every query (or the order itself, when k1 divides m and
+there is no top-off).  The caller draws reward bits for exactly those arms,
+and ``record_plays`` credits wins through the permuted pool order: position
+i is recorded at slot i % k1 of query i // k1 (``record_slots``) and nowhere
+else.  Under bandit feedback one ``np.bincount`` over the order, weighted by
+each position's query OR, counts the wins; semi and marked credits are
+sparse, so those models count the order positions whose slot is credited.
 
 ``stage_play`` passes the codes and the arm buffer as ``out``: views of
 buffers held for the life of the process (``measures.held_buffer``), as are
@@ -39,6 +40,8 @@ because in its default raise mode it fills a fresh copy of ``out``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -54,6 +57,7 @@ __all__ = [
     "play_arms",
     "record_plays",
     "queries_per_play",
+    "record_slots",
 ]
 
 
@@ -83,7 +87,7 @@ def permute_pool(keys: np.ndarray, pool: np.ndarray, out: np.ndarray) -> np.ndar
     or above, ``np.argsort`` orders the rows, and the order of exact ties is
     whatever its default sort leaves.
     """
-    arm_bits = int(pool.max()).bit_length()
+    arm_bits = int(pool[-1]).bit_length()
     if arm_bits > PACKED_ARM_BITS:
         return np.take(pool, np.argsort(keys, axis=1), mode="clip", out=out)
     # keys * 2**53 is the integer j, exact in float64 and in int64; numpy casts
@@ -114,21 +118,23 @@ def lowest_keys(keys: np.ndarray, k: int) -> np.ndarray:
 
 def play_arms(
     order: np.ndarray, topoff: np.ndarray, k1: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Lay out a batch of plays as queries.
 
     order   int64 (B, m): each play's sampling pool in permuted order
     topoff  int64 (B, k2): per-play top-off arms (k2 may be 0)
-    out     int64 (B, q, k1 + k2), optional: the buffer to write ``arms`` into;
-            every element is overwritten
+    out     int64 (B, q, k1 + k2), optional: the buffer to write the layout
+            into; every element is overwritten
 
-    Returns ``arms``, int64 (B, q, k1 + k2), the arms of every query, and
-    ``recorded``, bool (q, k1 + k2), the slots whose wins are credited.
+    Returns int64 (B, q, k1 + k2), the arms of every query: ``out``, or a
+    view of ``order`` when k1 divides m and k2 is 0.
     """
     n_plays, m = order.shape
     k2 = topoff.shape[1]
-    q = queries_per_play(m, k1)
     full, rem = divmod(m, k1)
+    if not (rem or k2):
+        return order.reshape(n_plays, full, k1)
+    q = queries_per_play(m, k1)
     arms = np.empty((n_plays, q, k1 + k2), dtype=np.int64) if out is None else out
     arms[:, :full, :k1] = order[:, : full * k1].reshape(n_plays, full, k1)
     if rem:
@@ -136,26 +142,34 @@ def play_arms(
         arms[:, full, :rem] = order[:, full * k1 :]
         arms[:, full, rem:k1] = order[:, : k1 - rem]
     arms[:, :, k1:] = topoff[:, None, :]
-    recorded = np.zeros((q, k1 + k2), dtype=bool)
-    recorded[:, :k1] = (np.arange(q * k1) < m).reshape(q, k1)
-    return arms, recorded
+    return arms
+
+
+@functools.lru_cache(maxsize=64)
+def record_slots(m: int, k1: int, k2: int) -> np.ndarray:
+    """Read-only int64 (m,): order position i's flat slot in a play's queries."""
+    slots = np.arange(m) // k1 * k2 + np.arange(m)  # (i // k1) * (k1 + k2) + i % k1
+    slots.flags.writeable = False
+    return slots
 
 
 def record_plays(
     bits: np.ndarray,
-    arms: np.ndarray,
-    recorded: np.ndarray,
+    order: np.ndarray,
+    slots: np.ndarray,
     model: str,
     y_out: np.ndarray,
     mark_u: np.ndarray | None = None,
 ) -> np.ndarray:
     """Record a batch of plays into ``y_out`` (int64, length n, in place).
 
-    bits      uint8 (B, q, w): the reward bit of ``arms`` in each query
-    arms      int64 (B, q, w): queried arms, as built by ``play_arms``
-    recorded  bool (q, w): slots whose wins may be credited
-    mark_u    float64 (B, q): winner-choice uniforms, needed under marked
-              feedback only
+    bits    uint8 (B, q, w): the reward bit of every query slot of the layout
+            ``play_arms`` builds from ``order``
+    order   int64 (B, m): each play's sampling pool in permuted order
+    slots   int64 (m,): the flat slot recording each order position
+            (``record_slots``)
+    mark_u  float64 (B, q): winner-choice uniforms, needed under marked
+            feedback only
 
     bandit credits every recorded slot of a winning query, semi every
     recorded slot that reads 1, marked the uniformly chosen winner if its
@@ -166,14 +180,13 @@ def record_plays(
         raise DomainError("marked feedback needs the winner-choice uniforms mark_u")
     n_plays, q, w = bits.shape
     if model == "bandit":
-        # weight every slot by its query's OR, then drop the unrecorded slots
-        weights = np.repeat(fold_columns(bits, np.bitwise_or), w).reshape(n_plays, q * w)
-        weights &= recorded.ravel()
-        wins = np.bincount(arms.ravel(), weights=weights.ravel(), minlength=len(y_out))
-        y_out += wins.astype(np.int64)  # whole counts below 2**53, exact in float64
-        return y_out
+        # weight every order position by its query's OR
+        won = fold_columns(bits, np.bitwise_or).take(slots // w, axis=1)
+        wins = np.bincount(order.ravel(), weights=won.ravel(), minlength=len(y_out))
+        # whole counts below 2**53, exact in float64
+        return np.add(y_out, wins, out=y_out, casting="unsafe")
     if model == "semi":
-        hit = bits == 1
+        hit = bits
     else:
         # the winner credited is the int(u * wins) + 1-th one in slot order
         wins = fold_columns(bits, np.add, dtype=np.int64)
@@ -183,5 +196,8 @@ def record_plays(
         for j in range(w):
             seen += bits[:, :, j]
             hit[:, :, j] = (seen == target) & (bits[:, :, j] == 1)
-    y_out += np.bincount(arms.ravel()[np.flatnonzero(hit & recorded)], minlength=len(y_out))
+    hit = hit.reshape(n_plays, q * w)
+    if len(slots) < q * w:  # else every slot records its own order position
+        hit = hit.take(slots, axis=1)
+    y_out += np.bincount(order.ravel()[np.flatnonzero(hit == 1)], minlength=len(y_out))
     return y_out

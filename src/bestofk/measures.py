@@ -19,8 +19,9 @@ their input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the
 arm set) and ``optimal_subset`` (k); the benchmark's tracer also times
 ``sample_matrix`` and ``optimal_subset`` by name.
 
-The planted sampler takes all its doubles from one generator call into
-``held_buffer`` scratch; callers bound each draw by ``DRAW_ELEMENTS``.
+The planted sampler takes its doubles into ``held_buffer`` scratch, at most
+``DRAW_ELEMENTS`` (or one row) per generator call; callers bound each draw's
+observed arms by ``DRAW_ELEMENTS``.
 
 Arms are 0-based everywhere.  All randomness flows through explicit
 ``numpy.random.Generator`` instances; measures themselves are immutable and
@@ -163,8 +164,8 @@ class ProductMeasure(Measure):
         temporary copy of ``out``; ``arms`` must lie in range(n).
         """
         uniforms = rng.random(out=held_buffer("draw.uniforms", arms.shape, np.float64))
-        means = np.take(self.mean_array, arms, mode="clip",
-                        out=held_buffer("draw.means", arms.shape, np.float64))
+        means = self.mean_array.take(arms, mode="clip",
+                                     out=held_buffer("draw.means", arms.shape, np.float64))
         return (uniforms < means).view(np.uint8)
 
     def marginals(self):
@@ -228,8 +229,9 @@ class PlantedMeasure(Measure):
         object.__setattr__(self, "p", float(self.p))
 
     def draw(self, rng, arms):
-        """One generator call gives, in order, Y per row, the k planted Zs per
-        row and one uniform per observed arm.
+        """One generator call per block of at most max(1, ``DRAW_ELEMENTS`` //
+        (1 + k + w)) rows gives, in order, Y per row, the k planted Zs per row
+        and one uniform per observed arm.
 
         An arm reads 1 when its uniform is under its threshold (2*mu planted,
         mu otherwise) and its gate, read flat at row * (k + 1) + ``slots[arm]``
@@ -238,6 +240,10 @@ class PlantedMeasure(Measure):
         Bernoulli(mu) and independent of everything else.
         """
         size, k = len(arms), self.k
+        rows = max(1, DRAW_ELEMENTS // (1 + k + arms.shape[1]))
+        if size > rows:
+            return np.concatenate([self.draw(rng, arms[i : i + rows])
+                                   for i in range(0, size, rows)])
         block = (size * (1 + k + arms.shape[1]),)
         u = rng.random(out=held_buffer("draw.uniforms", block, np.float64))
         y = u[:size] < self.p
@@ -480,7 +486,6 @@ def held_buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     whatever the last user wrote: fill the view before reading it, and never
     return it to a caller, because the next request under ``name`` overwrites it.
     """
-    dtype = np.dtype(dtype)
     size = math.prod(shape)
     flat = _HELD.get(name)
     if flat is None or flat.dtype != dtype or flat.size < size:

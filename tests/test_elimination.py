@@ -1,5 +1,6 @@
 """Intervals, stage play, balancing, the elimination loop."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bestofk
-from bestofk import measures
+from bestofk import elimination, measures
 from bestofk.elimination import (
     CHUNK_PLAYS,
     ElimState,
@@ -186,6 +187,8 @@ class TestEliminationStep:
             elimination_step(st, np.array([0.5, 0.5]), np.array([0.1, 0.1]))
         with pytest.raises(DomainError):
             elimination_step(st, np.array([0.5, 0.5, 0.5]), np.array([0.1, -0.1, 0.1]))
+        with pytest.raises(DomainError):
+            elimination_step(st, np.array([0.5, 0.5, 0.5]), np.array([0.1, np.nan, 0.1]))
 
 
 @st.composite
@@ -209,7 +212,37 @@ def _stage_snapshots(draw):
     return state, mu, c
 
 
+def _reference_step(state, mu_hat, c_hat):
+    """``elimination_step`` built by ``dataclasses.replace`` and sorted merges."""
+    U = np.asarray(state.undecided, dtype=np.int64)
+    k_t = state.k - len(state.accepted)
+    uppers, lowers = mu_hat + c_hat, mu_hat - c_hat
+    accepting = lowers > np.sort(uppers)[-(k_t + 1)]
+    rejecting = uppers < np.sort(lowers)[-k_t]
+    accepted_now, rejected_now = tuple(U[accepting].tolist()), tuple(U[rejecting].tolist())
+    advanced = dataclasses.replace(
+        state,
+        undecided=tuple(U[~(accepting | rejecting)].tolist()),
+        accepted=tuple(sorted(state.accepted + accepted_now)),
+        rejected=tuple(sorted(state.rejected + rejected_now)),
+        t=state.t + 1,
+    )
+    return advanced, accepted_now, rejected_now
+
+
 class TestEliminationStepProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_stage_snapshots())
+    def test_matches_the_replace_and_merge_reference(self, snapshot):
+        state, mu, c = snapshot
+        new, accepted_now, rejected_now = elimination_step(state, np.array(mu), np.array(c))
+        ref, ref_accepted, ref_rejected = _reference_step(state, np.array(mu), np.array(c))
+        assert (accepted_now, rejected_now) == (ref_accepted, ref_rejected)
+        assert type(new) is ElimState and vars(new) == vars(ref)
+        parts = new.undecided + new.accepted + new.rejected + accepted_now + rejected_now
+        assert all(type(a) is int for a in parts)
+        ElimState(**vars(new))  # the constructor's partition check passes
+
     @settings(max_examples=300, deadline=None)
     @given(_stage_snapshots())
     def test_invariants(self, snapshot):
@@ -238,19 +271,28 @@ class TestEliminationStepProperties:
 
 class TestRunIdentification:
     def test_one_state_per_stage(self, monkeypatch):
-        # the initial state plus the one elimination_step advances to, per stage
-        built = []
-        checks = ElimState.__post_init__
+        # the constructor checks the initial state only; each stage advances
+        # by one elimination_step from the state the stage before returned
+        built, steps = [], []
+        checks, step = ElimState.__post_init__, elimination.elimination_step
 
         def counted(state):
             built.append(state.t)
             checks(state)
 
+        def stepped(state, mu_hat, c_hat):
+            result = step(state, mu_hat, c_hat)
+            steps.append((state, result[0]))
+            return result
+
         monkeypatch.setattr(ElimState, "__post_init__", counted)
+        monkeypatch.setattr(elimination, "elimination_step", stepped)
         env = ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))
         rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(1))
-        assert rec.stages >= 2
-        assert built == list(range(1, rec.stages + 2))
+        assert rec.stages >= 2 and built == [1]
+        assert [before.t for before, _ in steps] == list(range(1, rec.stages + 1))
+        for (_, after), (before, _) in zip(steps, steps[1:]):
+            assert before is after
 
     def test_n_equals_k_short_circuit(self):
         env = ProductMeasure(means=(0.5, 0.5))
@@ -467,6 +509,9 @@ class TestStagePlayConsistency:
         self._assert_matches(stats, y, plays, (0, 1, 2, 3))
 
 
+WIDE_PRODUCT = "ProductMeasure(means=tuple(np.linspace(0.1, 0.9, 2048)))"
+
+
 class TestStageMemory:
     # (u_prime, accept, r_prime, k1, k2, model): 11 arms in blocks of 4 leave a
     # remainder of 3 padded by one arm; the top-off cases join 2 arms to every
@@ -527,18 +572,18 @@ class TestStageMemory:
         assert y.tolist() == [plays] * n
 
     @staticmethod
-    def _peak_rss_mb(stage: str) -> float:
-        # peak RSS of a fresh interpreter that runs one 4096-play stage over
-        # 2048 arms; ``stage`` holds stage_play's arguments from u_prime to model.
+    def _peak_rss_mb(stage: str, measure: str = WIDE_PRODUCT, plays: int = 4096) -> float:
+        # peak RSS of a fresh interpreter that runs one stage of ``plays`` on
+        # ``measure``; ``stage`` holds stage_play's arguments from u_prime to model.
         # It reads VmHWM, the peak of the interpreter's own address space:
         # ru_maxrss keeps the peak of the address space exec replaced, which
         # after a vfork is that of this test process
         script = (
             "import numpy as np\n"
             "from bestofk.elimination import stage_play\n"
-            "from bestofk.measures import ProductMeasure\n"
-            "env = ProductMeasure(means=tuple(np.linspace(0.1, 0.9, 2048)))\n"
-            f"stage_play(env, {stage}, 4096, np.random.default_rng(1))\n"
+            "from bestofk.measures import PlantedMeasure, ProductMeasure\n"
+            f"env = {measure}\n"
+            f"stage_play(env, {stage}, {plays}, np.random.default_rng(1))\n"
             "print(*[l for l in open('/proc/self/status') if l.startswith('VmHWM:')])\n"
         )
         src = str(Path(bestofk.__file__).resolve().parents[1])
@@ -559,6 +604,15 @@ class TestStageMemory:
         # of 2044 rejects; with chunks sized by the pool alone, its 4096 x 2044
         # top-off keys peaked at 163 MB; sized by the widest key row, near 52 MB
         peak_mb = self._peak_rss_mb("range(4), (), range(4, 2048), 4, 4, 'bandit'")
+        assert peak_mb < 100, peak_mb
+
+    def test_wide_planted_stage_peak_rss_is_bounded(self):
+        # a 512-play semi stage with k1 = 2 on a planted n = 400, k = 200
+        # measure: one draw of 102,400 rows, each with Y, 200 Zs and 2 uniforms.
+        # Drawn in one generator block it peaked at 222 MB; in blocks of
+        # DRAW_ELEMENTS doubles, near 48 MB
+        peak_mb = self._peak_rss_mb("range(400), (), (), 2, 0, 'semi'",
+                                    "PlantedMeasure(400, 200, 0.3, 0.9)", 512)
         assert peak_mb < 100, peak_mb
 
     @pytest.mark.parametrize("model,bound_mb", [("semi", 11), ("bandit", 11), ("marked", 9)])

@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bestofk
 from bestofk.errors import DomainError, MismatchError
 from bestofk.harness import (
     ExperimentConfig,
+    _quantile,
     compare_to_bounds,
     derived_seed,
     replicate_rng,
@@ -353,6 +359,30 @@ class TestSummaries:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             summarize([], _product_config())
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(0, 2**53), min_size=1, max_size=400),
+           st.sampled_from([0.25, 0.5, 0.75]))
+    # lerps that round differently from the lower and from the upper neighbour
+    @example([1148493424279937, 8207510602717851], 0.75)
+    @example([2483489042880027, 8886484651386817], 0.25)
+    def test_quantile_equals_numpy_bit_for_bit(self, values, q):
+        ordered = sorted(values)
+        assert _quantile(ordered, q).hex() == float(np.quantile(ordered, q)).hex()
+
+    def test_a_run_does_not_import_numpy_ma(self):
+        # np.quantile imports numpy.ma (through np.unique) in a fresh process
+        script = (
+            "import sys\n"
+            "from bestofk.harness import ExperimentConfig, run_experiment\n"
+            "run_experiment(ExperimentConfig.from_json(sys.argv[1]))\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = str(Path(bestofk.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-c", script, _product_config().to_json()],
+                       env=env, timeout=60, check=True)
 
 
 class TestCompareToBounds:

@@ -23,8 +23,8 @@ def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         kernels.record_plays(
             np.zeros((1, 1, 2), np.uint8),
-            np.zeros((1, 1, 2), np.int64),
-            np.ones((1, 2), bool),
+            np.zeros((1, 2), np.int64),
+            kernels.record_slots(2, 2, 0),
             "nope",
             np.zeros(2, np.int64),
         )
@@ -34,13 +34,16 @@ def test_play_arms_layout():
     # m=5, k1=2: two full blocks, then the remainder padded by the first arm;
     # the top-off arm joins every query unrecorded
     order = np.array([[10, 11, 12, 13, 14]])
-    arms, recorded = kernels.play_arms(order, np.array([[7]]), 2)
+    arms = kernels.play_arms(order, np.array([[7]]), 2)
     assert arms.tolist() == [[[10, 11, 7], [12, 13, 7], [14, 10, 7]]]
-    assert recorded.tolist() == [[True, True, False], [True, True, False],
-                                 [True, False, False]]
-    arms, recorded = kernels.play_arms(order[:, :4], np.zeros((1, 0), np.int64), 2)
+    # order positions 0-4 are recorded at slots 0, 1 (query 0), 3, 4 (query 1), 6 (query 2)
+    assert kernels.record_slots(5, 2, 1).tolist() == [0, 1, 3, 4, 6]
+    # k1 divides m and there is no top-off: the layout is the order itself
+    order = np.array([[10, 11, 12, 13]])
+    arms = kernels.play_arms(order, np.zeros((1, 0), np.int64), 2)
     assert arms.tolist() == [[[10, 11], [12, 13]]]
-    assert recorded.all()
+    assert np.shares_memory(arms, order)
+    assert kernels.record_slots(4, 2, 0).tolist() == [0, 1, 2, 3]
 
 
 @settings(max_examples=200, deadline=None)
@@ -53,15 +56,18 @@ def test_play_arms_follows_the_per_play_spec(data, k1, k2, plays):
     perms = [data.draw(st.permutations(range(m + k2))) for _ in range(plays)]
     order = np.array([p[:m] for p in perms], dtype=np.int64)
     topoff = np.array([p[m:] for p in perms], dtype=np.int64).reshape(plays, k2)
-    arms, recorded = kernels.play_arms(order, topoff, k1)
+    arms = kernels.play_arms(order, topoff, k1)
     q = kernels.queries_per_play(m, k1)
-    assert arms.shape == (plays, q, k1 + k2) and recorded.shape == (q, k1 + k2)
+    assert arms.shape == (plays, q, k1 + k2)
     for p in range(plays):
         for j in range(q):
             expected = [order[p, (j * k1 + s) % m] for s in range(k1)] + topoff[p].tolist()
             assert arms[p, j].tolist() == expected
-    for j in range(q):
-        assert recorded[j].tolist() == [j * k1 + s < m for s in range(k1)] + [False] * k2
+    # the recorded slots, in order-position order, are the pre-wrap pool slots
+    recorded = [j * (k1 + k2) + s for j in range(q) for s in range(k1) if j * k1 + s < m]
+    slots = kernels.record_slots(m, k1, k2)
+    assert slots.tolist() == recorded
+    assert (arms.reshape(plays, -1)[:, slots] == order).all()
 
 
 # pool widths: small pools, and the widest packed pools around the 2**11 arm bound
@@ -121,11 +127,12 @@ def test_lowest_keys_equals_the_argsort_prefix(m, rows, seed):
     ],
 )
 def test_record_plays_credits_recorded_slots(model, mark, expected):
-    arms = np.array([[[0, 1, 4], [2, 3, 4]]])
+    # order 0 1 2 3 in two queries of two, each topped off by arm 4
+    order = np.array([[0, 1, 2, 3]])
+    assert kernels.play_arms(order, np.array([[4]]), 2).tolist() == [[[0, 1, 4], [2, 3, 4]]]
     bits = np.array([[[0, 0, 1], [1, 1, 0]]], np.uint8)
-    recorded = np.array([[True, True, False], [True, True, False]])
-    y = kernels.record_plays(bits, arms, recorded, model, np.zeros(5, np.int64),
-                             np.full((1, 2), mark))
+    y = kernels.record_plays(bits, order, kernels.record_slots(4, 2, 1), model,
+                             np.zeros(5, np.int64), np.full((1, 2), mark))
     assert {a: int(c) for a, c in enumerate(y) if c} == expected
 
 
@@ -160,11 +167,11 @@ def recorder_cases(draw):
     perms = [draw(st.permutations(range(n))) for _ in range(plays)]
     order = np.array([p[:m] for p in perms], dtype=np.int64)
     topoff = np.array([p[m : m + k2] for p in perms], dtype=np.int64).reshape(plays, k2)
-    arms, recorded = kernels.play_arms(order, topoff, k1)
+    arms = kernels.play_arms(order, topoff, k1)
     bits = draw(arrays(np.uint8, arms.shape, elements=st.integers(0, 1)))
     mark_u = draw(arrays(np.float64, arms.shape[:2],
                          elements=st.floats(0.0, 1.0, exclude_max=True)))
-    return model, n, arms, recorded, bits, mark_u
+    return model, n, k1, order, arms, bits, mark_u
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,11 +182,13 @@ def test_record_plays_equals_observe_query_by_query(case):
     ``observe`` sees each query's slots as its arms: it orders winners by arm
     label, and the recorder picks the marked winner in slot order, so slot
     labels make the two orders the same.  A reported slot is then credited
-    to its arm when the slot is recorded.
+    to its arm when the slot is recorded: a pool slot (s < k1) before the
+    remainder block's padding (j * k1 + s < m).
     """
-    model, n, arms, recorded, bits, mark_u = case
+    model, n, k1, order, arms, bits, mark_u = case
     expected = np.zeros(n, dtype=np.int64)
     plays, q, width = arms.shape
+    m = order.shape[1]
     for p in range(plays):
         for j in range(q):
             obs = observe(bits[p, j], range(width), model, FixedUniform(mark_u[p, j]))
@@ -190,7 +199,8 @@ def test_record_plays_equals_observe_query_by_query(case):
             else:
                 shown = () if obs.marked is None else (obs.marked,)
             for s in shown:
-                if recorded[j, s]:
+                if s < k1 and j * k1 + s < m:
                     expected[arms[p, j, s]] += 1
-    y = kernels.record_plays(bits, arms, recorded, model, np.zeros(n, np.int64), mark_u)
+    slots = kernels.record_slots(m, k1, width - k1)
+    y = kernels.record_plays(bits, order, slots, model, np.zeros(n, np.int64), mark_u)
     assert y.tolist() == expected.tolist()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bestofk import measures
 from bestofk.errors import DomainError
 from bestofk.measures import (
     CoverageMeasure,
@@ -255,6 +256,20 @@ class TestPlantedDraw:
     def test_arm_out_of_range_raises(self):
         with pytest.raises(IndexError):
             PLANTED.draw(np.random.default_rng(0), np.asarray([[0, PLANTED.n]]))
+
+    @pytest.mark.parametrize("elements, rows", [(61, 7), (5, 1)])
+    def test_blocks_of_rows_match_the_reference_block_by_block(self, monkeypatch, elements,
+                                                               rows):
+        # a row of 4 arms takes 1 + 3 + 4 doubles: 61 elements hold 7 rows, and
+        # fewer than one row's elements still draw one row per block
+        monkeypatch.setattr(measures, "DRAW_ELEMENTS", elements)
+        arms = np.argsort(np.random.default_rng(7).random((50, PLANTED.n)), axis=1)[:, :4]
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        bits = PLANTED.draw(rng, arms)
+        blocks = [planted_reference(PLANTED, ref_rng, arms[i : i + rows])
+                  for i in range(0, len(arms), rows)]
+        assert bits.dtype == np.uint8 and bits.tolist() == np.concatenate(blocks).tolist()
+        assert rng.random() == ref_rng.random()
 
 
 PLANTED =PlantedMeasure(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
