@@ -331,18 +331,20 @@ def run_identification(
         total_queries += queries
         mu_hat = y.take(before.undecided) / big_t
         c_hat = confidence_radius(mu_hat, big_t, n, before.t, delta)
+        # the record shares these arrays, so no later reader may change them
+        mu_hat.flags.writeable = c_hat.flags.writeable = False
         state, accepted_now, rejected_now = elimination_step(before, mu_hat, c_hat)
         stage_log.append(
             StageRecord(
                 t=before.t,
-                undecided=len(before.undecided),
+                undecided=before.undecided,
                 accepted=len(before.accepted),
                 rejected=len(before.rejected),
                 balancing=len(sets.balancing),
                 sample_size=big_t,
                 queries=queries,
-                mu_hat=dict(zip(before.undecided, mu_hat.tolist())),
-                c_hat=dict(zip(before.undecided, c_hat.tolist())),
+                mu_hat=mu_hat,
+                c_hat=c_hat,
                 accepted_now=accepted_now,
                 rejected_now=rejected_now,
             )

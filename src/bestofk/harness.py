@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -201,20 +202,63 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
     return records, summary
 
 
+def _in_replicate_order(records: Sequence[TrialRecord]) -> list[TrialRecord]:
+    """The records sorted by replicate, a record without one first."""
+    return sorted(records, key=lambda r: -1 if r.replicate is None else r.replicate)
+
+
+class _FloatTexts(dict):
+    """``json.dumps`` of each float64 looked up, keyed by its bits (where 0.0
+    and -0.0 differ), each formatted once."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = json.dumps(struct.unpack("=d", struct.pack("=q", bits))[0])
+        return text
+
+
 def _write_stage_trace(path: Path, records: Sequence[TrialRecord]) -> None:
+    """One line per stage, in replicate order.
+
+    Each line is, byte for byte, ``json.dumps(..., sort_keys=True)`` of the
+    stage's document (``kind``, ``replicate`` and the record's fields, with
+    ``undecided`` as a count) whose ``mu_hat`` and ``c_hat`` are
+    ``{arm: value}`` objects.  The line is formatted here from the record's
+    arrays: an object lists its arms in string order ("10" before "2") through
+    a format string built once per undecided tuple, and each distinct float
+    is formatted once per file.
+    """
+    objects: dict[tuple[int, ...], str] = {}
+    texts = _FloatTexts()
+
+    def ints(values: tuple[int, ...]) -> str:
+        return "[" + ", ".join(map(str, values)) + "]"
+
     with open(path, "w") as fh:
-        for rec in sorted(records, key=lambda r: r.replicate or 0):
-            for stage in rec.stage_log:
-                doc = document(stage, kind="stage", replicate=rec.replicate)
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        for rec in _in_replicate_order(records):
+            replicate = json.dumps(rec.replicate)
+            for s in rec.stage_log:
+                obj = objects.get(s.undecided)
+                if obj is None:
+                    pairs = sorted(enumerate(s.undecided), key=lambda pair: str(pair[1]))
+                    obj = objects[s.undecided] = (
+                        "{{" + ", ".join(f'"{arm}": {{{i}}}' for i, arm in pairs) + "}}")
+                c_hat = obj.format(*map(texts.__getitem__, s.c_hat.view(np.int64).tolist()))
+                mu_hat = obj.format(*map(texts.__getitem__, s.mu_hat.view(np.int64).tolist()))
+                fh.write(
+                    f'{{"accepted": {s.accepted}, "accepted_now": {ints(s.accepted_now)}, '
+                    f'"balancing": {s.balancing}, "c_hat": {c_hat}, "kind": "stage", '
+                    f'"mu_hat": {mu_hat}, "queries": {s.queries}, "rejected": {s.rejected}, '
+                    f'"rejected_now": {ints(s.rejected_now)}, "replicate": {replicate}, '
+                    f'"sample_size": {s.sample_size}, "t": {s.t}, '
+                    f'"undecided": {len(s.undecided)}}}\n'
+                )
 
 
 def write_results(path: Path, records: Sequence[TrialRecord],
                   summary: ExperimentSummary) -> None:
     """Line-delimited records in replicate order, then the summary record."""
-    ordered = sorted(records, key=lambda r: r.replicate if r.replicate is not None else -1)
     with open(path, "w") as fh:
-        for rec in ordered:
+        for rec in _in_replicate_order(records):
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
         fh.write(json.dumps(summary.to_dict(), sort_keys=True) + "\n")
 

@@ -596,11 +596,7 @@ def read_fields(cls, doc, label: str, ignored: Sequence[str] = ()) -> dict:
 
 
 def _plain(value):
-    """A value as JSON data: tuples become lists, sets sorted lists, dict keys strings.
-
-    String keys keep ``json.dumps(..., sort_keys=True)`` sorting key 10
-    before key 2, as the written trace files do.
-    """
+    """A value as JSON data: tuples become lists, sets sorted lists, dict keys strings."""
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (tuple, list)):

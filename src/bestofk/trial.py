@@ -9,24 +9,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .measures import document
 
 __all__ = ["StageRecord", "TrialRecord"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageRecord:
-    """Snapshot of one elimination stage, after decisions were applied."""
+    """One elimination stage: the sets it began with, its intervals and its decisions.
+
+    ``undecided`` is the tuple of arms undecided when the stage began, in
+    stage order, and ``mu_hat`` and ``c_hat`` are read-only float64 arrays
+    of their estimates and radii in that order.  ``accepted``, ``rejected``
+    and ``balancing`` count the accepted and rejected arms the stage began
+    with and its balancing set; ``accepted_now`` and ``rejected_now`` are its
+    decisions.  The stage trace writes ``undecided`` as a count and each
+    array as an ``{arm: value}`` object.  Records compare by identity, since
+    arrays have no single truth value.
+    """
 
     t: int
-    undecided: int
+    undecided: tuple[int, ...]
     accepted: int
     rejected: int
     balancing: int
     sample_size: int
     queries: int
-    mu_hat: dict[int, float]
-    c_hat: dict[int, float]
+    mu_hat: np.ndarray
+    c_hat: np.ndarray
     accepted_now: tuple[int, ...]
     rejected_now: tuple[int, ...]
 

@@ -316,8 +316,8 @@ class TestRunIdentification:
         assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
         for s in rec.stage_log:
             # stage queries = ceil(|U'|/k1) * T with U' = U here (semi)
-            k1 = min(s.undecided, 2)
-            assert s.queries == -(-s.undecided // k1) * s.sample_size
+            k1 = min(len(s.undecided), 2)
+            assert s.queries == -(-len(s.undecided) // k1) * s.sample_size
         assert rec.total_queries == sum(s.queries for s in rec.stage_log)
 
     def test_semi_efficiency_bound(self):
@@ -325,7 +325,7 @@ class TestRunIdentification:
         rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(2))
         for s in rec.stage_log:
             per_play = s.queries / s.sample_size
-            assert per_play <= 2 * max(1, s.undecided / 2)
+            assert per_play <= 2 * max(1, len(s.undecided) / 2)
 
     def test_bandit_identifiability_guard(self):
         env = ProductMeasure(means=(1.0, 0.5, 0.2, 0.2, 0.2, 0.2, 0.2))
@@ -346,8 +346,8 @@ class TestRunIdentification:
         balanced = [s for s in rec.stage_log if s.balancing > 0]
         assert balanced
         for s in balanced:
-            k1 = min(s.undecided, 2)
-            assert s.balancing == balance_set_size(s.undecided, k1)
+            k1 = min(len(s.undecided), 2)
+            assert s.balancing == balance_set_size(len(s.undecided), k1)
 
     def test_stage_cap_inconclusive(self):
         env = ProductMeasure(means=(0.51, 0.5))
@@ -403,9 +403,9 @@ class TestRunIdentification:
         env = ProductMeasure(means=(0.9, 0.6, 0.3, 0.05, 0.05, 0.05, 0.05))
         rec = run_identification(env, "bandit", 2, 0.1, np.random.default_rng(8))
         for s in rec.stage_log:
-            k1 = min(s.undecided, 2)
+            k1 = min(len(s.undecided), 2)
             per_play = s.queries / s.sample_size
-            assert per_play <= math.ceil(2.5 * max(s.undecided, k1) / k1)
+            assert per_play <= math.ceil(2.5 * max(len(s.undecided), k1) / k1)
 
     def test_correct_side_property(self):
         # a top arm rejected (or bottom accepted) at most delta-often, with slack

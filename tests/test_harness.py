@@ -1,15 +1,18 @@
 """Experiment orchestration: determinism, summaries, bound comparison."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bestofk
@@ -17,6 +20,7 @@ from bestofk.errors import DomainError, MismatchError
 from bestofk.harness import (
     ExperimentConfig,
     _quantile,
+    _write_stage_trace,
     compare_to_bounds,
     derived_seed,
     replicate_rng,
@@ -25,6 +29,7 @@ from bestofk.harness import (
 )
 from bestofk.measures import FIELDS, measure_from_dict, PlantedMeasure, ProductMeasure
 from bestofk.theory import BoundReport, GapProfile, upper_bound_total
+from bestofk.trial import StageRecord, TrialRecord
 
 
 def _product_config(**overrides):
@@ -334,6 +339,19 @@ GOLDEN = {
          "stage_cap": 12, "trace": True},
         "bbeab980f82d4f168668bdfa4f657d4e8c030f69d04f6b6bef16f63d3155e95d",
         "45c91fd5f32bbce212e5689d78f855eb875bbec0979df5d35be89e0766799760"),
+    # the traced benchmark workload's family and model on 12 arms, so trace
+    # objects hold keys "10" and "11"; replicate 0's last stage tops off a
+    # 2-arm pool with one accepted arm
+    "coverage-marked-elimination-traced": (
+        {"measure": {"type": "coverage", "m": 40,
+                     "sets": [list(range(10)), list(range(10, 20)), list(range(20, 30)),
+                              [30, 31, 32, 33, 34], [33, 34, 35, 36], [35, 36, 37, 38, 39],
+                              [30, 32, 34, 36], [31, 33, 35], [37, 38, 39], [30, 39],
+                              [31, 32, 33], [38]]},
+         "model": "marked", "k": 3, "delta": 0.1, "replicates": 3, "base_seed": 26,
+         "stage_cap": 12, "trace": True},
+        "90e6a1516c8e06aa8de8c8cb99a92bc9a2a0d2a56a404fcce50172416d121418",
+        "e836940dfcd78de2f6d62a1b5e9b26d4f893017024c51ab3420d6fff92c72f3d"),
 }
 
 
@@ -346,6 +364,119 @@ def test_results_bytes_are_pinned(tmp_path, name):
     written = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
                for path in (out, tmp_path / "r.jsonl.trace")]
     assert written == [results_sha, trace_sha]
+
+
+def _reference_trace_line(stage, replicate):
+    """A stage's trace line as the dict-shaped record wrote it: ``undecided`` a
+    count and ``mu_hat``/``c_hat`` ``{arm: value}`` dicts, dumped with sorted keys."""
+    doc = {"kind": "stage", "replicate": replicate}
+    for f in dataclasses.fields(stage):
+        if not f.compare:
+            continue
+        value = getattr(stage, f.name)
+        if f.name in ("mu_hat", "c_hat"):
+            value = {str(arm): v for arm, v in zip(stage.undecided, value.tolist())}
+        elif f.name == "undecided":
+            value = len(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[f.name] = value
+    return json.dumps(doc, sort_keys=True)
+
+
+@st.composite
+def _traced_configs(draw):
+    """Small traced elimination configs over every family and feedback model."""
+    family = draw(st.sampled_from(["product", "planted", "coverage", "joint_table"]))
+    if family == "product":
+        n = draw(st.integers(2, 14))
+        means = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.8, 0.95]),
+                              min_size=n, max_size=n))
+        measure = {"type": "product", "means": means}
+    elif family == "planted":
+        n = draw(st.integers(2, 14))
+        measure = {"type": "planted", "n": n, "k": draw(st.integers(2, min(n, 4))),
+                   "mu": draw(st.sampled_from([0.2, 0.5])), "p": draw(st.sampled_from([0.5, 1.0]))}
+    elif family == "coverage":
+        n, m = draw(st.integers(2, 14)), draw(st.integers(2, 12))
+        sets = draw(st.lists(st.lists(st.integers(0, m - 1), max_size=m, unique=True).map(sorted),
+                             min_size=n, max_size=n))
+        measure = {"type": "coverage", "m": m, "sets": sets}
+    else:
+        n = draw(st.integers(1, 4))
+        weights = draw(st.lists(st.integers(0, 3), min_size=2**n, max_size=2**n).filter(any))
+        measure = {"type": "joint_table", "k": n, "probs": [w / sum(weights) for w in weights]}
+    return {"measure": measure, "model": draw(st.sampled_from(["semi", "bandit", "marked"])),
+            "k": draw(st.integers(1, n)), "delta": 0.1,
+            "exact_k_mode": draw(st.sampled_from([None, True, False])),
+            "stage_cap": draw(st.integers(1, 12)), "replicates": draw(st.integers(1, 2)),
+            "base_seed": draw(st.integers(0, 1000)), "trace": True}
+
+
+# traced configs whose stages hold pools of 11 or more arms, balancing stages
+# and top-off stages (checked by test_examples_reach_wide_balancing_and_topoff_stages)
+TRACE_EXAMPLES = [
+    {"measure": {"type": "product", "means": [0.7, 0.5, 0.35, 0.3] + [0.05] * 8},
+     "model": "bandit", "k": 3, "delta": 0.1, "exact_k_mode": None, "stage_cap": 13,
+     "replicates": 2, "base_seed": 3, "trace": True},
+    {"measure": {"type": "coverage", "m": 12,
+                 "sets": [[0, 1, 2, 3], [4, 5, 6, 7], [8], [9], [10], [11], [8, 9], [10, 11],
+                          [], [9, 10], [8, 11], [0]]},
+     "model": "marked", "k": 2, "delta": 0.1, "exact_k_mode": None, "stage_cap": 12,
+     "replicates": 2, "base_seed": 4, "trace": True},
+]
+
+
+def _traced_run(doc):
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "r.jsonl"
+        records, _ = run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "out": str(out)})))
+        return records, Path(f"{out}.trace").read_text().splitlines()
+
+
+class TestStageTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(_traced_configs())
+    @example(TRACE_EXAMPLES[0])
+    @example(TRACE_EXAMPLES[1])
+    def test_lines_equal_the_dict_shaped_dump(self, doc):
+        env = measure_from_dict(doc["measure"])
+        assume(not (doc["model"] == "bandit" and max(env.marginals()) >= 1.0))
+        records, lines = _traced_run(doc)
+        assert lines == [_reference_trace_line(stage, rec.replicate)
+                         for rec in records for stage in rec.stage_log]
+        for stage in (stage for rec in records for stage in rec.stage_log):
+            for values in (stage.mu_hat, stage.c_hat):
+                assert values.dtype == np.float64 and values.shape == (len(stage.undecided),)
+                with pytest.raises(ValueError):
+                    values[0] = 0.5
+
+    def test_examples_reach_wide_balancing_and_topoff_stages(self):
+        stages = [(doc["k"], stage) for doc in TRACE_EXAMPLES
+                  for rec in _traced_run(doc)[0] for stage in rec.stage_log]
+        assert any(len(stage.undecided) >= 11 for _, stage in stages)
+        assert any(stage.balancing > 0 for _, stage in stages)
+        # exact-k mode (on by default for both) tops off stages with |U| < k
+        assert any(len(stage.undecided) < k for k, stage in stages)
+
+    def test_floats_are_formatted_as_json_writes_them(self, tmp_path):
+        # signed zeros, non-finite values and subnormals, on arms that sort
+        # differently as strings
+        arms = (2, 3, 10, 11, 100)
+        mu = np.array([0.0, -0.0, math.nan, math.inf, 5e-324])
+        c = np.array([-0.0, 0.0, -math.inf, 0.1, 1 / 3])
+        stage = StageRecord(t=1, undecided=arms, accepted=0, rejected=0, balancing=0,
+                            sample_size=2, queries=6, mu_hat=mu, c_hat=c, accepted_now=(10, 2),
+                            rejected_now=())
+        later = dataclasses.replace(stage, t=2, mu_hat=c, c_hat=mu, rejected_now=(3,))
+        records = [TrialRecord(returned=(), total_queries=6, stages=2, replicate=1,
+                               stage_log=(stage, later)),
+                   TrialRecord(returned=(), total_queries=6, stages=1, stage_log=(later,))]
+        path = tmp_path / "t.trace"
+        _write_stage_trace(path, records)
+        assert path.read_text().splitlines() == [
+            _reference_trace_line(later, None), _reference_trace_line(stage, 1),
+            _reference_trace_line(later, 1)]
 
 
 class TestSummaries:
