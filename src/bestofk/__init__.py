@@ -17,20 +17,6 @@ from .measures import (
     ProductMeasure,
     expected_max,
 )
-from .theory import (
-    BoundReport,
-    GapProfile,
-    bernoulli_kl,
-    calT,
-    dependent_lower_bound,
-    feasible_range,
-    independent_lower_bound,
-    info_sharing,
-    joint_from_w0,
-    kl_bounds,
-    tau_terms,
-    upper_bound_total,
-)
 
 __version__ = "0.1.0"
 
@@ -63,3 +49,13 @@ __all__ = [
     "run_experiment",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve the exported names not imported above, those of ``theory``, on first
+    access: a run never needs the bound calculators."""
+    if name in __all__:
+        from . import theory
+
+        return getattr(theory, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

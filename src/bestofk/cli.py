@@ -19,14 +19,6 @@ import sys
 from .errors import BestOfKError, MismatchError
 from .harness import ExperimentConfig, run_experiment
 from .measures import PlantedMeasure, ProductMeasure, measure_from_dict
-from .theory import (
-    BoundReport,
-    GapProfile,
-    dependent_lower_bound,
-    feasible_range,
-    independent_lower_bound,
-    upper_bound_total,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,6 +50,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _applicable_bounds(config: ExperimentConfig) -> list[BoundReport]:
+    from .theory import (BoundReport, GapProfile, dependent_lower_bound, feasible_range,
+                         independent_lower_bound, upper_bound_total)
+
     env = measure_from_dict(config.measure)
     reports: list[BoundReport] = []
     if isinstance(env, PlantedMeasure):

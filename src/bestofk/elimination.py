@@ -22,10 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
+from .game import check_model
 from .kernels import (lowest_keys, permute_pool, play_arms, queries_per_play, record_plays,
                       record_slots)
 from .measures import DRAW_ELEMENTS, Measure, held_buffer, sample_matrix
-from .theory import check_model
 from .trial import StageRecord, TrialRecord
 
 __all__ = [

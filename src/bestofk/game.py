@@ -20,9 +20,16 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError
-from .theory import check_model
 
-__all__ = ["Observation", "validate_query", "observe"]
+__all__ = ["MODELS", "check_model", "Observation", "validate_query", "observe"]
+
+MODELS = ("bandit", "marked", "semi")
+
+
+def check_model(model: str) -> None:
+    """Raise ``DomainError`` unless ``model`` names one of ``MODELS``."""
+    if model not in MODELS:
+        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
 def validate_query(arms: Iterable[int], n: int) -> tuple[int, ...]:

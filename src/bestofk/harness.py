@@ -22,8 +22,8 @@ import numpy as np
 from .baselines import parity_identify, subset_arm_identify
 from .elimination import STAGE_CAP, run_identification
 from .errors import DomainError, MismatchError
+from .game import check_model
 from .measures import checked, document, measure_from_dict, optimal_subset, read_fields
-from .theory import BoundReport, check_model
 from .trial import TrialRecord
 
 __all__ = [

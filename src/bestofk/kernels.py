@@ -46,8 +46,8 @@ import functools
 import numpy as np
 
 from .errors import DomainError
-from .measures import fold_columns
-from .theory import check_model
+from .game import check_model
+from .measures import fold_columns, held_buffer
 
 __all__ = [
     "PACKED_ARM_BITS",
@@ -180,8 +180,11 @@ def record_plays(
         raise DomainError("marked feedback needs the winner-choice uniforms mark_u")
     n_plays, q, w = bits.shape
     if model == "bandit":
-        # weight every order position by its query's OR
-        won = fold_columns(bits, np.bitwise_or).take(slots // w, axis=1)
+        # weight every order position by its query's OR, gathered straight into
+        # float64 so that bincount makes no weight copy of its own; the buffer is
+        # the permutation keys', which are spent once ``order`` is drawn
+        won = np.take(fold_columns(bits, np.maximum, dtype=np.float64), slots // w, axis=1,
+                      mode="clip", out=held_buffer("stage.keys", order.shape, np.float64))
         wins = np.bincount(order.ravel(), weights=won.ravel(), minlength=len(y_out))
         # whole counts below 2**53, exact in float64
         return np.add(y_out, wins, out=y_out, casting="unsafe")

@@ -36,7 +36,7 @@ import reprlib
 from abc import ABC, abstractmethod
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -378,6 +378,53 @@ class CoverageMeasure(Measure):
         for omega in range(self.m):
             counts[sum(1 << b for b, a in enumerate(arms) if omega in self.sets[a])] += 1
         return counts / self.m
+
+    def optimum(self, k):
+        """``Measure.optimum``'s rule, with the unions of all k-subsets counted at once.
+
+        Each set is packed into 16-bit words over the elements some set holds.
+        In colex order the k-subsets whose largest arm is c are {c} joined to
+        each (k-1)-subset of range(c), the first C(c, k-1) of their own order,
+        so each subset size is built from the last by one OR per arm.  Blocks
+        of words keep every array within ``DRAW_ELEMENTS`` elements; a
+        popcount table counts the covered elements, one word row at a time.
+        """
+        n, total = self.n, math.comb(self.n, k)
+        if not 1 <= k <= n or total > SUBSET_CAP:
+            return super().optimum(k)
+        held, cols = np.unique(np.fromiter(chain.from_iterable(self.sets), dtype=np.int64),
+                               return_inverse=True)
+        bits = np.zeros((n, 16 * max(1, -(-len(held) // 16))), dtype=np.uint8)
+        bits[np.repeat(np.arange(n), [len(s) for s in self.sets]), cols] = 1
+        rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint16).T.copy()  # (words, n)
+        popcount = np.zeros(1 << 16, dtype=np.uint8)
+        for b in range(16):
+            popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+        covered = np.zeros(total, dtype=np.int64)
+        step = max(1, DRAW_ELEMENTS // total)
+        for words in (rows[w:w + step] for w in range(0, len(rows), step)):
+            level = words[:, :n - k + 1]  # the j-subsets that start a k-subset, for j = 1
+            for j in range(2, k + 1):
+                level, prev = np.empty((len(words), math.comb(n - k + j, j)), np.uint16), level
+                for c in range(j - 1, n - k + j):
+                    lo, hi = math.comb(c, j), math.comb(c + 1, j)
+                    np.bitwise_or(prev[:, :hi - lo], words[:, c, None], out=level[:, lo:hi])
+            for row in level:
+                covered += np.take(popcount, row)
+        best = int(covered.argmax())
+        best_val = int(covered[best]) / self.m
+        covered[best] = -1
+        runner_up = int(covered.max()) / self.m if total > 1 else -1.0
+        if best_val - runner_up <= 1e-12:
+            return None
+        subset, rank = [], best  # the subset of colex rank best, largest arm first
+        for j in range(k, 0, -1):
+            c = j - 1
+            while math.comb(c + 1, j) <= rank:
+                c += 1
+            subset.append(c)
+            rank -= math.comb(c, j)
+        return tuple(reversed(subset))
 
 
 @dataclass(frozen=True)

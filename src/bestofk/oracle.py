@@ -18,6 +18,7 @@ import numpy as np
 
 from . import theory
 from .errors import DomainError, InfeasibleError
+from .game import MODELS, check_model
 from .measures import Measure, PlantedMeasure, ProductMeasure, _marginalize
 
 __all__ = [
@@ -136,7 +137,7 @@ def exact_query_stats(
         raise DomainError(f"enumeration capped at {ENUMERATION_CAP} arms")
     if not (1 <= k1 <= len(u_prime)):
         raise DomainError("need 1 <= k1 <= |u_prime|")
-    theory.check_model(model)
+    check_model(model)
 
     k2 = 0 if k is None else max(0, k - k1)
     topoffs = _topoff_support(tuple(reject_pool), tuple(accept_pool), k2)
@@ -279,8 +280,8 @@ def mu_bar_order_violations(model: str) -> list[dict]:
 
 
 def check_mu_bar_order() -> list[dict]:
-    """The ``mu_bar`` order under every feedback model of ``theory.MODELS``."""
-    return [v for model in theory.MODELS for v in mu_bar_order_violations(model)]
+    """The ``mu_bar`` order under every feedback model of ``game.MODELS``."""
+    return [v for model in MODELS for v in mu_bar_order_violations(model)]
 
 
 def kl_sandwich_violations(seed: int, edge: float, count: int) -> list[dict]:

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
+from .game import check_model
 from .measures import JointTableMeasure
 
 __all__ = [
@@ -51,15 +52,6 @@ __all__ = [
 ]
 
 LOG2E = math.log2(math.e)
-
-MODELS = ("bandit", "marked", "semi")
-
-
-def check_model(model: str) -> None:
-    """Raise ``DomainError`` unless ``model`` names one of ``MODELS``."""
-    if model not in MODELS:
-        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
-
 
 # ---------------------------------------------------------------------------
 # Bernoulli KL divergence and its quadratic sandwich.

@@ -8,9 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from bestofk import kernels
 from bestofk.elimination import stage_play
-from bestofk.game import observe
+from bestofk.game import MODELS, observe
 from bestofk.measures import ProductMeasure
-from bestofk.theory import MODELS
 
 
 def test_queries_per_play():

@@ -1,8 +1,11 @@
 """Measure construction, sampling, exact rewards, and serialization."""
 
+import importlib.util
 import json
 import math
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from bestofk.measures import (
     sample_matrix,
 )
 from bestofk.oracle import exact_table
+
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 class TestConstruction:
@@ -461,11 +466,12 @@ class TestOptimalSubset:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        m=st.integers(1, 7),
-        sets=st.lists(st.frozensets(st.integers(0, 6), max_size=5), min_size=1, max_size=6),
-        k=st.integers(1, 3),
+        m=st.integers(1, 70),
+        sets=st.lists(st.frozensets(st.integers(0, 69), max_size=40), min_size=1, max_size=7),
+        k=st.integers(1, 7),
     )
     def test_coverage_bitmasks_match_expected_max_enumeration(self, m, sets, k):
+        # up to 70 elements, so a packed row spans several 16-bit words
         sets = [frozenset(e for e in s if e < m) for s in sets]
         k = min(k, len(sets))
         measure = CoverageMeasure(m, sets)
@@ -479,6 +485,30 @@ class TestOptimalSubset:
         rest = [v for s, v in values.items() if s != best]
         unique = not rest or values[best] - max(rest) > 1e-12
         assert optimal_subset(measure, k) == (best if unique else None)
+        assert measures.Measure.optimum(measure, k) == (best if unique else None)
+
+    @pytest.mark.parametrize("sets, best", [
+        # arms 6-8 cover disjoint ranges: the best subset is the last one scored
+        ([{0, 1}, {13}, {2, 30}, {3}, {25, 26}, {39}, set(range(12)), set(range(12, 24)),
+          set(range(24, 36))], (6, 7, 8)),
+        # pairs {6, 7} and {6, 8} tie, each covering elements in two or three words
+        ([{0}, {1}, {2}, {3}, {4}, {5}, set(range(20)), set(range(20, 30)),
+          set(range(30, 40))], None),
+    ])
+    def test_coverage_optimum_in_several_blocks(self, monkeypatch, sets, best):
+        measure = CoverageMeasure(40, sets)
+        k = 3 if best else 2
+        assert measures.Measure.optimum(measure, k) == best
+        monkeypatch.setattr(measures, "DRAW_ELEMENTS", 10)  # 40 elements: 3 blocks of 1 word
+        assert measure.optimum(k) == best
+
+    def test_coverage_workload_optimum(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        doc = workloads.WORKLOADS["marked-coverage-n64"].config(1)
+        assert optimal_subset(measure_from_dict(doc["measure"]), doc["k"]) == (0, 1, 2)
 
     def test_coverage_tie_returns_none(self):
         # arm 0 with arm 1 or with arm 2 covers 3 of 4 elements

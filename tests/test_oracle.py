@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bestofk.errors import DomainError
+from bestofk.game import MODELS
 from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure
 from bestofk.oracle import (
     CHECKS,
@@ -16,7 +17,7 @@ from bestofk.oracle import (
     mu_bar_order_violations,
     planted_violations,
 )
-from bestofk.theory import MODELS, poisson_binomial_pmf
+from bestofk.theory import poisson_binomial_pmf
 
 
 class TestExactPlantedTable:
