@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import BestOfKError, MismatchError
+from .errors import BestOfKError, DomainError, MismatchError
 from .harness import ExperimentConfig, run_experiment
 from .measures import PlantedMeasure, ProductMeasure, measure_from_dict
 
@@ -42,6 +42,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["trace"] = True
     if overrides:
         config = dataclasses.replace(config, **overrides)
+    if config.trace and not config.out:
+        raise DomainError("trace needs an output path (--out or the config key 'out'): "
+                          "the stage trace is written beside the results")
     records, summary = run_experiment(config)
     print(json.dumps(summary.to_dict(), sort_keys=True))
     if any(r.inconclusive for r in records):

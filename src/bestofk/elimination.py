@@ -16,7 +16,6 @@ exact per-arm recording law it is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +28,6 @@ from .measures import DRAW_ELEMENTS, Measure, held_buffer, sample_matrix
 from .trial import StageRecord, TrialRecord
 
 __all__ = [
-    "SamplingSets",
-    "ElimState",
     "STAGE_CAP",
     "confidence_radius",
     "stage_play",
@@ -107,13 +104,14 @@ def stage_play(
     recording law is ``oracle.exact_query_stats``.
 
     A chunk's permutation is one in-place sort of packed (key, arm) codes
-    (``kernels.permute_pool``; ``np.argsort`` for pools holding an arm of
-    2**11 or above), and its top-off arms are a partial selection of the
-    first k2 (or k2 - |R'|) top-off keys (``kernels.lowest_keys``).  The
-    permutation keys, the codes (``stage.perm``, the permuted pool once
-    masked) and the arm layout are written into views of buffers held
-    across chunks, stages and calls (``measures.held_buffer``), so no chunk
-    re-faults freed pages; each holds at most one chunk.
+    (``kernels.permute_pool``, which for pools holding an arm of 2**11 or
+    above orders by the keys' leading bits), and its top-off arms are a
+    partial selection of the first k2 (or k2 - |R'|) top-off keys
+    (``kernels.lowest_keys``).  The permutation keys, the codes
+    (``stage.perm``, the permuted pool once masked) and the arm layout are
+    written into views of buffers held across chunks, stages and calls
+    (``measures.held_buffer``), so no chunk re-faults freed pages; each
+    holds at most one chunk.
     """
     urec = np.array(sorted(u_prime), dtype=np.int64)
     m = len(urec)
@@ -157,17 +155,8 @@ def stage_play(
 
 
 # ---------------------------------------------------------------------------
-# Balancing, elimination state, and the main loop.
+# Balancing, the elimination rules, and the main loop.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SamplingSets:
-    """Sampling pools for one stage: U' = U + B, R' = R - B."""
-
-    u_prime: tuple[int, ...]
-    r_prime: tuple[int, ...]
-    balancing: tuple[int, ...]
-
 
 def balance_set_size(u_size: int, k1: int) -> int:
     """|B| = max{0, ceil(5 k1/2 - |U| - 1/2)}."""
@@ -175,12 +164,14 @@ def balance_set_size(u_size: int, k1: int) -> int:
 
 
 def balance(undecided: Sequence[int], rejected: Sequence[int], k1: int,
-            rng: np.random.Generator) -> SamplingSets:
+            rng: np.random.Generator) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Move |B| uniformly chosen rejected arms into the sampling pool.
 
-    Keeps the bandit occlusion constants in check (pair-exclusion probability
-    at least 1/2, low-mean fraction bounded); infeasible when the reject set
-    cannot supply |B| arms, which the n >= ceil(7k/2) guard rules out.
+    Returns the stage's sampling pools (U', R', B) with U' = U + B and
+    R' = R - B, U' and R' sorted.  Keeps the bandit occlusion constants in
+    check (pair-exclusion probability at least 1/2, low-mean fraction
+    bounded); infeasible when the reject set cannot supply |B| arms, which
+    the n >= ceil(7k/2) guard rules out.
     """
     undecided = tuple(sorted(map(int, undecided)))
     rejected = tuple(sorted(map(int, rejected)))
@@ -190,63 +181,26 @@ def balance(undecided: Sequence[int], rejected: Sequence[int], k1: int,
             f"balancing needs {size} reject arms but only {len(rejected)} exist"
         )
     if size == 0:
-        return SamplingSets(u_prime=undecided, r_prime=rejected, balancing=())
+        return undecided, rejected, ()
     shuffled = rng.permutation(np.asarray(rejected, dtype=np.int64)).tolist()
     picked = tuple(shuffled[:size])
-    u_prime = tuple(sorted(undecided + picked))
-    return SamplingSets(u_prime=u_prime, r_prime=tuple(sorted(shuffled[size:])), balancing=picked)
-
-
-@dataclass(frozen=True, eq=False)
-class ElimState:
-    """Algorithm state at one stage: the U/A/R partition and the stage index t.
-
-    The stage's budget T = 2^t, query size k1 = min(|U|, k) and top-off size
-    k2 all follow from these fields.
-    """
-
-    n: int
-    k: int
-    undecided: tuple[int, ...]
-    accepted: tuple[int, ...]
-    rejected: tuple[int, ...]
-    t: int
-    exact_k_mode: bool
-
-    def __post_init__(self):
-        parts = set(self.undecided) | set(self.accepted) | set(self.rejected)
-        total = len(self.undecided) + len(self.accepted) + len(self.rejected)
-        if parts != set(range(self.n)) or total != self.n:
-            raise DomainError("undecided/accepted/rejected must partition the arms")
-        if len(self.accepted) > self.k or len(self.rejected) > self.n - self.k:
-            raise DomainError("accepted/rejected sizes exceed their caps")
-
-    @property
-    def sample_size(self) -> int:
-        return 2**self.t
-
-    @property
-    def k1(self) -> int:
-        return min(len(self.undecided), self.k)
-
-    @property
-    def k2(self) -> int:
-        """Top-off arms joined to each query in exact-k mode once |U| < k."""
-        return self.k - self.k1 if self.exact_k_mode and 0 < self.k1 < self.k else 0
+    return tuple(sorted(undecided + picked)), tuple(sorted(shuffled[size:])), picked
 
 
 def elimination_step(
-    state: ElimState,
+    undecided: Sequence[int],
+    k_t: int,
     mu_hat: np.ndarray,
     c_hat: np.ndarray,
-) -> tuple[ElimState, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Apply the accept/reject rules on one snapshot of intervals.
 
-    ``mu_hat`` and ``c_hat`` hold one entry per undecided arm, in the order
-    of ``state.undecided``.  Accept i when mu_i - c_i clears the (k_t+1)-th
-    largest upper bound over the undecided set; reject i when mu_i + c_i
-    falls under the k_t-th largest lower bound.  Returns the advanced state
-    (t+1, budget doubled) plus the newly accepted/rejected arms.
+    ``k_t`` is the number of arms still to accept, with 1 <= k_t < |U|;
+    ``mu_hat`` and ``c_hat`` hold one entry per arm of ``undecided``, in its
+    order.  Accept i when mu_i - c_i clears the (k_t+1)-th largest upper
+    bound over the undecided set; reject i when mu_i + c_i falls under the
+    k_t-th largest lower bound.  Returns (still undecided, accepted now,
+    rejected now), each in the order of ``undecided``.
 
     The completion rule (once n-k arms are rejected, accept the rest) needs
     no step of its own: the k_t arms then left have lower bounds at or above
@@ -254,27 +208,18 @@ def elimination_step(
     so they clear the (k_t+1)-th largest upper bound and the accept rule
     takes them.  This holds because every radius is >= 0.
     """
-    U = np.asarray(state.undecided, dtype=np.int64)
+    U = np.asarray(undecided, dtype=np.int64)
+    if not (1 <= k_t < len(U)):
+        raise DomainError("need 1 <= k_t < |undecided|")
     mu_hat, c_hat = np.asarray(mu_hat, dtype=float), np.asarray(c_hat, dtype=float)
     if mu_hat.shape != U.shape or c_hat.shape != U.shape or not c_hat.min(initial=0.0) >= 0:
         raise DomainError("need one interval per undecided arm, with radius >= 0")
-    k_t = state.k - len(state.accepted)
     uppers, lowers = mu_hat + c_hat, mu_hat - c_hat
     accept_bar = np.sort(uppers)[-(k_t + 1)]  # (k_t+1)-th largest
     reject_bar = np.sort(lowers)[-k_t]  # k_t-th largest
     accepting, rejecting = lowers > accept_bar, uppers < reject_bar
-    accepted_now = tuple(U[accepting].tolist())
-    rejected_now = tuple(U[rejecting].tolist())
-    # the masks split U, so the advanced state keeps the partition unchecked
-    advanced = object.__new__(ElimState)
-    vars(advanced).update(
-        vars(state),
-        undecided=tuple(U[~(accepting | rejecting)].tolist()),
-        accepted=tuple(sorted(state.accepted + accepted_now)) if accepted_now else state.accepted,
-        rejected=tuple(sorted(state.rejected + rejected_now)) if rejected_now else state.rejected,
-        t=state.t + 1,
-    )
-    return advanced, accepted_now, rejected_now
+    return (tuple(U[~(accepting | rejecting)].tolist()), tuple(U[accepting].tolist()),
+            tuple(U[rejecting].tolist()))
 
 
 def run_identification(
@@ -295,6 +240,11 @@ def run_identification(
     not a setting: it runs under bandit feedback whenever n >= ceil(7k/2).
     Bandit mode rejects instances with a unit mean (they are unidentifiable
     from max-only feedback).
+
+    Stage t samples T = 2^t plays of queries of k1 = min(|U|, k) undecided
+    arms, each joined in exact-k mode by k2 = k - k1 top-off arms.  The loop
+    keeps the partition as the undecided arms (in arm order) and the sorted
+    accepted and rejected arms.
     """
     check_model(model)
     if stage_cap < 1:
@@ -315,32 +265,32 @@ def run_identification(
     if model == "bandit" and not balanced:
         run_warnings = (f"balancing disabled: n={n} < ceil(7k/2)={math.ceil(7 * k / 2)}",)
 
-    state = ElimState(n=n, k=k, undecided=tuple(range(n)), accepted=(), rejected=(),
-                      t=1, exact_k_mode=exact_k)
-    total_queries = 0
+    undecided, accepted, rejected = tuple(range(n)), (), ()
+    t, total_queries = 1, 0
     stage_log: list[StageRecord] = []
 
-    while state.t <= stage_cap and len(state.accepted) < k:
-        before, big_t, k1 = state, state.sample_size, state.k1
+    while t <= stage_cap and len(accepted) < k:
+        big_t, k1 = 2**t, min(len(undecided), k)
         if balanced:
-            sets = balance(before.undecided, before.rejected, k1, rng)
+            u_prime, r_prime, balancing = balance(undecided, rejected, k1, rng)
         else:
-            sets = SamplingSets(u_prime=before.undecided, r_prime=before.rejected, balancing=())
-        y, queries = stage_play(env, sets.u_prime, before.accepted, sets.r_prime, k1, before.k2,
+            u_prime, r_prime, balancing = undecided, rejected, ()
+        y, queries = stage_play(env, u_prime, accepted, r_prime, k1, k - k1 if exact_k else 0,
                                 model, big_t, rng)
         total_queries += queries
-        mu_hat = y.take(before.undecided) / big_t
-        c_hat = confidence_radius(mu_hat, big_t, n, before.t, delta)
+        mu_hat = y.take(undecided) / big_t
+        c_hat = confidence_radius(mu_hat, big_t, n, t, delta)
         # the record shares these arrays, so no later reader may change them
         mu_hat.flags.writeable = c_hat.flags.writeable = False
-        state, accepted_now, rejected_now = elimination_step(before, mu_hat, c_hat)
+        still_undecided, accepted_now, rejected_now = elimination_step(
+            undecided, k - len(accepted), mu_hat, c_hat)
         stage_log.append(
             StageRecord(
-                t=before.t,
-                undecided=before.undecided,
-                accepted=len(before.accepted),
-                rejected=len(before.rejected),
-                balancing=len(sets.balancing),
+                t=t,
+                undecided=undecided,
+                accepted=len(accepted),
+                rejected=len(rejected),
+                balancing=len(balancing),
                 sample_size=big_t,
                 queries=queries,
                 mu_hat=mu_hat,
@@ -349,12 +299,17 @@ def run_identification(
                 rejected_now=rejected_now,
             )
         )
+        undecided, t = still_undecided, t + 1
+        if accepted_now:
+            accepted = tuple(sorted(accepted + accepted_now))
+        if rejected_now:
+            rejected = tuple(sorted(rejected + rejected_now))
 
     return TrialRecord(
-        returned=state.accepted,
+        returned=accepted,
         total_queries=total_queries,
-        stages=state.t - 1,
-        inconclusive=len(state.accepted) < k,
+        stages=t - 1,
+        inconclusive=len(accepted) < k,
         warnings=run_warnings,
         stage_log=tuple(stage_log),
     )

@@ -76,7 +76,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**read_fields(cls, json.loads(text), "config"))
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise DomainError("a config document nests too deeply to parse") from None
+        return cls(**read_fields(cls, doc, "config"))
 
     def to_json(self) -> str:
         return json.dumps(document(self), sort_keys=True)

@@ -8,12 +8,13 @@ slots always come first within a query, so marked winners are attributed by
 slot position.
 
 ``permute_pool`` orders each play's pool by its uniform keys.  A key from
-``Generator.random`` is j * 2**-53 for an integer j < 2**53, so while every
-pool arm is below 2**11 the key and the arm pack exactly into one uint64
-code, (j << b) | arm with b the bit length of the largest arm; one in-place
-sort of the codes orders the arms by key (exact ties by arm, which is pool
-order), and masking the codes down to their low b bits leaves the permuted
-arms where the codes were.  Pools holding a larger arm take ``np.argsort``.
+``Generator.random`` is j * 2**-53 for an integer j < 2**53, and the key and
+the arm pack into one uint64 code, ((j >> s) << b) | arm with b the bit
+length of the largest arm and s = max(0, b - 11) the key bits dropped to make
+room for it (none while every arm is below 2**11); one in-place sort of the
+codes orders the arms by key (keys that agree in their top 53 - s bits by
+arm, which is pool order), and masking the codes down to their low b bits
+leaves the permuted arms where the codes were.
 ``lowest_keys`` picks the top-off arms: the first k of each row of keys in
 key order, by ``argmin`` for one arm and ``argpartition`` plus a sort of the
 k picked keys otherwise, rather than a full sort of the row.
@@ -82,17 +83,16 @@ def permute_pool(keys: np.ndarray, pool: np.ndarray, out: np.ndarray) -> np.ndar
     pool  int64 (m,): the pool's arms, ascending
     out   int64 (B, m): the buffer to write into; every element is overwritten
 
-    Returns ``out``, row i holding ``pool`` in the order of
-    ``np.argsort(keys[i], kind="stable")``.  When an arm is 2**``PACKED_ARM_BITS``
-    or above, ``np.argsort`` orders the rows, and the order of exact ties is
-    whatever its default sort leaves.
+    Returns ``out``, row i holding ``pool`` in the order of a stable argsort
+    of ``keys[i]`` cut to their top 53 - s bits, s being the bits the
+    largest arm needs beyond ``PACKED_ARM_BITS`` (0 for arms below 2**11):
+    keys that agree in those bits keep pool order.
     """
     arm_bits = int(pool[-1]).bit_length()
-    if arm_bits > PACKED_ARM_BITS:
-        return np.take(pool, np.argsort(keys, axis=1), mode="clip", out=out)
-    # keys * 2**53 is the integer j, exact in float64 and in int64; numpy casts
-    # a float of 2**63 or more to uint64 several times slower, so shift after
-    np.multiply(keys, 2.0**53, out=out, casting="unsafe")
+    dropped = max(0, arm_bits - PACKED_ARM_BITS)
+    # keys * 2**(53 - s) truncates to j >> s, exact in float64 and in int64; numpy
+    # casts a float of 2**63 or more to uint64 several times slower, so shift after
+    np.multiply(keys, 2.0 ** (53 - dropped), out=out, casting="unsafe")
     codes = out.view(np.uint64)
     codes <<= arm_bits
     codes |= pool.view(np.uint64)

@@ -23,7 +23,6 @@ from .measures import Measure, PlantedMeasure, ProductMeasure, _marginalize
 
 __all__ = [
     "ExactTable",
-    "QueryStatistics",
     "exact_table",
     "independence_check",
     "exact_query_stats",
@@ -103,18 +102,6 @@ def independence_check(table: ExactTable, order: int) -> tuple[bool, float]:
     return worst <= 1e-12, worst
 
 
-@dataclass(frozen=True)
-class QueryStatistics:
-    """Exact per-arm recording law of one uniform-play query.
-
-    ``mu_bar[i]`` is the probability arm i is recorded with value 1 given it
-    sits in the drawn block, so one play records it as a Bernoulli(mu_bar[i])
-    bit.
-    """
-
-    mu_bar: dict[int, float]
-
-
 def exact_query_stats(
     measure: Measure,
     u_prime: Sequence[int],
@@ -123,8 +110,12 @@ def exact_query_stats(
     reject_pool: Sequence[int] = (),
     accept_pool: Sequence[int] = (),
     k: int | None = None,
-) -> QueryStatistics:
+) -> dict[int, float]:
     """Exact recording probabilities under S ~ Unif[u_prime, k1] plus top-off.
+
+    Returns ``{arm: mu_bar}``: the probability the arm is recorded with value
+    1 given it sits in the drawn block, so one play records it as a
+    Bernoulli(mu_bar) bit.
 
     The block containing a given arm together with any padding is distributed
     as a uniform k1-subset of ``u_prime`` containing that arm, so only the
@@ -152,7 +143,7 @@ def exact_query_stats(
             for w_plus, s_plus in topoffs:
                 acc += weight_rest * w_plus * _record_prob(measure, i, rest + s_plus, model)
         mu_bar[i] = acc
-    return QueryStatistics(mu_bar=mu_bar)
+    return mu_bar
 
 
 def _topoff_support(reject_pool: tuple[int, ...], accept_pool: tuple[int, ...],
@@ -273,7 +264,7 @@ def mu_bar_order_violations(model: str) -> list[dict]:
     """Uniform play preserves the order of the means: on the 8-arm product
     instance 0.9, 0.8, ..., 0.2 with k1 = 3, ``mu_bar`` is strictly decreasing."""
     prod = ProductMeasure(means=(0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2))
-    mu_bar = exact_query_stats(prod, range(8), k1=3, model=model).mu_bar
+    mu_bar = exact_query_stats(prod, range(8), k1=3, model=model)
     if all(mu_bar[i] > mu_bar[i + 1] for i in range(7)):
         return []
     return [{"check": "mu_bar_order", "model": model, "mu_bar": mu_bar}]

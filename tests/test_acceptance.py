@@ -88,8 +88,8 @@ def test_c04_recording_order_preservation():
         y, _ = stage_play(env, range(8), (), (), 3, 0, model, plays,
                           np.random.default_rng(77))
         for i in range(8):
-            se = math.sqrt(stats.mu_bar[i] * (1 - stats.mu_bar[i]) / plays)
-            assert abs(y[i] / plays - stats.mu_bar[i]) < 4 * se, (model, i)
+            se = math.sqrt(stats[i] * (1 - stats[i]) / plays)
+            assert abs(y[i] / plays - stats[i]) < 4 * se, (model, i)
     _report("C4", started, 60.0, "exact ordering strict; MC within 4 s.e. at 1e5 plays")
 
 

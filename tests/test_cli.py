@@ -170,8 +170,11 @@ def test_malformed_measure_is_one_line_error(tmp_path):
 
 
 TRACE_NEEDS_ELIMINATION = "error: trace needs algorithm 'elimination': the baselines keep no stage log"
+TRACE_NEEDS_OUT = ("error: trace needs an output path (--out or the config key 'out'): "
+                   "the stage trace is written beside the results")
 DROP = object()  # an override that removes the key
 HUGE_INT = object()  # a 5001-digit integer literal, which json.dumps cannot write
+NESTED = object()  # a document of 100,000 nested lists, deeper than json.loads recurses
 
 
 @pytest.mark.parametrize(
@@ -185,6 +188,7 @@ HUGE_INT = object()  # a 5001-digit integer literal, which json.dumps cannot wri
         ({"k": 0}, "error: need 1 <= k <= n, got k=0"),
         ({"algorithm": "subset_arm", "trace": True}, TRACE_NEEDS_ELIMINATION),
         ({"algorithm": "parity", "trace": True}, TRACE_NEEDS_ELIMINATION),
+        ({"trace": True}, TRACE_NEEDS_OUT),
         ({"algorithm": "subset_arm", "exact_k_mode": False},
          "error: exact_k_mode needs algorithm 'elimination': the baselines query whole k-subsets"),
         ({"measure": {"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 0.9, "planted": [3, 4]}},
@@ -202,11 +206,13 @@ HUGE_INT = object()  # a 5001-digit integer literal, which json.dumps cannot wri
         ("x", "error: a config document must be an object, got 'x'"),
         (5, "error: a config document must be an object, got 5"),
         (None, "error: a config document must be an object, got None"),
+        (NESTED, "error: a config document nests too deeply to parse"),
     ],
     ids=["subset_arm-stage_cap-0", "elimination-stage_cap-0", "k-str", "base_seed-negative",
-         "k-above-n", "k-0", "subset_arm-trace", "parity-trace", "subset_arm-exact_k_mode",
-         "measure-unknown-key", "measure-n-mismatch", "joint-table-huge-k", "no-delta",
-         "k-5001-digits", "root-list", "root-str", "root-int", "root-null"],
+         "k-above-n", "k-0", "subset_arm-trace", "parity-trace", "trace-without-out",
+         "subset_arm-exact_k_mode", "measure-unknown-key", "measure-n-mismatch",
+         "joint-table-huge-k", "no-delta", "k-5001-digits", "root-list", "root-str", "root-int",
+         "root-null", "nested-100000"],
 )
 def test_bad_config_is_one_line_error(tmp_path, overrides, message):
     doc = overrides
@@ -215,12 +221,15 @@ def test_bad_config_is_one_line_error(tmp_path, overrides, message):
                "model": "semi", "k": 2, "delta": 0.1, **overrides}
         doc = {key: value for key, value in doc.items() if value is not DROP}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc, default=lambda _: "HUGE").replace('"HUGE"', "9" * 5001))
-    done = _cli("run", "--config", str(path))
-    assert done.returncode == EXIT_USAGE
-    assert done.stderr.splitlines() == [message]
-    assert "Traceback" not in done.stderr
-    assert done.stdout == ""
+    text = json.dumps(doc, default=lambda v: "NESTED" if v is NESTED else "HUGE")
+    path.write_text(text.replace('"HUGE"', "9" * 5001).replace('"NESTED"', "[" * 100_000))
+    # a text that does not parse fails alike in both subcommands that read a config
+    for command in ("run", "bounds") if overrides is NESTED else ("run",):
+        done = _cli(command, "--config", str(path))
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.splitlines() == [message]
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
 
 @pytest.mark.parametrize("model, measure", [
@@ -248,6 +257,17 @@ def test_trace_option_rejected_for_baselines(tmp_path):
     assert done.returncode == EXIT_USAGE
     assert done.stderr.splitlines() == [TRACE_NEEDS_ELIMINATION]
     assert not out.exists() and not Path(f"{out}.trace").exists()
+
+
+def test_trace_flag_without_an_output_path_is_one_line_error(tmp_path):
+    # the stage trace is written beside the results, so without a path it has nowhere to go
+    doc = {"measure": ProductMeasure(means=(0.9, 0.5, 0.2)).to_dict(), "model": "semi",
+           "k": 1, "delta": 0.1}
+    done = _run_cli(tmp_path, doc, "--trace")
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines() == [TRACE_NEEDS_OUT]
+    assert done.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_verify_subcommand():

@@ -1,6 +1,5 @@
 """Intervals, stage play, balancing, the elimination loop."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -14,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bestofk
-from bestofk import elimination, measures
+from bestofk import measures
 from bestofk.elimination import (
     CHUNK_PLAYS,
-    ElimState,
     balance,
     balance_set_size,
     confidence_radius,
@@ -29,18 +27,6 @@ from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
 from bestofk.measures import DRAW_ELEMENTS, CoverageMeasure, PlantedMeasure, ProductMeasure
 from bestofk.oracle import exact_query_stats
 from bestofk.theory import inversion_sample_size, kappa_constants, true_variance_radius
-
-
-def _state(n, k, undecided, accepted, rejected, t=1, exact_k=False):
-    return ElimState(
-        n=n,
-        k=k,
-        undecided=tuple(undecided),
-        accepted=tuple(accepted),
-        rejected=tuple(rejected),
-        t=t,
-        exact_k_mode=exact_k,
-    )
 
 
 class TestConfidenceRadius:
@@ -104,17 +90,17 @@ class TestInversion:
 
 class TestBalance:
     def test_no_balancing_needed(self):
-        sets = balance(range(10), range(10, 20), 4, np.random.default_rng(0))
-        assert sets.balancing == ()
-        assert sets.u_prime == tuple(range(10))
+        u_prime, r_prime, balancing = balance(range(10), range(10, 20), 4,
+                                              np.random.default_rng(0))
+        assert balancing == ()
+        assert (u_prime, r_prime) == (tuple(range(10)), tuple(range(10, 20)))
 
     def test_small_u_example(self):
         assert balance_set_size(3, 3) == 4
-        sets = balance((0, 1, 2), range(3, 11), 3, np.random.default_rng(1))
-        assert len(sets.balancing) == 4
-        u_size = len(sets.u_prime)
-        assert u_size == 7
-        kappa1, kappa2 = kappa_constants(u_size, 3)
+        u_prime, _, balancing = balance((0, 1, 2), range(3, 11), 3, np.random.default_rng(1))
+        assert len(balancing) == 4
+        assert len(u_prime) == 7
+        kappa1, kappa2 = kappa_constants(len(u_prime), 3)
         assert kappa1 == pytest.approx(2 / 3) and kappa1 >= 0.5
         assert kappa2 == pytest.approx(2.0) and kappa2 <= 2.0
 
@@ -122,78 +108,69 @@ class TestBalance:
         rng = np.random.default_rng(10)
         for u_size in range(2, 12):
             for k1 in range(1, min(u_size, 6) + 1):
-                sets = balance(range(u_size), range(u_size, u_size + 40), k1, rng)
-                kappa1, kappa2 = kappa_constants(len(sets.u_prime), k1)
+                u_prime, _, _ = balance(range(u_size), range(u_size, u_size + 40), k1, rng)
+                kappa1, kappa2 = kappa_constants(len(u_prime), k1)
                 assert kappa1 >= 0.5
                 assert kappa2 <= 2.0
-                assert len(sets.u_prime) <= 2.5 * u_size
+                assert len(u_prime) <= 2.5 * u_size
 
     def test_u_equals_k_example(self):
         assert balance_set_size(4, 4) == 6
-        sets = balance(range(4), range(4, 14), 4, np.random.default_rng(2))
-        assert len(sets.u_prime) == 10
-        assert len(sets.u_prime) <= 2.5 * 4
+        u_prime, _, _ = balance(range(4), range(4, 14), 4, np.random.default_rng(2))
+        assert len(u_prime) == 10
+        assert len(u_prime) <= 2.5 * 4
 
     def test_infeasible_when_rejects_short(self):
         with pytest.raises(InfeasibleError):
             balance((0, 1, 2), (3,), 3, np.random.default_rng(3))
 
     def test_transfer_is_consistent(self):
-        sets = balance((0, 1, 2), range(3, 11), 3, np.random.default_rng(4))
-        assert set(sets.u_prime) == set((0, 1, 2)) | set(sets.balancing)
-        assert set(sets.r_prime) == set(range(3, 11)) - set(sets.balancing)
+        u_prime, r_prime, balancing = balance((0, 1, 2), range(3, 11), 3,
+                                              np.random.default_rng(4))
+        assert u_prime == tuple(sorted({0, 1, 2} | set(balancing)))
+        assert r_prime == tuple(sorted(set(range(3, 11)) - set(balancing)))
 
 
 class TestEliminationStep:
     def test_accept_rule(self):
-        st = _state(3, 1, (0, 1, 2), (), ())
         mu = np.array([0.9, 0.5, 0.4])
         c = np.array([0.05, 0.1, 0.1])
-        # lower(0)=0.85 > 2nd largest upper = max(0.6, 0.5) = 0.6
-        new, accepted, rejected = elimination_step(st, mu, c)
-        assert accepted == (0,)
-        assert new.accepted == (0,)
-        assert new.t == 2 and new.sample_size == 4
+        # lower(0)=0.85 > 2nd largest upper = max(0.6, 0.5) = 0.6, and both
+        # of those upper bounds fall under the largest lower bound, 0.85
+        assert elimination_step((0, 1, 2), 1, mu, c) == ((), (0,), (1, 2))
 
     def test_overlapping_intervals_keep_everything(self):
-        st = _state(3, 1, (0, 1, 2), (), ())
         mu = np.array([0.6, 0.5, 0.4])
         c = np.full(3, 0.3)
-        new, accepted, rejected = elimination_step(st, mu, c)
-        assert accepted == () and rejected == ()
-        assert new.undecided == (0, 1, 2)
+        assert elimination_step((0, 1, 2), 1, mu, c) == ((0, 1, 2), (), ())
 
     def test_reject_completion_ends_the_game(self):
-        # n=5, k=2: once the reject count hits n-k the undecided rest is accepted
-        st = _state(5, 2, (0, 1, 4), (), (2, 3), t=3)
+        # n=5, k=2 with arms 2 and 3 rejected: once the reject count hits n-k
+        # the undecided rest is accepted
         mu = np.array([0.8, 0.7, 0.1])  # arms 0, 1, 4
         c = np.full(3, 0.05)
-        new, accepted, rejected = elimination_step(st, mu, c)
-        assert rejected == (4,)
-        assert set(accepted) == {0, 1}
-        assert new.undecided == ()
-        assert new.rejected == (2, 3, 4)
-        assert new.accepted == (0, 1)
-
-    def test_stage_values_follow_t_and_undecided(self):
-        st = _state(6, 3, (0, 1), (2,), (3, 4, 5), t=4, exact_k=True)
-        assert (st.sample_size, st.k1, st.k2) == (16, 2, 1)
-        assert _state(6, 3, (0, 1), (2,), (3, 4, 5), t=4).k2 == 0
-        assert _state(6, 3, range(6), (), ()).k1 == 3
+        assert elimination_step((0, 1, 4), 2, mu, c) == ((), (0, 1), (4,))
 
     def test_interval_count_mismatch(self):
-        st = _state(3, 1, (0, 1, 2), (), ())
+        U = (0, 1, 2)
         with pytest.raises(DomainError):
-            elimination_step(st, np.array([0.5, 0.5]), np.array([0.1, 0.1]))
+            elimination_step(U, 1, np.array([0.5, 0.5]), np.array([0.1, 0.1]))
         with pytest.raises(DomainError):
-            elimination_step(st, np.array([0.5, 0.5, 0.5]), np.array([0.1, -0.1, 0.1]))
+            elimination_step(U, 1, np.array([0.5, 0.5, 0.5]), np.array([0.1, -0.1, 0.1]))
         with pytest.raises(DomainError):
-            elimination_step(st, np.array([0.5, 0.5, 0.5]), np.array([0.1, np.nan, 0.1]))
+            elimination_step(U, 1, np.array([0.5, 0.5, 0.5]), np.array([0.1, np.nan, 0.1]))
+
+    @pytest.mark.parametrize("k_t", [0, 3, 4])
+    def test_k_t_outside_its_range(self, k_t):
+        # the rules need 1 <= k_t < |U|: an arm to accept and one beyond it
+        with pytest.raises(DomainError):
+            elimination_step((0, 1, 2), k_t, np.full(3, 0.5), np.full(3, 0.1))
 
 
 @st.composite
 def _stage_snapshots(draw):
-    """A state the stage loop can reach (|A| < k, |R| < n - k) plus intervals.
+    """A stage the loop can reach (|A| < k, |R| < n - k) plus intervals:
+    (n, k, undecided, accepted, rejected, mu, c).
 
     Means and radii sit on a 1/16 grid so ties between bounds are common;
     the largest radius varies so that some stages decide every arm.
@@ -203,97 +180,42 @@ def _stage_snapshots(draw):
     arms = draw(st.permutations(range(n)))
     a = draw(st.integers(0, k - 1))
     r = draw(st.integers(0, n - k - 1))
-    state = _state(n, k, sorted(arms[a + r:]), sorted(arms[:a]), sorted(arms[a:a + r]),
-                   t=draw(st.integers(1, 20)), exact_k=draw(st.booleans()))
-    size = len(state.undecided)
+    undecided = tuple(sorted(arms[a + r:]))
+    size = len(undecided)
     mu = draw(st.lists(st.integers(0, 16).map(lambda j: j / 16), min_size=size, max_size=size))
     widest = draw(st.sampled_from([0, 1, 4, 16]))
     c = draw(st.lists(st.integers(0, widest).map(lambda j: j / 16), min_size=size, max_size=size))
-    return state, mu, c
-
-
-def _reference_step(state, mu_hat, c_hat):
-    """``elimination_step`` built by ``dataclasses.replace`` and sorted merges."""
-    U = np.asarray(state.undecided, dtype=np.int64)
-    k_t = state.k - len(state.accepted)
-    uppers, lowers = mu_hat + c_hat, mu_hat - c_hat
-    accepting = lowers > np.sort(uppers)[-(k_t + 1)]
-    rejecting = uppers < np.sort(lowers)[-k_t]
-    accepted_now, rejected_now = tuple(U[accepting].tolist()), tuple(U[rejecting].tolist())
-    advanced = dataclasses.replace(
-        state,
-        undecided=tuple(U[~(accepting | rejecting)].tolist()),
-        accepted=tuple(sorted(state.accepted + accepted_now)),
-        rejected=tuple(sorted(state.rejected + rejected_now)),
-        t=state.t + 1,
-    )
-    return advanced, accepted_now, rejected_now
+    return n, k, undecided, set(arms[:a]), set(arms[a:a + r]), mu, c
 
 
 class TestEliminationStepProperties:
     @settings(max_examples=300, deadline=None)
     @given(_stage_snapshots())
-    def test_matches_the_replace_and_merge_reference(self, snapshot):
-        state, mu, c = snapshot
-        new, accepted_now, rejected_now = elimination_step(state, np.array(mu), np.array(c))
-        ref, ref_accepted, ref_rejected = _reference_step(state, np.array(mu), np.array(c))
-        assert (accepted_now, rejected_now) == (ref_accepted, ref_rejected)
-        assert type(new) is ElimState and vars(new) == vars(ref)
-        parts = new.undecided + new.accepted + new.rejected + accepted_now + rejected_now
-        assert all(type(a) is int for a in parts)
-        ElimState(**vars(new))  # the constructor's partition check passes
-
-    @settings(max_examples=300, deadline=None)
-    @given(_stage_snapshots())
     def test_invariants(self, snapshot):
-        state, mu, c = snapshot
-        U = state.undecided
-        new, accepted_now, rejected_now = elimination_step(state, np.array(mu), np.array(c))
-        n, k = state.n, state.k
-        parts = new.undecided + new.accepted + new.rejected
-        assert sorted(parts) == list(range(n))
-        assert len(new.accepted) <= k and len(new.rejected) <= n - k
-        assert new.t == state.t + 1
+        n, k, U, accepted, rejected, mu, c = snapshot
+        k_t = k - len(accepted)
+        still, accepted_now, rejected_now = elimination_step(U, k_t, np.array(mu), np.array(c))
+        parts = still + accepted_now + rejected_now
+        assert all(type(a) is int for a in parts)
+        # the step splits U, each part in the order of U
+        assert sorted(parts) == list(U)
+        for part in (still, accepted_now, rejected_now):
+            assert list(part) == [i for i in U if i in part]
+        assert len(accepted) + len(accepted_now) <= k
+        assert len(rejected) + len(rejected_now) <= n - k
 
-        k_t = k - len(state.accepted)
         upper = {i: m + r for i, m, r in zip(U, mu, c)}
         lower = {i: m - r for i, m, r in zip(U, mu, c)}
         accept_bar = sorted(upper.values(), reverse=True)[k_t]
         reject_bar = sorted(lower.values(), reverse=True)[k_t - 1]
         assert {i for i in U if lower[i] > accept_bar} == set(accepted_now)
         assert {i for i in U if upper[i] < reject_bar} == set(rejected_now)
-        assert set(new.accepted) == set(state.accepted) | set(accepted_now)
-        assert set(new.rejected) == set(state.rejected) | set(rejected_now)
-        if len(new.rejected) == n - k:
+        if len(rejected) + len(rejected_now) == n - k:
             # completion: the accept rule has taken every arm left
-            assert new.undecided == () and len(new.accepted) == k
+            assert still == () and len(accepted) + len(accepted_now) == k
 
 
 class TestRunIdentification:
-    def test_one_state_per_stage(self, monkeypatch):
-        # the constructor checks the initial state only; each stage advances
-        # by one elimination_step from the state the stage before returned
-        built, steps = [], []
-        checks, step = ElimState.__post_init__, elimination.elimination_step
-
-        def counted(state):
-            built.append(state.t)
-            checks(state)
-
-        def stepped(state, mu_hat, c_hat):
-            result = step(state, mu_hat, c_hat)
-            steps.append((state, result[0]))
-            return result
-
-        monkeypatch.setattr(ElimState, "__post_init__", counted)
-        monkeypatch.setattr(elimination, "elimination_step", stepped)
-        env = ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))
-        rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(1))
-        assert rec.stages >= 2 and built == [1]
-        assert [before.t for before, _ in steps] == list(range(1, rec.stages + 1))
-        for (_, after), (before, _) in zip(steps, steps[1:]):
-            assert before is after
-
     def test_n_equals_k_short_circuit(self):
         env = ProductMeasure(means=(0.5, 0.5))
         rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(0))
@@ -379,6 +301,12 @@ class TestRunIdentification:
         for u_size, k1, k2 in calls:
             assert k1 == min(u_size, 3)
             assert k2 == (3 - k1 if k1 < 3 else 0)
+        # without exact-k mode no stage is topped off, not even once |U| < k
+        calls.clear()
+        rec = run_identification(env, "marked", 3, 0.1, np.random.default_rng(21),
+                                 exact_k_mode=False)
+        assert any(k1 < 3 for _, k1, _ in calls)
+        assert all(k2 == 0 for _, _, k2 in calls)
 
     def test_marked_and_bandit_runs_succeed(self):
         semi_env = ProductMeasure(means=(0.8, 0.7, 0.6, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3))
@@ -445,7 +373,7 @@ class TestStagePlayConsistency:
                                 np.random.default_rng(11))
         assert queries == plays * 3
         for i in range(5):
-            mu_bar = stats.mu_bar[i]
+            mu_bar = stats[i]
             se = math.sqrt(mu_bar * (1 - mu_bar) / plays)
             assert abs(y[i] / plays - mu_bar) < 4 * se + 1e-9, (model, i)
 
@@ -461,7 +389,7 @@ class TestStagePlayConsistency:
         y, _ = stage_play(env, (0, 1, 2), (4,), (3,), 2, 1, model, plays,
                           np.random.default_rng(12))
         for i in (0, 1, 2):
-            mu_bar = stats.mu_bar[i]
+            mu_bar = stats[i]
             se = math.sqrt(mu_bar * (1 - mu_bar) / plays)
             assert abs(y[i] / plays - mu_bar) < 4 * se + 1e-9, (model, i)
 
@@ -477,7 +405,7 @@ class TestStagePlayConsistency:
     @staticmethod
     def _assert_matches(stats, y, plays, arms):
         for i in arms:
-            mu_bar = stats.mu_bar[i]
+            mu_bar = stats[i]
             se = math.sqrt(mu_bar * (1 - mu_bar) / plays)
             assert abs(y[i] / plays - mu_bar) < 4 * se + 1e-9, i
 

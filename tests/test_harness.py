@@ -450,6 +450,20 @@ class TestStageTrace:
                 assert values.dtype == np.float64 and values.shape == (len(stage.undecided),)
                 with pytest.raises(ValueError):
                     values[0] = 0.5
+        # each stage partitions the arms, and the stages chain into the answer
+        for rec in records:
+            accepted = []
+            for stage, after in zip(rec.stage_log, rec.stage_log[1:] + (None,)):
+                assert len(stage.undecided) + stage.accepted + stage.rejected == env.n
+                now_a, now_r = set(stage.accepted_now), set(stage.rejected_now)
+                assert now_a | now_r <= set(stage.undecided) and not now_a & now_r
+                if after is not None:
+                    assert after.undecided == tuple(
+                        a for a in stage.undecided if a not in now_a | now_r)
+                    assert after.accepted == stage.accepted + len(now_a)
+                accepted += stage.accepted_now
+            forced = doc["k"] == env.n  # the answer needs no stage
+            assert rec.returned == (tuple(range(env.n)) if forced else tuple(sorted(accepted)))
 
     def test_examples_reach_wide_balancing_and_topoff_stages(self):
         stages = [(doc["k"], stage) for doc in TRACE_EXAMPLES

@@ -80,28 +80,44 @@ def _pool(data, m, limits):
     return np.sort(np.random.default_rng(seed).choice(top, m, replace=False))
 
 
+# the packed sort keeps the top 53 - s bits of each key, s the bits an arm needs
+# beyond PACKED_ARM_BITS: 0 below 2**11, 1 below 2**12, 6 below 2**17
+PERMUTE_WIDTHS = st.one_of(POOL_WIDTHS, st.just(4096))
+PERMUTE_LIMITS = (2048, 4096, 2**17)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data(), POOL_WIDTHS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(st.data(), PERMUTE_WIDTHS, st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_permute_pool_equals_stable_argsort(data, m, rows, seed):
-    # pools of arms below 2**11 take the packed sort, the others np.argsort
-    pool = _pool(data, m, (2048, 4096))
+    # distinct uniform keys rarely agree in their top 53 - s bits
+    pool = _pool(data, m, PERMUTE_LIMITS)
     keys = np.random.default_rng(seed).random((rows, m))
     order = kernels.permute_pool(keys, pool, np.empty((rows, m), np.int64))
     assert order.tolist() == pool[np.argsort(keys, axis=1, kind="stable")].tolist()
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), POOL_WIDTHS.filter(lambda m: m <= 2048), st.integers(1, 3),
-       st.integers(0, 2**32 - 1))
+@given(st.data(), PERMUTE_WIDTHS, st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_permute_pool_orders_exact_ties_by_pool_position(data, m, rows, seed):
-    # keys from four uniforms, the least and greatest among them, so rows tie
-    # exactly; a packed pool lists tied arms in pool order, as a stable sort does
-    pool = _pool(data, m, (2048,))
-    assert pool[-1] < 2**kernels.PACKED_ARM_BITS
-    values = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    # keys from four values on the 2**-(53 - s) grid, the least and greatest
+    # among them, so rows tie exactly; tied arms keep pool order, as a stable
+    # sort lists them
+    pool = _pool(data, m, PERMUTE_LIMITS)
+    dropped = max(0, int(pool[-1]).bit_length() - kernels.PACKED_ARM_BITS)
+    step = 2.0 ** -(53 - dropped)
+    values = np.array([0.0, step, 0.5, 1.0 - step])
     keys = values[np.random.default_rng(seed).integers(0, len(values), (rows, m))]
     order = kernels.permute_pool(keys, pool, np.empty((rows, m), np.int64))
     assert order.tolist() == pool[np.argsort(keys, axis=1, kind="stable")].tolist()
+
+
+def test_permute_pool_orders_keys_agreeing_in_their_kept_bits_by_pool_position():
+    # a pool holding arm 4095 drops one key bit: keys 0 and 2**-53 pack alike,
+    # so arm 7 comes first whichever of the two it holds; 2**-52 stays apart
+    pool = np.array([7, 4095])
+    keys = np.array([[2.0**-53, 0.0], [2.0**-52, 0.0]])
+    order = kernels.permute_pool(keys, pool, np.empty((2, 2), np.int64))
+    assert order.tolist() == [[7, 4095], [4095, 7]]
 
 
 @settings(max_examples=15, deadline=None)

@@ -101,7 +101,7 @@ class TestExactQueryStats:
         m = ProductMeasure(means=(0.9, 0.6, 0.3, 0.1))
         stats = exact_query_stats(m, range(4), k1=2, model="semi")
         for i in range(4):
-            assert stats.mu_bar[i] == pytest.approx(m.means[i], abs=1e-15)
+            assert stats[i] == pytest.approx(m.means[i], abs=1e-15)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_order_preserving(self, model):
@@ -116,12 +116,12 @@ class TestExactQueryStats:
             reject_pool=(3,), accept_pool=(4,), k=3,
         )
         # the high-mean top-off arm occludes more
-        assert padded.mu_bar[0] > base.mu_bar[0]
+        assert padded[0] > base[0]
         agreement = exact_query_stats(
             m, (0, 1, 2), k1=2, model="semi",
             reject_pool=(3,), accept_pool=(4,), k=3,
         )
-        assert agreement.mu_bar[1] == pytest.approx(0.4, abs=1e-15)
+        assert agreement[1] == pytest.approx(0.4, abs=1e-15)
 
     def test_size_cap(self):
         m = ProductMeasure(means=(0.5,) * 16)
@@ -163,7 +163,7 @@ class TestProductClosedForms:
             for i in range(pool):
                 rests = list(combinations([a for a in range(pool) if a != i], k1 - 1))
                 closed = sum(closed_form_record_prob(means, i, r, model) for r in rests)
-                assert abs(stats.mu_bar[i] - closed / len(rests)) <= 1e-12, (k1, i)
+                assert abs(stats[i] - closed / len(rests)) <= 1e-12, (k1, i)
 
 
 class TestAllZeroProb:
