@@ -8,19 +8,25 @@ on the hidden subset, where its bias is p/2.
 
 Both share the empirical-Bernstein interval of the main algorithm (with the
 union bound taken over subset arms) and the same doubling, fresh-samples
-stage structure, so query counts are directly comparable.
+stage structure, so query counts are directly comparable.  The early stages,
+whose every radius is above 1/2, cannot drop a subset: where the measure
+counts the doubles its draw takes (``Measure.draw_doubles``), such a stage
+takes that many from the generator and counts its queries without drawing,
+so every record equals the fully simulated run's.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .elimination import STAGE_CAP, confidence_radius
 from .errors import DomainError, SubsetCapError
-from .measures import DRAW_ELEMENTS, SUBSET_CAP, Measure, fold_columns, sample_matrix
+from .measures import (DRAW_ELEMENTS, SUBSET_CAP, Measure, fold_columns, held_buffer,
+                       sample_matrix)
 from .trial import TrialRecord
 
 __all__ = ["subset_arm_identify", "parity_identify"]
@@ -32,6 +38,22 @@ def _enumerate_subsets(n: int, k: int) -> np.ndarray:
     if count > SUBSET_CAP:
         raise SubsetCapError(f"C({n},{k}) = {count} exceeds the cap {SUBSET_CAP}")
     return np.asarray(list(combinations(range(n), k)), dtype=np.int64).reshape(count, k)
+
+
+@lru_cache(maxsize=64)
+def _undecidable_stages(n_arms: int, delta: float) -> int:
+    """How many leading stages cannot drop any of ``n_arms`` subset arms.
+
+    Every radius is at least the floor r_min = confidence_radius(0, ...), its
+    square-root term being >= 0.  With r_min > 1/2, monotone rounding and
+    0 <= mu <= 1 give fl(mu_j + r_j) >= r_min > 1/2 >= fl(mu_i - r_i) (as
+    mu_i - r_i < 1/2), so such a stage keeps every subset.  The floor falls
+    as t grows, so the stages up to its first failure are all of them.
+    """
+    t = 1
+    while confidence_radius(0.0, 2**t, n_arms, t, delta) > 0.5:
+        t += 1
+    return t - 1
 
 
 def _eliminate_over_subsets(
@@ -49,6 +71,11 @@ def _eliminate_over_subsets(
     bound falls below the best lower bound; stage decisions use that stage's
     fresh draws only, matching the stagewise interval bookkeeping.  When
     k = n the one subset is returned without a query.
+
+    The leading stages that cannot drop a subset (``_undecidable_stages``)
+    run undrawn when ``env.draw_doubles`` counts their doubles: each takes
+    that many from ``rng`` and counts its queries, so the returned record is
+    the one the drawn stages give.
     """
     if not (1 <= k <= env.n):
         raise DomainError("need 1 <= k <= n")
@@ -62,7 +89,17 @@ def _eliminate_over_subsets(
     # a draw holds at most draw_rows rows of k arms: the largest power of two
     # (so it divides every larger 2**t) with draw_rows * k <= DRAW_ELEMENTS
     draw_rows = 1 << ((DRAW_ELEMENTS // k).bit_length() - 1)
-    for t in range(1, stage_cap + 1):
+    # the cap stage always runs, because its mu names the leader
+    skipped = 0
+    if env.draw_doubles(2 * n_arms, k) is not None:
+        skipped = min(_undecidable_stages(n_arms, delta), stage_cap - 1)
+    for t in range(1, skipped + 1):
+        doubles = env.draw_doubles(2**t * n_arms, k)
+        for lo in range(0, doubles, DRAW_ELEMENTS):
+            block = (min(DRAW_ELEMENTS, doubles - lo),)
+            rng.random(out=held_buffer("draw.uniforms", block, np.float64))
+        total_queries += 2**t * n_arms
+    for t in range(skipped + 1, stage_cap + 1):
         big_t = 2**t
         # big_t consecutive rows observe each survivor; a draw holds whole
         # survivors while they fit, else one survivor's rows over

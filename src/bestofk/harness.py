@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -23,7 +24,8 @@ from .baselines import parity_identify, subset_arm_identify
 from .elimination import STAGE_CAP, run_identification
 from .errors import DomainError, MismatchError
 from .game import check_model
-from .measures import checked, document, measure_from_dict, optimal_subset, read_fields
+from .measures import (Measure, checked, document, measure_from_dict, optimal_subset,
+                       read_fields)
 from .trial import TrialRecord
 
 __all__ = [
@@ -166,17 +168,55 @@ def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> Exper
     )
 
 
+def _check_output_paths(out: Path, trace: bool) -> None:
+    """A ``DomainError`` unless the results file ``out``, and the stage trace
+    beside it when ``trace`` is on, can be written: their directory is one and
+    neither of them is."""
+    if not out.parent.is_dir():
+        raise DomainError(f"cannot write results to {out}: {out.parent} is not a directory")
+    for path in (out, Path(f"{out}.trace")) if trace else (out,):
+        if path.is_dir():
+            raise DomainError(f"cannot write results to {path}: it is a directory")
+
+
+def _run_warnings(env: Measure, config: ExperimentConfig,
+                  truth: tuple[int, ...] | None) -> list[str]:
+    """What makes a run's outcome unscorable or its end doubtful, known before it starts."""
+    lines = []
+    if truth is None:
+        lines.append(f"no unique best {config.k}-subset is known, so no replicate is scored")
+    if config.algorithm == "elimination" and config.k < env.n:
+        kth, next_ = sorted(env.marginals(), reverse=True)[config.k - 1:config.k + 1]
+        if kth == next_:
+            lines.append(f"the arm marginals ranked {config.k} and {config.k + 1} tie at "
+                         f"{kth!r}, so elimination may return another subset than the "
+                         f"optimum or stop only at its stage cap")
+    return lines
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], ExperimentSummary]:
     """Run all replicates; optionally persist records + summary to config.out.
+
+    Before the first replicate, an unusable output path raises ``DomainError``
+    and each line of ``_run_warnings`` goes to stderr as a ``warning:`` line.
 
     The returned records keep their ``stage_log`` only when ``config.trace``
     is on: the stage trace is its only reader.
     """
     env = measure_from_dict(config.measure)
+    if config.out:
+        _check_output_paths(Path(config.out), config.trace)
     truth = optimal_subset(env, config.k)
     records: list[TrialRecord] = []
     for r in range(config.replicates):
         seed_rng = replicate_rng(config.base_seed, r)
+        if r == 0:
+            # a draw of no rows takes nothing from the stream but builds the
+            # sampler's tables, so an instance too large to hold fails before
+            # any warning
+            env.draw(seed_rng, np.empty((0, 1), dtype=np.int64))
+            for line in _run_warnings(env, config, truth):
+                print(f"warning: {line}", file=sys.stderr)
         started = time.perf_counter()
         if config.algorithm == "elimination":
             rec = run_identification(env, config.model, config.k, config.delta, seed_rng,

@@ -12,7 +12,8 @@ Four measure families are supported:
 
 Each family lives in one ``Measure`` subclass that holds its sampler
 (``draw``), exact marginals and E[max], exact law by enumeration
-(``exact_probs``, the oracle's source), best k-subset (``optimum``) and
+(``exact_probs``, the oracle's source), best k-subset (``optimum``), the
+doubles a draw takes from the stream (``draw_doubles``, where it is a count) and
 document (``to_dict``: the class's compared fields).  Callers use those
 methods directly.  Three module-level entry points stay because they check
 their input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the
@@ -93,6 +94,11 @@ class Measure(ABC):
     def exact_probs(self, arms: Sequence[int]) -> np.ndarray:
         """Dense joint law of distinct ``arms`` by enumeration; atom bit b tracks ``arms[b]``."""
 
+    def draw_doubles(self, size: int, w: int) -> int | None:
+        """How many ``Generator.random`` doubles ``draw`` takes for ``size`` rows of
+        ``w`` arms, or None when it reads the stream another way."""
+        return None
+
     def optimum(self, k: int) -> tuple[int, ...] | None:
         """The unique best k-subset by scoring all C(n, k), or None if tied or past the cap."""
         if math.comb(self.n, k) > SUBSET_CAP:
@@ -167,6 +173,9 @@ class ProductMeasure(Measure):
         means = self.mean_array.take(arms, mode="clip",
                                      out=held_buffer("draw.means", arms.shape, np.float64))
         return (uniforms < means).view(np.uint8)
+
+    def draw_doubles(self, size, w):
+        return size * w
 
     def marginals(self):
         return self.means
@@ -257,6 +266,9 @@ class PlantedMeasure(Measure):
         bits = u[size * (1 + k) :].reshape(arms.shape) < np.take(self.thresholds, arms)
         bits &= np.take(gate, cell)
         return bits.view(np.uint8)
+
+    def draw_doubles(self, size, w):
+        return size * (1 + self.k + w)  # the blocks of ``draw`` add up to this
 
     @cached_property
     def slots(self) -> np.ndarray:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestofk import baselines
 from bestofk.baselines import SUBSET_CAP, parity_identify, subset_arm_identify
@@ -41,23 +43,25 @@ class TestSubsetArm:
             identify(env, 2, 0.1, np.random.default_rng(0), stage_cap=0)
 
     @pytest.mark.parametrize(
-        "env,k,replays",
+        "env,k,replays,skipped",
         [
-            (ProductMeasure(means=(0.5, 0.5, 0.5, 0.3)), 2, True),
-            (ProductMeasure(means=(0.5, 0.5, 0.5, 0.5, 0.3)), 3, True),
-            (JointTableMeasure(k=3, probs=(0.125,) * 8), 2, True),
-            (PlantedMeasure(4, 2, 0.5, 0.0), 2, False),
-            (CoverageMeasure(4, [{0}, {1}, {2}, {3}]), 2, False),
+            (ProductMeasure(means=(0.5, 0.5, 0.5, 0.3)), 2, True, 5),
+            (ProductMeasure(means=(0.5, 0.5, 0.5, 0.5, 0.3)), 3, True, 5),
+            (JointTableMeasure(k=3, probs=(0.125,) * 8), 2, True, 0),
+            (PlantedMeasure(4, 2, 0.5, 0.0), 2, False, 5),
+            (CoverageMeasure(4, [{0}, {1}, {2}, {3}]), 2, False, 0),
         ],
         ids=["product", "product-k3", "joint_table", "planted", "coverage"],
     )
-    def test_every_draw_is_bounded(self, env, k, replays, monkeypatch):
+    def test_every_draw_is_bounded(self, env, k, replays, skipped, monkeypatch):
         # every k-subset ties, so all 8 stages run; a draw holds at most the
         # largest power of two rows with rows * k <= DRAW_ELEMENTS (16 here),
         # so past 16 rows a survivor's rows split over several draws.  Product
         # and joint-table draws read the stream row by row, so their records
         # cannot change; a planted draw reads Y, Z and the uniforms of all its
-        # rows in turn, and a coverage draw buffers its integers per call
+        # rows in turn, and a coverage draw buffers its integers per call.
+        # Product and planted stages 1-5 cannot drop a subset (their radius
+        # floor is above 1/2), so they count their queries without a draw
         whole = subset_arm_identify(env, k, 0.1, np.random.default_rng(7), stage_cap=8)
         rows = []
 
@@ -69,9 +73,48 @@ class TestSubsetArm:
         monkeypatch.setattr(baselines, "sample_matrix", counted)
         split = subset_arm_identify(env, k, 0.1, np.random.default_rng(7), stage_cap=8)
         assert split.stages == 8
-        assert max(rows) == 16 and sum(rows) == split.total_queries
+        skipped_queries = (2 ** (skipped + 1) - 2) * math.comb(env.n, k)
+        assert max(rows) == 16 and sum(rows) + skipped_queries == split.total_queries
         if replays:
             assert whole.inconclusive and split == whole
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), identify=st.sampled_from([subset_arm_identify, parity_identify]),
+           stage_cap=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_skipped_stages_replay_the_simulated_run(self, data, identify, stage_cap, seed):
+        # the first 5 or 6 stages of these configs cannot drop a subset, so
+        # caps of 1-9 end inside the skipped prefix and past it
+        n = data.draw(st.integers(3, 6))
+        k = data.draw(st.integers(1 if identify is subset_arm_identify else 2, n - 1))
+        if data.draw(st.booleans()):
+            env = ProductMeasure(means=data.draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+                                                          min_size=n, max_size=n)))
+        else:
+            planted = data.draw(st.integers(2, n))
+            mu = 0.5 if identify is parity_identify else data.draw(st.sampled_from([0.25, 0.5]))
+            env = PlantedMeasure(n, planted, mu, data.draw(st.sampled_from([0.5, 1.0])))
+        delta = data.draw(st.sampled_from([0.01, 0.1, 0.5]))
+        skipping = identify(env, k, delta, np.random.default_rng(seed), stage_cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(env), "draw_doubles", lambda self, size, w: None)
+            simulated = identify(env, k, delta, np.random.default_rng(seed), stage_cap)
+        assert skipping == simulated
+
+    def test_workload_draws_from_stage_6(self, monkeypatch):
+        # the subset-planted-n8 config: the radius floor over its 28 subset
+        # arms is 20.6, 8.1, 3.8, 1.9 and 0.94 at stages 1-5 and 0.48 at stage 6
+        env = PlantedMeasure(8, 2, 0.5, 1.0)
+        rows = []
+
+        def counted(measure, rng, size, arms=None):
+            rows.append(size)
+            return sample_matrix(measure, rng, size, arms=arms)
+
+        monkeypatch.setattr(baselines, "sample_matrix", counted)
+        rec = subset_arm_identify(env, 2, 0.1, np.random.default_rng(1))
+        assert rec.stages >= 6
+        assert rows[0] == 2**6 * 28  # stage 6 draws every subset; stages 1-5 drew nothing
+        assert sum(rows) + (2**6 - 2) * 28 == rec.total_queries
 
     def test_planted_recovery_rate(self):
         env = PlantedMeasure(4, 2, 0.5, 1.0)

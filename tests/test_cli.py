@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bestofk
-from bestofk import oracle, theory
+from bestofk import harness, oracle, theory
 from bestofk.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from bestofk.harness import ExperimentConfig
 from bestofk.measures import PlantedMeasure, ProductMeasure
@@ -268,6 +268,23 @@ def test_trace_flag_without_an_output_path_is_one_line_error(tmp_path):
     assert done.stderr.splitlines() == [TRACE_NEEDS_OUT]
     assert done.stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("where", ["missing/r.jsonl", "dir"])
+def test_unusable_output_path_is_one_line_error_before_any_replicate(tmp_path, capsys,
+                                                                     monkeypatch, where):
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": ProductMeasure(means=(0.8, 0.7, 0.6, 0.3)).to_dict(),
+                                "model": "bandit", "k": 3, "delta": 0.1, "replicates": 200}))
+    replicates = []
+    monkeypatch.setattr(harness, "run_identification",
+                        lambda *args: replicates.append(args) or pytest.fail("a replicate ran"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / where)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: cannot write results to {tmp_path / where}: ")
+    assert captured.out == "" and replicates == []
 
 
 def test_verify_subcommand():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -16,6 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bestofk
+from bestofk import harness
+from bestofk.elimination import run_identification
 from bestofk.errors import DomainError, MismatchError
 from bestofk.harness import (
     ExperimentConfig,
@@ -30,6 +33,8 @@ from bestofk.harness import (
 from bestofk.measures import FIELDS, measure_from_dict, PlantedMeasure, ProductMeasure
 from bestofk.theory import BoundReport, GapProfile, upper_bound_total
 from bestofk.trial import StageRecord, TrialRecord
+
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _product_config(**overrides):
@@ -272,6 +277,59 @@ class TestRunExperiment:
             assert summary.replicates == 3
             assert all(r.success is not None for r in records)
 
+    @pytest.mark.parametrize("measure, lines", [
+        # the best pairs tie, and so do the three largest marginals
+        ({"type": "coverage", "m": 8,
+          "sets": [[0, 1, 2], [2, 3], [3, 4, 5], [5, 6], [6, 7, 0], [1]]},
+         ["warning: no unique best 2-subset is known, so no replicate is scored",
+          "warning: the arm marginals ranked 2 and 3 tie at 0.375, so elimination may return "
+          "another subset than the optimum or stop only at its stage cap"]),
+        # every planted marginal is mu: only co-queried pairs separate the arms
+        ({"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 0.9},
+         ["warning: the arm marginals ranked 2 and 3 tie at 0.4, so elimination may return "
+          "another subset than the optimum or stop only at its stage cap"]),
+    ], ids=["coverage-tied-optimum", "planted"])
+    def test_doubtful_runs_warn_before_the_first_replicate(self, capsys, monkeypatch, measure,
+                                                           lines):
+        stderr_at_replicate = []
+
+        def identify(*args):
+            stderr_at_replicate.append(capsys.readouterr().err)
+            return run_identification(*args)
+
+        monkeypatch.setattr(harness, "run_identification", identify)
+        run_experiment(ExperimentConfig(measure=measure, model="marked", k=2, delta=0.1,
+                                        replicates=2, stage_cap=4))
+        assert [err.splitlines() for err in stderr_at_replicate] == [lines, []]
+        assert capsys.readouterr().err == ""
+
+    def test_workload_configs_do_not_warn(self, capsys, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            run_experiment(ExperimentConfig(**workload.config_doc(1, replicates=1)))
+            assert capsys.readouterr().err == "", workload.name
+
+    @pytest.mark.parametrize("where, trace, message", [
+        ("missing/r.jsonl", False, "{tmp}/missing/r.jsonl: {tmp}/missing is not a directory"),
+        ("file/r.jsonl", False, "{tmp}/file/r.jsonl: {tmp}/file is not a directory"),
+        ("dir", False, "{tmp}/dir: it is a directory"),
+        ("dir", True, "{tmp}/dir: it is a directory"),
+        ("r.jsonl", True, "{tmp}/r.jsonl.trace: it is a directory"),
+    ])
+    def test_unusable_output_path_fails_before_any_replicate(self, tmp_path, monkeypatch,
+                                                               where, trace, message):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "r.jsonl.trace").mkdir()  # in the way of a traced run's stage trace
+        monkeypatch.setattr(harness, "run_identification", None)  # a replicate would fail
+        with pytest.raises(DomainError) as caught:
+            run_experiment(_product_config(out=str(tmp_path / where), trace=trace))
+        assert str(caught.value) == "cannot write results to " + message.format(tmp=tmp_path)
+        assert not (tmp_path / "r.jsonl").exists()
+
 
 # (config document, sha256 of its results file, of its .trace file or None): between
 # them the three feedback models, the four measure families and the three algorithms
@@ -295,6 +353,12 @@ GOLDEN = {
                      "probs": [0.2, 0.3, 0.1, 0.1, 0.05, 0.1, 0.05, 0.1]},
          "model": "bandit", "k": 1, "delta": 0.1, "replicates": 3, "base_seed": 14},
         "a17b429be410153a7b1da421e00dedd326bba1455af2abeefc129ba568cef839", None),
+    # its stages 1-5 cannot drop a subset, so they take their doubles undrawn
+    "product-bandit-subset_arm": (
+        {"measure": {"type": "product", "n": 5, "means": [0.9, 0.7, 0.4, 0.2, 0.1]},
+         "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 3,
+         "base_seed": 16},
+        "4fb8659258768973de748fbe1b31d620c8146589b480efbd78c6e1c1eea229c9", None),
     "planted-semi-parity": (
         {"measure": {"type": "planted", "n": 4, "k": 2, "mu": 0.5, "p": 1.0},
          "model": "semi", "k": 2, "delta": 0.1, "algorithm": "parity", "replicates": 3,

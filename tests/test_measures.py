@@ -277,6 +277,50 @@ class TestPlantedDraw:
         assert rng.random() == ref_rng.random()
 
 
+class TestDrawDoubles:
+    """``draw_doubles`` counts the doubles ``draw`` takes, so taking that many
+    doubles leaves the generator where the draw leaves it."""
+
+    @staticmethod
+    def assert_same_state(measure, arms, seed):
+        rng, skip_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, skip_rng):  # a buffered 32-bit half must survive both
+            g.integers(0, 2**32, dtype=np.uint32)
+        measure.draw(rng, arms)
+        skip_rng.random(measure.draw_doubles(*arms.shape))
+        assert rng.bit_generator.state == skip_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), size=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_product_and_planted_counts_are_exact(self, data, size, seed):
+        n = data.draw(st.integers(2, 9))
+        w = data.draw(st.integers(1, n))
+        if data.draw(st.booleans()):
+            measure = ProductMeasure(means=data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]),
+                                                              min_size=n, max_size=n)))
+        else:
+            k = data.draw(st.integers(2, n))
+            measure = PlantedMeasure(n, k, data.draw(st.sampled_from([0.2, 0.5])),
+                                     data.draw(st.sampled_from([0.0, 0.6, 1.0])),
+                                     planted_set=data.draw(st.permutations(range(n)))[:k])
+        arms = np.argsort(np.random.default_rng(seed).random((size, n)), axis=1)[:, :w]
+        self.assert_same_state(measure, arms, seed)
+
+    @pytest.mark.parametrize("elements", [61, 5])
+    def test_planted_draw_in_blocks(self, monkeypatch, elements):
+        # PLANTED has k = 3: 1 + 3 + 4 doubles a row, 7 rows a block at 61
+        # elements and one row a block at 5
+        monkeypatch.setattr(measures, "DRAW_ELEMENTS", elements)
+        arms = np.argsort(np.random.default_rng(7).random((50, PLANTED.n)), axis=1)[:, :4]
+        assert PLANTED.draw_doubles(50, 4) == 50 * (1 + 3 + 4)
+        self.assert_same_state(PLANTED, arms, 8)
+
+    def test_other_families_count_nothing(self):
+        # coverage draws bounded integers and joint tables draw atoms by choice
+        assert COVERAGE.draw_doubles(50, 2) is None
+        assert JOINT.draw_doubles(50, 2) is None
+
+
 PLANTED =PlantedMeasure(7, 3, 0.4, 0.8, planted_set=(1, 3, 5))
 COVERAGE = CoverageMeasure(8, [{0, 1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {6, 7, 0}, {1, 4}])
 JOINT = JointTableMeasure(k=3, probs=(0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1))
