@@ -64,6 +64,8 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
     if n < 1 or t < 1:
         raise DomainError("need n >= 1 and t >= 1")
     log_term = math.log(8.0 * n * t * t / delta)
+    if not math.isfinite(log_term):
+        raise DomainError(f"delta={delta!r} is too small: log(8 n t^2 / delta) overflows")
     v_hat = T * mu * (1.0 - mu) / (T - 1)
     c_hat = np.sqrt(2.0 * v_hat * log_term / T) + 8.0 * log_term / (3.0 * (T - 1))
     return float(c_hat) if mu.ndim == 0 else c_hat

@@ -153,10 +153,10 @@ def summarize(records: Sequence[TrialRecord], config: ExperimentConfig) -> Exper
         ci = _wilson_interval(successes, len(known))
     else:
         successes, rate, ci = None, None, None
-    echo = json.loads(config.to_json())
+    echo = document(config)
     # the echo identifies the experiment; destination paths are not part of it
-    echo.pop("out", None)
-    echo.pop("trace", None)
+    echo.pop("out")
+    echo.pop("trace")
     return ExperimentSummary(
         replicates=len(records),
         successes=successes,

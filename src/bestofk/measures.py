@@ -365,11 +365,6 @@ class CoverageMeasure(Measure):
         table.flags.writeable = False
         return table
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Per-arm bitmask over the universe: bit e of ``masks[i]`` is set iff e is in sets[i]."""
-        return tuple(sum(1 << e for e in s) for s in self.sets)
-
     def draw(self, rng, arms):
         omega = rng.integers(0, self.m, size=len(arms))
         # one flat gather: row omega, column a of the (m, n) table
@@ -380,10 +375,7 @@ class CoverageMeasure(Measure):
 
     def expected_max(self, s):
         """Share of the universe covered by the union of the arms' sets."""
-        masks, union = self.masks, 0
-        for i in s:
-            union |= masks[i]
-        return union.bit_count() / self.m
+        return int(self.members[:, list(s)].any(axis=1).sum()) / self.m
 
     def exact_probs(self, arms):
         counts = np.zeros(2 ** len(arms))

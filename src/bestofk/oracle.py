@@ -10,7 +10,6 @@ Caps keep the whole validation suite fast (14 modeled variables at most).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -22,7 +21,6 @@ from .game import MODELS, check_model
 from .measures import Measure, PlantedMeasure, ProductMeasure, _marginalize
 
 __all__ = [
-    "ExactTable",
     "exact_table",
     "independence_check",
     "exact_query_stats",
@@ -44,35 +42,8 @@ __all__ = [
 ENUMERATION_CAP = 14  # modeled binary variables
 
 
-@dataclass(frozen=True)
-class ExactTable:
-    """Joint law of ``arms`` as a dense table; atom j sets bit i of variable i."""
-
-    arms: tuple[int, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if len(self.probs) != 2 ** len(self.arms):
-            raise DomainError("table size must be 2**len(arms)")
-        if abs(float(np.sum(self.probs)) - 1.0) > 1e-12:
-            raise DomainError("table mass must be 1 within 1e-12")
-
-    @property
-    def k_total(self) -> int:
-        return len(self.arms)
-
-    def marginal(self, positions: Sequence[int]) -> "ExactTable":
-        """Marginal over ``positions`` (indices into this table's variables)."""
-        pos = tuple(positions)
-        return ExactTable(arms=tuple(self.arms[p] for p in pos),
-                          probs=_marginalize(self.probs, pos))
-
-    def mean(self, position: int) -> float:
-        return float(_marginalize(self.probs, (position,))[1])
-
-
-def exact_table(measure: Measure, arms: Iterable[int]) -> ExactTable:
-    """Exact joint law of ``arms`` under the measure, by enumeration."""
+def exact_table(measure: Measure, arms: Iterable[int]) -> np.ndarray:
+    """Exact law of ``arms`` by enumeration, as an array whose atom j sets bit i of variable i."""
     arms = tuple(int(a) for a in arms)
     if len(set(arms)) != len(arms):
         raise DomainError("arms must be distinct")
@@ -80,25 +51,35 @@ def exact_table(measure: Measure, arms: Iterable[int]) -> ExactTable:
         raise DomainError("arm index out of range")
     if len(arms) > ENUMERATION_CAP:
         raise DomainError(f"enumeration capped at {ENUMERATION_CAP} variables")
-    return ExactTable(arms=arms, probs=measure.exact_probs(arms))
+    probs = measure.exact_probs(arms)
+    if len(probs) != 2 ** len(arms):
+        raise DomainError("table size must be 2**len(arms)")
+    if abs(float(np.sum(probs)) - 1.0) > 1e-12:
+        raise DomainError("table mass must be 1 within 1e-12")
+    return probs
 
 
-def independence_check(table: ExactTable, order: int) -> tuple[bool, float]:
-    """Does every size-``order`` marginal factorize into its single marginals?
+def _mean(probs: np.ndarray, i: int) -> float:
+    return float(_marginalize(probs, (i,))[1])
+
+
+def independence_check(probs: np.ndarray, order: int) -> tuple[bool, float]:
+    """Does every size-``order`` marginal of ``probs`` factorize into its single marginals?
 
     Returns (verdict, max absolute atom deviation from the product law).
     """
-    if not (1 <= order <= table.k_total):
-        raise DomainError("order must lie in [1, k_total]")
-    singles = [table.mean(i) for i in range(table.k_total)]
+    k = len(probs).bit_length() - 1
+    if not (1 <= order <= k):
+        raise DomainError("order must lie in [1, variable count]")
+    singles = [_mean(probs, i) for i in range(k)]
     worst = 0.0
-    for pos in combinations(range(table.k_total), order):
-        marg = table.marginal(pos)
+    for pos in combinations(range(k), order):
+        marg = _marginalize(probs, pos)
         for atom in range(2**order):
             prod = 1.0
             for bit, i in enumerate(pos):
                 prod *= singles[i] if (atom >> bit) & 1 else 1.0 - singles[i]
-            worst = max(worst, abs(float(marg.probs[atom]) - prod))
+            worst = max(worst, abs(float(marg[atom]) - prod))
     return worst <= 1e-12, worst
 
 
@@ -163,7 +144,7 @@ def _topoff_support(reject_pool: tuple[int, ...], accept_pool: tuple[int, ...],
 
 def _record_prob(measure: Measure, i: int, others: tuple[int, ...], model: str) -> float:
     """Pr(arm i recorded with value 1) in a query {i} + others."""
-    probs = exact_table(measure, (i,) + others).probs
+    probs = exact_table(measure, (i,) + others)
     fires = np.arange(len(probs)) & 1 == 1
     if model == "semi":
         return float(probs[fires].sum())
@@ -180,13 +161,13 @@ def _record_prob(measure: Measure, i: int, others: tuple[int, ...], model: str) 
 # read the calculators through their module at call time.
 # ---------------------------------------------------------------------------
 
-def _equal_mean_violations(table: ExactTable, family: str, **where) -> list[dict]:
-    """Violations of: every marginal is ``where["mu"]`` within 1e-12, and the
-    table is (k-1)-wise independent, k being its variable count."""
-    mu = where["mu"]
-    out = [{"check": f"{family}_marginal", **where, "arm": pos, "value": table.mean(pos)}
-           for pos in range(table.k_total) if abs(table.mean(pos) - mu) > 1e-12]
-    ok, dev = independence_check(table, table.k_total - 1)
+def _equal_mean_violations(probs: np.ndarray, family: str, **where) -> list[dict]:
+    """Violations of: every marginal of ``probs`` is ``where["mu"]`` within 1e-12,
+    and the table is (k-1)-wise independent, k being its variable count."""
+    mu, k = where["mu"], len(probs).bit_length() - 1
+    out = [{"check": f"{family}_marginal", **where, "arm": pos, "value": _mean(probs, pos)}
+           for pos in range(k) if abs(_mean(probs, pos) - mu) > 1e-12]
+    ok, dev = independence_check(probs, k - 1)
     if not ok:
         out.append({"check": f"{family}_independence", **where, "deviation": dev})
     return out
@@ -198,7 +179,7 @@ def planted_violations(k: int, mu: float, p: float) -> list[dict]:
     m = PlantedMeasure(n=k + 1, k=k, mu=mu, p=p)
     table = exact_table(m, m.planted_set)
     out = _equal_mean_violations(table, "planted", k=k, mu=mu, p=p)
-    gap = 1.0 - float(table.probs[0]) - (1.0 - (1.0 - mu) ** k)
+    gap = 1.0 - float(table[0]) - (1.0 - (1.0 - mu) ** k)
     if abs(gap - p * mu**k) > 1e-12:
         out.append({"check": "planted_gap", "k": k, "mu": mu, "p": p, "value": gap})
     return out
@@ -227,8 +208,7 @@ def w0_table_violations(k: int, mu: float, w0: float) -> list[dict]:
     """The table ``joint_from_w0`` builds has marginals mu within 1e-12 and is
     (k-1)-wise independent."""
     jt = theory.joint_from_w0(mu, k, w0)
-    table = ExactTable(arms=tuple(range(k)), probs=np.asarray(jt.probs))
-    return _equal_mean_violations(table, "w0", k=k, mu=mu, w0=w0)
+    return _equal_mean_violations(exact_table(jt, range(k)), "w0", k=k, mu=mu, w0=w0)
 
 
 def check_w0() -> list[dict]:

@@ -174,6 +174,7 @@ TRACE_NEEDS_OUT = ("error: trace needs an output path (--out or the config key '
                    "the stage trace is written beside the results")
 DROP = object()  # an override that removes the key
 HUGE_INT = object()  # a 5001-digit integer literal, which json.dumps cannot write
+TINY_DELTA = "error: delta=1e-320 is too small: log(8 n t^2 / delta) overflows"
 NESTED = object()  # a document of 100,000 nested lists, deeper than json.loads recurses
 
 
@@ -198,6 +199,9 @@ NESTED = object()  # a document of 100,000 nested lists, deeper than json.loads 
         ({"measure": {"type": "joint_table", "k": 20000, "probs": [0.5, 0.5]}},
          "error: need 2**k atoms for k=20000, got 2"),
         ({"delta": DROP}, "error: config document lacks the key 'delta'"),
+        # 8 n t^2 / delta overflows, so every radius would be inf or NaN
+        ({"algorithm": "elimination", "delta": 1e-320}, TINY_DELTA),
+        ({"algorithm": "subset_arm", "delta": 1e-320}, TINY_DELTA),
         ({"k": HUGE_INT}, "error: Exceeds the limit (4300 digits) for integer string conversion: "
                           "value has 5001 digits; use sys.set_int_max_str_digits() to increase "
                           "the limit"),
@@ -211,7 +215,8 @@ NESTED = object()  # a document of 100,000 nested lists, deeper than json.loads 
     ids=["subset_arm-stage_cap-0", "elimination-stage_cap-0", "k-str", "base_seed-negative",
          "k-above-n", "k-0", "subset_arm-trace", "parity-trace", "trace-without-out",
          "subset_arm-exact_k_mode", "measure-unknown-key", "measure-n-mismatch",
-         "joint-table-huge-k", "no-delta", "k-5001-digits", "root-list", "root-str", "root-int",
+         "joint-table-huge-k", "no-delta", "elimination-tiny-delta", "subset_arm-tiny-delta",
+         "k-5001-digits", "root-list", "root-str", "root-int",
          "root-null", "nested-100000"],
 )
 def test_bad_config_is_one_line_error(tmp_path, overrides, message):

@@ -50,6 +50,13 @@ class TestConfidenceRadius:
         with pytest.raises(DomainError):
             confidence_radius(0.5, T=1, n=5, t=1, delta=0.1)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.5, np.array([0.0, 0.3, 1.0])],
+                             ids=["zero", "half", "array"])
+    def test_delta_too_small_for_the_log_term_rejected(self, mu):
+        # 8 n t^2 / delta overflows to inf, which would make every radius inf or NaN
+        with pytest.raises(DomainError, match=r"delta=1e-320 is too small: log\(8 n t\^2"):
+            confidence_radius(mu, T=8, n=10, t=3, delta=1e-320)
+
     @pytest.mark.parametrize("t", [1, 2, 5, 12, 30])
     def test_array_equals_scalar_bit_for_bit(self, t):
         big_t, n, delta = 2**t, 37, 0.05

@@ -98,10 +98,10 @@ def assert_exact_values_match_oracle(measure):
     means = measure.marginals()
     assert len(means) == measure.n
     for i in range(measure.n):
-        assert abs(means[i] - exact_table(measure, (i,)).mean(0)) <= TOL, i
+        assert abs(means[i] - exact_table(measure, (i,))[1]) <= TOL, i
     for size in range(1, measure.n + 1):
         for s in combinations(range(measure.n), size):
-            oracle = 1.0 - float(exact_table(measure, s).probs[0])
+            oracle = 1.0 - float(exact_table(measure, s)[0])
             assert abs(expected_max(measure, s) - oracle) <= TOL, s
 
 

@@ -124,7 +124,7 @@ class TestExpectedMax:
         m = PlantedMeasure(6, 3, 0.25, 0.75)
         table = exact_table(m, m.planted_set + (3,))
         assert expected_max(m, (0, 1, 2, 3)) == pytest.approx(
-            1.0 - float(table.probs[0]), abs=1e-12
+            1.0 - float(table[0]), abs=1e-12
         )
 
 
@@ -330,7 +330,7 @@ LAW_ROWS = 200_000
 
 def assert_law(measure, arms, draws):
     """Each atom's frequency lies within 4 s.e. of exact_table(measure, arms)."""
-    probs = exact_table(measure, arms).probs
+    probs = exact_table(measure, arms)
     atoms = draws.astype(np.int64) @ (1 << np.arange(len(arms)))
     freq = np.bincount(atoms, minlength=len(probs)) / len(draws)
     se = np.sqrt(probs * (1.0 - probs) / len(draws))

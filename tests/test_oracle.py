@@ -8,7 +8,7 @@ import pytest
 
 from bestofk.errors import DomainError
 from bestofk.game import MODELS
-from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure
+from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure, _marginalize
 from bestofk.oracle import (
     CHECKS,
     exact_query_stats,
@@ -24,18 +24,18 @@ class TestExactPlantedTable:
     def test_mu_half_p_one_k_two(self):
         m = PlantedMeasure(4, 2, 0.5, 1.0)
         t = exact_table(m, m.planted_set)
-        assert np.allclose(t.probs, [0.0, 0.5, 0.5, 0.0], atol=1e-15)
+        assert np.allclose(t, [0.0, 0.5, 0.5, 0.0], atol=1e-15)
 
     def test_p_zero_reduces_to_product(self):
         m = PlantedMeasure(n=5, k=3, mu=0.35, p=0.0, planted_set=(0, 1, 2))
         t = exact_table(m, m.planted_set)
         prod = exact_table(ProductMeasure(means=(0.35,) * 3), (0, 1, 2))
-        assert np.allclose(t.probs, prod.probs, atol=1e-15)
+        assert np.allclose(t, prod, atol=1e-15)
 
     def test_all_zero_mass_example(self):
         m = PlantedMeasure(5, 3, 0.4, 0.7)
         t = exact_table(m, m.planted_set)
-        assert float(t.probs[0]) == pytest.approx(0.1712, abs=1e-12)
+        assert float(t[0]) == pytest.approx(0.1712, abs=1e-12)
 
     def test_size_cap(self):
         m = PlantedMeasure(20, 6, 0.3, 0.5)
@@ -51,8 +51,7 @@ class TestExactPlantedTable:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_permutation_invariance_inside_planted_set(self, k):
         m = PlantedMeasure(k + 2, k, 0.35, 0.6)
-        t = exact_table(m, m.planted_set)
-        base = np.asarray(t.probs)
+        base = exact_table(m, m.planted_set)
         for perm in permutations(range(k)):
             relabeled = np.empty_like(base)
             for atom in range(2**k):
@@ -62,6 +61,19 @@ class TestExactPlantedTable:
                         moved |= 1 << perm[bit]
                 relabeled[moved] = base[atom]
             assert np.allclose(relabeled, base, atol=1e-12)
+
+
+class TestExactTableChecks:
+    """``exact_table`` rejects a family's law of the wrong size or mass."""
+
+    @pytest.mark.parametrize("probs, message", [
+        ([1 / 3] * 3, r"table size must be 2\*\*len\(arms\)"),
+        ([0.2] * 4, "table mass must be 1 within 1e-12"),
+    ], ids=["3-atoms", "mass-0.8"])
+    def test_bad_law_rejected(self, monkeypatch, probs, message):
+        monkeypatch.setattr(ProductMeasure, "exact_probs", lambda self, arms: np.array(probs))
+        with pytest.raises(DomainError, match=message):
+            exact_table(ProductMeasure(means=(0.2, 0.5)), (0, 1))
 
 
 class TestIndependenceCheck:
@@ -169,11 +181,11 @@ class TestProductClosedForms:
 class TestAllZeroProb:
     def test_product(self):
         m = ProductMeasure(means=(0.2, 0.5))
-        assert exact_table(m, (0, 1)).probs[0] == pytest.approx(0.4, abs=1e-15)
+        assert exact_table(m, (0, 1))[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_planted_matches_closed_form(self):
         m = PlantedMeasure(6, 3, 0.3, 0.5)
-        assert exact_table(m, m.planted_set).probs[0] == pytest.approx(
+        assert exact_table(m, m.planted_set)[0] == pytest.approx(
             0.7**3 - 0.5 * 0.3**3, abs=1e-14
         )
 
@@ -191,11 +203,10 @@ class TestParityConditionalFixtures:
     def test_conditional_means(self, p):
         mu = 0.5
         m = PlantedMeasure(n=4, k=3, mu=mu, p=p, planted_set=(0, 1, 2))
-        t = exact_table(m, m.planted_set)
-        idx = np.arange(len(t.probs))
+        probs = exact_table(m, m.planted_set)
+        idx = np.arange(len(probs))
         lead = (idx >> 0) & 1
         parity_rest = (((idx >> 1) & 1) + ((idx >> 2) & 1)) % 2
-        probs = np.asarray(t.probs)
         # the coupling flag is the complement of the rest-parity: even parity
         # of the others is exactly the boosted branch
         for parity, expect in ((0, mu * (1 + p)), (1, mu * (1 - p))):
@@ -219,10 +230,9 @@ class TestParityConditionalFixtures:
 class TestMarginalHelper:
     def test_marginal_consistency(self):
         m = PlantedMeasure(5, 3, 0.25, 1.0)
-        t = exact_table(m, m.planted_set + (3,))
-        sub = t.marginal((0, 3))
-        assert sub.mean(0) == pytest.approx(0.25, abs=1e-14)
-        assert float(np.sum(sub.probs)) == pytest.approx(1.0, abs=1e-14)
+        sub = _marginalize(exact_table(m, m.planted_set + (3,)), (0, 3))
+        assert float(_marginalize(sub, (0,))[1]) == pytest.approx(0.25, abs=1e-14)
+        assert float(np.sum(sub)) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
