@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .errors import BestOfKError, DomainError, MismatchError
@@ -92,7 +93,13 @@ def _applicable_bounds(config: ExperimentConfig) -> list[BoundReport]:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    for report in _applicable_bounds(config):
+    try:
+        reports = _applicable_bounds(config)
+    except ArithmeticError:
+        reports = None
+    if reports is None or not all(math.isfinite(r.value) for r in reports):
+        raise DomainError("a closed-form bound overflows floating point for this config")
+    for report in reports:
         print(report.render())
         print()
     return EXIT_OK

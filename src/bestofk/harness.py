@@ -84,9 +84,6 @@ class ExperimentConfig:
             raise DomainError("a config document nests too deeply to parse") from None
         return cls(**read_fields(cls, doc, "config"))
 
-    def to_json(self) -> str:
-        return json.dumps(document(self), sort_keys=True)
-
 
 def replicate_rng(base_seed: int, replicate: int) -> np.random.Generator:
     """Independent stream for one replicate via SeedSequence([base_seed, r])."""

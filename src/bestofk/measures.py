@@ -11,14 +11,15 @@ Four measure families are supported:
 * ``JointTableMeasure`` -- an explicit joint table over {0,1}^k.
 
 Each family lives in one ``Measure`` subclass that holds its sampler
-(``draw``), exact marginals and E[max], exact law by enumeration
-(``exact_probs``, the oracle's source), best k-subset (``optimum``), the
-doubles a draw takes from the stream (``draw_doubles``, where it is a count) and
-document (``to_dict``: the class's compared fields).  Callers use those
-methods directly.  Three module-level entry points stay because they check
-their input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the
-arm set) and ``optimal_subset`` (k); the benchmark's tracer also times
-``sample_matrix`` and ``optimal_subset`` by name.
+(``draw``), exact marginals and E[max], exact law as a signed mixture of
+product laws (``components``, which ``Measure.exact_probs`` expands for the
+oracle without calling a sampler), best k-subset (``optimum``), the doubles a
+draw takes from the stream (``draw_doubles``, where it is a count) and document
+(``to_dict``: the class's compared fields).  Callers use those methods
+directly.  Three module-level entry points stay because they check their
+input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the arm set)
+and ``optimal_subset`` (k); the benchmark's tracer also times ``sample_matrix``
+and ``optimal_subset`` by name.
 
 The planted sampler takes its doubles into ``held_buffer`` scratch, at most
 ``DRAW_ELEMENTS`` (or one row) per generator call; callers bound each draw's
@@ -83,16 +84,25 @@ class Measure(ABC):
         """(size, w) uint8 draws; row i has the joint law on the distinct ``arms[i]``."""
 
     @abstractmethod
+    def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float arrays w (C,), a and b (C, n); the law of arms A is sum_c w_c *
+        prod_{j not in A} (a_cj + b_cj) * (x)_{j in A} (a_cj, b_cj)."""
+
     def marginals(self) -> tuple[float, ...]:
         """Exact marginal mean of every arm."""
+        return tuple(float(self.exact_probs((i,))[1]) for i in range(self.n))
 
-    @abstractmethod
     def expected_max(self, s: Sequence[int]) -> float:
         """Exact E[max over ``s``] for sorted, distinct, in-range arms (unchecked)."""
+        return 1.0 - float(self.exact_probs(s)[0])
 
-    @abstractmethod
     def exact_probs(self, arms: Sequence[int]) -> np.ndarray:
-        """Dense joint law of distinct ``arms`` by enumeration; atom bit b tracks ``arms[b]``."""
+        """Dense law of distinct ``arms`` from ``components``; atom bit b tracks ``arms[b]``."""
+        w, a, b = self.components()
+        table = (w * np.prod(np.delete(a + b, list(arms), axis=1), axis=1))[:, None]
+        for j in arms:
+            table = np.concatenate([table * a[:, j, None], table * b[:, j, None]], axis=1)
+        return table.sum(axis=0)
 
     def draw_doubles(self, size: int, w: int) -> int | None:
         """How many ``Generator.random`` doubles ``draw`` takes for ``size`` rows of
@@ -117,14 +127,6 @@ class Measure(ABC):
 
     def to_dict(self) -> dict:
         return document(self, type=self.kind, n=self.n)
-
-
-def _product_probs(means: Sequence[float]) -> np.ndarray:
-    """Dense product table; concat order makes atom bit b track variable b."""
-    probs = np.ones(1)
-    for m in means:
-        probs = np.concatenate([probs * (1.0 - m), probs * m])
-    return probs
 
 
 def _marginalize(probs: np.ndarray, positions: Sequence[int]) -> np.ndarray:
@@ -183,8 +185,8 @@ class ProductMeasure(Measure):
     def expected_max(self, s):
         return 1.0 - math.prod(1.0 - self.means[i] for i in s)
 
-    def exact_probs(self, arms):
-        return _product_probs([self.means[a] for a in arms])
+    def components(self):
+        return np.ones(1), 1.0 - self.mean_array[None], self.mean_array[None]
 
     def optimum(self, k):
         """The top k means; None when the k-th and (k+1)-th tie."""
@@ -297,31 +299,15 @@ class PlantedMeasure(Measure):
             all_zero = (1.0 - mu) ** len(s)
         return 1.0 - all_zero
 
-    def exact_probs(self, arms):
-        """Enumerate the planted latents exactly.
-
-        The effective Z vector over the planted set is uniform on {0,1}^k when
-        Y=0 and uniform on the odd-parity strings when Y=1; given Z, the
-        requested arms are independent with means Z_i * 2*mu (planted) or mu
-        (outside), so each latent configuration contributes one product table.
-        """
-        mu, p, k = self.mu, self.p, self.k
-        planted_pos = {a: j for j, a in enumerate(self.planted_set)}
-        probs = np.zeros(2 ** len(arms))
-        for z_code in range(2**k):
-            odd = bin(z_code).count("1") % 2 == 1
-            # Y=0 weight is uniform over all strings; Y=1 only over odd parity
-            w = (1.0 - p) * 2.0**-k + (p * 2.0 ** -(k - 1) if odd else 0.0)
-            if w == 0.0:
-                continue
-            means = [
-                (2.0 * mu if (z_code >> planted_pos[a]) & 1 else 0.0)
-                if a in planted_pos
-                else mu
-                for a in arms
-            ]
-            probs += w * _product_probs(means)
-        return probs
+    def components(self):
+        """Bernoulli(mu) arms, less p times the same product with (a, b) = (mu, -mu)
+        on each planted arm.  A planted arm summed out gives mu - mu = 0, so only
+        laws that hold the whole planted set see the correction."""
+        a = np.full((2, self.n), 1.0 - self.mu)
+        b = np.full((2, self.n), self.mu)
+        a[1, list(self.planted_set)] = self.mu
+        b[1, list(self.planted_set)] = -self.mu
+        return np.array([1.0, -self.p]), a, b
 
     def optimum(self, k):
         """The planted set when k matches it; otherwise the C(n, k) enumeration."""
@@ -377,11 +363,14 @@ class CoverageMeasure(Measure):
         """Share of the universe covered by the union of the arms' sets."""
         return int(self.members[:, list(s)].any(axis=1).sum()) / self.m
 
-    def exact_probs(self, arms):
-        counts = np.zeros(2 ** len(arms))
-        for omega in range(self.m):
-            counts[sum(1 << b for b, a in enumerate(arms) if omega in self.sets[a])] += 1
-        return counts / self.m
+    def components(self):
+        """One point mass per distinct membership row, weighted by its share of the
+        universe; built from ``sets``, so the law shares no table with ``draw``."""
+        rows = np.zeros((self.m, self.n))
+        for i, s in enumerate(self.sets):
+            rows[list(s), i] = 1.0
+        rows, counts = np.unique(rows, axis=0, return_counts=True)
+        return counts / self.m, 1.0 - rows, rows
 
     def optimum(self, k):
         """``Measure.optimum``'s rule, with the unions of all k-subsets counted at once.
@@ -438,7 +427,7 @@ class JointTableMeasure(Measure):
     ``probs[j]`` is the probability of the atom whose bit i equals
     ``(j >> i) & 1`` (arm i maps to bit i).  A loaded table whose mass deviates
     from 1 by at most ``TABLE_NORMALIZATION_TOL`` is renormalized.  The table
-    is the law, so the exact marginals and E[max] read it through ``exact_probs``.
+    is the law: ``exact_probs`` marginalizes it instead of its 2**k point masses.
     """
 
     kind: ClassVar[str] = "joint_table"
@@ -472,11 +461,10 @@ class JointTableMeasure(Measure):
         atoms = rng.choice(2**self.k, size=len(arms), p=np.asarray(self.probs))
         return ((atoms[:, None] >> arms) & 1).astype(np.uint8)
 
-    def marginals(self):
-        return tuple(float(self.exact_probs((i,))[1]) for i in range(self.k))
-
-    def expected_max(self, s):
-        return 1.0 - float(self.exact_probs(s)[0])
+    def components(self):
+        """One point mass per atom."""
+        b = ((np.arange(2**self.k)[:, None] >> np.arange(self.k)) & 1).astype(float)
+        return np.asarray(self.probs), 1.0 - b, b
 
     def exact_probs(self, arms):
         return _marginalize(np.asarray(self.probs), arms)

@@ -1,9 +1,9 @@
 """Exact brute-force computations on small instances.
 
 Everything here is an independent check on the sampling layer and the
-closed-form calculators: full joint tables by enumeration (each family's
-``exact_probs``, which never calls its sampler), factorization tests, and
-exact per-arm recording probabilities for the uniform-play sampling scheme.
+closed-form calculators: full joint tables (``Measure.exact_probs``, expanded
+from each family's components, never from its sampler), factorization tests,
+and exact per-arm recording probabilities for the uniform-play sampling scheme.
 Caps keep the whole validation suite fast (14 modeled variables at most).
 """
 
@@ -43,7 +43,7 @@ ENUMERATION_CAP = 14  # modeled binary variables
 
 
 def exact_table(measure: Measure, arms: Iterable[int]) -> np.ndarray:
-    """Exact law of ``arms`` by enumeration, as an array whose atom j sets bit i of variable i."""
+    """Exact law of ``arms`` as an array whose atom j sets bit i of variable i."""
     arms = tuple(int(a) for a in arms)
     if len(set(arms)) != len(arms):
         raise DomainError("arms must be distinct")

@@ -8,13 +8,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bestofk
 from bestofk import harness, oracle, theory
 from bestofk.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from bestofk.harness import ExperimentConfig
-from bestofk.measures import PlantedMeasure, ProductMeasure
+from bestofk.measures import PlantedMeasure, ProductMeasure, document
 from bestofk.theory import GapProfile, upper_bound_total
 
 
@@ -29,7 +30,7 @@ def product_config_path(tmp_path):
         base_seed=5,
     )
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(document(cfg), sort_keys=True))
     return path
 
 
@@ -63,7 +64,7 @@ def test_run_inconclusive_exit_code(tmp_path):
         stage_cap=2,
     )
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(document(cfg), sort_keys=True))
     assert main(["run", "--config", str(path)]) == EXIT_INCONCLUSIVE
 
 
@@ -82,7 +83,7 @@ def test_bounds_follow_exact_k_mode(tmp_path, capsys, exact_k_mode):
     cfg = ExperimentConfig(measure=ProductMeasure(means=means).to_dict(), model="marked",
                            k=3, delta=0.1, exact_k_mode=exact_k_mode)
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(document(cfg), sort_keys=True))
     assert main(["bounds", "--config", str(path)]) == EXIT_OK
     text = capsys.readouterr().out
     fewer = exact_k_mode is False
@@ -101,7 +102,7 @@ def test_bounds_subcommand_planted(tmp_path, capsys):
         delta=0.1,
     )
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(document(cfg), sort_keys=True))
     assert main(["bounds", "--config", str(path)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "dependent_lower_bound[bandit]" in text
@@ -113,7 +114,7 @@ def test_bounds_planted_k_mismatch_exits_one(tmp_path, capsys):
     cfg = ExperimentConfig(measure=PlantedMeasure(6, 2, 0.4, 0.9).to_dict(),
                            model="bandit", k=3, delta=0.1)
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(document(cfg), sort_keys=True))
     assert main(["bounds", "--config", str(path)]) == EXIT_USAGE
     out = capsys.readouterr()
     assert out.out == ""
@@ -128,8 +129,31 @@ def test_bounds_unsupported_measure_exits_one(tmp_path):
         delta=0.1,
     )
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(document(cfg), sort_keys=True))
     assert main(["bounds", "--config", str(path)]) == EXIT_USAGE
+
+
+BOUND_OVERFLOWS = "error: a closed-form bound overflows floating point for this config"
+
+
+@pytest.mark.parametrize("measure, model, k, delta", [
+    # log(8 n t^2 / delta) overflows, so each bound that takes delta is inf
+    ({"type": "product", "means": [0.9, 0.5, 0.2] + [0.1] * 5}, "semi", 2, 1e-320),
+    ({"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 0.5}, "bandit", 2, 1e-320),
+    # a gap of 1e-300 squares to 0.0 in tau_terms
+    ({"type": "product", "means": [1e-300] + [0.0] * 7}, "semi", 1, 0.1),
+    # the gap p mu^k underflows to 0.0 in dependent_lower_bound
+    ({"type": "planted", "n": 6, "k": 2, "mu": 1e-200, "p": 0.5}, "bandit", 2, 0.1),
+    # 2**-1074 as a gap squares past the largest float
+    ({"type": "planted", "n": 1075, "k": 1074, "mu": 0.5, "p": 1.0}, "semi", 1074, 0.1),
+], ids=["semi-tiny-delta", "planted-tiny-delta", "tiny-mean", "tiny-mu", "k-1074"])
+def test_bounds_overflow_is_one_line_error(tmp_path, measure, model, k, delta):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": measure, "model": model, "k": k, "delta": delta}))
+    done = _cli("bounds", "--config", str(path))
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines() == [BOUND_OVERFLOWS]
+    assert done.stdout == ""
 
 
 def test_config_errors_exit_one(tmp_path):
@@ -310,13 +334,18 @@ def test_verify_detects_violations(monkeypatch, capsys):
         {"check": "synthetic", "k": 2}]
 
 
-def _product_law(self, arms):
-    return ProductMeasure(means=(self.mu,) * len(arms)).exact_probs(range(len(arms)))
+PLANTED_COMPONENTS = PlantedMeasure.components
+
+
+def _planted_plus_p(self):
+    """``PlantedMeasure.components`` with the correction added instead of subtracted."""
+    _, a, b = PLANTED_COMPONENTS(self)
+    return np.array([1.0, self.p]), a, b
 
 
 # one deliberately broken calculator per check: (owner, attribute, replacement)
 MUTANTS = {
-    "check_planted": (PlantedMeasure, "exact_probs", _product_law),
+    "check_planted": (PlantedMeasure, "components", _planted_plus_p),
     "check_w0": (theory, "phi", lambda p, mu, k: 0.0),
     "check_mu_bar_order": (oracle, "_record_prob", lambda measure, i, others, model: 0.5),
     "check_kl_sandwich": (theory, "kl_bounds", lambda x, y: (1.0, 1.0)),

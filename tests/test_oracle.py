@@ -11,6 +11,7 @@ from bestofk.game import MODELS
 from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure, _marginalize
 from bestofk.oracle import (
     CHECKS,
+    check_planted,
     exact_query_stats,
     exact_table,
     independence_check,
@@ -61,6 +62,32 @@ class TestExactPlantedTable:
                         moved |= 1 << perm[bit]
                 relabeled[moved] = base[atom]
             assert np.allclose(relabeled, base, atol=1e-12)
+
+
+PLANTED_COMPONENTS = PlantedMeasure.components
+
+
+class TestBrokenPlantedComponents:
+    """``check_planted`` catches each broken copy of ``PlantedMeasure.components``."""
+
+    def test_correction_added_breaks_every_gap(self, monkeypatch):
+        def plus_p(measure):
+            _, a, b = PLANTED_COMPONENTS(measure)
+            return np.array([1.0, measure.p]), a, b
+
+        monkeypatch.setattr(PlantedMeasure, "components", plus_p)
+        violations = check_planted()
+        assert [v["check"] for v in violations] == ["planted_gap"] * 60
+
+    def test_unsigned_planted_factor_breaks_the_mass(self, monkeypatch):
+        def plus_mu(measure):
+            w, a, b = PLANTED_COMPONENTS(measure)
+            b[1, list(measure.planted_set)] = measure.mu
+            return w, a, b
+
+        monkeypatch.setattr(PlantedMeasure, "components", plus_mu)
+        with pytest.raises(DomainError, match="table mass must be 1 within 1e-12"):
+            check_planted()
 
 
 class TestExactTableChecks:
