@@ -12,21 +12,22 @@ stage structure, so query counts are directly comparable.  The early stages,
 whose every radius is above 1/2, cannot drop a subset: where the measure
 counts the doubles its draw takes (``Measure.draw_doubles``), such a stage
 takes that many from the generator and counts its queries without drawing,
-so every record equals the fully simulated run's.
+so every record equals the fully simulated run's.  The stage count and the
+taking of the doubles are elimination's (``elimination._undecidable_stages``
+and ``elimination._take_doubles``), with the C(n, k) subset arms as the union
+bound's count.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .elimination import STAGE_CAP, confidence_radius
+from .elimination import STAGE_CAP, _take_doubles, _undecidable_stages, confidence_radius
 from .errors import DomainError, SubsetCapError
-from .measures import (DRAW_ELEMENTS, SUBSET_CAP, Measure, fold_columns, held_buffer,
-                       sample_matrix)
+from .measures import DRAW_ELEMENTS, SUBSET_CAP, Measure, fold_columns, sample_matrix
 from .trial import TrialRecord
 
 __all__ = ["subset_arm_identify", "parity_identify"]
@@ -38,22 +39,6 @@ def _enumerate_subsets(n: int, k: int) -> np.ndarray:
     if count > SUBSET_CAP:
         raise SubsetCapError(f"C({n},{k}) = {count} exceeds the cap {SUBSET_CAP}")
     return np.asarray(list(combinations(range(n), k)), dtype=np.int64).reshape(count, k)
-
-
-@lru_cache(maxsize=64)
-def _undecidable_stages(n_arms: int, delta: float) -> int:
-    """How many leading stages cannot drop any of ``n_arms`` subset arms.
-
-    Every radius is at least the floor r_min = confidence_radius(0, ...), its
-    square-root term being >= 0.  With r_min > 1/2, monotone rounding and
-    0 <= mu <= 1 give fl(mu_j + r_j) >= r_min > 1/2 >= fl(mu_i - r_i) (as
-    mu_i - r_i < 1/2), so such a stage keeps every subset.  The floor falls
-    as t grows, so the stages up to its first failure are all of them.
-    """
-    t = 1
-    while confidence_radius(0.0, 2**t, n_arms, t, delta) > 0.5:
-        t += 1
-    return t - 1
 
 
 def _eliminate_over_subsets(
@@ -94,10 +79,7 @@ def _eliminate_over_subsets(
     if env.draw_doubles(2 * n_arms, k) is not None:
         skipped = min(_undecidable_stages(n_arms, delta), stage_cap - 1)
     for t in range(1, skipped + 1):
-        doubles = env.draw_doubles(2**t * n_arms, k)
-        for lo in range(0, doubles, DRAW_ELEMENTS):
-            block = (min(DRAW_ELEMENTS, doubles - lo),)
-            rng.random(out=held_buffer("draw.uniforms", block, np.float64))
+        _take_doubles(rng, env.draw_doubles(2**t * n_arms, k))
         total_queries += 2**t * n_arms
     for t in range(skipped + 1, stage_cap + 1):
         big_t = 2**t

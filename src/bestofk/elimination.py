@@ -7,6 +7,12 @@ arms whose lower confidence bound clears the (k_t+1)-th largest upper bound
 and reject arms whose upper bound falls under the k_t-th largest lower bound.
 Fresh samples every stage; the budget doubles until k arms are accepted.
 
+The leading stages whose every radius is above 1/2 cannot decide anything
+(``_undecidable_stages``).  A run that keeps no stage log takes them undrawn:
+each takes the doubles its draws would from the generator (``_take_doubles``)
+and counts its queries, so the record equals the fully simulated run's.  The
+subset baselines skip their leading stages through the same two helpers.
+
 ``stage_play`` is the one sampling engine behind ``run_identification``: it
 lays out a chunk of plays as queries, draws reward bits only for the queried
 arms, and hands them to the recorder.  ``oracle.exact_query_stats`` gives the
@@ -16,6 +22,7 @@ exact per-arm recording law it is tested against.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +76,37 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
     v_hat = T * mu * (1.0 - mu) / (T - 1)
     c_hat = np.sqrt(2.0 * v_hat * log_term / T) + 8.0 * log_term / (3.0 * (T - 1))
     return float(c_hat) if mu.ndim == 0 else c_hat
+
+
+@lru_cache(maxsize=64)
+def _undecidable_stages(n_arms: int, delta: float) -> int:
+    """How many leading stages cannot decide any of ``n_arms`` arms.
+
+    ``n_arms`` is the union bound's count: the arms of elimination, or the
+    subset arms of a baseline.  Every radius is at least the floor r_min =
+    confidence_radius(0, ...), its square-root term being >= 0.  With
+    r_min > 1/2, monotone rounding and 0 <= mu <= 1 give fl(mu_j + r_j) >=
+    r_min > 1/2 >= fl(mu_i - r_i) (as mu_i - r_i < 1/2), so every upper bound
+    clears every lower bound: no arm is accepted, rejected or dropped.  The
+    floor falls as t grows, so the stages up to its first failure are all of
+    them.  A delta whose log term overflows raises ``confidence_radius``'s
+    ``DomainError``.
+    """
+    t = 1
+    while confidence_radius(0.0, 2**t, n_arms, t, delta) > 0.5:
+        t += 1
+    return t - 1
+
+
+def _take_doubles(rng: np.random.Generator, count: int) -> None:
+    """Take ``count`` ``Generator.random`` doubles from ``rng`` and drop them.
+
+    A double takes one step of the stream however the calls are cut, so this
+    leaves ``rng`` where drawing them in any chunks would; it draws at most
+    ``DRAW_ELEMENTS`` at a time into held scratch.
+    """
+    for lo in range(0, count, DRAW_ELEMENTS):
+        rng.random(out=held_buffer("draw.uniforms", (min(DRAW_ELEMENTS, count - lo),), np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +270,12 @@ def run_identification(
     rng: np.random.Generator,
     stage_cap: int = STAGE_CAP,
     exact_k_mode: bool | None = None,
+    keep_log: bool = True,
 ) -> TrialRecord:
     """Identify the best k-subset under the given feedback model.
 
-    Returns the accepted arms, total queries, and a per-stage log.
+    Returns the accepted arms, total queries, and, when ``keep_log`` is on,
+    a per-stage log.
     ``stage_cap`` bounds the doubling loop; hitting it flags the trial
     inconclusive rather than returning a silent guess.  ``exact_k_mode``
     defaults per feedback model (on for bandit and marked).  Balancing is
@@ -247,6 +287,14 @@ def run_identification(
     arms, each joined in exact-k mode by k2 = k - k1 top-off arms.  The loop
     keeps the partition as the undecided arms (in arm order) and the sorted
     accepted and rejected arms.
+
+    Without the log, the leading stages that cannot decide an arm
+    (``_undecidable_stages``, at most ``stage_cap``) are taken undrawn when
+    ``env.draw_doubles`` counts a draw's doubles.  In such a stage U' is all
+    n arms, k1 = k, k2 = 0 and |B| = 0 (``balanced`` needs n >= ceil(7k/2)),
+    so its T plays take T n permutation keys, the bit doubles of T q queries
+    of k arms, q = ceil(n / k), and under marked feedback T q winner
+    uniforms, all of them ``Generator.random`` doubles.
     """
     check_model(model)
     if stage_cap < 1:
@@ -270,9 +318,18 @@ def run_identification(
     undecided, accepted, rejected = tuple(range(n)), (), ()
     t, total_queries = 1, 0
     stage_log: list[StageRecord] = []
+    undrawn = 0
+    if not keep_log and env.draw_doubles(1, k) is not None:
+        undrawn = min(_undecidable_stages(n, delta), stage_cap)
 
     while t <= stage_cap and len(accepted) < k:
         big_t, k1 = 2**t, min(len(undecided), k)
+        if t <= undrawn:
+            queries = big_t * queries_per_play(n, k1)
+            marks = queries if model == "marked" else 0
+            _take_doubles(rng, big_t * n + env.draw_doubles(queries, k1) + marks)
+            total_queries, t = total_queries + queries, t + 1
+            continue
         if balanced:
             u_prime, r_prime, balancing = balance(undecided, rejected, k1, rng)
         else:
@@ -282,25 +339,26 @@ def run_identification(
         total_queries += queries
         mu_hat = y.take(undecided) / big_t
         c_hat = confidence_radius(mu_hat, big_t, n, t, delta)
-        # the record shares these arrays, so no later reader may change them
-        mu_hat.flags.writeable = c_hat.flags.writeable = False
         still_undecided, accepted_now, rejected_now = elimination_step(
             undecided, k - len(accepted), mu_hat, c_hat)
-        stage_log.append(
-            StageRecord(
-                t=t,
-                undecided=undecided,
-                accepted=len(accepted),
-                rejected=len(rejected),
-                balancing=len(balancing),
-                sample_size=big_t,
-                queries=queries,
-                mu_hat=mu_hat,
-                c_hat=c_hat,
-                accepted_now=accepted_now,
-                rejected_now=rejected_now,
+        if keep_log:
+            # the record shares these arrays, so no later reader may change them
+            mu_hat.flags.writeable = c_hat.flags.writeable = False
+            stage_log.append(
+                StageRecord(
+                    t=t,
+                    undecided=undecided,
+                    accepted=len(accepted),
+                    rejected=len(rejected),
+                    balancing=len(balancing),
+                    sample_size=big_t,
+                    queries=queries,
+                    mu_hat=mu_hat,
+                    c_hat=c_hat,
+                    accepted_now=accepted_now,
+                    rejected_now=rejected_now,
+                )
             )
-        )
         undecided, t = still_undecided, t + 1
         if accepted_now:
             accepted = tuple(sorted(accepted + accepted_now))

@@ -197,8 +197,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
     Before the first replicate, an unusable output path raises ``DomainError``
     and each line of ``_run_warnings`` goes to stderr as a ``warning:`` line.
 
-    The returned records keep their ``stage_log`` only when ``config.trace``
-    is on: the stage trace is its only reader.
+    Elimination keeps its ``stage_log`` only when ``config.trace`` is on,
+    since the stage trace is its only reader; without it, the leading stages
+    that cannot decide an arm run undrawn (``elimination.run_identification``).
     """
     env = measure_from_dict(config.measure)
     if config.out:
@@ -217,7 +218,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
         started = time.perf_counter()
         if config.algorithm == "elimination":
             rec = run_identification(env, config.model, config.k, config.delta, seed_rng,
-                                     config.stage_cap, config.exact_k_mode)
+                                     config.stage_cap, config.exact_k_mode, config.trace)
         else:
             identify = subset_arm_identify if config.algorithm == "subset_arm" else parity_identify
             rec = identify(env, config.k, config.delta, seed_rng, config.stage_cap)
@@ -232,7 +233,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
                 seed=derived_seed(config.base_seed, r),
                 success=success,
                 wall_time=elapsed,
-                stage_log=rec.stage_log if config.trace else (),
             )
         )
     summary = summarize(records, config)

@@ -391,6 +391,8 @@ def dependent_lower_bound(n: int, k: int, mu: float, p: float, delta: float,
     else:
         lead = (4.0 / 3.0) * (1.0 - p * (mu / (1.0 - mu)) ** k)
         value = lead * (1.0 - (1.0 - mu) ** k) * (1.0 - mu) ** k * choose * gap**-2 * log_term
+        if lead == 0.0:
+            notes = ("degenerate: the 1 - p (mu/(1-mu))^k factor vanishes at mu=1/2, p=1",)
     return BoundReport(
         name=f"dependent_lower_bound[{model}]",
         inputs={"n": n, "k": k, "mu": mu, "p": p, "delta": delta, "model": model},

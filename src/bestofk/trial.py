@@ -50,7 +50,7 @@ class TrialRecord:
     ``success`` stays None when the instance has no known unique answer.
     ``wall_time`` is measured but never written; ``stage_log`` goes to the
     stage trace, not to the results file, and ``harness.run_experiment``
-    empties it unless the run is traced.
+    has elimination keep it only when the run is traced.
     """
 
     returned: tuple[int, ...]

@@ -109,6 +109,29 @@ def test_bounds_subcommand_planted(tmp_path, capsys):
     assert "all_zeros_feasible_range" in text
 
 
+@pytest.mark.parametrize("model", ["bandit", "marked"])
+def test_bounds_note_the_degenerate_dependent_bound(tmp_path, capsys, model):
+    # the subset-planted-n8 config: at mu = 1/2, p = 1 the lead factor
+    # 1 - p (mu/(1-mu))^k is 0, so the bound reads 0.0 and says why
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"type": "planted", "n": 8, "k": 2, "mu": 0.5,
+                                            "p": 1.0},
+                                "model": model, "k": 2, "delta": 0.1,
+                                "algorithm": "subset_arm"}))
+    assert main(["bounds", "--config", str(path)]) == EXIT_OK
+    report = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    assert report[:2] == [f"bound: dependent_lower_bound[{model}]", "value: 0.0"]
+    assert report[-1] == ("note: degenerate: the 1 - p (mu/(1-mu))^k factor vanishes "
+                          "at mu=1/2, p=1")
+    # off the degenerate point the bound is positive and carries no note
+    path.write_text(json.dumps({"measure": {"type": "planted", "n": 8, "k": 2, "mu": 0.4,
+                                            "p": 1.0},
+                                "model": model, "k": 2, "delta": 0.1}))
+    assert main(["bounds", "--config", str(path)]) == EXIT_OK
+    report = capsys.readouterr().out.split("\n\n")[0]
+    assert "value: 0.0" not in report and "note:" not in report
+
+
 def test_bounds_planted_k_mismatch_exits_one(tmp_path, capsys):
     # the planted bounds are for the measure's k; printing them for another k misleads
     cfg = ExperimentConfig(measure=PlantedMeasure(6, 2, 0.4, 0.9).to_dict(),

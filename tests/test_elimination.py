@@ -363,6 +363,76 @@ class TestRunIdentification:
             run_identification(env, "semi", 1, 0.1)
 
 
+class TestUndrawnStages:
+    """Without a stage log, the leading stages that cannot decide an arm take
+    their doubles from the generator undrawn."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), model=st.sampled_from(["semi", "bandit", "marked"]),
+           exact_k_mode=st.sampled_from([None, True, False]), stage_cap=st.integers(1, 14),
+           delta=st.floats(1e-6, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_undrawn_stages_replay_the_drawn_run(self, data, model, exact_k_mode, stage_cap,
+                                                 delta, seed):
+        # 4-8 stages cannot decide here, so caps of 1-14 end inside that
+        # prefix and past it; k = n skips none, as it samples nothing
+        n = data.draw(st.integers(2, 8))
+        k = data.draw(st.integers(1, n))
+        if data.draw(st.booleans()):
+            # extreme means let the first drawn stage decide arms
+            means = [0.0, 0.1, 0.5, 0.9] + ([] if model == "bandit" else [1.0])
+            env = ProductMeasure(means=data.draw(st.lists(st.sampled_from(means),
+                                                          min_size=n, max_size=n)))
+        else:
+            env = PlantedMeasure(n, data.draw(st.integers(2, n)),
+                                 data.draw(st.sampled_from([0.1, 0.3, 0.5])),
+                                 data.draw(st.sampled_from([0.5, 1.0])))
+        runs = []
+        for keep_log in (True, False):
+            rng = np.random.default_rng(seed)
+            rec = run_identification(env, model, k, delta, rng, stage_cap, exact_k_mode,
+                                     keep_log=keep_log)
+            runs.append((rec, rng.bit_generator.state))
+        (drawn, drawn_state), (undrawn, undrawn_state) = runs
+        assert undrawn == drawn
+        assert undrawn_state == drawn_state
+        assert len(drawn.stage_log) == drawn.stages and undrawn.stage_log == ()
+
+    def test_benchmark_config_draws_from_stage_six(self, monkeypatch):
+        # the bandit-product-n12 config: the radius floor over its 12 arms is
+        # 18.3, 7.3, 3.5, 1.7 and 0.87 at stages 1-5 and 0.44 at stage 6
+        import bestofk.elimination as elim
+        from bestofk import harness
+        from bestofk.harness import ExperimentConfig, run_experiment
+
+        floors = [confidence_radius(0.0, 2**t, 12, t, 0.1) for t in range(1, 7)]
+        assert [round(r, 2) for r in floors] == [18.31, 7.34, 3.45, 1.71, 0.87, 0.44]
+        plays, per_replicate = [], []
+        stage_play_, run_identification_ = elim.stage_play, harness.run_identification
+
+        def counted_stage(*args, **kwargs):
+            plays.append(args[-2])
+            return stage_play_(*args, **kwargs)
+
+        def counted_run(*args, **kwargs):
+            before = len(plays)
+            rec = run_identification_(*args, **kwargs)
+            per_replicate.append((rec.stages, plays[before:]))
+            return rec
+
+        monkeypatch.setattr(elim, "stage_play", counted_stage)
+        monkeypatch.setattr(harness, "run_identification", counted_run)
+        means = (0.8, 0.7, 0.6) + (0.3,) * 9
+        for trace, undrawn in ((False, 5), (True, 0)):
+            per_replicate.clear()
+            run_experiment(ExperimentConfig(measure=ProductMeasure(means=means).to_dict(),
+                                            model="bandit", k=3, delta=0.1, replicates=3,
+                                            base_seed=1, trace=trace))
+            assert len(per_replicate) == 3
+            for stages, sizes in per_replicate:
+                assert stages > 5
+                assert sizes == [2**t for t in range(undrawn + 1, stages + 1)]
+
+
 class TestStagePlayConsistency:
     def test_topoff_infeasible(self):
         # k1 = 1 and k2 = 2, but the reject and accept pools are empty

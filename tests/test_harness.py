@@ -416,6 +416,27 @@ GOLDEN = {
          "stage_cap": 12, "trace": True},
         "90e6a1516c8e06aa8de8c8cb99a92bc9a2a0d2a56a404fcce50172416d121418",
         "e836940dfcd78de2f6d62a1b5e9b26d4f893017024c51ab3420d6fff92c72f3d"),
+    # untraced elimination on product and planted measures takes its leading
+    # undecidable stages undrawn; these pin that path to the drawn run's bytes.
+    # The bandit-product-n12 benchmark config: stages 1-5 undrawn, then
+    # balancing and exact-k top-off
+    "product-bandit-elimination-n12": (
+        {"measure": {"type": "product", "n": 12, "means": [0.8, 0.7, 0.6] + [0.3] * 9},
+         "model": "bandit", "k": 3, "delta": 0.1, "replicates": 3, "base_seed": 27},
+        "7ebcc6f5ca4502781b10402ddb661eb6c7d42cd265ae6495c1f2a354c6a7e37c", None),
+    # planted-marked-elimination untraced: the results file is the traced run's
+    "planted-marked-elimination-untraced": (
+        {"measure": {"type": "planted", "n": 6, "k": 3, "mu": 0.3, "p": 1.0,
+                     "planted_set": [1, 3, 4]},
+         "model": "marked", "k": 3, "delta": 0.1, "replicates": 2, "base_seed": 25,
+         "stage_cap": 12},
+        "bbeab980f82d4f168668bdfa4f657d4e8c030f69d04f6b6bef16f63d3155e95d", None),
+    # semi with exact-k queries: replicate 0's last stage tops off a 2-arm pool
+    "product-semi-elimination-exact_k": (
+        {"measure": {"type": "product", "n": 7, "means": [0.9, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1]},
+         "model": "semi", "k": 3, "delta": 0.1, "replicates": 3, "base_seed": 28,
+         "exact_k_mode": True},
+        "7f05fc0112ae64ebbbdf7cccbf5291f28837d88fa7e8be011965e4ba2938e339", None),
 }
 
 
