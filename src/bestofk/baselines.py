@@ -9,13 +9,12 @@ on the hidden subset, where its bias is p/2.
 Both share the empirical-Bernstein interval of the main algorithm (with the
 union bound taken over subset arms) and the same doubling, fresh-samples
 stage structure, so query counts are directly comparable.  The early stages,
-whose every radius is above 1/2, cannot drop a subset: where the measure
-counts the doubles its draw takes (``Measure.draw_doubles``), such a stage
-takes that many from the generator and counts its queries without drawing,
-so every record equals the fully simulated run's.  The stage count and the
-taking of the doubles are elimination's (``elimination._undecidable_stages``
-and ``elimination._take_doubles``), with the C(n, k) subset arms as the union
-bound's count.
+whose every radius is above 1/2, cannot drop a subset; how many of them a run
+takes undrawn is elimination's one rule (``elimination._undrawn_stages``,
+with the C(n, k) subset arms as the union bound's count), and such a stage
+takes its doubles from the generator (``elimination._take_doubles``) and
+counts its queries without drawing, so every record equals the fully
+simulated run's.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .elimination import STAGE_CAP, _take_doubles, _undecidable_stages, confidence_radius
+from .elimination import STAGE_CAP, _take_doubles, _undrawn_stages, confidence_radius
 from .errors import DomainError, SubsetCapError
 from .measures import DRAW_ELEMENTS, SUBSET_CAP, Measure, fold_columns, sample_matrix
 from .trial import TrialRecord
@@ -55,12 +54,12 @@ def _eliminate_over_subsets(
     (OR gives the max, XOR the parity).  A subset is dropped once its upper
     bound falls below the best lower bound; stage decisions use that stage's
     fresh draws only, matching the stagewise interval bookkeeping.  When
-    k = n the one subset is returned without a query.
+    k = n the one subset is returned without a query; a run still ambiguous
+    at the cap returns its empirical leader, flagged inconclusive.
 
-    The leading stages that cannot drop a subset (``_undecidable_stages``)
-    run undrawn when ``env.draw_doubles`` counts their doubles: each takes
-    that many from ``rng`` and counts its queries, so the returned record is
-    the one the drawn stages give.
+    The leading stages that cannot drop a subset run undrawn, as many as
+    ``_undrawn_stages`` gives: each takes its doubles from ``rng`` and counts
+    its queries, so the returned record is the one the drawn stages give.
     """
     if not (1 <= k <= env.n):
         raise DomainError("need 1 <= k <= n")
@@ -68,21 +67,19 @@ def _eliminate_over_subsets(
         raise DomainError("stage_cap must be >= 1")
     survivors = _enumerate_subsets(env.n, k)
     n_arms = len(survivors)
-    if n_arms == 1:
-        return TrialRecord(returned=tuple(survivors[0].tolist()), total_queries=0, stages=0)
-    total_queries = 0
     # a draw holds at most draw_rows rows of k arms: the largest power of two
     # (so it divides every larger 2**t) with draw_rows * k <= DRAW_ELEMENTS
     draw_rows = 1 << ((DRAW_ELEMENTS // k).bit_length() - 1)
-    # the cap stage always runs, because its mu names the leader
-    skipped = 0
-    if env.draw_doubles(2 * n_arms, k) is not None:
-        skipped = min(_undecidable_stages(n_arms, delta), stage_cap - 1)
-    for t in range(1, skipped + 1):
-        _take_doubles(rng, env.draw_doubles(2**t * n_arms, k))
-        total_queries += 2**t * n_arms
-    for t in range(skipped + 1, stage_cap + 1):
+    undrawn = _undrawn_stages(env, n_arms, k, delta, stage_cap)
+    t, total_queries, mu = 1, 0, np.zeros(n_arms)
+    while t <= stage_cap and len(survivors) > 1:
         big_t = 2**t
+        queries = big_t * len(survivors)  # one row per query
+        total_queries += queries
+        if t <= undrawn:
+            _take_doubles(rng, env.draw_doubles(queries, k))
+            t += 1
+            continue
         # big_t consecutive rows observe each survivor; a draw holds whole
         # survivors while they fit, else one survivor's rows over
         # big_t // draw_rows draws
@@ -97,22 +94,12 @@ def _eliminate_over_subsets(
                 draws = sample_matrix(env, rng, len(arms), arms=arms)
                 hits += fold_columns(draws, fold).reshape(len(group), rows).sum(axis=1)
             ones.append(hits)
-        total_queries += big_t * len(survivors)
         mu = np.concatenate(ones) / big_t
         radius = confidence_radius(mu, big_t, n_arms, t, delta)
         keep = mu + radius >= (mu - radius).max()
-        survivors, mu = survivors[keep], mu[keep]
-        if len(survivors) == 1:
-            return TrialRecord(
-                returned=tuple(survivors[0].tolist()), total_queries=total_queries, stages=t
-            )
-    # ambiguous after the cap: report the empirical leader, flagged
-    return TrialRecord(
-        returned=tuple(survivors[mu.argmax()].tolist()),
-        total_queries=total_queries,
-        stages=stage_cap,
-        inconclusive=True,
-    )
+        survivors, mu, t = survivors[keep], mu[keep], t + 1
+    return TrialRecord(returned=tuple(survivors[mu.argmax()].tolist()), stages=t - 1,
+                       total_queries=total_queries, inconclusive=len(survivors) > 1)
 
 
 def subset_arm_identify(

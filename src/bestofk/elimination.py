@@ -8,10 +8,11 @@ and reject arms whose upper bound falls under the k_t-th largest lower bound.
 Fresh samples every stage; the budget doubles until k arms are accepted.
 
 The leading stages whose every radius is above 1/2 cannot decide anything
-(``_undecidable_stages``).  A run that keeps no stage log takes them undrawn:
-each takes the doubles its draws would from the generator (``_take_doubles``)
-and counts its queries, so the record equals the fully simulated run's.  The
-subset baselines skip their leading stages through the same two helpers.
+(``_undecidable_stages``).  ``_undrawn_stages`` is the one rule for how many
+of them a run takes undrawn; this module's loop (when it keeps no stage log)
+and the subset baselines' loop both read it.  An undrawn stage takes the
+doubles its draws would from the generator (``_take_doubles``) and counts its
+queries, so the record equals the fully simulated run's.
 
 ``stage_play`` is the one sampling engine behind ``run_identification``: it
 lays out a chunk of plays as queries, draws reward bits only for the queried
@@ -107,6 +108,17 @@ def _take_doubles(rng: np.random.Generator, count: int) -> None:
     """
     for lo in range(0, count, DRAW_ELEMENTS):
         rng.random(out=held_buffer("draw.uniforms", (min(DRAW_ELEMENTS, count - lo),), np.float64))
+
+
+def _undrawn_stages(env: Measure, n_arms: int, k: int, delta: float, stage_cap: int) -> int:
+    """How many leading stages a run takes undrawn: none unless
+    ``env.draw_doubles`` counts a draw's doubles, else the stages that cannot
+    decide any of ``n_arms`` arms (the union bound's count) short of the cap
+    stage, whose estimates name a baseline's leader.  A stage of that prefix
+    takes the same doubles drawn or undrawn, so no record depends on the cut."""
+    if env.draw_doubles(1, k) is None:
+        return 0
+    return min(_undecidable_stages(n_arms, delta), stage_cap - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +300,12 @@ def run_identification(
     keeps the partition as the undecided arms (in arm order) and the sorted
     accepted and rejected arms.
 
-    Without the log, the leading stages that cannot decide an arm
-    (``_undecidable_stages``, at most ``stage_cap``) are taken undrawn when
-    ``env.draw_doubles`` counts a draw's doubles.  In such a stage U' is all
-    n arms, k1 = k, k2 = 0 and |B| = 0 (``balanced`` needs n >= ceil(7k/2)),
-    so its T plays take T n permutation keys, the bit doubles of T q queries
-    of k arms, q = ceil(n / k), and under marked feedback T q winner
-    uniforms, all of them ``Generator.random`` doubles.
+    Without the log, the leading stages that cannot decide an arm are taken
+    undrawn (``_undrawn_stages``).  In such a stage U' is all n arms, k1 = k,
+    k2 = 0 and |B| = 0 (``balanced`` needs n >= ceil(7k/2)), so its T plays
+    take T n permutation keys, the bit doubles of T q queries of k arms,
+    q = ceil(n / k), and under marked feedback T q winner uniforms, all of
+    them ``Generator.random`` doubles.
     """
     check_model(model)
     if stage_cap < 1:
@@ -318,9 +329,7 @@ def run_identification(
     undecided, accepted, rejected = tuple(range(n)), (), ()
     t, total_queries = 1, 0
     stage_log: list[StageRecord] = []
-    undrawn = 0
-    if not keep_log and env.draw_doubles(1, k) is not None:
-        undrawn = min(_undecidable_stages(n, delta), stage_cap)
+    undrawn = 0 if keep_log else _undrawn_stages(env, n, k, delta, stage_cap)
 
     while t <= stage_cap and len(accepted) < k:
         big_t, k1 = 2**t, min(len(undecided), k)

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 ALGORITHMS = ("elimination", "subset_arm", "parity")
+# the least delta a config may name: a log argument of a run or a bound is
+# some c / delta (c: n, t^2, tau, constants), finite from here up for c < 1e108
+DELTA_FLOOR = 1e-200
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,6 +70,9 @@ class ExperimentConfig:
             raise DomainError("stage_cap must be >= 1")
         if not (0.0 < self.delta < 1.0):
             raise DomainError("delta must lie in (0, 1)")
+        if self.delta < DELTA_FLOOR:
+            raise DomainError(f"delta={self.delta!r} is too small: below {DELTA_FLOOR!r} the "
+                              f"log terms of the radius and the bounds can overflow")
         if self.algorithm == "parity" and self.model != "semi":
             raise DomainError("the parity baseline is defined for semi-bandit feedback only")
         if self.trace and self.algorithm != "elimination":
@@ -88,11 +94,6 @@ class ExperimentConfig:
 def replicate_rng(base_seed: int, replicate: int) -> np.random.Generator:
     """Independent stream for one replicate via SeedSequence([base_seed, r])."""
     return np.random.default_rng(np.random.SeedSequence([base_seed, replicate]))
-
-
-def derived_seed(base_seed: int, replicate: int) -> int:
-    """The first state word of the replicate's seed sequence (for the record)."""
-    return int(np.random.SeedSequence([base_seed, replicate]).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
 
     Elimination keeps its ``stage_log`` only when ``config.trace`` is on,
     since the stage trace is its only reader; without it, the leading stages
-    that cannot decide an arm run undrawn (``elimination.run_identification``).
+    that cannot decide anything run undrawn (``elimination._undrawn_stages``).
     """
     env = measure_from_dict(config.measure)
     if config.out:
@@ -230,7 +231,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
             replace(
                 rec,
                 replicate=r,
-                seed=derived_seed(config.base_seed, r),
+                # the first state word of the replicate's seed sequence
+                seed=int(seed_rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]),
                 success=success,
                 wall_time=elapsed,
             )

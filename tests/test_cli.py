@@ -160,16 +160,13 @@ BOUND_OVERFLOWS = "error: a closed-form bound overflows floating point for this 
 
 
 @pytest.mark.parametrize("measure, model, k, delta", [
-    # log(8 n t^2 / delta) overflows, so each bound that takes delta is inf
-    ({"type": "product", "means": [0.9, 0.5, 0.2] + [0.1] * 5}, "semi", 2, 1e-320),
-    ({"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 0.5}, "bandit", 2, 1e-320),
     # a gap of 1e-300 squares to 0.0 in tau_terms
     ({"type": "product", "means": [1e-300] + [0.0] * 7}, "semi", 1, 0.1),
     # the gap p mu^k underflows to 0.0 in dependent_lower_bound
     ({"type": "planted", "n": 6, "k": 2, "mu": 1e-200, "p": 0.5}, "bandit", 2, 0.1),
     # 2**-1074 as a gap squares past the largest float
     ({"type": "planted", "n": 1075, "k": 1074, "mu": 0.5, "p": 1.0}, "semi", 1074, 0.1),
-], ids=["semi-tiny-delta", "planted-tiny-delta", "tiny-mean", "tiny-mu", "k-1074"])
+], ids=["tiny-mean", "tiny-mu", "k-1074"])
 def test_bounds_overflow_is_one_line_error(tmp_path, measure, model, k, delta):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"measure": measure, "model": model, "k": k, "delta": delta}))
@@ -177,6 +174,38 @@ def test_bounds_overflow_is_one_line_error(tmp_path, measure, model, k, delta):
     assert done.returncode == EXIT_USAGE
     assert done.stderr.splitlines() == [BOUND_OVERFLOWS]
     assert done.stdout == ""
+
+
+def _too_small(delta: float) -> str:
+    return (f"error: delta={delta!r} is too small: below 1e-200 the log terms of the radius "
+            f"and the bounds can overflow")
+
+
+@pytest.mark.parametrize("delta", [1e-304, 1e-320])
+@pytest.mark.parametrize("measure, model", [
+    ({"type": "product", "means": [0.9, 0.5, 0.2] + [0.1] * 5}, "semi"),
+    ({"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 0.5}, "bandit"),
+], ids=["semi", "planted"])
+def test_run_and_bounds_reject_a_delta_below_the_floor_alike(tmp_path, measure, model, delta):
+    # a run may decide before its log term overflows while a bound's does, so
+    # without the floor the two subcommands would disagree at 1e-304
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": measure, "model": model, "k": 2, "delta": delta}))
+    for command in ("run", "bounds"):
+        done = _cli(command, "--config", str(path))
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.splitlines() == [_too_small(delta)]
+        assert done.stdout == ""
+
+
+def test_run_and_bounds_accept_the_delta_floor(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"type": "product", "means": [0.9, 0.5, 0.2] + [0.1] * 5},
+                                "model": "semi", "k": 2, "delta": 1e-200}))
+    for command in ("run", "bounds"):
+        done = _cli(command, "--config", str(path))
+        assert done.returncode == EXIT_OK
+        assert done.stderr == "" and "inf" not in done.stdout
 
 
 def test_config_errors_exit_one(tmp_path):
@@ -221,7 +250,7 @@ TRACE_NEEDS_OUT = ("error: trace needs an output path (--out or the config key '
                    "the stage trace is written beside the results")
 DROP = object()  # an override that removes the key
 HUGE_INT = object()  # a 5001-digit integer literal, which json.dumps cannot write
-TINY_DELTA = "error: delta=1e-320 is too small: log(8 n t^2 / delta) overflows"
+TINY_DELTA = _too_small(1e-320)
 NESTED = object()  # a document of 100,000 nested lists, deeper than json.loads recurses
 
 
@@ -246,7 +275,7 @@ NESTED = object()  # a document of 100,000 nested lists, deeper than json.loads 
         ({"measure": {"type": "joint_table", "k": 20000, "probs": [0.5, 0.5]}},
          "error: need 2**k atoms for k=20000, got 2"),
         ({"delta": DROP}, "error: config document lacks the key 'delta'"),
-        # 8 n t^2 / delta overflows, so every radius would be inf or NaN
+        # 8 n t^2 / delta would overflow, so every radius would be inf or NaN
         ({"algorithm": "elimination", "delta": 1e-320}, TINY_DELTA),
         ({"algorithm": "subset_arm", "delta": 1e-320}, TINY_DELTA),
         ({"k": HUGE_INT}, "error: Exceeds the limit (4300 digits) for integer string conversion: "

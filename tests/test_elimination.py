@@ -432,6 +432,43 @@ class TestUndrawnStages:
                 assert stages > 5
                 assert sizes == [2**t for t in range(undrawn + 1, stages + 1)]
 
+    @pytest.mark.parametrize("stage_cap", [3, 5, 6, 8])
+    def test_both_identifiers_draw_from_the_same_stage(self, stage_cap, monkeypatch):
+        # the bandit-product-n12 config (elimination, untraced) and the
+        # subset-planted-n8 config (subset_arm) each have 5 undecidable
+        # stages; both take min(5, cap - 1) of them undrawn, as the cap stage
+        # always draws.  Their first stage-t draw is 2**t plays of 4 queries
+        # (12 arms, k = 3) and 2**t rows for each of the 28 subset arms.
+        from bestofk import baselines
+        from bestofk import elimination as elim
+        from bestofk.baselines import subset_arm_identify
+
+        sizes = []
+
+        def counted(measure, rng, size, arms=None):
+            sizes.append(size)
+            return measures.sample_matrix(measure, rng, size, arms=arms)
+
+        monkeypatch.setattr(elim, "sample_matrix", counted)
+        monkeypatch.setattr(baselines, "sample_matrix", counted)
+        runs = [
+            (ProductMeasure(means=(0.8, 0.7, 0.6) + (0.3,) * 9), 4,
+             lambda env, rng: run_identification(env, "bandit", 3, 0.1, rng, stage_cap,
+                                                 keep_log=False)),
+            (PlantedMeasure(8, 2, 0.5, 1.0), 28,
+             lambda env, rng: subset_arm_identify(env, 2, 0.1, rng, stage_cap)),
+        ]
+        for env, rows_per_play, identify in runs:
+            sizes.clear()
+            rng = np.random.default_rng(1)
+            rec = identify(env, rng)
+            assert sizes and math.log2(sizes[0] // rows_per_play) == min(5, stage_cap - 1) + 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(type(env), "draw_doubles", lambda self, size, w: None)
+                drawn_rng = np.random.default_rng(1)
+                assert identify(env, drawn_rng) == rec
+            assert drawn_rng.bit_generator.state == rng.bit_generator.state
+
 
 class TestStagePlayConsistency:
     def test_topoff_infeasible(self):

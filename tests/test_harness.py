@@ -25,7 +25,6 @@ from bestofk.harness import (
     _quantile,
     _write_stage_trace,
     compare_to_bounds,
-    derived_seed,
     replicate_rng,
     run_experiment,
     summarize,
@@ -211,8 +210,14 @@ class TestSeeding:
         assert not np.allclose(a, b)
 
     def test_deterministic(self):
-        assert derived_seed(3, 5) == derived_seed(3, 5)
         assert (replicate_rng(3, 5).random(4) == replicate_rng(3, 5).random(4)).all()
+
+    def test_record_seed_is_the_first_word_of_the_replicate_seed_sequence(self):
+        cfg = _product_config(replicates=3, base_seed=4)
+        records, _ = run_experiment(cfg)
+        for r, rec in enumerate(records):
+            words = np.random.SeedSequence([4, r]).generate_state(1, np.uint64)
+            assert rec.seed == int(words[0])
 
 
 class TestRunExperiment:
