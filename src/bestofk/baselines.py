@@ -19,8 +19,9 @@ simulated run's.
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -32,12 +33,18 @@ from .trial import TrialRecord
 __all__ = ["subset_arm_identify", "parity_identify"]
 
 
+@functools.lru_cache(maxsize=8)
 def _enumerate_subsets(n: int, k: int) -> np.ndarray:
-    """All k-subsets of range(n) in lexicographic order, one per row."""
+    """Read-only int64 (C(n, k), k): the k-subsets of range(n) in lexicographic
+    order, one per row.  Built once per (n, k) and process; a count past
+    ``SUBSET_CAP`` raises on every call, as a raised call is not cached."""
     count = math.comb(n, k)
     if count > SUBSET_CAP:
         raise SubsetCapError(f"C({n},{k}) = {count} exceeds the cap {SUBSET_CAP}")
-    return np.asarray(list(combinations(range(n), k)), dtype=np.int64).reshape(count, k)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.int64,
+                          count=count * k).reshape(count, k)
+    subsets.flags.writeable = False
+    return subsets
 
 
 def _eliminate_over_subsets(

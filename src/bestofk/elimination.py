@@ -61,11 +61,17 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
     an array of means.  Each entry is computed elementwise in the order
     written above, so an array entry equals the scalar call on that mean bit
     for bit.
+
+    One reduction checks the range: min(mu, 1-mu) >= 0 exactly when 0 <= mu
+    <= 1 (NaN fails the comparison), and 1-mu is v_hat's own factor.  The
+    factor 2 joins the log term before the array product: doubling is exact,
+    so v_hat * (2 log) rounds the same real number as (2 v_hat) * log.
     """
     if T < 2:
         raise DomainError("need T >= 2 (sample variance divides by T-1)")
     mu = np.asarray(mu_hat, dtype=float)
-    if not (0.0 <= mu.min(initial=1.0) and mu.max(initial=0.0) <= 1.0):  # so does NaN
+    rest = 1.0 - mu
+    if not np.minimum.reduce(np.minimum(mu, rest), axis=None, initial=0.0) >= 0.0:
         raise DomainError("mu_hat must lie in [0, 1]")
     if not (0.0 < delta < 1.0):
         raise DomainError("delta must lie in (0, 1)")
@@ -74,8 +80,8 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
     log_term = math.log(8.0 * n * t * t / delta)
     if not math.isfinite(log_term):
         raise DomainError(f"delta={delta!r} is too small: log(8 n t^2 / delta) overflows")
-    v_hat = T * mu * (1.0 - mu) / (T - 1)
-    c_hat = np.sqrt(2.0 * v_hat * log_term / T) + 8.0 * log_term / (3.0 * (T - 1))
+    v_hat = T * mu * rest / (T - 1)
+    c_hat = np.sqrt(v_hat * (2.0 * log_term) / T) + 8.0 * log_term / (3.0 * (T - 1))
     return float(c_hat) if mu.ndim == 0 else c_hat
 
 

@@ -245,10 +245,15 @@ class PlantedMeasure(Measure):
         and one uniform per observed arm.
 
         An arm reads 1 when its uniform is under its threshold (2*mu planted,
-        mu otherwise) and its gate, read flat at row * (k + 1) + ``slots[arm]``
-        from a table of the Zs and an all-ones last column, is 1.  For u in
-        [0, 1), u < 2*mu*Z is Z and (u < 2*mu); any other arm's Z*U is
-        Bernoulli(mu) and independent of everything else.
+        mu otherwise) and its gate is 1.  The gate is a (k + 1, size) table:
+        row s holds slot s's Zs and row k is all ones, so an arm's gate is
+        read flat at ``slots[arm]`` * size + row.  For u in [0, 1), u <
+        2*mu*Z is Z and (u < 2*mu); any other arm's Z*U is Bernoulli(mu) and
+        independent of everything else.  Every pass runs along the rows, none
+        along the few-wide slot or arm axis: the Zs are compared with 1/2 in
+        the block's (size, k) layout and copied into the table by one
+        transposing pass, and the row offsets are added down the columns of
+        the cell table (``order="C"`` on its transpose).
         """
         size, k = len(arms), self.k
         rows = max(1, DRAW_ELEMENTS // (1 + k + arms.shape[1]))
@@ -258,13 +263,14 @@ class PlantedMeasure(Measure):
         block = (size * (1 + k + arms.shape[1]),)
         u = rng.random(out=held_buffer("draw.uniforms", block, np.float64))
         y = u[:size] < self.p
-        gate = np.ones((size, k + 1), dtype=bool)
-        z = gate[:, :k]
-        np.less(u[size : size * (1 + k)].reshape(size, k), 0.5, out=z)
-        odd_rest = fold_columns(z[:, 1:], np.bitwise_xor)
-        np.copyto(z[:, 0], ~odd_rest, where=y)  # Y=1 forces odd parity over the planted set
-        cell = np.take(self.slots, arms)
-        cell += np.arange(0, size * (k + 1), k + 1)[:, None]
+        gate = np.empty((k + 1, size), dtype=bool)
+        gate[:k] = (u[size : size * (1 + k)].reshape(size, k) < 0.5).T
+        gate[k] = True
+        # Y=1 forces odd parity over the planted set: flip Z_0 where Y and the
+        # parity is even (y > parity is y and not parity)
+        gate[0] ^= y > np.bitwise_xor.reduce(gate[:k], axis=0)
+        cell = np.take(self.slots * size, arms)
+        np.add(cell.T, np.arange(size), out=cell.T, order="C")
         bits = u[size * (1 + k) :].reshape(arms.shape) < np.take(self.thresholds, arms)
         bits &= np.take(gate, cell)
         return bits.view(np.uint8)

@@ -3,6 +3,7 @@ all three identifiers share."""
 
 import inspect
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -33,8 +34,15 @@ class TestSubsetArm:
     def test_cap(self):
         env = ProductMeasure(means=(0.5,) * 30)
         assert math.comb(30, 15) > SUBSET_CAP
-        with pytest.raises(SubsetCapError):
-            subset_arm_identify(env, 15, 0.1, np.random.default_rng(0))
+        for _ in range(2):  # a raised enumeration is not cached, so a repeat raises again
+            with pytest.raises(SubsetCapError):
+                subset_arm_identify(env, 15, 0.1, np.random.default_rng(0))
+
+    def test_enumeration_is_built_once_and_read_only(self):
+        first = baselines._enumerate_subsets(7, 3)
+        assert baselines._enumerate_subsets(7, 3) is first
+        assert not first.flags.writeable and first.dtype == np.int64
+        assert first.tolist() == [list(s) for s in combinations(range(7), 3)]
 
     @pytest.mark.parametrize("identify", [subset_arm_identify, parity_identify])
     def test_stage_cap_below_one_rejected(self, identify):

@@ -399,6 +399,14 @@ GOLDEN = {
          "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 2,
          "base_seed": 24},
         "e7fb4985ca9bece6b2b44a28b224ff903b8ec552a1ceadb82dfef5b45c0695e7", None),
+    # p < 1 and mu < 1/2: Y = 0 rows and the planted threshold 2*mu < 1 both
+    # reach the results, on a planted set that is not arms 0..k-1
+    "planted-bandit-subset_arm-threshold": (
+        {"measure": {"type": "planted", "n": 6, "k": 2, "mu": 0.45, "p": 0.8,
+                     "planted_set": [1, 4]},
+         "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 2,
+         "base_seed": 31, "stage_cap": 12},
+        "81830c738e25a07e9993903415e9e80195359feb931c439e61d610c12574a811", None),
     # planted draws of up to 8192 rows inside stage chunks; planted runs can
     # stall, and this one decides no arm before the cap ends it
     "planted-marked-elimination": (

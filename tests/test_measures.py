@@ -191,6 +191,18 @@ class TestSampling:
         assert (first == kept).all()
         assert not np.shares_memory(first, second)
 
+    def test_planted_draws_are_independent_arrays(self):
+        # the draw builds a gate and a cell table per call; the bits it
+        # returns are its own, so a second draw leaves the first unchanged
+        m = PlantedMeasure(8, 2, 0.45, 0.8, planted_set=(1, 4))
+        rng = np.random.default_rng(7)
+        arms = np.repeat(np.asarray([[0, 1], [1, 4], [2, 5]]), 400, axis=0)
+        first = m.draw(rng, arms)
+        kept = first.copy()
+        second = m.draw(rng, arms)
+        assert (first == kept).all()
+        assert not np.shares_memory(first, second)
+
     def test_sample_reproducible_per_seed(self):
         m = PlantedMeasure(7, 3, 0.4, 0.5)
         a = sample_matrix(m, np.random.default_rng(123), 50)
