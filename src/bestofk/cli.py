@@ -17,9 +17,8 @@ import json
 import math
 import sys
 
-from .errors import BestOfKError, DomainError, MismatchError
-from .harness import ExperimentConfig, run_experiment
-from .measures import PlantedMeasure, ProductMeasure, measure_from_dict
+from .errors import BestOfKError, DomainError
+from .harness import ExperimentConfig, applicable_bounds, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,48 +52,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _applicable_bounds(config: ExperimentConfig) -> list[BoundReport]:
-    from .theory import (BoundReport, GapProfile, dependent_lower_bound, feasible_range,
-                         independent_lower_bound, upper_bound_total)
-
-    env = measure_from_dict(config.measure)
-    reports: list[BoundReport] = []
-    if isinstance(env, PlantedMeasure):
-        if config.k != env.k:
-            raise MismatchError(f"planted measure has k={env.k}, config has k={config.k}")
-        reports.append(
-            dependent_lower_bound(env.n, env.k, env.mu, env.p, config.delta, config.model)
-        )
-        rng = feasible_range(env.mu, env.k)
-        reports.append(
-            BoundReport(
-                name="all_zeros_feasible_range",
-                inputs={"mu": env.mu, "k": env.k},
-                value=rng.hi - rng.lo,
-                terms={"lo": rng.lo, "hi": rng.hi, "phi": list(rng.phi_table)},
-            )
-        )
-    elif isinstance(env, ProductMeasure):
-        profile = GapProfile(means=env.marginals(), k=config.k)
-        reports.append(upper_bound_total(profile, config.model, config.delta,
-                                         fewer_than_k_allowed=config.exact_k_mode is False))
-        if config.model in ("bandit", "semi"):
-            reports.append(
-                independent_lower_bound(
-                    profile.means, config.k, config.k, config.delta, config.model
-                )
-            )
-    else:
-        raise BestOfKError(
-            "bounds are defined for product and planted measure configs"
-        )
-    return reports
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     try:
-        reports = _applicable_bounds(config)
+        reports = applicable_bounds(config)
     except ArithmeticError:
         reports = None
     if reports is None or not all(math.isfinite(r.value) for r in reports):

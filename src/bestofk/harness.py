@@ -22,10 +22,10 @@ import numpy as np
 
 from .baselines import parity_identify, subset_arm_identify
 from .elimination import STAGE_CAP, run_identification
-from .errors import DomainError, MismatchError
+from .errors import BestOfKError, DomainError, MismatchError
 from .game import check_model
-from .measures import (Measure, checked, document, measure_from_dict, optimal_subset,
-                       read_fields)
+from .measures import (Measure, PlantedMeasure, ProductMeasure, checked, document,
+                       measure_from_dict, optimal_subset, read_fields)
 from .trial import TrialRecord
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "ExperimentSummary",
     "run_experiment",
     "write_results",
+    "applicable_bounds",
     "compare_to_bounds",
     "replicate_rng",
 ]
@@ -304,6 +305,51 @@ def write_results(path: Path, records: Sequence[TrialRecord],
         for rec in _in_replicate_order(records):
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
         fh.write(json.dumps(summary.to_dict(), sort_keys=True) + "\n")
+
+
+def applicable_bounds(config: ExperimentConfig) -> list[BoundReport]:
+    """The closed-form bounds that apply to ``config``'s instance.
+
+    A planted measure gets the dependent lower bound and the all-zeros
+    feasible range, a product measure ``upper_bound_total`` and, under bandit
+    or semi feedback, the independent lower bound.  ``theory`` is imported
+    here, so that a run never loads it.
+    """
+    from .theory import (BoundReport, GapProfile, dependent_lower_bound, feasible_range,
+                         independent_lower_bound, upper_bound_total)
+
+    env = measure_from_dict(config.measure)
+    reports: list[BoundReport] = []
+    if isinstance(env, PlantedMeasure):
+        if config.k != env.k:
+            raise MismatchError(f"planted measure has k={env.k}, config has k={config.k}")
+        reports.append(
+            dependent_lower_bound(env.n, env.k, env.mu, env.p, config.delta, config.model)
+        )
+        rng = feasible_range(env.mu, env.k)
+        reports.append(
+            BoundReport(
+                name="all_zeros_feasible_range",
+                inputs={"mu": env.mu, "k": env.k},
+                value=rng.hi - rng.lo,
+                terms={"lo": rng.lo, "hi": rng.hi, "phi": list(rng.phi_table)},
+            )
+        )
+    elif isinstance(env, ProductMeasure):
+        profile = GapProfile(means=env.marginals(), k=config.k)
+        reports.append(upper_bound_total(profile, config.model, config.delta,
+                                         fewer_than_k_allowed=config.exact_k_mode is False))
+        if config.model in ("bandit", "semi"):
+            reports.append(
+                independent_lower_bound(
+                    profile.means, config.k, config.k, config.delta, config.model
+                )
+            )
+    else:
+        raise BestOfKError(
+            "bounds are defined for product and planted measure configs"
+        )
+    return reports
 
 
 def compare_to_bounds(summary: ExperimentSummary, bounds: Sequence[BoundReport]) -> dict:

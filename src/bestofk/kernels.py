@@ -26,8 +26,14 @@ there is no top-off).  The caller draws reward bits for exactly those arms,
 and ``record_plays`` credits wins through the permuted pool order: position
 i is recorded at slot i % k1 of query i // k1 (``record_slots``) and nowhere
 else.  Under bandit feedback one ``np.bincount`` over the order, weighted by
-each position's query OR, counts the wins; semi and marked credits are
-sparse, so those models count the order positions whose slot is credited.
+each position's query OR, counts the wins; semi credits are sparse, so semi
+counts the order positions whose slot reads 1.  A marked query credits at
+most one slot, the winner numbered tgt = floor(u * wins) from 0 in slot
+order: with a running count of wins over the k1 pool slots, it credits
+slot c = #{s < k1 : count_s <= tgt} when the count after slot k1 - 1
+exceeds tgt, which is order position query * k1 + c unless that is past m
+(the remainder block's padding).  One ``np.bincount`` counts those
+positions' arms; no per-slot hit table is built.
 
 ``stage_play`` passes the codes and the arm buffer as ``out``: views of
 buffers held for the life of the process (``measures.held_buffer``), as are
@@ -173,7 +179,9 @@ def record_plays(
 
     bandit credits every recorded slot of a winning query, semi every
     recorded slot that reads 1, marked the uniformly chosen winner if its
-    slot is recorded.
+    slot is recorded: the winner numbered floor(u * wins) from 0 in slot
+    order, found by its slot index from a running count of wins over the
+    query's k1 pool slots (k1 read off ``slots``).
     """
     check_model(model)
     if model == "marked" and mark_u is None:
@@ -189,18 +197,39 @@ def record_plays(
         # whole counts below 2**53, exact in float64
         return np.add(y_out, wins, out=y_out, casting="unsafe")
     if model == "semi":
-        hit = bits
-    else:
-        # the winner credited is the int(u * wins) + 1-th one in slot order
-        wins = fold_columns(bits, np.add, dtype=np.int64)
-        target = (mark_u * wins).astype(np.int64) + 1
-        hit = np.empty(bits.shape, dtype=bool)
-        seen = np.zeros_like(target)
-        for j in range(w):
-            seen += bits[:, :, j]
-            hit[:, :, j] = (seen == target) & (bits[:, :, j] == 1)
-    hit = hit.reshape(n_plays, q * w)
-    if len(slots) < q * w:  # else every slot records its own order position
-        hit = hit.take(slots, axis=1)
-    y_out += np.bincount(order.ravel()[np.flatnonzero(hit == 1)], minlength=len(y_out))
+        hit = bits.reshape(n_plays, q * w)
+        if len(slots) < q * w:  # else every slot records its own order position
+            hit = hit.take(slots, axis=1)
+        y_out += np.bincount(order.ravel()[np.flatnonzero(hit == 1)], minlength=len(y_out))
+        return y_out
+    # marked: query (p, j) names the winner numbered tgt = floor(u * wins) from
+    # 0 in slot order.  With count_s the wins in slots 0..s, that winner sits in
+    # slot c = #{s < k1 : count_s <= tgt}, and c == k1 when it sits in no pool
+    # slot (no winner, or one in a top-off slot).  Pool slot c records order
+    # position j * k1 + c unless that is past m.  Every count fits the
+    # narrowest unsigned dtype that holds w.
+    m = order.shape[1]
+    # slots[i] == i for i < k1, and slots[i] > i from k1 on when k2 > 0; with
+    # k2 == 0, or one query (k1 == m), all of the first min(w, m) are equal
+    head = slots[:w]
+    k1 = int(np.count_nonzero(head == np.arange(len(head))))
+    pad = q * k1 - m  # the padding slots of the remainder block
+    dtype = np.min_scalar_type(w)
+    counts = np.empty((k1, n_plays, q), dtype=dtype)
+    counts[0] = bits[:, :, 0]
+    for s in range(1, k1):
+        np.add(counts[s - 1], bits[:, :, s], out=counts[s])
+    wins = counts[-1] if k1 == w else counts[-1] + fold_columns(bits[:, :, k1:], np.add, dtype)
+    tgt = np.multiply(mark_u, wins, out=np.empty(wins.shape, dtype), casting="unsafe")
+    slot = np.less_equal(counts, tgt).sum(axis=0, dtype=dtype)
+    credited = slot < k1
+    if pad:
+        credited[:, -1] &= slot[:, -1] < k1 - pad
+    # query i = p * q + j credits order position p * m + j * k1 + c = i * k1 - p * pad + c
+    hit = np.flatnonzero(credited)
+    pos = hit * k1
+    if pad:
+        pos -= hit // q * pad
+    pos += slot.ravel()[hit]
+    y_out += np.bincount(order.ravel().take(pos), minlength=len(y_out))
     return y_out

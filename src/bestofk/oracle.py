@@ -9,6 +9,7 @@ Caps keep the whole validation suite fast (14 modeled variables at most).
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -35,6 +36,8 @@ __all__ = [
     "check_kl_sandwich",
     "calT_violations",
     "check_calT",
+    "occlusion_violations",
+    "check_occlusion",
     "CHECKS",
     "verify_all",
 ]
@@ -100,9 +103,10 @@ def exact_query_stats(
 
     The block containing a given arm together with any padding is distributed
     as a uniform k1-subset of ``u_prime`` containing that arm, so only the
-    identity of the arm's own block matters.  Passing ``k`` means exact-k
-    mode: each query is topped off with k - k1 arms from the pools, and the
-    top-off set is averaged over its own law.
+    identity of the arm's own block matters: one exact table per k1-subset
+    (and top-off set) gives the recording law of each of its arms.  Passing
+    ``k`` means exact-k mode: each query is topped off with k - k1 arms from
+    the pools, and the top-off set is averaged over its own law.
     """
     u_prime = tuple(int(a) for a in u_prime)
     if len(u_prime) > ENUMERATION_CAP:
@@ -114,17 +118,15 @@ def exact_query_stats(
     k2 = 0 if k is None else max(0, k - k1)
     topoffs = _topoff_support(tuple(reject_pool), tuple(accept_pool), k2)
 
-    mu_bar: dict[int, float] = {}
-    n_rest = len(u_prime) - 1
-    weight_rest = 1.0 / math.comb(n_rest, k1 - 1)
-    for i in u_prime:
-        pool = [a for a in u_prime if a != i]
-        acc = 0.0
-        for rest in combinations(pool, k1 - 1):
-            for w_plus, s_plus in topoffs:
-                acc += weight_rest * w_plus * _record_prob(measure, i, rest + s_plus, model)
-        mu_bar[i] = acc
-    return mu_bar
+    acc = dict.fromkeys(u_prime, 0.0)
+    for block in combinations(u_prime, k1):
+        for w_plus, s_plus in topoffs:
+            recorded = exact_table(measure, block + s_plus) @ _record_weights(k1 + k2, k1, model)
+            for i, p in zip(block, recorded.tolist()):
+                acc[i] += w_plus * p
+    # each arm sits in C(|u_prime| - 1, k1 - 1) of the blocks
+    weight_rest = 1.0 / math.comb(len(u_prime) - 1, k1 - 1)
+    return {i: weight_rest * p for i, p in acc.items()}
 
 
 def _topoff_support(reject_pool: tuple[int, ...], accept_pool: tuple[int, ...],
@@ -142,16 +144,23 @@ def _topoff_support(reject_pool: tuple[int, ...], accept_pool: tuple[int, ...],
     return [(w, reject_pool + s) for s in combinations(accept_pool, need)]
 
 
-def _record_prob(measure: Measure, i: int, others: tuple[int, ...], model: str) -> float:
-    """Pr(arm i recorded with value 1) in a query {i} + others."""
-    probs = exact_table(measure, (i,) + others)
-    fires = np.arange(len(probs)) & 1 == 1
+@functools.lru_cache(maxsize=None)
+def _record_weights(width: int, k1: int, model: str) -> np.ndarray:
+    """float64 (2**width, k1): the chance that a query of ``width`` variables in
+    atom x records variable b < k1 with value 1 is entry [x, b].
+
+    semi records a variable that reads 1; bandit records the query's max,
+    which reads 1 when any variable does; marked records a variable that reads
+    1 when the uniform pick among the variables reading 1 names it.
+    """
+    atoms = np.arange(2**width)
+    fires = (atoms[:, None] >> np.arange(k1)) & 1
     if model == "semi":
-        return float(probs[fires].sum())
-    others_on = np.array([bin(atom >> 1).count("1") for atom in range(len(probs))])
+        return fires.astype(np.float64)
+    on = np.array([bin(atom).count("1") for atom in atoms.tolist()])
     if model == "bandit":
-        return float(probs[fires | (others_on > 0)].sum())
-    return float((probs[fires] / (1.0 + others_on[fires])).sum())
+        return np.repeat((on > 0)[:, None], k1, axis=1).astype(np.float64)
+    return fires / np.maximum(on, 1)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +308,44 @@ def check_calT() -> list[dict]:
     return [v for point in points for v in calT_violations(*point)]
 
 
-CHECKS = (check_planted, check_w0, check_mu_bar_order, check_kl_sandwich, check_calT)
+def occlusion_violations(seed: int) -> list[dict]:
+    """Max-only feedback occludes no more than the paper's constants allow.
+
+    On the product pool that ``seed`` draws (3-8 arms, means uniform in
+    [0.01, 0.99]) at every k1 in 1..m-1, with H = ``info_sharing(means, k1,
+    model)`` and kappa1 = ``kappa_constants(m, k1)[0]``, each within 1e-12:
+    marked records mu_bar_i >= mu_i H, and bandit and marked keep every pair
+    mu_i > mu_j apart by mu_bar_i - mu_bar_j >= kappa1 H (mu_i - mu_j).
+    """
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(0.01, 0.99, int(rng.integers(3, 9))).tolist()
+    m = len(means)
+    prod = ProductMeasure(means=tuple(means))
+    out = []
+    for k1 in range(1, m):
+        kappa1 = theory.kappa_constants(m, k1)[0]
+        for model in ("bandit", "marked"):
+            h = theory.info_sharing(means, k1, model)
+            mu_bar = exact_query_stats(prod, range(m), k1, model)
+            where = {"seed": seed, "k1": k1, "model": model}
+            if model == "marked":
+                out += [{"check": "occlusion_share", **where, "arm": i, "mu_bar": mu_bar[i],
+                         "floor": means[i] * h}
+                        for i in range(m) if mu_bar[i] < means[i] * h - 1e-12]
+            out += [{"check": "occlusion_gap", **where, "arms": [i, j],
+                     "gap": mu_bar[i] - mu_bar[j], "floor": kappa1 * h * (means[i] - means[j])}
+                    for i in range(m) for j in range(m) if means[i] > means[j]
+                    and mu_bar[i] - mu_bar[j] < kappa1 * h * (means[i] - means[j]) - 1e-12]
+    return out
+
+
+def check_occlusion() -> list[dict]:
+    """The occlusion floors on the pools of seeds 0-99."""
+    return [v for seed in range(100) for v in occlusion_violations(seed)]
+
+
+CHECKS = (check_planted, check_w0, check_mu_bar_order, check_kl_sandwich, check_calT,
+          check_occlusion)
 
 
 def verify_all() -> list[dict]:

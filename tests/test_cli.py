@@ -395,13 +395,19 @@ def _planted_plus_p(self):
     return np.array([1.0, self.p]), a, b
 
 
+INFO_SHARING = theory.info_sharing
+
 # one deliberately broken calculator per check: (owner, attribute, replacement)
 MUTANTS = {
     "check_planted": (PlantedMeasure, "components", _planted_plus_p),
     "check_w0": (theory, "phi", lambda p, mu, k: 0.0),
-    "check_mu_bar_order": (oracle, "_record_prob", lambda measure, i, others, model: 0.5),
+    "check_mu_bar_order": (oracle, "_record_weights",
+                           lambda width, k1, model: np.full((2**width, k1), 0.5)),
     "check_kl_sandwich": (theory, "kl_bounds", lambda x, y: (1.0, 1.0)),
     "check_calT": (theory, "calT", lambda tau, n, delta: tau**2),
+    # the sharing term over one mean fewer than the k1 - 1 other arms of a query
+    "check_occlusion": (theory, "info_sharing",
+                        lambda means, k, model: INFO_SHARING(means, max(1, k - 1), model)),
 }
 
 

@@ -32,7 +32,6 @@ TEST_ONLY = {
     "bestofk.harness.compare_to_bounds": "ROADMAP item 3 prints its ratios after each run",
     "bestofk.theory.true_variance_radius": "ROADMAP item 2 gives it a verify check or deletes it",
     "bestofk.theory.inversion_sample_size": "ROADMAP item 2 gives it a verify check or deletes it",
-    "bestofk.theory.kappa_constants": "ROADMAP item 2 gives it a verify check or deletes it",
     "bestofk.theory.simplified_dependent_lower_bound":
         "ROADMAP item 2 gives it a verify check or deletes it",
 }

@@ -178,7 +178,7 @@ def recorder_cases(draw):
     m = draw(st.integers(k1, 9))  # pool size; m % k1 > 0 gives a padded remainder
     k2 = draw(st.integers(0, 3))  # top-off arms
     n = m + k2 + draw(st.integers(0, 2))
-    plays = draw(st.integers(1, 3))
+    plays = draw(st.integers(1, 8))
     perms = [draw(st.permutations(range(n))) for _ in range(plays)]
     order = np.array([p[:m] for p in perms], dtype=np.int64)
     topoff = np.array([p[m : m + k2] for p in perms], dtype=np.int64).reshape(plays, k2)
@@ -189,10 +189,8 @@ def recorder_cases(draw):
     return model, n, k1, order, arms, bits, mark_u
 
 
-@settings(max_examples=300, deadline=None)
-@given(recorder_cases())
-def test_record_plays_equals_observe_query_by_query(case):
-    """The recorder credits exactly what ``observe`` reports, query by query.
+def _observed_credits(model, n, k1, order, arms, bits, mark_u):
+    """Per-arm credits of a chunk as ``observe`` reports them, query by query.
 
     ``observe`` sees each query's slots as its arms: it orders winners by arm
     label, and the recorder picks the marked winner in slot order, so slot
@@ -200,7 +198,6 @@ def test_record_plays_equals_observe_query_by_query(case):
     to its arm when the slot is recorded: a pool slot (s < k1) before the
     remainder block's padding (j * k1 + s < m).
     """
-    model, n, k1, order, arms, bits, mark_u = case
     expected = np.zeros(n, dtype=np.int64)
     plays, q, width = arms.shape
     m = order.shape[1]
@@ -216,6 +213,45 @@ def test_record_plays_equals_observe_query_by_query(case):
             for s in shown:
                 if s < k1 and j * k1 + s < m:
                     expected[arms[p, j, s]] += 1
-    slots = kernels.record_slots(m, k1, width - k1)
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(recorder_cases())
+def test_record_plays_equals_observe_query_by_query(case):
+    """The recorder credits exactly what ``observe`` reports, query by query."""
+    model, n, k1, order, arms, bits, mark_u = case
+    expected = _observed_credits(model, n, k1, order, arms, bits, mark_u)
+    slots = kernels.record_slots(order.shape[1], k1, arms.shape[2] - k1)
     y = kernels.record_plays(bits, order, slots, model, np.zeros(n, np.int64), mark_u)
     assert y.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("m,k1,k2", [
+    # 260 slots a query, 200 of them pool slots; a padded remainder block
+    (450, 200, 60),
+    # no top-off: every slot is a pool slot (k1 = w = 300) and slots[i] == i
+    (700, 300, 0),
+    # one query of the whole pool and 10 top-off arms: slots[i] == i, k1 < w
+    (300, 300, 10),
+])
+@pytest.mark.parametrize("fill", ["ones", "mixed"])
+def test_record_plays_marked_wide_queries_equal_observe(m, k1, k2, fill):
+    # a query of 256 or more slots can hold 256 or more winners, more than a
+    # uint8 count can
+    rng = np.random.default_rng(m + k2)
+    plays, n = 6, m + k2 + 1
+    perms = [rng.permutation(n) for _ in range(plays)]
+    order = np.array([p[:m] for p in perms], dtype=np.int64)
+    topoff = np.array([p[m : m + k2] for p in perms], dtype=np.int64).reshape(plays, k2)
+    arms = kernels.play_arms(order, topoff, k1)
+    bits = (np.ones(arms.shape, np.uint8) if fill == "ones"
+            else (rng.random(arms.shape) < 0.9).astype(np.uint8))
+    mark_u = rng.random(arms.shape[:2])
+    mark_u[0] = 0.0
+    mark_u[1] = np.nextafter(1.0, 0.0)  # the last winner of each query
+    expected = _observed_credits("marked", n, k1, order, arms, bits, mark_u)
+    y = kernels.record_plays(bits, order, kernels.record_slots(m, k1, k2), "marked",
+                             np.zeros(n, np.int64), mark_u)
+    assert y.tolist() == expected.tolist()
+    assert y.any()

@@ -6,11 +6,13 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from bestofk import theory
 from bestofk.errors import DomainError
 from bestofk.game import MODELS
 from bestofk.measures import CoverageMeasure, PlantedMeasure, ProductMeasure, _marginalize
 from bestofk.oracle import (
     CHECKS,
+    check_occlusion,
     check_planted,
     exact_query_stats,
     exact_table,
@@ -260,6 +262,20 @@ class TestMarginalHelper:
         sub = _marginalize(exact_table(m, m.planted_set + (3,)), (0, 3))
         assert float(_marginalize(sub, (0,))[1]) == pytest.approx(0.25, abs=1e-14)
         assert float(np.sum(sub)) == pytest.approx(1.0, abs=1e-14)
+
+
+INFO_SHARING, KAPPA_CONSTANTS = theory.info_sharing, theory.kappa_constants
+
+
+@pytest.mark.parametrize("name,broken", [
+    # H over the k1 - 2 largest means instead of k1 - 1
+    ("info_sharing", lambda means, k, model: INFO_SHARING(means, max(1, k - 1), model)),
+    # kappa1 as if a query held one arm fewer
+    ("kappa_constants", lambda m, k1: (1.0 - (k1 - 2) / (m - 1), KAPPA_CONSTANTS(m, k1)[1])),
+])
+def test_occlusion_check_catches_a_broken_constant(monkeypatch, name, broken):
+    monkeypatch.setattr(theory, name, broken)
+    assert check_occlusion() != []
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
