@@ -6,7 +6,8 @@ Subcommands:
   verify
 
 Exit codes: 0 success, 1 usage or config error, 2 verification failure,
-3 inconclusive (a run hit its stage cap).
+3 inconclusive (a run hit its stage cap, or a bandit run below the balancing
+threshold stalled with every undecided arm in one query).
 """
 
 from __future__ import annotations

@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
 from .game import check_model
-from .kernels import (lowest_keys, permute_pool, play_arms, queries_per_play, record_plays,
-                      record_slots)
+from .kernels import lowest_keys, permute_pool, play_arms, queries_per_play, record_plays
 from .measures import DRAW_ELEMENTS, Measure, held_buffer, sample_matrix
 from .trial import StageRecord, TrialRecord
 
@@ -156,10 +155,10 @@ def stage_play(
     plays x the widest row of keys a play draws: its pool or its top-off
     pool) it draws the permutations and top-off sets, lays the plays out as
     queries, draws one reward bit per queried arm and query, and credits
-    wins through the permuted pool order (``kernels.record_plays``).  The
-    sorted pools, the query count, the chunk size and the slot recording
-    each order position are computed once per stage.  Each play's per-arm
-    recording law is ``oracle.exact_query_stats``.
+    wins through the permuted pool order (``kernels.record_plays``), which
+    records order position i at slot i % k1 of query i // k1.  The sorted
+    pools, the query count and the chunk size are computed once per stage.
+    Each play's per-arm recording law is ``oracle.exact_query_stats``.
 
     A chunk's permutation is one in-place sort of packed (key, arm) codes
     (``kernels.permute_pool``, which for pools holding an arm of 2**11 or
@@ -181,7 +180,6 @@ def stage_play(
         raise InfeasibleError("cannot build a top-off set: pools too small")
 
     q = queries_per_play(m, k1)
-    slots = record_slots(m, k1, k2)
     # a play draws m permutation keys and one key per arm of its top-off pool
     topoff_keys = 0 if k2 == 0 else len(reject_pool if len(reject_pool) >= k2 else accept_pool)
     chunk = max(1, min(CHUNK_PLAYS, DRAW_ELEMENTS // max(m, topoff_keys)))
@@ -207,7 +205,7 @@ def stage_play(
         )
         bits = sample_matrix(env, rng, b * q, arms=arms.reshape(b * q, -1)).reshape(arms.shape)
         mark_u = rng.random((b, q)) if model == "marked" else None
-        record_plays(bits, order, slots, model, y, mark_u)
+        record_plays(bits, order, k1, model, y, mark_u)
         done += b
     return y, plays * q
 
@@ -306,6 +304,12 @@ def run_identification(
     keeps the partition as the undecided arms (in arm order) and the sorted
     accepted and rejected arms.
 
+    Under bandit feedback without balancing, a run that reaches |U| <= k
+    stops inconclusive before its next stage, taking nothing more from
+    ``rng``: k1 = |U| puts all of U in every play's one query, so every
+    undecided arm reads the same max bit, gets the same ``mu_hat`` and
+    ``c_hat``, and no rule of ``elimination_step`` can fire again.
+
     Without the log, the leading stages that cannot decide an arm are taken
     undrawn (``_undrawn_stages``).  In such a stage U' is all n arms, k1 = k,
     k2 = 0 and |B| = 0 (``balanced`` needs n >= ceil(7k/2)), so its T plays
@@ -345,6 +349,8 @@ def run_identification(
             _take_doubles(rng, big_t * n + env.draw_doubles(queries, k1) + marks)
             total_queries, t = total_queries + queries, t + 1
             continue
+        if model == "bandit" and not balanced and len(undecided) <= k:
+            break  # stalled: the one query of every play holds all of U
         if balanced:
             u_prime, r_prime, balancing = balance(undecided, rejected, k1, rng)
         else:

@@ -24,16 +24,17 @@ buffer: pool blocks, then the padded remainder block, then the top-off arms
 broadcast into every query (or the order itself, when k1 divides m and
 there is no top-off).  The caller draws reward bits for exactly those arms,
 and ``record_plays`` credits wins through the permuted pool order: position
-i is recorded at slot i % k1 of query i // k1 (``record_slots``) and nowhere
-else.  Under bandit feedback one ``np.bincount`` over the order, weighted by
-each position's query OR, counts the wins; semi credits are sparse, so semi
-counts the order positions whose slot reads 1.  A marked query credits at
-most one slot, the winner numbered tgt = floor(u * wins) from 0 in slot
-order: with a running count of wins over the k1 pool slots, it credits
-slot c = #{s < k1 : count_s <= tgt} when the count after slot k1 - 1
-exceeds tgt, which is order position query * k1 + c unless that is past m
-(the remainder block's padding).  One ``np.bincount`` counts those
-positions' arms; no per-slot hit table is built.
+i is recorded at slot i % k1 of query i // k1 and nowhere else.  Under
+bandit feedback one ``np.bincount`` over the order, weighted by each
+position's query OR (gathered through i // k1), counts the wins; semi
+credits are sparse, so semi counts the order positions whose slot reads 1.
+A marked query credits at most one slot, the winner numbered
+tgt = floor(u * wins) from 0 in slot order: with a running count of wins
+over the k1 pool slots, it credits slot c = #{s < k1 : count_s <= tgt}
+when the count after slot k1 - 1 exceeds tgt, which is order position
+query * k1 + c unless that is past m (the remainder block's padding).  One
+``np.bincount`` counts those positions' arms; no per-slot hit table is
+built.
 
 ``stage_play`` passes the codes and the arm buffer as ``out``: views of
 buffers held for the life of the process (``measures.held_buffer``), as are
@@ -47,8 +48,6 @@ because in its default raise mode it fills a fresh copy of ``out``.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -64,7 +63,6 @@ __all__ = [
     "play_arms",
     "record_plays",
     "queries_per_play",
-    "record_slots",
 ]
 
 
@@ -151,18 +149,10 @@ def play_arms(
     return arms
 
 
-@functools.lru_cache(maxsize=64)
-def record_slots(m: int, k1: int, k2: int) -> np.ndarray:
-    """Read-only int64 (m,): order position i's flat slot in a play's queries."""
-    slots = np.arange(m) // k1 * k2 + np.arange(m)  # (i // k1) * (k1 + k2) + i % k1
-    slots.flags.writeable = False
-    return slots
-
-
 def record_plays(
     bits: np.ndarray,
     order: np.ndarray,
-    slots: np.ndarray,
+    k1: int,
     model: str,
     y_out: np.ndarray,
     mark_u: np.ndarray | None = None,
@@ -170,36 +160,37 @@ def record_plays(
     """Record a batch of plays into ``y_out`` (int64, length n, in place).
 
     bits    uint8 (B, q, w): the reward bit of every query slot of the layout
-            ``play_arms`` builds from ``order``
+            ``play_arms`` builds from ``order`` with k1 pool slots a query
     order   int64 (B, m): each play's sampling pool in permuted order
-    slots   int64 (m,): the flat slot recording each order position
-            (``record_slots``)
+    k1      the pool slots of a query, with 1 <= k1 <= w and q = ceil(m / k1)
     mark_u  float64 (B, q): winner-choice uniforms, needed under marked
             feedback only
 
-    bandit credits every recorded slot of a winning query, semi every
-    recorded slot that reads 1, marked the uniformly chosen winner if its
-    slot is recorded: the winner numbered floor(u * wins) from 0 in slot
-    order, found by its slot index from a running count of wins over the
-    query's k1 pool slots (k1 read off ``slots``).
+    Order position i is recorded at slot i % k1 of query i // k1.  bandit
+    credits every recorded slot of a winning query, semi every recorded slot
+    that reads 1, marked the uniformly chosen winner if its slot is
+    recorded: the winner numbered floor(u * wins) from 0 in slot order,
+    found by its slot index from a running count of wins over the query's
+    k1 pool slots.
     """
     check_model(model)
     if model == "marked" and mark_u is None:
         raise DomainError("marked feedback needs the winner-choice uniforms mark_u")
     n_plays, q, w = bits.shape
+    m = order.shape[1]
+    if not (1 <= k1 <= w and queries_per_play(m, k1) == q):
+        raise DomainError(f"k1={k1} does not lay {m} pool arms out as {q} queries of {w} slots")
     if model == "bandit":
         # weight every order position by its query's OR, gathered straight into
         # float64 so that bincount makes no weight copy of its own; the buffer is
         # the permutation keys', which are spent once ``order`` is drawn
-        won = np.take(fold_columns(bits, np.maximum, dtype=np.float64), slots // w, axis=1,
-                      mode="clip", out=held_buffer("stage.keys", order.shape, np.float64))
+        won = np.take(fold_columns(bits, np.maximum, dtype=np.float64), np.arange(m) // k1,
+                      axis=1, mode="clip", out=held_buffer("stage.keys", order.shape, np.float64))
         wins = np.bincount(order.ravel(), weights=won.ravel(), minlength=len(y_out))
         # whole counts below 2**53, exact in float64
         return np.add(y_out, wins, out=y_out, casting="unsafe")
     if model == "semi":
-        hit = bits.reshape(n_plays, q * w)
-        if len(slots) < q * w:  # else every slot records its own order position
-            hit = hit.take(slots, axis=1)
+        hit = bits[:, :, :k1].reshape(n_plays, q * k1)[:, :m]
         y_out += np.bincount(order.ravel()[np.flatnonzero(hit == 1)], minlength=len(y_out))
         return y_out
     # marked: query (p, j) names the winner numbered tgt = floor(u * wins) from
@@ -208,11 +199,6 @@ def record_plays(
     # slot (no winner, or one in a top-off slot).  Pool slot c records order
     # position j * k1 + c unless that is past m.  Every count fits the
     # narrowest unsigned dtype that holds w.
-    m = order.shape[1]
-    # slots[i] == i for i < k1, and slots[i] > i from k1 on when k2 > 0; with
-    # k2 == 0, or one query (k1 == m), all of the first min(w, m) are equal
-    head = slots[:w]
-    k1 = int(np.count_nonzero(head == np.arange(len(head))))
     pad = q * k1 - m  # the padding slots of the remainder block
     dtype = np.min_scalar_type(w)
     counts = np.empty((k1, n_plays, q), dtype=dtype)

@@ -236,6 +236,19 @@ def _run_cli(tmp_path, doc: dict, *options: str, **kwargs) -> subprocess.Complet
     return _cli("run", "--config", str(path), *options, **kwargs)
 
 
+def test_stalled_bandit_run_exits_inconclusive(tmp_path):
+    # below the balancing threshold 10 of these 40 replicates stall with |U| <= k;
+    # each stops there, so the run ends in seconds at the default stage cap
+    started = time.perf_counter()
+    done = _run_cli(tmp_path, {"measure": {"type": "product", "means": [0.6, 0.6, 0.4, 0.4, 0.4]},
+                               "model": "bandit", "k": 2, "delta": 0.1, "replicates": 40,
+                               "base_seed": 3})
+    elapsed = time.perf_counter() - started
+    assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
+    assert json.loads(done.stdout)["inconclusive"] == 10
+    assert elapsed < 10.0, elapsed
+
+
 def test_malformed_measure_is_one_line_error(tmp_path):
     done = _run_cli(tmp_path, {"measure": {"type": "product", "n": 4},
                                "model": "semi", "k": 1, "delta": 0.1})

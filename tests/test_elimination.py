@@ -16,6 +16,7 @@ import bestofk
 from bestofk import measures
 from bestofk.elimination import (
     CHUNK_PLAYS,
+    STAGE_CAP,
     balance,
     balance_set_size,
     confidence_radius,
@@ -24,6 +25,7 @@ from bestofk.elimination import (
     stage_play,
 )
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
+from bestofk.harness import replicate_rng
 from bestofk.measures import DRAW_ELEMENTS, CoverageMeasure, PlantedMeasure, ProductMeasure
 from bestofk.oracle import exact_query_stats
 from bestofk.theory import inversion_sample_size, kappa_constants, true_variance_radius
@@ -222,6 +224,16 @@ class TestEliminationStepProperties:
             assert still == () and len(accepted) + len(accepted_now) == k
 
 
+# bandit configs below the balancing threshold n >= ceil(7k/2): product means,
+# k, and how many of 40 replicates at base_seed 3 stall with |U| <= k
+BANDIT_STALL_CONFIGS = [
+    ((0.6, 0.6, 0.4, 0.4, 0.4), 2, 10),
+    ((0.6, 0.6, 0.4, 0.4, 0.4, 0.4), 2, 11),
+    ((0.9, 0.5, 0.2, 0.1, 0.1, 0.1), 2, 16),
+    ((0.6, 0.6, 0.6, 0.4, 0.4, 0.4, 0.4, 0.4), 3, 2),
+]
+
+
 class TestRunIdentification:
     def test_n_equals_k_short_circuit(self):
         env = ProductMeasure(means=(0.5, 0.5))
@@ -266,6 +278,34 @@ class TestRunIdentification:
         rec = run_identification(env, "bandit", 1, 0.1, np.random.default_rng(4))
         assert rec.returned == (0,)
         assert any("balancing disabled" in w for w in rec.warnings)
+
+    def test_bandit_small_n_stall_ends_inconclusive(self):
+        # k = 2 below the balancing threshold: once arm 0 is accepted, arms 1
+        # and 2 share every query, read the same max bit and cannot be split;
+        # the cap of 20 stages makes a run that misses the stall fail in seconds
+        env = ProductMeasure(means=(0.9, 0.5, 0.5))
+        rec = run_identification(env, "bandit", 2, 0.1, np.random.default_rng(4), stage_cap=20)
+        assert rec.inconclusive and rec.returned == (0,)
+        assert any("balancing disabled" in w for w in rec.warnings)
+        last = rec.stage_log[-1]
+        assert last.t == rec.stages < 20
+        assert set(last.undecided) - set(last.accepted_now) - set(last.rejected_now) == {1, 2}
+
+    @pytest.mark.parametrize("means, k, stalled", BANDIT_STALL_CONFIGS)
+    def test_bandit_stall_configs_end_inconclusive(self, means, k, stalled):
+        env = ProductMeasure(means=means)
+        inconclusive = 0
+        for r in range(40):
+            rec = run_identification(env, "bandit", k, 0.1, replicate_rng(3, r))
+            assert rec == run_identification(env, "bandit", k, 0.1, replicate_rng(3, r),
+                                             keep_log=False)
+            if rec.inconclusive:
+                inconclusive += 1
+                last = rec.stage_log[-1]
+                assert last.t == rec.stages < STAGE_CAP
+                left = set(last.undecided) - set(last.accepted_now) - set(last.rejected_now)
+                assert len(left) <= k
+        assert inconclusive == stalled
 
     def test_bandit_balancing_kicks_in(self):
         # once the undecided pool shrinks below 5k/2 the balancing set fills it

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from bestofk import kernels
 from bestofk.elimination import stage_play
+from bestofk.errors import DomainError
 from bestofk.game import MODELS, observe
 from bestofk.measures import ProductMeasure
 
@@ -23,7 +24,7 @@ def test_unknown_model_rejected():
         kernels.record_plays(
             np.zeros((1, 1, 2), np.uint8),
             np.zeros((1, 2), np.int64),
-            kernels.record_slots(2, 2, 0),
+            2,
             "nope",
             np.zeros(2, np.int64),
         )
@@ -35,22 +36,22 @@ def test_play_arms_layout():
     order = np.array([[10, 11, 12, 13, 14]])
     arms = kernels.play_arms(order, np.array([[7]]), 2)
     assert arms.tolist() == [[[10, 11, 7], [12, 13, 7], [14, 10, 7]]]
-    # order positions 0-4 are recorded at slots 0, 1 (query 0), 3, 4 (query 1), 6 (query 2)
-    assert kernels.record_slots(5, 2, 1).tolist() == [0, 1, 3, 4, 6]
+    # order position i sits at slot i % 2 of query i // 2
+    assert [arms[0, i // 2, i % 2] for i in range(5)] == order[0].tolist()
     # k1 divides m and there is no top-off: the layout is the order itself
     order = np.array([[10, 11, 12, 13]])
     arms = kernels.play_arms(order, np.zeros((1, 0), np.int64), 2)
     assert arms.tolist() == [[[10, 11], [12, 13]]]
     assert np.shares_memory(arms, order)
-    assert kernels.record_slots(4, 2, 0).tolist() == [0, 1, 2, 3]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.integers(1, 6), st.integers(0, 3), st.integers(1, 4))
 def test_play_arms_follows_the_per_play_spec(data, k1, k2, plays):
     """Query j, slot s < k1 holds the pool arm at position j*k1 + s of the
-    order, wrapping round to its leading arms past m, and is recorded only
-    before the wrap; slot k1 + i holds top-off arm i in every query."""
+    order, wrapping round to its leading arms past m; slot k1 + i holds
+    top-off arm i in every query.  So order position i sits at slot i % k1
+    of query i // k1, where the recorder reads it."""
     m = data.draw(st.integers(k1, 20))
     perms = [data.draw(st.permutations(range(m + k2))) for _ in range(plays)]
     order = np.array([p[:m] for p in perms], dtype=np.int64)
@@ -62,11 +63,8 @@ def test_play_arms_follows_the_per_play_spec(data, k1, k2, plays):
         for j in range(q):
             expected = [order[p, (j * k1 + s) % m] for s in range(k1)] + topoff[p].tolist()
             assert arms[p, j].tolist() == expected
-    # the recorded slots, in order-position order, are the pre-wrap pool slots
-    recorded = [j * (k1 + k2) + s for j in range(q) for s in range(k1) if j * k1 + s < m]
-    slots = kernels.record_slots(m, k1, k2)
-    assert slots.tolist() == recorded
-    assert (arms.reshape(plays, -1)[:, slots] == order).all()
+    positions = np.arange(m)
+    assert (arms[:, positions // k1, positions % k1] == order).all()
 
 
 # pool widths: small pools, and the widest packed pools around the 2**11 arm bound
@@ -146,9 +144,39 @@ def test_record_plays_credits_recorded_slots(model, mark, expected):
     order = np.array([[0, 1, 2, 3]])
     assert kernels.play_arms(order, np.array([[4]]), 2).tolist() == [[[0, 1, 4], [2, 3, 4]]]
     bits = np.array([[[0, 0, 1], [1, 1, 0]]], np.uint8)
-    y = kernels.record_plays(bits, order, kernels.record_slots(4, 2, 1), model,
-                             np.zeros(5, np.int64), np.full((1, 2), mark))
+    y = kernels.record_plays(bits, order, 2, model, np.zeros(5, np.int64), np.full((1, 2), mark))
     assert {a: int(c) for a, c in enumerate(y) if c} == expected
+
+
+@pytest.mark.parametrize("k1", [0, 1, 3, 4])
+@pytest.mark.parametrize("model", MODELS)
+def test_record_plays_rejects_a_k1_that_does_not_fit_the_bits(model, k1):
+    # 5 pool arms as 3 queries of 3 slots fit k1 = 2 only: k1 = 1 makes 5
+    # queries, k1 = 3 two, and k1 = 4 is wider than a query
+    order = np.arange(5)[None, :]
+    bits = np.ones((1, 3, 3), np.uint8)
+    with pytest.raises(DomainError):
+        kernels.record_plays(bits, order, k1, model, np.zeros(6, np.int64), np.zeros((1, 3)))
+    y = kernels.record_plays(bits, order, 2, model, np.zeros(6, np.int64), np.zeros((1, 3)))
+    assert y.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(0, 3), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+def test_bandit_query_of_the_whole_pool_credits_every_arm_alike(data, m, k2, plays, seed):
+    """With k1 = m every play's one query holds the whole pool, so under
+    bandit feedback every pool arm reads the same max bit, with or without
+    top-off arms: the premise of the stall exit of ``run_identification``."""
+    rejects = data.draw(st.integers(0, k2))
+    accepted = k2 - rejects + data.draw(st.integers(0, 2))
+    n = m + rejects + accepted
+    means = data.draw(st.lists(st.floats(0.0, 0.95), min_size=n, max_size=n))
+    pool, r_prime, accept = range(m), range(m, m + rejects), range(m + rejects, n)
+    y, q = stage_play(ProductMeasure(means=tuple(means)), pool, accept, r_prime, m, k2,
+                      "bandit", plays, np.random.default_rng(seed))
+    assert q == plays
+    assert len(set(y[:m].tolist())) == 1
 
 
 def test_numpy_path_counts_match_play_semantics():
@@ -222,17 +250,16 @@ def test_record_plays_equals_observe_query_by_query(case):
     """The recorder credits exactly what ``observe`` reports, query by query."""
     model, n, k1, order, arms, bits, mark_u = case
     expected = _observed_credits(model, n, k1, order, arms, bits, mark_u)
-    slots = kernels.record_slots(order.shape[1], k1, arms.shape[2] - k1)
-    y = kernels.record_plays(bits, order, slots, model, np.zeros(n, np.int64), mark_u)
+    y = kernels.record_plays(bits, order, k1, model, np.zeros(n, np.int64), mark_u)
     assert y.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("m,k1,k2", [
     # 260 slots a query, 200 of them pool slots; a padded remainder block
     (450, 200, 60),
-    # no top-off: every slot is a pool slot (k1 = w = 300) and slots[i] == i
+    # no top-off: every slot is a pool slot (k1 = w = 300)
     (700, 300, 0),
-    # one query of the whole pool and 10 top-off arms: slots[i] == i, k1 < w
+    # one query of the whole pool and 10 top-off arms: k1 < w
     (300, 300, 10),
 ])
 @pytest.mark.parametrize("fill", ["ones", "mixed"])
@@ -251,7 +278,6 @@ def test_record_plays_marked_wide_queries_equal_observe(m, k1, k2, fill):
     mark_u[0] = 0.0
     mark_u[1] = np.nextafter(1.0, 0.0)  # the last winner of each query
     expected = _observed_credits("marked", n, k1, order, arms, bits, mark_u)
-    y = kernels.record_plays(bits, order, kernels.record_slots(m, k1, k2), "marked",
-                             np.zeros(n, np.int64), mark_u)
+    y = kernels.record_plays(bits, order, k1, "marked", np.zeros(n, np.int64), mark_u)
     assert y.tolist() == expected.tolist()
     assert y.any()
