@@ -1,7 +1,8 @@
 """Reference identifiers bracketing stagewise elimination.
 
 ``subset_arm_identify`` treats every k-subset as one arm observed through its
-max bit and runs plain successive elimination over the C(n, k) subset arms.
+max bit and runs plain successive elimination over the C(n, k) subset arms
+(the rows of ``measures._enumerate_subsets``, which ``Measure.optimum`` scores).
 ``parity_identify`` is the semi-bandit detector for the planted instance at
 mu = 1/2: the XOR of a queried subset's bits is a fair coin everywhere except
 on the hidden subset, where its bias is p/2.
@@ -19,32 +20,14 @@ simulated run's.
 
 from __future__ import annotations
 
-import functools
-import math
-from itertools import chain, combinations
-
 import numpy as np
 
 from .elimination import STAGE_CAP, _take_doubles, _undrawn_stages, confidence_radius
-from .errors import DomainError, SubsetCapError
-from .measures import DRAW_ELEMENTS, SUBSET_CAP, Measure, fold_columns, sample_matrix
+from .errors import DomainError
+from .measures import DRAW_ELEMENTS, Measure, _enumerate_subsets, fold_columns, sample_matrix
 from .trial import TrialRecord
 
 __all__ = ["subset_arm_identify", "parity_identify"]
-
-
-@functools.lru_cache(maxsize=8)
-def _enumerate_subsets(n: int, k: int) -> np.ndarray:
-    """Read-only int64 (C(n, k), k): the k-subsets of range(n) in lexicographic
-    order, one per row.  Built once per (n, k) and process; a count past
-    ``SUBSET_CAP`` raises on every call, as a raised call is not cached."""
-    count = math.comb(n, k)
-    if count > SUBSET_CAP:
-        raise SubsetCapError(f"C({n},{k}) = {count} exceeds the cap {SUBSET_CAP}")
-    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.int64,
-                          count=count * k).reshape(count, k)
-    subsets.flags.writeable = False
-    return subsets
 
 
 def _eliminate_over_subsets(
@@ -87,21 +70,16 @@ def _eliminate_over_subsets(
             _take_doubles(rng, env.draw_doubles(queries, k))
             t += 1
             continue
-        # big_t consecutive rows observe each survivor; a draw holds whole
-        # survivors while they fit, else one survivor's rows over
-        # big_t // draw_rows draws
+        # row r observes survivor r // big_t; a draw takes the next draw_rows
+        # rows: whole survivors while they fit, else part of one survivor
         rows = min(big_t, draw_rows)
-        per_draw = draw_rows // rows
-        ones = []
-        for lo in range(0, len(survivors), per_draw):
-            group = survivors[lo : lo + per_draw]
-            arms = np.repeat(group, rows, axis=0)
-            hits = 0
-            for _ in range(big_t // rows):
-                draws = sample_matrix(env, rng, len(arms), arms=arms)
-                hits += fold_columns(draws, fold).reshape(len(group), rows).sum(axis=1)
-            ones.append(hits)
-        mu = np.concatenate(ones) / big_t
+        hits = np.zeros(len(survivors), dtype=np.uint64)
+        for lo in range(0, queries, draw_rows):
+            group = slice(lo // big_t, lo // big_t + draw_rows // rows)
+            arms = np.repeat(survivors[group], rows, axis=0)
+            draws = sample_matrix(env, rng, len(arms), arms=arms)
+            hits[group] += fold_columns(draws, fold).reshape(-1, rows).sum(axis=1)
+        mu = hits / big_t
         radius = confidence_radius(mu, big_t, n_arms, t, delta)
         keep = mu + radius >= (mu - radius).max()
         survivors, mu, t = survivors[keep], mu[keep], t + 1

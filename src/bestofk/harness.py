@@ -24,8 +24,8 @@ from .baselines import parity_identify, subset_arm_identify
 from .elimination import STAGE_CAP, run_identification
 from .errors import BestOfKError, DomainError, MismatchError
 from .game import check_model
-from .measures import (Measure, PlantedMeasure, ProductMeasure, checked, document,
-                       measure_from_dict, optimal_subset, read_fields)
+from .measures import (Measure, PlantedMeasure, ProductMeasure, _enumerate_subsets, checked,
+                       document, measure_from_dict, optimal_subset, read_fields)
 from .trial import TrialRecord
 
 __all__ = [
@@ -196,8 +196,9 @@ def _run_warnings(env: Measure, config: ExperimentConfig,
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], ExperimentSummary]:
     """Run all replicates; optionally persist records + summary to config.out.
 
-    Before the first replicate, an unusable output path raises ``DomainError``
-    and each line of ``_run_warnings`` goes to stderr as a ``warning:`` line.
+    Before the first replicate, an unusable output path raises ``DomainError``,
+    a baseline's C(n, k) past ``SUBSET_CAP`` raises ``SubsetCapError``, and
+    each line of ``_run_warnings`` goes to stderr as a ``warning:`` line.
 
     Elimination keeps its ``stage_log`` only when ``config.trace`` is on,
     since the stage trace is its only reader; without it, the leading stages
@@ -207,6 +208,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
     if config.out:
         _check_output_paths(Path(config.out), config.trace)
     truth = optimal_subset(env, config.k)
+    if config.algorithm != "elimination":
+        _enumerate_subsets(env.n, config.k)
     records: list[TrialRecord] = []
     for r in range(config.replicates):
         seed_rng = replicate_rng(config.base_seed, r)

@@ -21,6 +21,10 @@ input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the arm set)
 and ``optimal_subset`` (k); the benchmark's tracer also times ``sample_matrix``
 and ``optimal_subset`` by name.
 
+Scoring all C(n, k) subsets keeps one uniqueness rule, ``_unique_best``, and,
+but for the coverage optimum's own colex scoring, one table,
+``_enumerate_subsets`` (also the subset baselines' arms).
+
 The planted sampler takes its doubles into ``held_buffer`` scratch, at most
 ``DRAW_ELEMENTS`` (or one row) per generator call; callers bound each draw's
 observed arms by ``DRAW_ELEMENTS``.
@@ -37,13 +41,13 @@ import numbers
 import reprlib
 from abc import ABC, abstractmethod
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SubsetCapError
 
 __all__ = [
     "ProductMeasure",
@@ -71,6 +75,29 @@ TABLE_ROUNDING_TOL = 64 * np.finfo(float).eps
 SUBSET_CAP = 100_000
 # Largest planted k: the gap p * mu**k <= 2**-k, and 2**-1075 is 0.0 in floating point.
 PLANTED_K_MAX = 1074
+
+
+@lru_cache(maxsize=8)
+def _enumerate_subsets(n: int, k: int) -> np.ndarray:
+    """Read-only int64 (C(n, k), k): the k-subsets of range(n) in lexicographic
+    order, one per row.  Built once per (n, k) and process; a count past
+    ``SUBSET_CAP`` raises on every call, as a raised call is not cached."""
+    count = math.comb(n, k)
+    if count > SUBSET_CAP:
+        raise SubsetCapError(f"C({n},{k}) = {count} exceeds the cap {SUBSET_CAP}")
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.int64,
+                          count=count * k).reshape(count, k)
+    subsets.flags.writeable = False
+    return subsets
+
+
+def _unique_best(values: np.ndarray) -> int | None:
+    """Index of the first largest of ``values``, or None when the next largest
+    (repeats counted) lies within 1e-12 of it."""
+    best = int(values.argmax())
+    if len(values) > 1 and values[best] - np.delete(values, best).max() <= 1e-12:
+        return None
+    return best
 
 
 class Measure(ABC):
@@ -110,20 +137,12 @@ class Measure(ABC):
         return None
 
     def optimum(self, k: int) -> tuple[int, ...] | None:
-        """The unique best k-subset by scoring all C(n, k), or None if tied or past the cap."""
-        if math.comb(self.n, k) > SUBSET_CAP:
+        """The ``_unique_best`` row of ``_enumerate_subsets`` by E[max]; None past the cap."""
+        if not 0 < math.comb(self.n, k) <= SUBSET_CAP:  # no k-subset when k > n
             return None
-        value = self.expected_max
-        best, best_val, runner_up = None, -1.0, -1.0
-        for s in combinations(range(self.n), k):
-            v = value(s)
-            if v > best_val:
-                best, best_val, runner_up = s, v, best_val
-            elif v > runner_up:
-                runner_up = v
-        if best_val - runner_up <= 1e-12:
-            return None
-        return best
+        subsets = _enumerate_subsets(self.n, k).tolist()
+        best = _unique_best(np.array([self.expected_max(s) for s in subsets]))
+        return None if best is None else tuple(subsets[best])
 
     def to_dict(self) -> dict:
         return document(self, type=self.kind, n=self.n)
@@ -410,11 +429,8 @@ class CoverageMeasure(Measure):
                     np.bitwise_or(prev[:, :hi - lo], words[:, c, None], out=level[:, lo:hi])
             for row in level:
                 covered += np.take(popcount, row)
-        best = int(covered.argmax())
-        best_val = int(covered[best]) / self.m
-        covered[best] = -1
-        runner_up = int(covered.max()) / self.m if total > 1 else -1.0
-        if best_val - runner_up <= 1e-12:
+        best = _unique_best(covered / self.m)
+        if best is None:
             return None
         subset, rank = [], best  # the subset of colex rank best, largest arm first
         for j in range(k, 0, -1):

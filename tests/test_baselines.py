@@ -1,7 +1,9 @@
 """Subset-as-arm eliminator, the parity detector, and the calling convention
 all three identifiers share."""
 
+import hashlib
 import inspect
+import json
 import math
 from itertools import combinations
 
@@ -10,18 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestofk import baselines
-from bestofk.baselines import SUBSET_CAP, parity_identify, subset_arm_identify
+from bestofk import baselines, measures
+from bestofk.baselines import parity_identify, subset_arm_identify
 from bestofk.elimination import STAGE_CAP, run_identification
 from bestofk.errors import DomainError, SubsetCapError
 from bestofk.harness import ExperimentConfig
 from bestofk.measures import (
+    SUBSET_CAP,
     CoverageMeasure,
     JointTableMeasure,
     PlantedMeasure,
     ProductMeasure,
     sample_matrix,
 )
+from bestofk.trial import TrialRecord
 
 
 class TestSubsetArm:
@@ -39,8 +43,8 @@ class TestSubsetArm:
                 subset_arm_identify(env, 15, 0.1, np.random.default_rng(0))
 
     def test_enumeration_is_built_once_and_read_only(self):
-        first = baselines._enumerate_subsets(7, 3)
-        assert baselines._enumerate_subsets(7, 3) is first
+        first = measures._enumerate_subsets(7, 3)
+        assert measures._enumerate_subsets(7, 3) is first
         assert not first.flags.writeable and first.dtype == np.int64
         assert first.tolist() == [list(s) for s in combinations(range(7), 3)]
 
@@ -85,6 +89,52 @@ class TestSubsetArm:
         assert max(rows) == 16 and sum(rows) + skipped_queries == split.total_queries
         if replays:
             assert whole.inconclusive and split == whole
+
+    @pytest.mark.parametrize(
+        "identify,env,k,all_drawn,returned,total_queries,stages,inconclusive,state",
+        [
+            (subset_arm_identify, PlantedMeasure(4, 2, 0.5, 1.0), 2, False,
+             (0, 1), 6132, 9, False, "b6c583bc17ea6062"),
+            (subset_arm_identify, PlantedMeasure(4, 2, 0.5, 1.0), 2, True,
+             (0, 1), 6132, 9, False, "a3671866207a5fb1"),
+            (subset_arm_identify, PlantedMeasure(5, 3, 0.5, 1.0), 3, True,
+             (0, 1, 2), 20460, 10, False, "663c4c5fe880fd95"),
+            (parity_identify, PlantedMeasure(5, 2, 0.5, 1.0), 2, True,
+             (0, 1), 5100, 8, False, "4b08e209566e3b90"),
+            (parity_identify, PlantedMeasure(4, 3, 0.5, 1.0), 3, False,
+             (0, 1, 2), 2040, 8, False, "54d674de8bf8f824"),
+            (subset_arm_identify, CoverageMeasure(6, [{0, 1}, {2}, {3, 4}, {4}, {1, 5}]), 2,
+             False, (0, 2), 35820, 11, True, "9582c1ba976fd6ae"),
+            (parity_identify, CoverageMeasure(6, [{0, 1}, {2}, {3, 4}, {4}, {1, 5}]), 3,
+             False, (0, 1, 2), 20972, 11, True, "a431aceef3d97c76"),
+        ],
+        ids=["arm-planted", "arm-planted-drawn", "arm-planted-k3-drawn", "parity-planted-drawn",
+             "parity-planted-k3", "arm-coverage", "parity-coverage-k3"],
+    )
+    def test_split_draws_are_pinned(self, identify, env, k, all_drawn, returned, total_queries,
+                                    stages, inconclusive, state, monkeypatch):
+        # a planted or coverage draw reads the stream per call, so the record,
+        # the draws and the generator's end state pin where each stage is cut
+        # into draws.  A draw holds 16 rows here: stages 1-4 put whole
+        # survivors in a draw, later stages split one survivor over several.
+        # Planted stages 1-5 run undrawn unless every stage is drawn (all_drawn)
+        digest = hashlib.sha256()
+
+        def hashed(measure, rng, size, arms=None):
+            draws = sample_matrix(measure, rng, size, arms=arms)
+            digest.update(np.ascontiguousarray(arms).tobytes() + draws.tobytes())
+            return draws
+
+        monkeypatch.setattr(baselines, "DRAW_ELEMENTS", 20 * k)
+        monkeypatch.setattr(baselines, "sample_matrix", hashed)
+        if all_drawn:
+            monkeypatch.setattr(type(env), "draw_doubles", lambda self, size, w: None)
+        rng = np.random.default_rng(1)
+        rec = identify(env, k, 0.1, rng, stage_cap=11)
+        digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+        assert rec == TrialRecord(returned=returned, total_queries=total_queries, stages=stages,
+                                  inconclusive=inconclusive)
+        assert digest.hexdigest()[:16] == state
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), identify=st.sampled_from([subset_arm_identify, parity_identify]),

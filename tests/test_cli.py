@@ -342,6 +342,19 @@ def test_instance_too_large_to_hold_is_one_line_error(tmp_path, model, measure):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("measure", [
+    {"type": "coverage", "m": 40, "sets": [[i] for i in range(30)]},
+    {"type": "product", "means": [0.5, 0.4, 0.3, 0.2] + [0.1] * 26},
+], ids=["coverage", "product"])
+def test_baseline_past_the_subset_cap_fails_before_any_warning(tmp_path, measure):
+    # no unique best 10-subset is known for either, which would be a warning
+    done = _run_cli(tmp_path, {"measure": measure, "model": "bandit", "k": 10, "delta": 0.1,
+                               "algorithm": "subset_arm"})
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines() == ["error: C(30,10) = 30045015 exceeds the cap 100000"]
+    assert done.stdout == ""
+
+
 def test_trace_option_rejected_for_baselines(tmp_path):
     # the --trace override is checked like the config key: no empty .trace file
     out = tmp_path / "res.jsonl"

@@ -543,6 +543,34 @@ class TestOptimalSubset:
         assert optimal_subset(measure, k) == (best if unique else None)
         assert measures.Measure.optimum(measure, k) == (best if unique else None)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_generic_optimum_matches_expected_max_enumeration(self, data):
+        # the families that reach Measure.optimum: joint tables, whose atoms
+        # take few values so that repeated atoms tie, and planted measures with
+        # k other than the planted k or p = 0, where every subset that holds
+        # the planted set (or every subset, below the planted k) ties
+        if data.draw(st.booleans()):
+            dim = data.draw(st.integers(1, 5))
+            weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=2**dim,
+                                         max_size=2**dim).filter(any))
+            measure = JointTableMeasure(dim, tuple(w / sum(weights) for w in weights))
+            k = data.draw(st.integers(1, dim))
+        else:
+            n = data.draw(st.integers(2, 7))
+            planted = data.draw(st.integers(2, n))
+            p = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+            measure = PlantedMeasure(n, planted, data.draw(st.sampled_from([0.25, 0.5])), p,
+                                     planted_set=data.draw(st.permutations(range(n)))[:planted])
+            k = data.draw(st.integers(1, n).filter(lambda k: k != planted or p == 0))
+        values = {s: expected_max(measure, s) for s in combinations(range(measure.n), k)}
+        best = max(values, key=values.get)  # the first maximum in scan order
+        ordered = sorted(values.values())
+        unique = len(ordered) == 1 or ordered[-1] - ordered[-2] > 1e-12
+        assert optimal_subset(measure, k) == (best if unique else None)
+        if k == measure.n:  # one subset, so a unique answer
+            assert optimal_subset(measure, k) == tuple(range(k))
+
     @pytest.mark.parametrize("sets, best", [
         # arms 6-8 cover disjoint ranges: the best subset is the last one scored
         ([{0, 1}, {13}, {2, 30}, {3}, {25, 26}, {39}, set(range(12)), set(range(12, 24)),
