@@ -10,9 +10,9 @@ Fresh samples every stage; the budget doubles until k arms are accepted.
 The leading stages whose every radius is above 1/2 cannot decide anything
 (``_undecidable_stages``).  ``_undrawn_stages`` is the one rule for how many
 of them a run takes undrawn; this module's loop (when it keeps no stage log)
-and the subset baselines' loop both read it.  An undrawn stage takes the
-doubles its draws would from the generator (``_take_doubles``) and counts its
-queries, so the record equals the fully simulated run's.
+and the subset baselines' loop both read it.  An undrawn stage advances the
+generator past the doubles its draws would take and counts its queries, so
+the record and the generator's end state equal the fully simulated run's.
 
 ``stage_play`` is the one sampling engine behind ``run_identification``: it
 lays out a chunk of plays as queries, draws reward bits only for the queried
@@ -104,24 +104,19 @@ def _undecidable_stages(n_arms: int, delta: float) -> int:
     return t - 1
 
 
-def _take_doubles(rng: np.random.Generator, count: int) -> None:
-    """Take ``count`` ``Generator.random`` doubles from ``rng`` and drop them.
-
-    A double takes one step of the stream however the calls are cut, so this
-    leaves ``rng`` where drawing them in any chunks would; it draws at most
-    ``DRAW_ELEMENTS`` at a time into held scratch.
-    """
-    for lo in range(0, count, DRAW_ELEMENTS):
-        rng.random(out=held_buffer("draw.uniforms", (min(DRAW_ELEMENTS, count - lo),), np.float64))
-
-
-def _undrawn_stages(env: Measure, n_arms: int, k: int, delta: float, stage_cap: int) -> int:
+def _undrawn_stages(env: Measure, rng: np.random.Generator, n_arms: int, k: int, delta: float,
+                    stage_cap: int) -> int:
     """How many leading stages a run takes undrawn: none unless
-    ``env.draw_doubles`` counts a draw's doubles, else the stages that cannot
-    decide any of ``n_arms`` arms (the union bound's count) short of the cap
-    stage, whose estimates name a baseline's leader.  A stage of that prefix
-    takes the same doubles drawn or undrawn, so no record depends on the cut."""
-    if env.draw_doubles(1, k) is None:
+    ``env.draw_doubles`` counts a draw's doubles and ``rng`` is a PCG64 with
+    no 32-bit half held (as ``harness.replicate_rng`` makes it), else the
+    stages that cannot decide any of ``n_arms`` arms (the union bound's
+    count) short of the cap stage, whose estimates name a baseline's leader.
+    A ``Generator.random`` double is one PCG64 step and ``advance`` zeroes
+    only that half, so advancing past a stage's doubles leaves ``rng`` as
+    drawing them would, and no record depends on the cut."""
+    state = rng.bit_generator.state
+    if (env.draw_doubles(1, k) is None or state["bit_generator"] != "PCG64"
+            or state["has_uint32"] or state["uinteger"]):
         return 0
     return min(_undecidable_stages(n_arms, delta), stage_cap - 1)
 
@@ -312,10 +307,10 @@ def run_identification(
 
     Without the log, the leading stages that cannot decide an arm are taken
     undrawn (``_undrawn_stages``).  In such a stage U' is all n arms, k1 = k,
-    k2 = 0 and |B| = 0 (``balanced`` needs n >= ceil(7k/2)), so its T plays
-    take T n permutation keys, the bit doubles of T q queries of k arms,
-    q = ceil(n / k), and under marked feedback T q winner uniforms, all of
-    them ``Generator.random`` doubles.
+    k2 = 0 and |B| = 0 (``balanced`` needs n >= ceil(7k/2)), so its one
+    ``rng.bit_generator.advance`` steps over T n permutation keys, the bit
+    doubles of T q queries of k arms, q = ceil(n / k), and under marked
+    feedback T q winner uniforms.
     """
     check_model(model)
     if stage_cap < 1:
@@ -339,14 +334,14 @@ def run_identification(
     undecided, accepted, rejected = tuple(range(n)), (), ()
     t, total_queries = 1, 0
     stage_log: list[StageRecord] = []
-    undrawn = 0 if keep_log else _undrawn_stages(env, n, k, delta, stage_cap)
+    undrawn = 0 if keep_log else _undrawn_stages(env, rng, n, k, delta, stage_cap)
 
     while t <= stage_cap and len(accepted) < k:
         big_t, k1 = 2**t, min(len(undecided), k)
         if t <= undrawn:
             queries = big_t * queries_per_play(n, k1)
             marks = queries if model == "marked" else 0
-            _take_doubles(rng, big_t * n + env.draw_doubles(queries, k1) + marks)
+            rng.bit_generator.advance(big_t * n + env.draw_doubles(queries, k1) + marks)
             total_queries, t = total_queries + queries, t + 1
             continue
         if model == "bandit" and not balanced and len(undecided) <= k:

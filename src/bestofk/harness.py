@@ -202,7 +202,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
 
     Elimination keeps its ``stage_log`` only when ``config.trace`` is on,
     since the stage trace is its only reader; without it, the leading stages
-    that cannot decide anything run undrawn (``elimination._undrawn_stages``).
+    that cannot decide anything run undrawn, each one advance of the
+    replicate's PCG64 (``elimination._undrawn_stages``).
     """
     env = measure_from_dict(config.measure)
     if config.out:

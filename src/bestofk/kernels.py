@@ -120,15 +120,13 @@ def lowest_keys(keys: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(picked, rank, axis=1)
 
 
-def play_arms(
-    order: np.ndarray, topoff: np.ndarray, k1: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def play_arms(order: np.ndarray, topoff: np.ndarray, k1: int, out: np.ndarray) -> np.ndarray:
     """Lay out a batch of plays as queries.
 
     order   int64 (B, m): each play's sampling pool in permuted order
     topoff  int64 (B, k2): per-play top-off arms (k2 may be 0)
-    out     int64 (B, q, k1 + k2), optional: the buffer to write the layout
-            into; every element is overwritten
+    out     int64 (B, q, k1 + k2): the buffer to write the layout into; every
+            element is overwritten
 
     Returns int64 (B, q, k1 + k2), the arms of every query: ``out``, or a
     view of ``order`` when k1 divides m and k2 is 0.
@@ -138,15 +136,13 @@ def play_arms(
     full, rem = divmod(m, k1)
     if not (rem or k2):
         return order.reshape(n_plays, full, k1)
-    q = queries_per_play(m, k1)
-    arms = np.empty((n_plays, q, k1 + k2), dtype=np.int64) if out is None else out
-    arms[:, :full, :k1] = order[:, : full * k1].reshape(n_plays, full, k1)
+    out[:, :full, :k1] = order[:, : full * k1].reshape(n_plays, full, k1)
     if rem:
         # the remainder block is padded by the first k1 - rem arms of the order
-        arms[:, full, :rem] = order[:, full * k1 :]
-        arms[:, full, rem:k1] = order[:, : k1 - rem]
-    arms[:, :, k1:] = topoff[:, None, :]
-    return arms
+        out[:, full, :rem] = order[:, full * k1 :]
+        out[:, full, rem:k1] = order[:, : k1 - rem]
+    out[:, :, k1:] = topoff[:, None, :]
+    return out
 
 
 def record_plays(

@@ -26,6 +26,7 @@ from bestofk.measures import (
     sample_matrix,
 )
 from bestofk.trial import TrialRecord
+from test_elimination import GENERATORS, generator_state, make_generator
 
 
 class TestSubsetArm:
@@ -136,10 +137,12 @@ class TestSubsetArm:
                                   inconclusive=inconclusive)
         assert digest.hexdigest()[:16] == state
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data(), identify=st.sampled_from([subset_arm_identify, parity_identify]),
-           stage_cap=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
-    def test_skipped_stages_replay_the_simulated_run(self, data, identify, stage_cap, seed):
+           stage_cap=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           generator=st.sampled_from(GENERATORS))
+    def test_skipped_stages_replay_the_simulated_run(self, data, identify, stage_cap, seed,
+                                                     generator):
         # the first 5 or 6 stages of these configs cannot drop a subset, so
         # caps of 1-9 end inside the skipped prefix and past it
         n = data.draw(st.integers(3, 6))
@@ -152,11 +155,13 @@ class TestSubsetArm:
             mu = 0.5 if identify is parity_identify else data.draw(st.sampled_from([0.25, 0.5]))
             env = PlantedMeasure(n, planted, mu, data.draw(st.sampled_from([0.5, 1.0])))
         delta = data.draw(st.sampled_from([0.01, 0.1, 0.5]))
-        skipping = identify(env, k, delta, np.random.default_rng(seed), stage_cap)
+        skipping_rng, simulated_rng = (make_generator(generator, seed) for _ in range(2))
+        skipping = identify(env, k, delta, skipping_rng, stage_cap)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(type(env), "draw_doubles", lambda self, size, w: None)
-            simulated = identify(env, k, delta, np.random.default_rng(seed), stage_cap)
+            simulated = identify(env, k, delta, simulated_rng, stage_cap)
         assert skipping == simulated
+        assert generator_state(skipping_rng) == generator_state(simulated_rng)
 
     def test_workload_draws_from_stage_6(self, monkeypatch):
         # the subset-planted-n8 config: the radius floor over its 28 subset

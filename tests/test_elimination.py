@@ -1,5 +1,6 @@
 """Intervals, stage play, balancing, the elimination loop."""
 
+import json
 import math
 import os
 import subprocess
@@ -403,16 +404,37 @@ class TestRunIdentification:
             run_identification(env, "semi", 1, 0.1)
 
 
-class TestUndrawnStages:
-    """Without a stage log, the leading stages that cannot decide an arm take
-    their doubles from the generator undrawn."""
+# the generators an undrawn stage must replay on: PCG64 as
+# ``harness.replicate_rng`` makes it, PCG64 after one 32-bit draw (its other
+# half buffered) and after two (the spent half left in the state), and two
+# bit generators without ``advance``
+GENERATORS = ("PCG64", "PCG64 buffered", "PCG64 spent", "MT19937", "SFC64")
 
-    @settings(max_examples=60, deadline=None)
+
+def make_generator(kind: str, seed: int) -> np.random.Generator:
+    if kind in ("MT19937", "SFC64"):
+        return np.random.Generator(getattr(np.random, kind)(seed))
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10, size={"PCG64": 0, "PCG64 buffered": 1, "PCG64 spent": 2}[kind])
+    return rng
+
+
+def generator_state(rng: np.random.Generator) -> str:
+    """The bit generator's whole state, comparable with == (MT19937 holds an array)."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+class TestUndrawnStages:
+    """Without a stage log, the leading stages that cannot decide an arm
+    advance the generator past their doubles undrawn."""
+
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data(), model=st.sampled_from(["semi", "bandit", "marked"]),
            exact_k_mode=st.sampled_from([None, True, False]), stage_cap=st.integers(1, 14),
-           delta=st.floats(1e-6, 0.9), seed=st.integers(0, 2**32 - 1))
+           delta=st.floats(1e-6, 0.9), seed=st.integers(0, 2**32 - 1),
+           generator=st.sampled_from(GENERATORS))
     def test_undrawn_stages_replay_the_drawn_run(self, data, model, exact_k_mode, stage_cap,
-                                                 delta, seed):
+                                                 delta, seed, generator):
         # 4-8 stages cannot decide here, so caps of 1-14 end inside that
         # prefix and past it; k = n skips none, as it samples nothing
         n = data.draw(st.integers(2, 8))
@@ -428,10 +450,10 @@ class TestUndrawnStages:
                                  data.draw(st.sampled_from([0.5, 1.0])))
         runs = []
         for keep_log in (True, False):
-            rng = np.random.default_rng(seed)
+            rng = make_generator(generator, seed)
             rec = run_identification(env, model, k, delta, rng, stage_cap, exact_k_mode,
                                      keep_log=keep_log)
-            runs.append((rec, rng.bit_generator.state))
+            runs.append((rec, generator_state(rng)))
         (drawn, drawn_state), (undrawn, undrawn_state) = runs
         assert undrawn == drawn
         assert undrawn_state == drawn_state

@@ -30,17 +30,24 @@ def test_unknown_model_rejected():
         )
 
 
+def _play_arms(order, topoff, k1):
+    """``play_arms`` into a buffer of -1s, so an unwritten element shows."""
+    q = kernels.queries_per_play(order.shape[1], k1)
+    out = np.full((len(order), q, k1 + topoff.shape[1]), -1, np.int64)
+    return kernels.play_arms(order, topoff, k1, out)
+
+
 def test_play_arms_layout():
     # m=5, k1=2: two full blocks, then the remainder padded by the first arm;
     # the top-off arm joins every query unrecorded
     order = np.array([[10, 11, 12, 13, 14]])
-    arms = kernels.play_arms(order, np.array([[7]]), 2)
+    arms = _play_arms(order, np.array([[7]]), 2)
     assert arms.tolist() == [[[10, 11, 7], [12, 13, 7], [14, 10, 7]]]
     # order position i sits at slot i % 2 of query i // 2
     assert [arms[0, i // 2, i % 2] for i in range(5)] == order[0].tolist()
     # k1 divides m and there is no top-off: the layout is the order itself
     order = np.array([[10, 11, 12, 13]])
-    arms = kernels.play_arms(order, np.zeros((1, 0), np.int64), 2)
+    arms = _play_arms(order, np.zeros((1, 0), np.int64), 2)
     assert arms.tolist() == [[[10, 11], [12, 13]]]
     assert np.shares_memory(arms, order)
 
@@ -56,7 +63,7 @@ def test_play_arms_follows_the_per_play_spec(data, k1, k2, plays):
     perms = [data.draw(st.permutations(range(m + k2))) for _ in range(plays)]
     order = np.array([p[:m] for p in perms], dtype=np.int64)
     topoff = np.array([p[m:] for p in perms], dtype=np.int64).reshape(plays, k2)
-    arms = kernels.play_arms(order, topoff, k1)
+    arms = _play_arms(order, topoff, k1)
     q = kernels.queries_per_play(m, k1)
     assert arms.shape == (plays, q, k1 + k2)
     for p in range(plays):
@@ -142,7 +149,7 @@ def test_lowest_keys_equals_the_argsort_prefix(m, rows, seed):
 def test_record_plays_credits_recorded_slots(model, mark, expected):
     # order 0 1 2 3 in two queries of two, each topped off by arm 4
     order = np.array([[0, 1, 2, 3]])
-    assert kernels.play_arms(order, np.array([[4]]), 2).tolist() == [[[0, 1, 4], [2, 3, 4]]]
+    assert _play_arms(order, np.array([[4]]), 2).tolist() == [[[0, 1, 4], [2, 3, 4]]]
     bits = np.array([[[0, 0, 1], [1, 1, 0]]], np.uint8)
     y = kernels.record_plays(bits, order, 2, model, np.zeros(5, np.int64), np.full((1, 2), mark))
     assert {a: int(c) for a, c in enumerate(y) if c} == expected
@@ -210,7 +217,7 @@ def recorder_cases(draw):
     perms = [draw(st.permutations(range(n))) for _ in range(plays)]
     order = np.array([p[:m] for p in perms], dtype=np.int64)
     topoff = np.array([p[m : m + k2] for p in perms], dtype=np.int64).reshape(plays, k2)
-    arms = kernels.play_arms(order, topoff, k1)
+    arms = _play_arms(order, topoff, k1)
     bits = draw(arrays(np.uint8, arms.shape, elements=st.integers(0, 1)))
     mark_u = draw(arrays(np.float64, arms.shape[:2],
                          elements=st.floats(0.0, 1.0, exclude_max=True)))
@@ -271,7 +278,7 @@ def test_record_plays_marked_wide_queries_equal_observe(m, k1, k2, fill):
     perms = [rng.permutation(n) for _ in range(plays)]
     order = np.array([p[:m] for p in perms], dtype=np.int64)
     topoff = np.array([p[m : m + k2] for p in perms], dtype=np.int64).reshape(plays, k2)
-    arms = kernels.play_arms(order, topoff, k1)
+    arms = _play_arms(order, topoff, k1)
     bits = (np.ones(arms.shape, np.uint8) if fill == "ones"
             else (rng.random(arms.shape) < 0.9).astype(np.uint8))
     mark_u = rng.random(arms.shape[:2])
