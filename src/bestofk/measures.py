@@ -21,9 +21,10 @@ input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the arm set)
 and ``optimal_subset`` (k); the benchmark's tracer also times ``sample_matrix``
 and ``optimal_subset`` by name.
 
-Scoring all C(n, k) subsets keeps one uniqueness rule, ``_unique_best``, and,
-but for the coverage optimum's own colex scoring, one table,
-``_enumerate_subsets`` (also the subset baselines' arms).
+Scoring all C(n, k) subsets keeps one uniqueness rule, ``_unique_best``, and
+one subset table, ``_enumerate_subsets`` (also the subset baselines' arms);
+the coverage optimum scores in colex order instead, counting unions in
+64-bit words packed from the ``members`` table that ``draw`` reads.
 
 The planted sampler takes its doubles into ``held_buffer`` scratch, at most
 ``DRAW_ELEMENTS`` (or one row) per generator call; callers bound each draw's
@@ -208,9 +209,11 @@ class ProductMeasure(Measure):
         return np.ones(1), 1.0 - self.mean_array[None], self.mean_array[None]
 
     def optimum(self, k):
-        """The top k means; None when the k-th and (k+1)-th tie."""
+        """The top k means; None when the k-th and (k+1)-th tie, or when 2 <= k < n
+        and the top mean is 1.0, since every k-subset holding that arm has E[max] 1."""
         order = sorted(range(self.n), key=lambda i: (-self.means[i], i))
-        if k < self.n and self.means[order[k - 1]] == self.means[order[k]]:
+        if k < self.n and (self.means[order[k - 1]] == self.means[order[k]]
+                           or k >= 2 and self.means[order[0]] == 1.0):
             return None
         return tuple(sorted(order[:k]))
 
@@ -400,35 +403,31 @@ class CoverageMeasure(Measure):
     def optimum(self, k):
         """``Measure.optimum``'s rule, with the unions of all k-subsets counted at once.
 
-        Each set is packed into 16-bit words over the elements some set holds.
-        In colex order the k-subsets whose largest arm is c are {c} joined to
-        each (k-1)-subset of range(c), the first C(c, k-1) of their own order,
-        so each subset size is built from the last by one OR per arm.  Blocks
-        of words keep every array within ``DRAW_ELEMENTS`` elements; a
-        popcount table counts the covered elements, one word row at a time.
+        The rows of ``members`` that some set holds are packed into 64-bit
+        words, one column per arm.  In colex order the k-subsets whose largest
+        arm is c are {c} joined to each (k-1)-subset of range(c), the first
+        C(c, k-1) of their own order, so each subset size is built from the
+        last by one OR per arm.  Blocks of words keep every array within
+        ``DRAW_ELEMENTS`` elements, and ``np.bitwise_count`` counts the
+        covered elements.  None past the cap.
         """
         n, total = self.n, math.comb(self.n, k)
         if not 1 <= k <= n or total > SUBSET_CAP:
-            return super().optimum(k)
-        held, cols = np.unique(np.fromiter(chain.from_iterable(self.sets), dtype=np.int64),
-                               return_inverse=True)
-        bits = np.zeros((n, 16 * max(1, -(-len(held) // 16))), dtype=np.uint8)
-        bits[np.repeat(np.arange(n), [len(s) for s in self.sets]), cols] = 1
-        rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint16).T.copy()  # (words, n)
-        popcount = np.zeros(1 << 16, dtype=np.uint8)
-        for b in range(16):
-            popcount[1 << b:2 << b] = popcount[:1 << b] + 1
-        covered = np.zeros(total, dtype=np.int64)
+            return None
+        held = self.members[self.members.any(axis=1)]  # the elements some set holds
+        bits = np.zeros((n, len(held) - len(held) % -64), dtype=np.uint8)
+        bits[:, :len(held)] = held.T
+        rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint64).T.copy()  # (words, n)
+        covered = np.zeros(total, dtype=np.uint64)
         step = max(1, DRAW_ELEMENTS // total)
         for words in (rows[w:w + step] for w in range(0, len(rows), step)):
             level = words[:, :n - k + 1]  # the j-subsets that start a k-subset, for j = 1
             for j in range(2, k + 1):
-                level, prev = np.empty((len(words), math.comb(n - k + j, j)), np.uint16), level
+                level, prev = np.empty((len(words), math.comb(n - k + j, j)), np.uint64), level
                 for c in range(j - 1, n - k + j):
                     lo, hi = math.comb(c, j), math.comb(c + 1, j)
                     np.bitwise_or(prev[:, :hi - lo], words[:, c, None], out=level[:, lo:hi])
-            for row in level:
-                covered += np.take(popcount, row)
+            covered += np.bitwise_count(level).sum(axis=0)
         best = _unique_best(covered / self.m)
         if best is None:
             return None

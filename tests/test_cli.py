@@ -68,6 +68,18 @@ def test_run_inconclusive_exit_code(tmp_path):
     assert main(["run", "--config", str(path)]) == EXIT_INCONCLUSIVE
 
 
+def test_run_with_a_unit_mean_names_no_best_subset(tmp_path, capsys):
+    # {0, 1} and {0, 2} both have E[max] = 1, so no replicate is scored
+    cfg = ExperimentConfig(measure=ProductMeasure(means=(1.0, 0.5, 0.4)).to_dict(),
+                           model="semi", k=2, delta=0.1, replicates=2, base_seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(document(cfg), sort_keys=True))
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "warning: no unique best 2-subset is known" in captured.err
+    assert json.loads(captured.out)["success_rate"] is None
+
+
 def test_bounds_subcommand_product(product_config_path, capsys):
     assert main(["bounds", "--config", str(product_config_path)]) == EXIT_OK
     text = capsys.readouterr().out

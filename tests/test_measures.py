@@ -522,12 +522,12 @@ class TestOptimalSubset:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        m=st.integers(1, 70),
-        sets=st.lists(st.frozensets(st.integers(0, 69), max_size=40), min_size=1, max_size=7),
+        m=st.integers(1, 140),
+        sets=st.lists(st.frozensets(st.integers(0, 139), max_size=40), min_size=1, max_size=7),
         k=st.integers(1, 7),
     )
     def test_coverage_bitmasks_match_expected_max_enumeration(self, m, sets, k):
-        # up to 70 elements, so a packed row spans several 16-bit words
+        # up to 140 elements, so a packed row spans up to three 64-bit words
         sets = [frozenset(e for e in s if e < m) for s in sets]
         k = min(k, len(sets))
         measure = CoverageMeasure(m, sets)
@@ -549,8 +549,16 @@ class TestOptimalSubset:
         # the families that reach Measure.optimum: joint tables, whose atoms
         # take few values so that repeated atoms tie, and planted measures with
         # k other than the planted k or p = 0, where every subset that holds
-        # the planted set (or every subset, below the planted k) ties
-        if data.draw(st.booleans()):
+        # the planted set (or every subset, below the planted k) ties; and
+        # product measures on a grid of means, where equal means and a unit
+        # mean (every k-subset holding that arm has E[max] 1) tie
+        family = data.draw(st.sampled_from(["joint_table", "planted", "product"]))
+        if family == "product":
+            means = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                       min_size=1, max_size=7))
+            measure = ProductMeasure(tuple(means))
+            k = data.draw(st.integers(1, measure.n))
+        elif family == "joint_table":
             dim = data.draw(st.integers(1, 5))
             weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=2**dim,
                                          max_size=2**dim).filter(any))
@@ -573,17 +581,17 @@ class TestOptimalSubset:
 
     @pytest.mark.parametrize("sets, best", [
         # arms 6-8 cover disjoint ranges: the best subset is the last one scored
-        ([{0, 1}, {13}, {2, 30}, {3}, {25, 26}, {39}, set(range(12)), set(range(12, 24)),
-          set(range(24, 36))], (6, 7, 8)),
+        ([{0, 1}, {52}, {2, 120}, {3}, {100, 101}, {159}, set(range(48)), set(range(48, 96)),
+          set(range(96, 144))], (6, 7, 8)),
         # pairs {6, 7} and {6, 8} tie, each covering elements in two or three words
-        ([{0}, {1}, {2}, {3}, {4}, {5}, set(range(20)), set(range(20, 30)),
-          set(range(30, 40))], None),
+        ([{0}, {1}, {2}, {3}, {4}, {5}, set(range(80)), set(range(80, 120)),
+          set(range(120, 160))], None),
     ])
     def test_coverage_optimum_in_several_blocks(self, monkeypatch, sets, best):
-        measure = CoverageMeasure(40, sets)
+        measure = CoverageMeasure(160, sets)
         k = 3 if best else 2
         assert measures.Measure.optimum(measure, k) == best
-        monkeypatch.setattr(measures, "DRAW_ELEMENTS", 10)  # 40 elements: 3 blocks of 1 word
+        monkeypatch.setattr(measures, "DRAW_ELEMENTS", 10)  # 160 elements: 3 blocks of 1 word
         assert measure.optimum(k) == best
 
     def test_coverage_workload_optimum(self, monkeypatch):
