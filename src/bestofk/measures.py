@@ -26,9 +26,11 @@ one subset table, ``_enumerate_subsets`` (also the subset baselines' arms);
 the coverage optimum scores in colex order instead, counting unions in
 64-bit words packed from the ``members`` table that ``draw`` reads.
 
-The planted sampler takes its doubles into ``held_buffer`` scratch, at most
-``DRAW_ELEMENTS`` (or one row) per generator call; callers bound each draw's
-observed arms by ``DRAW_ELEMENTS``.
+The planted sampler takes its doubles, and gathers its per-arm cells,
+thresholds and gates, into ``held_buffer`` scratch, at most
+``DRAW_ELEMENTS`` doubles (or one row) per generator call, and checks each
+block's arms once; callers bound each draw's observed arms by
+``DRAW_ELEMENTS``.
 
 Arms are 0-based everywhere.  All randomness flows through explicit
 ``numpy.random.Generator`` instances; measures themselves are immutable and
@@ -209,13 +211,14 @@ class ProductMeasure(Measure):
         return np.ones(1), 1.0 - self.mean_array[None], self.mean_array[None]
 
     def optimum(self, k):
-        """The top k means; None when the k-th and (k+1)-th tie, or when 2 <= k < n
-        and the top mean is 1.0, since every k-subset holding that arm has E[max] 1."""
+        """The top k means; None when the runner-up, which swaps the top set's k-th
+        mean for the (k+1)-th, has an E[max] within 1e-12 of the top set's."""
         order = sorted(range(self.n), key=lambda i: (-self.means[i], i))
-        if k < self.n and (self.means[order[k - 1]] == self.means[order[k]]
-                           or k >= 2 and self.means[order[0]] == 1.0):
+        best = sorted(order[:k])
+        if k < self.n and (self.expected_max(best)
+                           - self.expected_max(sorted(order[: k - 1] + [order[k]])) <= 1e-12):
             return None
-        return tuple(sorted(order[:k]))
+        return tuple(best)
 
 
 @dataclass(frozen=True)
@@ -276,12 +279,20 @@ class PlantedMeasure(Measure):
         the block's (size, k) layout and copied into the table by one
         transposing pass, and the row offsets are added down the columns of
         the cell table (``order="C"`` on its transpose).
+
+        The cell table and the threshold and gate gathers are ``held_buffer``
+        views that ``np.take`` fills in clip mode, as raise mode would fill a
+        fresh copy of ``out``; so one range check per block raises
+        ``IndexError`` for an arm outside range(n), before the block's doubles
+        are drawn.  Only the returned bits are fresh.
         """
         size, k = len(arms), self.k
         rows = max(1, DRAW_ELEMENTS // (1 + k + arms.shape[1]))
         if size > rows:
             return np.concatenate([self.draw(rng, arms[i : i + rows])
                                    for i in range(0, size, rows)])
+        if arms.size and (arms.min() < 0 or arms.max() >= self.n):
+            raise IndexError(f"planted draw arms must lie in range({self.n})")
         block = (size * (1 + k + arms.shape[1]),)
         u = rng.random(out=held_buffer("draw.uniforms", block, np.float64))
         y = u[:size] < self.p
@@ -291,10 +302,12 @@ class PlantedMeasure(Measure):
         # Y=1 forces odd parity over the planted set: flip Z_0 where Y and the
         # parity is even (y > parity is y and not parity)
         gate[0] ^= y > np.bitwise_xor.reduce(gate[:k], axis=0)
-        cell = np.take(self.slots * size, arms)
+        cell = (self.slots * size).take(arms, mode="clip",
+                                        out=held_buffer("draw.cells", arms.shape, np.int64))
         np.add(cell.T, np.arange(size), out=cell.T, order="C")
-        bits = u[size * (1 + k) :].reshape(arms.shape) < np.take(self.thresholds, arms)
-        bits &= np.take(gate, cell)
+        bits = u[size * (1 + k) :].reshape(arms.shape) < self.thresholds.take(
+            arms, mode="clip", out=held_buffer("draw.thresholds", arms.shape, np.float64))
+        bits &= gate.take(cell, mode="clip", out=held_buffer("draw.gates", arms.shape, bool))
         return bits.view(np.uint8)
 
     def draw_doubles(self, size, w):

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -720,7 +719,7 @@ class TestStageMemory:
         assert peak_mb < 100, peak_mb
 
     @pytest.mark.parametrize("model,bound_mb", [("semi", 11), ("bandit", 4), ("marked", 9)])
-    def test_warm_stage_allocations_are_bounded(self, model, bound_mb):
+    def test_warm_stage_allocations_are_bounded(self, model, bound_mb, allocation_peak):
         # the peak of fresh numpy allocations in a warm 4096-play stage over 256
         # arms: the reward bits (1 MB) and the recorder's temporaries (10 MB with
         # semi's index list); one more chunk-sized int64 array is 8 MB, and the
@@ -730,12 +729,5 @@ class TestStageMemory:
         env = ProductMeasure(means=tuple(np.linspace(0.05, 0.95, 256)))
         stage = (env, range(256), (), (), 8, 0, model, CHUNK_PLAYS)
         stage_play(*stage, np.random.default_rng(1))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            stage_play(*stage, np.random.default_rng(2))
-            peak_mb = (tracemalloc.get_traced_memory()[1] - before) / 2**20
-        finally:
-            tracemalloc.stop()
+        peak_mb = allocation_peak(lambda: stage_play(*stage, np.random.default_rng(2))) / 2**20
         assert peak_mb < bound_mb, peak_mb

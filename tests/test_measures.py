@@ -270,9 +270,30 @@ class TestPlantedDraw:
         arms = np.argsort(np.random.default_rng(5).random((300, 80)), axis=1)[:, :70]
         self.assert_same_draw(measure, arms, 6)
 
-    def test_arm_out_of_range_raises(self):
+    @pytest.mark.parametrize("arm", [7, -1])  # arm n of PLANTED, and a negative arm
+    def test_arm_out_of_range_raises(self, arm):
+        rng = np.random.default_rng(0)
         with pytest.raises(IndexError):
-            PLANTED.draw(np.random.default_rng(0), np.asarray([[0, PLANTED.n]]))
+            PLANTED.draw(rng, np.asarray([[0, arm]]))
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+    def test_zero_rows_draw_nothing(self):
+        rng = np.random.default_rng(0)
+        bits = PLANTED.draw(rng, np.empty((0, 3), dtype=np.int64))
+        assert bits.dtype == np.uint8 and bits.shape == (0, 3)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("rows", [14_336, measures.DRAW_ELEMENTS // 5])
+    def test_warm_draw_allocates_less_than_its_cells(self, rows, allocation_peak):
+        # the subset-planted-n8 workload's largest draw, and one full block of
+        # two arms with k = 2: with the cell table and the threshold and gate
+        # gathers held, only the returned bits, the Y and gate tables and the
+        # row offsets are fresh (171 and 2,460 KiB; 534 and 7,784 KiB unheld)
+        measure = PlantedMeasure(8, 2, 0.5, 1.0)
+        arms = np.tile(np.asarray([[0, 5]]), (rows, 1))
+        measure.draw(np.random.default_rng(1), arms)
+        peak = allocation_peak(lambda: measure.draw(np.random.default_rng(2), arms))
+        assert peak < arms.size * np.dtype(np.int64).itemsize, peak
 
     @pytest.mark.parametrize("elements, rows", [(61, 7), (5, 1)])
     def test_blocks_of_rows_match_the_reference_block_by_block(self, monkeypatch, elements,
@@ -543,6 +564,15 @@ class TestOptimalSubset:
         assert optimal_subset(measure, k) == (best if unique else None)
         assert measures.Measure.optimum(measure, k) == (best if unique else None)
 
+    @pytest.mark.parametrize("means, k", [
+        ((0.5, 0.5 + 1e-13, 0.2), 1),
+        ((0.999999999999999, 0.5, 0.4), 2),  # E[max] of (0, 1) and (0, 2) differ by about 1e-16
+    ])
+    def test_product_optimum_none_on_near_ties(self, means, k):
+        measure = ProductMeasure(means)
+        assert optimal_subset(measure, k) is None
+        assert measures.Measure.optimum(measure, k) is None
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_generic_optimum_matches_expected_max_enumeration(self, data):
@@ -551,11 +581,12 @@ class TestOptimalSubset:
         # k other than the planted k or p = 0, where every subset that holds
         # the planted set (or every subset, below the planted k) ties; and
         # product measures on a grid of means, where equal means and a unit
-        # mean (every k-subset holding that arm has E[max] 1) tie
+        # mean (every k-subset holding that arm has E[max] 1) tie, and means
+        # within 1e-12 of each other, or of 1, come within 1e-12 in E[max]
         family = data.draw(st.sampled_from(["joint_table", "planted", "product"]))
         if family == "product":
-            means = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
-                                       min_size=1, max_size=7))
+            grid = [0.0, 0.25, 0.5, 0.75, 1.0, 0.5 + 1e-13, 1 - 1e-15, 0.25 + 3e-13, 1e-13, 0.999]
+            means = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=7))
             measure = ProductMeasure(tuple(means))
             k = data.draw(st.integers(1, measure.n))
         elif family == "joint_table":
