@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
 from .game import check_model
-from .kernels import lowest_keys, permute_pool, play_arms, queries_per_play, record_plays
+from .kernels import permute_pool, play_arms, queries_per_play, record_plays
 from .measures import DRAW_ELEMENTS, Measure, held_buffer, sample_matrix
 from .trial import StageRecord, TrialRecord
 
@@ -152,14 +152,15 @@ def stage_play(
     queries, draws one reward bit per queried arm and query, and credits
     wins through the permuted pool order (``kernels.record_plays``), which
     records order position i at slot i % k1 of query i // k1.  The sorted
-    pools, the query count and the chunk size are computed once per stage.
-    Each play's per-arm recording law is ``oracle.exact_query_stats``.
+    pools, the top-off's fixed arms and draw pool, the query count and the
+    chunk size are settled once per stage.  Each play's per-arm recording
+    law is ``oracle.exact_query_stats``.
 
-    A chunk's permutation is one in-place sort of packed (key, arm) codes
-    (``kernels.permute_pool``, which for pools holding an arm of 2**11 or
-    above orders by the keys' leading bits), and its top-off arms are a
-    partial selection of the first k2 (or k2 - |R'|) top-off keys
-    (``kernels.lowest_keys``).  The permutation keys, the codes
+    A chunk permutes its pool, and its top-off draw pool, by one in-place
+    sort of packed (key, arm) codes each (``kernels.permute_pool``, which for
+    pools holding an arm of 2**11 or above orders by the keys' leading bits);
+    a play takes the leading arms of its top-off permutation, or the arm of
+    the least key when it draws one.  The permutation keys, the codes
     (``stage.perm``, the permuted pool once masked) and the arm layout are
     written into views of buffers held across chunks, stages and calls
     (``measures.held_buffer``), so no chunk re-faults freed pages; each
@@ -171,32 +172,33 @@ def stage_play(
         raise DomainError("need 1 <= k1 <= |u_prime|")
     reject_pool = np.array(sorted(r_prime), dtype=np.int64)
     accept_pool = np.array(sorted(accept), dtype=np.int64)
-    if k2 > 0 and len(reject_pool) + len(accept_pool) < k2:
+    # the top-off: all rejects and the rest drawn from the accepted arms, or k2 rejects drawn
+    fixed, pool = ((reject_pool, accept_pool) if len(reject_pool) < k2
+                   else (reject_pool[:0], reject_pool))
+    need = k2 - len(fixed)
+    if len(pool) < need:
         raise InfeasibleError("cannot build a top-off set: pools too small")
 
     q = queries_per_play(m, k1)
-    # a play draws m permutation keys and one key per arm of its top-off pool
-    topoff_keys = 0 if k2 == 0 else len(reject_pool if len(reject_pool) >= k2 else accept_pool)
-    chunk = max(1, min(CHUNK_PLAYS, DRAW_ELEMENTS // max(m, topoff_keys)))
+    # a play draws m permutation keys and, when it draws top-off arms, one key per pool arm
+    chunk = max(1, min(CHUNK_PLAYS, DRAW_ELEMENTS // max(m, len(pool) if need else 0)))
+    # every play's top-off row: the fixed arms, written once, then its drawn arms
+    topoff = np.empty((min(chunk, plays), k2), dtype=np.int64)
+    topoff[:, : len(fixed)] = fixed
     y = np.zeros(env.n, dtype=np.int64)
     done = 0
     while done < plays:
         b = min(chunk, plays - done)
         keys = rng.random(out=held_buffer("stage.keys", (b, m), np.float64))
         order = permute_pool(keys, urec, held_buffer("stage.perm", (b, m), np.int64))
-        if k2 > 0:
-            if len(reject_pool) >= k2:
-                topoff = reject_pool[lowest_keys(rng.random((b, len(reject_pool))), k2)]
-            else:
-                need = k2 - len(reject_pool)
-                fill = accept_pool[lowest_keys(rng.random((b, len(accept_pool))), need)]
-                topoff = np.concatenate(
-                    [np.broadcast_to(reject_pool, (b, len(reject_pool))), fill], axis=1
-                )
-        else:
-            topoff = np.zeros((b, 0), dtype=np.int64)
+        if need == 1:
+            topoff[:b, -1] = pool[rng.random((b, len(pool))).argmin(axis=1)]
+        elif need:
+            # the first ``need`` arms of the pool in key order, permuted in the keys' memory
+            picks = rng.random((b, len(pool)))
+            topoff[:b, len(fixed) :] = permute_pool(picks, pool, picks.view(np.int64))[:, :need]
         arms = play_arms(
-            order, topoff, k1, out=held_buffer("stage.arms", (b, q, k1 + k2), np.int64)
+            order, topoff[:b], k1, out=held_buffer("stage.arms", (b, q, k1 + k2), np.int64)
         )
         bits = sample_matrix(env, rng, b * q, arms=arms.reshape(b * q, -1)).reshape(arms.shape)
         mark_u = rng.random((b, q)) if model == "marked" else None

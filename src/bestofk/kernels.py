@@ -14,10 +14,8 @@ length of the largest arm and s = max(0, b - 11) the key bits dropped to make
 room for it (none while every arm is below 2**11); one in-place sort of the
 codes orders the arms by key (keys that agree in their top 53 - s bits by
 arm, which is pool order), and masking the codes down to their low b bits
-leaves the permuted arms where the codes were.
-``lowest_keys`` picks the top-off arms: the first k of each row of keys in
-key order, by ``argmin`` for one arm and ``argpartition`` plus a sort of the
-k picked keys otherwise, rather than a full sort of the row.
+leaves the permuted arms where the codes were.  A stage's top-off arms are
+the leading arms of its top-off pool in this order (the ``argmin``'s, for one).
 
 ``play_arms`` writes the layout into one (plays, queries, k1 + k2) arm
 buffer: pool blocks, then the padded remainder block, then the top-off arms
@@ -59,7 +57,6 @@ from .measures import fold_columns, held_buffer
 __all__ = [
     "PACKED_ARM_BITS",
     "active_backend",
-    "lowest_keys",
     "permute_pool",
     "play_arms",
     "record_plays",
@@ -104,21 +101,6 @@ def permute_pool(keys: np.ndarray, pool: np.ndarray, out: np.ndarray) -> np.ndar
     codes.sort(axis=1)
     codes &= np.uint64((1 << arm_bits) - 1)
     return out
-
-
-def lowest_keys(keys: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k smallest keys of each row, smallest first.
-
-    keys  float64 (B, P), with 1 <= k <= P
-
-    Returns int64 (B, k), equal to ``np.argsort(keys, axis=1)[:, :k]`` for
-    rows of distinct keys, without sorting the rest of each row.
-    """
-    if k == 1:
-        return keys.argmin(axis=1)[:, None]
-    picked = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    rank = np.take_along_axis(keys, picked, axis=1).argsort(axis=1)
-    return np.take_along_axis(picked, rank, axis=1)
 
 
 def play_arms(order: np.ndarray, topoff: np.ndarray, k1: int, out: np.ndarray) -> np.ndarray:

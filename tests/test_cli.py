@@ -412,7 +412,7 @@ def test_verify_subcommand():
     done = _cli("verify")
     elapsed = time.perf_counter() - started
     assert done.returncode == EXIT_OK, done.stderr
-    assert done.stdout == f"ok: {len(oracle.CHECKS)} oracle checks passed\n"
+    assert done.stdout == "ok: 6 oracle checks passed\n"
     assert elapsed < 5.0, elapsed
 
 

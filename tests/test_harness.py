@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import bestofk
 from bestofk import harness
+from bestofk.cli import EXIT_OK, EXIT_USAGE, main
 from bestofk.elimination import run_identification
 from bestofk.errors import DomainError, MismatchError
 from bestofk.harness import (
@@ -34,6 +35,16 @@ from bestofk.theory import BoundReport, GapProfile, upper_bound_total
 from bestofk.trial import StageRecord, TrialRecord
 
 PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's named workloads, from ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def _product_config(**overrides):
@@ -308,12 +319,8 @@ class TestRunExperiment:
         assert [err.splitlines() for err in stderr_at_replicate] == [lines, []]
         assert capsys.readouterr().err == ""
 
-    def test_workload_configs_do_not_warn(self, capsys, monkeypatch):
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
-        spec.loader.exec_module(workloads)
-        for workload in workloads.WORKLOADS.values():
+    def test_workload_configs_do_not_warn(self, capsys, workloads):
+        for workload in workloads.values():
             run_experiment(ExperimentConfig(**workload.config_doc(1, replicates=1)))
             assert capsys.readouterr().err == "", workload.name
 
@@ -453,15 +460,56 @@ GOLDEN = {
 }
 
 
+def _written_hashes(doc, where):
+    """Run config document ``doc`` with its results in directory ``where``; return
+    the sha256 of the results file and of the .trace file, or None for no file."""
+    out = where / "r.jsonl"
+    run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "out": str(out)})))
+    return [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+            for path in (out, where / "r.jsonl.trace")]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_results_bytes_are_pinned(tmp_path, name):
     # a change to what a run draws, decides or writes shows here as a new hash
     doc, results_sha, trace_sha = GOLDEN[name]
-    out = tmp_path / "r.jsonl"
-    run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "out": str(out)})))
-    written = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
-               for path in (out, tmp_path / "r.jsonl.trace")]
-    assert written == [results_sha, trace_sha]
+    assert _written_hashes(doc, tmp_path) == [results_sha, trace_sha]
+
+
+# the benchmark workloads at seed 1: sha256 of the results file and of the .trace
+# file or None, then `bestofk bounds` on the config: its exit code and the sha256
+# of its stdout (coverage has no closed-form bounds, so one error line and none)
+WORKLOAD_PINS = {
+    "semi-product-n256": (
+        "d96d7efb486da920eeee1bd7e488586374ae0d6c6ed50bca870a24b504e4fe38", None,
+        EXIT_OK, "b1d5606a0a23335862396a7db84c71e6af87a6450098403df3f0594b49d2bbf4"),
+    "bandit-product-n12": (
+        "4d2a9908313654b063a2fa8ed494cb309f281615b403e1a460b7e8f9a8b361af", None,
+        EXIT_OK, "5dbd390c55932526ff3613d3440ecadf745fa8b684746150f2d71c8b6494039d"),
+    "marked-coverage-n64": (
+        "924f338db8e1926f5916ffd7cf5eae82b69eff76e32d5aed54183d701ff1c34c",
+        "2a0d9d4f4eab0abc33c3152dfb564cbb98345cc21b58a5b93c4a5f4cd9470410",
+        EXIT_USAGE, hashlib.sha256(b"").hexdigest()),
+    "subset-planted-n8": (
+        "dbb6aa63d45b6de3ec40ecd208a234abc9de8205cbb0e4a8c9dafee0ec898f53", None,
+        EXIT_OK, "4db40e9bb21a9a518c88b477a46f18945a5e483b767e1353bc7f3611bf08da18"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_PINS))
+def test_workload_outputs_are_pinned(tmp_path, capsys, workloads, name):
+    results_sha, trace_sha, bounds_exit, bounds_sha = WORKLOAD_PINS[name]
+    doc = workloads[name].config_doc(1)
+    assert _written_hashes(doc, tmp_path) == [results_sha, trace_sha]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["bounds", "--config", str(config)]) == bounds_exit
+    printed = capsys.readouterr()
+    assert hashlib.sha256(printed.out.encode()).hexdigest() == bounds_sha
+    errors = printed.err.splitlines()
+    assert len(errors) == (bounds_exit != EXIT_OK), printed.err
+    assert all(line.startswith("error: ") for line in errors), printed.err
 
 
 def _reference_trace_line(stage, replicate):

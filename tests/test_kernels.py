@@ -125,13 +125,37 @@ def test_permute_pool_orders_keys_agreeing_in_their_kept_bits_by_pool_position()
     assert order.tolist() == [[7, 4095], [4095, 7]]
 
 
-@settings(max_examples=15, deadline=None)
-@given(POOL_WIDTHS, st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_lowest_keys_equals_the_argsort_prefix(m, rows, seed):
-    keys = np.random.default_rng(seed).random((rows, m))
-    ranked = np.argsort(keys, axis=1)
-    for k in range(1, m + 1):
-        assert np.array_equal(kernels.lowest_keys(keys, k), ranked[:, :k]), k
+TOPOFF_SMALL = ProductMeasure(means=tuple(np.linspace(0.05, 0.95, 12)))
+# arm i has mean linspace(0.05, 0.95, 12)[i % 12], so arms 2040-2099 spread over it
+TOPOFF_WIDE = ProductMeasure(means=tuple(np.resize(np.linspace(0.05, 0.95, 12), 2100)))
+
+
+@pytest.mark.parametrize("env, stage, wins, end_state", [
+    # one pick from three rejects
+    (TOPOFF_SMALL, ((0, 1, 2, 3, 4), (), (5, 8, 11), 3, 1, "bandit"),
+     [4215, 4268, 4294, 4316, 4368], 0xd90ada503dcc240902b3d951b3b72520),
+    # two picks from four rejects
+    (TOPOFF_SMALL, ((0, 1, 2, 3, 4), (), (5, 6, 8, 11), 3, 2, "marked"),
+     [96, 263, 414, 552, 796], 0xac3c35849acb638aefd98952a74ff258),
+    # the one reject, then two fill-ins from four accepted arms
+    (TOPOFF_SMALL, ((0, 1, 2), (6, 7, 8, 9), (5,), 3, 3, "marked"),
+     [104, 233, 399], 0x657aa670530eb7a29e91a221874f2c70),
+    # three picks from rejects 2040-2099: arms of 2**11 and above, so the
+    # top-off order reads the keys' leading 52 bits
+    (TOPOFF_WIDE, ((0, 1, 2, 3, 4), (), tuple(range(2040, 2100)), 3, 3, "marked"),
+     [102, 261, 421, 589, 771], 0x6c9d0f8b0ac961eec593dcd18d17c448),
+], ids=["one-pick", "two-picks", "reject-and-fill", "picks-past-2048"])
+def test_topoff_stages_are_pinned(env, stage, wins, end_state):
+    # 5000 plays: a full chunk and a partial one.  The wins depend on which
+    # top-off arms join each query, the generator's end state on how many
+    # doubles the stage draws
+    rng = np.random.default_rng(21)
+    y, queries = stage_play(env, *stage, 5000, rng)
+    u_prime, k1 = stage[0], stage[3]
+    assert y[list(u_prime)].tolist() == wins
+    assert not np.delete(y, u_prime).any()
+    assert queries == 5000 * kernels.queries_per_play(len(u_prime), k1)
+    assert rng.bit_generator.state["state"]["state"] == end_state
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,17 @@ class TestExpectedMax:
             1.0 - float(table[0]), abs=1e-12
         )
 
+    @pytest.mark.parametrize("measure", [
+        PlantedMeasure(20, 3, 0.3, 0.8),
+        CoverageMeasure(8, [{i % 8, (3 * i + 1) % 8} for i in range(20)]),
+    ], ids=["planted", "coverage"])
+    def test_twenty_arm_closed_forms_allocate_under_a_mebibyte(self, measure, allocation_peak):
+        # the family forms stay: the generic 1 - exact_probs(s)[0] builds a
+        # (components, 2**20) float table, and peaks at 40 MiB on this planted
+        # measure and 160 MiB on this union of 8 distinct membership rows
+        peak = allocation_peak(lambda: expected_max(measure, range(20)))
+        assert peak < 2**20, peak
+
 
 class TestCoverage:
     def test_full_set_mean_one(self):
