@@ -17,9 +17,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bestofk
-from bestofk import harness
+from bestofk import harness, measures
+from bestofk.baselines import parity_identify, subset_arm_identify
 from bestofk.cli import EXIT_OK, EXIT_USAGE, main
-from bestofk.elimination import run_identification
+from bestofk.elimination import _undecidable_stages, run_identification
 from bestofk.errors import DomainError, MismatchError
 from bestofk.harness import (
     ExperimentConfig,
@@ -637,6 +638,45 @@ class TestStageTrace:
         assert path.read_text().splitlines() == [
             _reference_trace_line(later, None), _reference_trace_line(stage, 1),
             _reference_trace_line(later, 1)]
+
+
+def _replayed(config, replicate):
+    """Replicate ``replicate`` of ``config`` run alone, with the arguments and
+    generator ``run_experiment`` gives it."""
+    env, rng = measure_from_dict(config.measure), replicate_rng(config.base_seed, replicate)
+    if config.algorithm == "elimination":
+        return run_identification(env, config.model, config.k, config.delta, rng,
+                                  config.stage_cap, config.exact_k_mode, keep_log=config.trace)
+    identify = subset_arm_identify if config.algorithm == "subset_arm" else parity_identify
+    return identify(env, config.k, config.delta, rng, config.stage_cap)
+
+
+def test_a_replicate_run_alone_equals_the_full_runs(workloads, monkeypatch):
+    # the process holds buffers and caches across replicates and runs; a
+    # replicate replayed after a full run of another workload, and again
+    # with all of them emptied, must give the full run's record and stages
+    configs = {name: ExperimentConfig.from_json(json.dumps(w.config_doc(1, replicates=4)))
+               for name, w in workloads.items()}
+    full = {name: run_experiment(config)[0] for name, config in configs.items()}
+
+    def check(name, replicate):
+        expected, replayed = full[name][replicate], _replayed(configs[name], replicate)
+        assert replayed == dataclasses.replace(expected, replicate=None, seed=None,
+                                               success=None), (name, replicate)
+        assert ([_reference_trace_line(s, None) for s in replayed.stage_log]
+                == [_reference_trace_line(s, None) for s in expected.stage_log]), (name, replicate)
+
+    assert configs["marked-coverage-n64"].trace and full["marked-coverage-n64"][0].stage_log
+    for name in configs:
+        for other in (other for other in configs if other != name):
+            run_experiment(configs[other])
+            for replicate in (0, 1, 3):
+                check(name, replicate)
+    monkeypatch.setattr(measures, "_HELD", {})
+    for name in configs:
+        _undecidable_stages.cache_clear()
+        measures._enumerate_subsets.cache_clear()
+        check(name, 0)
 
 
 class TestSummaries:

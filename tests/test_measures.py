@@ -359,6 +359,14 @@ class TestDrawDoubles:
         assert PLANTED.draw_doubles(50, 4) == 50 * (1 + 3 + 4)
         self.assert_same_state(PLANTED, arms, 8)
 
+    @settings(max_examples=100, deadline=None)
+    @given(planted=st.booleans(), w=st.integers(1, 7), a=st.integers(0, 2**50),
+           b=st.integers(0, 2**50))
+    def test_counts_are_linear_in_rows(self, planted, w, a, b):
+        # the identifiers count a run of same-width stages in one call
+        count = (PLANTED if planted else ProductMeasure(means=(0.1,) * 7)).draw_doubles
+        assert count(a + b, w) == count(a, w) + count(b, w)
+
     def test_other_families_count_nothing(self):
         # coverage draws bounded integers and joint tables draw atoms by choice
         assert COVERAGE.draw_doubles(50, 2) is None
