@@ -10,19 +10,18 @@ on the hidden subset, where its bias is p/2.
 Both share the empirical-Bernstein interval of the main algorithm (with the
 union bound taken over subset arms) and the same doubling, fresh-samples
 stage structure, so query counts are directly comparable.  The early stages,
-whose every radius is above 1/2, cannot drop a subset; how many of them a run
-takes undrawn is elimination's one rule (``elimination._undrawn_stages``,
-with the C(n, k) subset arms as the union bound's count), and such a stage
-advances the generator past its doubles in one step and counts its queries
-without drawing, so every record and the generator's end state equal the
-fully simulated run's.
+whose every radius is above 1/2, cannot drop a subset; a run takes them
+undrawn before its stage loop, in elimination's one generator jump
+(``elimination._skip_undecidable_stages``, with the C(n, k) subset arms as
+the union bound's count), which counts their queries, so every record and
+the generator's end state equal the fully simulated run's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .elimination import STAGE_CAP, _undrawn_stages, confidence_radius
+from .elimination import STAGE_CAP, _skip_undecidable_stages, confidence_radius
 from .errors import DomainError
 from .measures import DRAW_ELEMENTS, Measure, _enumerate_subsets, fold_columns, sample_matrix
 from .trial import TrialRecord
@@ -47,10 +46,10 @@ def _eliminate_over_subsets(
     k = n the one subset is returned without a query; a run still ambiguous
     at the cap returns its empirical leader, flagged inconclusive.
 
-    The leading stages that cannot drop a subset run undrawn, as many as
-    ``_undrawn_stages`` gives: each advances ``rng`` past its doubles and
-    counts its queries, so the returned record is the one the drawn stages
-    give.
+    The leading stages that cannot drop a subset are taken undrawn before
+    the loop by ``_skip_undecidable_stages``: each of their plays is one row
+    of k arms per subset arm, and the returned record is the one the drawn
+    stages give.
     """
     if not (1 <= k <= env.n):
         raise DomainError("need 1 <= k <= n")
@@ -61,16 +60,12 @@ def _eliminate_over_subsets(
     # a draw holds at most draw_rows rows of k arms: the largest power of two
     # (so it divides every larger 2**t) with draw_rows * k <= DRAW_ELEMENTS
     draw_rows = 1 << ((DRAW_ELEMENTS // k).bit_length() - 1)
-    undrawn = _undrawn_stages(env, rng, n_arms, k, delta, stage_cap)
-    t, total_queries, mu = 1, 0, np.zeros(n_arms)
+    t, total_queries = _skip_undecidable_stages(env, rng, n_arms, k, delta, stage_cap, n_arms, 0)
+    mu = np.zeros(n_arms)
     while t <= stage_cap and len(survivors) > 1:
         big_t = 2**t
         queries = big_t * len(survivors)  # one row per query
         total_queries += queries
-        if t <= undrawn:
-            rng.bit_generator.advance(env.draw_doubles(queries, k))
-            t += 1
-            continue
         # row r observes survivor r // big_t; a draw takes the next draw_rows
         # rows: whole survivors while they fit, else part of one survivor
         rows = min(big_t, draw_rows)

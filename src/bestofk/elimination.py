@@ -8,11 +8,12 @@ and reject arms whose upper bound falls under the k_t-th largest lower bound.
 Fresh samples every stage; the budget doubles until k arms are accepted.
 
 The leading stages whose every radius is above 1/2 cannot decide anything
-(``_undecidable_stages``).  ``_undrawn_stages`` is the one rule for how many
-of them a run takes undrawn; this module's loop (when it keeps no stage log)
-and the subset baselines' loop both read it.  An undrawn stage advances the
-generator past the doubles its draws would take and counts its queries, so
-the record and the generator's end state equal the fully simulated run's.
+(``_undecidable_stages``).  ``_skip_undecidable_stages`` takes them before
+the stage loop, in one jump of the generator past the doubles their draws
+would take, and counts their queries, so the record and the generator's end
+state equal the fully simulated run's.  This module's loop (when it keeps no
+stage log) and the subset baselines' loop both call it, and each draws every
+stage it runs.
 
 ``stage_play`` is the one sampling engine behind ``run_identification``: it
 lays out a chunk of plays as queries, draws reward bits only for the queried
@@ -104,21 +105,32 @@ def _undecidable_stages(n_arms: int, delta: float) -> int:
     return t - 1
 
 
-def _undrawn_stages(env: Measure, rng: np.random.Generator, n_arms: int, k: int, delta: float,
-                    stage_cap: int) -> int:
-    """How many leading stages a run takes undrawn: none unless
-    ``env.draw_doubles`` counts a draw's doubles and ``rng`` is a PCG64 with
-    no 32-bit half held (as ``harness.replicate_rng`` makes it), else the
-    stages that cannot decide any of ``n_arms`` arms (the union bound's
-    count) short of the cap stage, whose estimates name a baseline's leader.
-    A ``Generator.random`` double is one PCG64 step and ``advance`` zeroes
-    only that half, so advancing past a stage's doubles leaves ``rng`` as
-    drawing them would, and no record depends on the cut."""
+def _skip_undecidable_stages(env: Measure, rng: np.random.Generator, n_arms: int, k: int,
+                             delta: float, stage_cap: int, queries: int,
+                             keys: int) -> tuple[int, int]:
+    """Take a run's undecidable stages undrawn in one generator jump; return
+    (the first stage to draw, the queries the skipped stages count).
+
+    A play of a skipped stage is ``queries`` rows of ``k`` arms plus ``keys``
+    other doubles.  No stage is skipped unless ``env.draw_doubles`` counts a
+    draw's doubles, ``rng`` is a PCG64 with no 32-bit half held (as
+    ``harness.replicate_rng`` makes it) and ``n_arms`` (the union bound's
+    count) is more than one; otherwise the first s = min(``_undecidable_stages``,
+    ``stage_cap`` - 1) stages go, so the cap stage, whose estimates name a
+    baseline's leader, is drawn.  They hold 2 + 4 + ... + 2^s = 2^(s+1) - 2
+    plays, and a draw's count is linear in its rows, so one ``advance`` over
+    plays x ``keys`` + ``draw_doubles``(plays x ``queries``, k) doubles leaves
+    ``rng`` as drawing every stage would: a ``Generator.random`` double is one
+    PCG64 step, and ``advance`` zeroes only the 32-bit half.  No record
+    depends on the cut."""
     state = rng.bit_generator.state
-    if (env.draw_doubles(1, k) is None or state["bit_generator"] != "PCG64"
+    if (n_arms < 2 or env.draw_doubles(1, k) is None or state["bit_generator"] != "PCG64"
             or state["has_uint32"] or state["uinteger"]):
-        return 0
-    return min(_undecidable_stages(n_arms, delta), stage_cap - 1)
+        return 1, 0
+    skipped = min(_undecidable_stages(n_arms, delta), stage_cap - 1)
+    plays = 2 ** (skipped + 1) - 2
+    rng.bit_generator.advance(plays * keys + env.draw_doubles(plays * queries, k))
+    return skipped + 1, plays * queries
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +320,10 @@ def run_identification(
     ``c_hat``, and no rule of ``elimination_step`` can fire again.
 
     Without the log, the leading stages that cannot decide an arm are taken
-    undrawn (``_undrawn_stages``).  In such a stage U' is all n arms, k1 = k,
-    k2 = 0 and |B| = 0 (``balanced`` needs n >= ceil(7k/2)), so its one
-    ``rng.bit_generator.advance`` steps over T n permutation keys, the bit
-    doubles of T q queries of k arms, q = ceil(n / k), and under marked
-    feedback T q winner uniforms.
+    undrawn before the loop (``_skip_undecidable_stages``).  In such a stage
+    U' is all n arms, k1 = k, k2 = 0 and |B| = 0 (``balanced`` needs n >=
+    ceil(7k/2)), so each of its plays is q = ceil(n / k) queries of k arms, n
+    permutation keys and, under marked feedback, q winner uniforms.
     """
     check_model(model)
     if stage_cap < 1:
@@ -334,18 +345,13 @@ def run_identification(
         run_warnings = (f"balancing disabled: n={n} < ceil(7k/2)={math.ceil(7 * k / 2)}",)
 
     undecided, accepted, rejected = tuple(range(n)), (), ()
-    t, total_queries = 1, 0
     stage_log: list[StageRecord] = []
-    undrawn = 0 if keep_log else _undrawn_stages(env, rng, n, k, delta, stage_cap)
+    q = queries_per_play(n, k)
+    t, total_queries = (1, 0) if keep_log else _skip_undecidable_stages(
+        env, rng, n, k, delta, stage_cap, q, n + (q if model == "marked" else 0))
 
     while t <= stage_cap and len(accepted) < k:
         big_t, k1 = 2**t, min(len(undecided), k)
-        if t <= undrawn:
-            queries = big_t * queries_per_play(n, k1)
-            marks = queries if model == "marked" else 0
-            rng.bit_generator.advance(big_t * n + env.draw_doubles(queries, k1) + marks)
-            total_queries, t = total_queries + queries, t + 1
-            continue
         if model == "bandit" and not balanced and len(undecided) <= k:
             break  # stalled: the one query of every play holds all of U
         if balanced:

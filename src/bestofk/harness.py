@@ -202,8 +202,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
 
     Elimination keeps its ``stage_log`` only when ``config.trace`` is on,
     since the stage trace is its only reader; without it, the leading stages
-    that cannot decide anything run undrawn, each one advance of the
-    replicate's PCG64 (``elimination._undrawn_stages``).
+    that cannot decide anything are taken undrawn, in one advance of the
+    replicate's PCG64 (``elimination._skip_undecidable_stages``).
     """
     env = measure_from_dict(config.measure)
     if config.out:
@@ -250,11 +250,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
     return records, summary
 
 
-def _in_replicate_order(records: Sequence[TrialRecord]) -> list[TrialRecord]:
-    """The records sorted by replicate, a record without one first."""
-    return sorted(records, key=lambda r: -1 if r.replicate is None else r.replicate)
-
-
 class _FloatTexts(dict):
     """``json.dumps`` of each float64 looked up, keyed by its bits (where 0.0
     and -0.0 differ), each formatted once."""
@@ -265,7 +260,7 @@ class _FloatTexts(dict):
 
 
 def _write_stage_trace(path: Path, records: Sequence[TrialRecord]) -> None:
-    """One line per stage, in replicate order.
+    """One line per stage, for the records in the order given.
 
     Each line is, byte for byte, ``json.dumps(..., sort_keys=True)`` of the
     stage's document (``kind``, ``replicate`` and the record's fields, with
@@ -282,7 +277,7 @@ def _write_stage_trace(path: Path, records: Sequence[TrialRecord]) -> None:
         return "[" + ", ".join(map(str, values)) + "]"
 
     with open(path, "w") as fh:
-        for rec in _in_replicate_order(records):
+        for rec in records:
             replicate = json.dumps(rec.replicate)
             for s in rec.stage_log:
                 obj = objects.get(s.undecided)
@@ -304,9 +299,9 @@ def _write_stage_trace(path: Path, records: Sequence[TrialRecord]) -> None:
 
 def write_results(path: Path, records: Sequence[TrialRecord],
                   summary: ExperimentSummary) -> None:
-    """Line-delimited records in replicate order, then the summary record."""
+    """Line-delimited records in the order given, then the summary record."""
     with open(path, "w") as fh:
-        for rec in _in_replicate_order(records):
+        for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
         fh.write(json.dumps(summary.to_dict(), sort_keys=True) + "\n")
 

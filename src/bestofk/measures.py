@@ -136,7 +136,8 @@ class Measure(ABC):
 
     def draw_doubles(self, size: int, w: int) -> int | None:
         """How many ``Generator.random`` doubles ``draw`` takes for ``size`` rows of
-        ``w`` arms, or None when it reads the stream another way."""
+        ``w`` arms, or None when it reads the stream another way; a count is
+        linear in ``size``."""
         return None
 
     def optimum(self, k: int) -> tuple[int, ...] | None:

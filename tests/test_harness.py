@@ -513,6 +513,21 @@ def test_workload_outputs_are_pinned(tmp_path, capsys, workloads, name):
     assert all(line.startswith("error: ") for line in errors), printed.err
 
 
+def test_workload_hashes_tool_prints_the_seed_one_pins(monkeypatch, capsys):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "workload_hashes.py"
+    spec = importlib.util.spec_from_file_location("workload_hashes", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    # the tool registers the workloads module it loads; the patch removes it afterwards
+    monkeypatch.setitem(sys.modules, "perfbench_workloads", None)
+    capsys.readouterr()
+    module.main(["1"])
+    assert json.loads(capsys.readouterr().out) == {
+        name: {"1": [results_sha, trace_sha]}
+        for name, (results_sha, trace_sha, _, _) in WORKLOAD_PINS.items()}
+
+
 def _reference_trace_line(stage, replicate):
     """A stage's trace line as the dict-shaped record wrote it: ``undecided`` a
     count and ``mu_hat``/``c_hat`` ``{arm: value}`` dicts, dumped with sorted keys."""
@@ -635,9 +650,10 @@ class TestStageTrace:
                    TrialRecord(returned=(), total_queries=6, stages=1, stage_log=(later,))]
         path = tmp_path / "t.trace"
         _write_stage_trace(path, records)
+        # records are written in the order given, a record without a replicate too
         assert path.read_text().splitlines() == [
-            _reference_trace_line(later, None), _reference_trace_line(stage, 1),
-            _reference_trace_line(later, 1)]
+            _reference_trace_line(stage, 1), _reference_trace_line(later, 1),
+            _reference_trace_line(later, None)]
 
 
 def _replayed(config, replicate):
