@@ -11,10 +11,12 @@ slot position.
 ``Generator.random`` is j * 2**-53 for an integer j < 2**53, and the key and
 the arm pack into one uint64 code, ((j >> s) << b) | arm with b the bit
 length of the largest arm and s = max(0, b - 11) the key bits dropped to make
-room for it (none while every arm is below 2**11); one in-place sort of the
-codes orders the arms by key (keys that agree in their top 53 - s bits by
-arm, which is pool order), and masking the codes down to their low b bits
-leaves the permuted arms where the codes were.  A stage's top-off arms are
+room for it (none while every arm is below 2**11).  While every arm is below
+2**10, j << b is below 2**63 and one multiply by 2**(53 + b) packs the key;
+otherwise the truncated key is shifted.  One in-place sort of the codes
+orders the arms by key (keys that agree in their top 53 - s bits by arm,
+which is pool order), and masking the codes down to their low b bits leaves
+the permuted arms where the codes were.  A stage's top-off arms are
 the leading arms of its top-off pool in this order (the ``argmin``'s, for one).
 
 ``play_arms`` writes the layout into one (plays, queries, k1 + k2) arm
@@ -26,6 +28,11 @@ i is recorded at slot i % k1 of query i // k1 and nowhere else.  Under
 bandit feedback one ``np.bincount`` over the order, weighted by each
 position's query OR (gathered through i // k1), counts the wins; semi
 credits are sparse, so semi counts the order positions whose slot reads 1.
+The bits come row-major from product and planted draws and slot-major (each
+slot's column contiguous) from the gathering coverage and joint-table draws.
+Bandit and marked read them column by column either way; semi reads
+row-major bits through one reshape and copies slot-major bits slot by slot
+into a row-major table, as a reshape would copy across the slots.
 A marked query credits at most one slot, the winner numbered
 tgt = floor(u * wins) from 0 in slot order: with a running count of wins
 over the k1 pool slots, it credits slot c = #{s < k1 : count_s <= tgt}
@@ -38,10 +45,10 @@ built.
 buffers held for the life of the process (``measures.held_buffer``), as are
 the chunk's permutation keys, the product draw's uniforms and gathered
 means, and the planted draw's doubles and its gathered cells, thresholds
-and gates.  Freed, these multi-megabyte chunk arrays are trimmed off the
-heap by glibc and page-faulted in again by the next chunk; held, each grows
-to the largest chunk asked of it, at most ``DRAW_ELEMENTS`` pool or query
-slots plus the remainder block's padding.  They are filled with ``out=``
+and gates.  Freed, these multi-megabyte chunk arrays are trimmed off the heap by glibc and
+page-faulted in again by the next chunk; held, each grows to the largest
+chunk asked of it, at most ``DRAW_ELEMENTS`` pool or query slots plus the
+remainder block's padding.  They are filled with ``out=``
 arguments; ``np.take`` gets ``mode="clip"`` (its indices are in range),
 because in its default raise mode it fills a fresh copy of ``out``.
 """
@@ -88,15 +95,20 @@ def permute_pool(keys: np.ndarray, pool: np.ndarray, out: np.ndarray) -> np.ndar
     Returns ``out``, row i holding ``pool`` in the order of a stable argsort
     of ``keys[i]`` cut to their top 53 - s bits, s being the bits the
     largest arm needs beyond ``PACKED_ARM_BITS`` (0 for arms below 2**11):
-    keys that agree in those bits keep pool order.
+    keys that agree in those bits keep pool order.  Below 2**10 one multiply
+    packs each code; from there on the key is shifted after its multiply.
     """
     arm_bits = int(pool[-1]).bit_length()
-    dropped = max(0, arm_bits - PACKED_ARM_BITS)
-    # keys * 2**(53 - s) truncates to j >> s, exact in float64 and in int64; numpy
-    # casts a float of 2**63 or more to uint64 several times slower, so shift after
-    np.multiply(keys, 2.0 ** (53 - dropped), out=out, casting="unsafe")
     codes = out.view(np.uint64)
-    codes <<= arm_bits
+    if arm_bits < PACKED_ARM_BITS:
+        # every arm is below 2**10: keys * 2**(53 + b) is j << b, exact in float64
+        # and below 2**63, so one multiply into int64 packs the key
+        np.multiply(keys, 2.0 ** (53 + arm_bits), out=out, casting="unsafe")
+    else:
+        # keys * 2**(53 - s) truncates to j >> s, exact in float64 and in int64; numpy
+        # casts a float of 2**63 or more to uint64 several times slower, so shift after
+        np.multiply(keys, 2.0 ** (53 + PACKED_ARM_BITS - arm_bits), out=out, casting="unsafe")
+        codes <<= arm_bits
     codes |= pool.view(np.uint64)
     codes.sort(axis=1)
     codes &= np.uint64((1 << arm_bits) - 1)
@@ -139,7 +151,8 @@ def record_plays(
     """Record a batch of plays into ``y_out`` (int64, length n, in place).
 
     bits    uint8 (B, q, w): the reward bit of every query slot of the layout
-            ``play_arms`` builds from ``order`` with k1 pool slots a query
+            ``play_arms`` builds from ``order`` with k1 pool slots a query,
+            row-major or slot-major (``bits.strides`` tell which)
     order   int64 (B, m): each play's sampling pool in permuted order
     k1      the pool slots of a query, with 1 <= k1 <= w and q = ceil(m / k1)
     mark_u  float64 (B, q): winner-choice uniforms, needed under marked
@@ -169,8 +182,17 @@ def record_plays(
         # whole counts below 2**53, exact in float64
         return np.add(y_out, wins, out=y_out, casting="unsafe")
     if model == "semi":
-        hit = bits[:, :, :k1].reshape(n_plays, q * k1)[:, :m]
-        y_out += np.bincount(order.ravel()[np.flatnonzero(hit == 1)], minlength=len(y_out))
+        if bits.strides[2] > bits.strides[1]:
+            # slot-major bits: copy them slot by slot into a row-major table, each
+            # slot one pass along the rows (a reshape would copy across the slots);
+            # the 0/1 bytes read as bool
+            hit = np.empty((n_plays, q, k1), dtype=bool)
+            for s in range(k1):
+                hit[:, :, s] = bits[:, :, s].view(bool)
+            hit = hit.reshape(n_plays, q * k1)[:, :m]
+        else:
+            hit = bits[:, :, :k1].reshape(n_plays, q * k1)[:, :m] == 1
+        y_out += np.bincount(order.ravel()[np.flatnonzero(hit)], minlength=len(y_out))
         return y_out
     # marked: query (p, j) names the winner numbered tgt = floor(u * wins) from
     # 0 in slot order.  With count_s the wins in slots 0..s, that winner sits in

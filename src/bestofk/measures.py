@@ -30,7 +30,13 @@ The planted sampler takes its doubles, and gathers its per-arm cells,
 thresholds and gates, into ``held_buffer`` scratch, at most
 ``DRAW_ELEMENTS`` doubles (or one row) per generator call, and checks each
 block's arms once; callers bound each draw's observed arms by
-``DRAW_ELEMENTS``.
+``DRAW_ELEMENTS``.  Product and planted draws return row-major bits, as
+their uniforms come from the stream in row order.  The gathering draws
+(coverage and joint table) draw one value per row, gather each query slot's
+bits from it one slot at a time along the rows and return the transpose of
+a (w, rows) table: slot-major bits, each slot's column contiguous.  The
+planted and gathering draws raise ``IndexError`` for an arm outside
+range(n) before they take from the stream.
 
 Arms are 0-based everywhere.  All randomness flows through explicit
 ``numpy.random.Generator`` instances; measures themselves are immutable and
@@ -94,6 +100,13 @@ def _enumerate_subsets(n: int, k: int) -> np.ndarray:
     return subsets
 
 
+def _check_arms(arms: np.ndarray, n: int, kind: str) -> None:
+    """Raise ``IndexError`` unless every arm lies in range(n): one pass over the
+    arms as uint64, where a negative arm reads 2**63 or more."""
+    if arms.size and arms.astype(np.int64, copy=False).view(np.uint64).max() >= n:
+        raise IndexError(f"{kind} draw arms must lie in range({n})")
+
+
 def _unique_best(values: np.ndarray) -> int | None:
     """Index of the first largest of ``values``, or None when the next largest
     (repeats counted) lies within 1e-12 of it."""
@@ -111,7 +124,8 @@ class Measure(ABC):
 
     @abstractmethod
     def draw(self, rng: np.random.Generator, arms: np.ndarray) -> np.ndarray:
-        """(size, w) uint8 draws; row i has the joint law on the distinct ``arms[i]``."""
+        """(size, w) uint8 draws, row- or slot-major; row i has the joint law on
+        the distinct ``arms[i]``."""
 
     @abstractmethod
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,8 +306,7 @@ class PlantedMeasure(Measure):
         if size > rows:
             return np.concatenate([self.draw(rng, arms[i : i + rows])
                                    for i in range(0, size, rows)])
-        if arms.size and (arms.min() < 0 or arms.max() >= self.n):
-            raise IndexError(f"planted draw arms must lie in range({self.n})")
+        _check_arms(arms, self.n, self.kind)
         block = (size * (1 + k + arms.shape[1]),)
         u = rng.random(out=held_buffer("draw.uniforms", block, np.float64))
         y = u[:size] < self.p
@@ -394,9 +407,26 @@ class CoverageMeasure(Measure):
         return table
 
     def draw(self, rng, arms):
+        """One uniform element ω per row; slot s of the row reads ``members`` at
+        (ω, ``arms[:, s]``).
+
+        Slot by slot, the flat cells ω·n + arm are written along the rows into
+        one (rows,) buffer and gathered into row s of a (w, rows) table, whose
+        transpose is returned: slot-major bits, each slot's column contiguous.
+        The cell buffer is as fresh as ω: held, it raised the coverage
+        workload's peak RSS by about 1 MB and saved no time.  ``_check_arms``
+        raises ``IndexError`` for an arm outside range(n) before ω is drawn,
+        so the gathers clip.
+        """
+        _check_arms(arms, self.n, self.kind)
         omega = rng.integers(0, self.m, size=len(arms))
-        # one flat gather: row omega, column a of the (m, n) table
-        return self.members.ravel()[omega[:, None] * self.n + arms]
+        omega *= self.n
+        cells = np.empty_like(omega)
+        table = self.members.ravel()
+        bits = np.empty(arms.shape[::-1], dtype=np.uint8)
+        for slot, column in zip(bits, arms.T):
+            table.take(np.add(omega, column, out=cells), mode="clip", out=slot)
+        return bits.T
 
     def marginals(self):
         return tuple(len(s) / self.m for s in self.sets)
@@ -493,8 +523,19 @@ class JointTableMeasure(Measure):
         return self.k
 
     def draw(self, rng, arms):
+        """One atom per row; slot s of the row reads bit ``arms[:, s]`` of it.
+
+        Slot by slot along the rows, the bits go into row s of a (w, rows)
+        table whose transpose is returned: slot-major bits, as the coverage
+        draw returns.  ``_check_arms`` raises ``IndexError`` for an arm outside
+        range(k) before the atoms are drawn.
+        """
+        _check_arms(arms, self.n, self.kind)
         atoms = rng.choice(2**self.k, size=len(arms), p=np.asarray(self.probs))
-        return ((atoms[:, None] >> arms) & 1).astype(np.uint8)
+        bits = np.empty(arms.shape[::-1], dtype=np.uint8)
+        for slot, column in zip(bits, arms.T):
+            np.bitwise_and(atoms >> column, 1, out=slot, casting="unsafe")
+        return bits.T
 
     def components(self):
         """One point mass per atom."""
@@ -518,6 +559,9 @@ def sample_matrix(measure: Measure, rng: np.random.Generator, size: int,
     whose row i has the joint law of the measure on ``arms[i]``, drawn
     fresh per row.  Only the observed coordinates are drawn.  Without
     ``arms`` every row observes all n arms and the result is (size, n).
+    Product and planted draws return it row-major; the gathering coverage
+    and joint-table draws return it slot-major (the transpose of a
+    C-contiguous (w, size) table), so read it by columns, or by its strides.
     """
     if size < 0:
         raise DomainError("size must be >= 0")

@@ -458,6 +458,23 @@ GOLDEN = {
          "model": "semi", "k": 3, "delta": 0.1, "replicates": 3, "base_seed": 28,
          "exact_k_mode": True},
         "7f05fc0112ae64ebbbdf7cccbf5291f28837d88fa7e8be011965e4ba2938e339", None),
+    # coverage draws under the semi and bandit recorders: stages 1-9 pad a
+    # 5-arm pool's last block, the stages after the first accept top it off
+    "coverage-semi-elimination-exact_k": (
+        {"measure": {"type": "coverage", "m": 10,
+                     "sets": [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9], [0, 1, 2], [9], [4, 5]]},
+         "model": "semi", "k": 2, "delta": 0.1, "replicates": 3, "base_seed": 17,
+         "stage_cap": 12, "exact_k_mode": True, "trace": True},
+        "62e86edbcbdf54d21ab5d91a7e2096597c7b26bcb838446c270ee0d7f4e6a8c4",
+        "20f971d8c98f88808cb962de2dd6d681223572282cc3856d29538da923107e52"),
+    # 8 arms with k = 2: balancing and exact-k top-off
+    "coverage-bandit-elimination": (
+        {"measure": {"type": "coverage", "m": 20,
+                     "sets": [list(range(8)), list(range(8, 14)), [14, 15], [16], [17], [18],
+                              [19], [0]]},
+         "model": "bandit", "k": 2, "delta": 0.1, "replicates": 3, "base_seed": 18,
+         "stage_cap": 12},
+        "94b337361ca456d79a1f6ab034ed423305dd48f3cd63845d5e5cb7c41fc12187", None),
 }
 
 
@@ -513,7 +530,8 @@ def test_workload_outputs_are_pinned(tmp_path, capsys, workloads, name):
     assert all(line.startswith("error: ") for line in errors), printed.err
 
 
-def test_workload_hashes_tool_prints_the_seed_one_pins(monkeypatch, capsys):
+@pytest.fixture
+def workload_hashes_tool(monkeypatch):
     tool = Path(__file__).resolve().parents[1] / "tools" / "workload_hashes.py"
     spec = importlib.util.spec_from_file_location("workload_hashes", tool)
     module = importlib.util.module_from_spec(spec)
@@ -521,11 +539,26 @@ def test_workload_hashes_tool_prints_the_seed_one_pins(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", sys.path[:])
     # the tool registers the workloads module it loads; the patch removes it afterwards
     monkeypatch.setitem(sys.modules, "perfbench_workloads", None)
+    return module
+
+
+def test_workload_hashes_tool_prints_the_seed_one_pins(workload_hashes_tool, capsys):
     capsys.readouterr()
-    module.main(["1"])
+    workload_hashes_tool.main(["1"])
     assert json.loads(capsys.readouterr().out) == {
         name: {"1": [results_sha, trace_sha]}
         for name, (results_sha, trace_sha, _, _) in WORKLOAD_PINS.items()}
+
+
+def test_workload_hashes_tool_runs_elimination_workloads_under_every_model(
+        workload_hashes_tool):
+    configs = list(workload_hashes_tool._configs(all_models=True))
+    assert [key for key, _, _ in configs] == list(WORKLOAD_PINS) + [
+        "semi-product-n256/bandit", "semi-product-n256/marked",
+        "bandit-product-n12/marked", "bandit-product-n12/semi",
+        "marked-coverage-n64/bandit", "marked-coverage-n64/semi"]
+    assert [key for key, _, _ in workload_hashes_tool._configs(all_models=False)] == list(
+        WORKLOAD_PINS)
 
 
 def _reference_trace_line(stage, replicate):

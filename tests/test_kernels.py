@@ -125,6 +125,33 @@ def test_permute_pool_orders_keys_agreeing_in_their_kept_bits_by_pool_position()
     assert order.tolist() == [[7, 4095], [4095, 7]]
 
 
+def _shift_packed(keys, pool):
+    """``permute_pool`` as it packs a pool holding an arm of 2**10 or above: the
+    key truncated to its top 53 - s bits, then shifted past the arm bits."""
+    arm_bits = int(pool[-1]).bit_length()
+    dropped = max(0, arm_bits - kernels.PACKED_ARM_BITS)
+    codes = (keys * 2.0 ** (53 - dropped)).astype(np.int64).view(np.uint64)
+    codes = (codes << np.uint64(arm_bits)) | pool.view(np.uint64)
+    codes.sort(axis=1)
+    return (codes & np.uint64((1 << arm_bits) - 1)).astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1023, 1024, 2047]), st.integers(1, 40), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_permute_pool_packs_by_one_multiply_as_the_shift_does(largest, m, rows, seed):
+    # pools whose largest arm is 1023 pack each key with one multiply; 1024 and
+    # 2047 take the shift.  Keys from the least, greatest and two middle grid
+    # values tie within rows, and random keys fill the rest
+    rng = np.random.default_rng(seed)
+    pool = np.append(np.sort(rng.choice(largest, m - 1, replace=False)), largest)
+    keys = rng.random((rows, m))
+    tied = rng.random((rows, m)) < 0.5
+    keys[tied] = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])[rng.integers(0, 4, tied.sum())]
+    order = kernels.permute_pool(keys, pool, np.empty((rows, m), np.int64))
+    assert order.tolist() == _shift_packed(keys, pool).tolist()
+
+
 TOPOFF_SMALL = ProductMeasure(means=tuple(np.linspace(0.05, 0.95, 12)))
 # arm i has mean linspace(0.05, 0.95, 12)[i % 12], so arms 2040-2099 spread over it
 TOPOFF_WIDE = ProductMeasure(means=tuple(np.resize(np.linspace(0.05, 0.95, 12), 2100)))
@@ -283,6 +310,26 @@ def test_record_plays_equals_observe_query_by_query(case):
     expected = _observed_credits(model, n, k1, order, arms, bits, mark_u)
     y = kernels.record_plays(bits, order, k1, model, np.zeros(n, np.int64), mark_u)
     assert y.tolist() == expected.tolist()
+
+
+def _slot_major(bits):
+    """A copy of (B, q, w) ``bits`` laid out as a gathering draw returns them:
+    each slot's (B, q) plane contiguous, the slots B * q bytes apart."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(bits, 2, 0)), 0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recorder_cases())
+def test_record_plays_credits_slot_major_bits_as_row_major(case):
+    """The recorder reads the bits' layout from their strides; both layouts
+    of the same bits credit the same counts."""
+    model, n, k1, order, arms, bits, mark_u = case
+    slot_major = _slot_major(bits)
+    plays, q, width = bits.shape
+    assert width == 1 or plays * q == 1 or slot_major.strides[2] > slot_major.strides[1]
+    rows = kernels.record_plays(bits, order, k1, model, np.zeros(n, np.int64), mark_u)
+    slots = kernels.record_plays(slot_major, order, k1, model, np.zeros(n, np.int64), mark_u)
+    assert slots.tolist() == rows.tolist()
 
 
 @pytest.mark.parametrize("m,k1,k2", [

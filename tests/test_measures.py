@@ -451,6 +451,30 @@ class TestObservedArms:
         with pytest.raises(DomainError):
             sample_matrix(PRODUCT, np.random.default_rng(0), 3, arms=np.zeros(3, int))
 
+    @pytest.mark.parametrize("measure", [COVERAGE, JOINT], ids=["coverage", "joint"])
+    @pytest.mark.parametrize("arm", ["n", -1])
+    def test_arm_out_of_range_raises(self, measure, arm):
+        rng = np.random.default_rng(0)
+        arms = np.asarray([[0, measure.n if arm == "n" else arm]] * 3)
+        with pytest.raises(IndexError):
+            measure.draw(rng, arms)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+    @pytest.mark.parametrize("measure", [COVERAGE, JOINT], ids=["coverage", "joint"])
+    def test_gathering_draws_return_slot_major_bits(self, measure):
+        # each slot's column is contiguous; the values are the row-by-row gather's
+        arms = np.random.default_rng(3).integers(0, measure.n, (50, 3))
+        bits = measure.draw(np.random.default_rng(4), arms)
+        assert bits.shape == (50, 3) and bits.dtype == np.uint8
+        assert bits.T.flags.c_contiguous
+        rng = np.random.default_rng(4)
+        if measure is COVERAGE:
+            expected = measure.members[rng.integers(0, measure.m, 50)[:, None], arms]
+        else:
+            atoms = rng.choice(8, size=50, p=np.asarray(measure.probs))
+            expected = (atoms[:, None] >> arms) & 1
+        assert bits.tolist() == expected.tolist()
+
     def test_coverage_membership_table_built_once(self):
         assert COVERAGE.members is COVERAGE.members
         assert COVERAGE.members.tolist() == [

@@ -12,6 +12,13 @@ keeps every workload's bytes:
 
     python tools/workload_hashes.py 1-10 > hashes.json
 
+``--all-models`` also runs each elimination workload's config under the two
+feedback models it does not use, keyed ``{workload}/{model}`` and capped at
+``OTHER_MODEL_STAGE_CAP`` stages, so that a change to one model's recorder
+shows on every elimination instance:
+
+    python tools/workload_hashes.py --all-models 1-10 > hashes.json
+
 It imports ``bestofk`` from the ``src`` directory beside it.  Seeds are given
 as numbers or inclusive ranges (``2-10``); the default is seed 1.
 """
@@ -27,6 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# bandit feedback on semi-product-n256's instance decides nothing before the
+# default cap of 40 stages; at 14 every run takes at most a few seconds
+OTHER_MODEL_STAGE_CAP = 14
 
 
 def _seeds(text: str) -> list[int]:
@@ -44,16 +54,35 @@ def load_workloads() -> dict:
     return module.WORKLOADS
 
 
-def workload_hashes(seeds: list[int]) -> dict[str, dict[str, list[str | None]]]:
-    """The sha256 of each workload's results file and .trace (or None) per seed."""
+def _configs(all_models: bool):
+    """(key, workload, model override or None) for every config to hash."""
+    from bestofk.game import MODELS
+
+    workloads = load_workloads()
+    for name, workload in workloads.items():
+        yield name, workload, None
+    for name, workload in workloads.items() if all_models else ():
+        used = workload.config(1)
+        if used.get("algorithm", "elimination") == "elimination":
+            for model in MODELS:
+                if model != used["model"]:
+                    yield f"{name}/{model}", workload, model
+
+
+def workload_hashes(seeds: list[int], all_models: bool = False
+                    ) -> dict[str, dict[str, list[str | None]]]:
+    """The sha256 of each workload's results file and .trace (or None) per seed;
+    with ``all_models`` also of each elimination workload under the other models."""
     from bestofk.harness import ExperimentConfig, run_experiment
 
     hashes: dict[str, dict[str, list[str | None]]] = {}
     with tempfile.TemporaryDirectory() as where:
         out = Path(where) / "r.jsonl"
-        for name, workload in load_workloads().items():
+        for name, workload, model in _configs(all_models):
             for seed in seeds:
                 doc = {**workload.config_doc(seed), "out": str(out)}
+                if model:
+                    doc.update(model=model, stage_cap=OTHER_MODEL_STAGE_CAP)
                 run_experiment(ExperimentConfig.from_json(json.dumps(doc)))
                 hashes.setdefault(name, {})[str(seed)] = [
                     hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
@@ -66,9 +95,12 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", nargs="*", type=_seeds, default=[[1]],
                         help="seeds or inclusive seed ranges, e.g. 1 or 2-10")
-    seeds = [seed for group in parser.parse_args(argv).seeds for seed in group]
+    parser.add_argument("--all-models", action="store_true",
+                        help="also hash each elimination workload under the other two models")
+    args = parser.parse_args(argv)
+    seeds = [seed for group in args.seeds for seed in group]
     sys.path.insert(0, str(ROOT / "src"))
-    print(json.dumps(workload_hashes(seeds), indent=1))
+    print(json.dumps(workload_hashes(seeds, args.all_models), indent=1))
 
 
 if __name__ == "__main__":
