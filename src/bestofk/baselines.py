@@ -73,7 +73,7 @@ def _eliminate_over_subsets(
         for lo in range(0, queries, draw_rows):
             group = slice(lo // big_t, lo // big_t + draw_rows // rows)
             arms = np.repeat(survivors[group], rows, axis=0)
-            draws = sample_matrix(env, rng, len(arms), arms=arms)
+            draws = sample_matrix(env, rng, arms)
             hits[group] += fold_columns(draws, fold).reshape(-1, rows).sum(axis=1)
         mu = hits / big_t
         radius = confidence_radius(mu, big_t, n_arms, t, delta)

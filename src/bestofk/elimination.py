@@ -212,7 +212,7 @@ def stage_play(
         arms = play_arms(
             order, topoff[:b], k1, out=held_buffer("stage.arms", (b, q, k1 + k2), np.int64)
         )
-        bits = sample_matrix(env, rng, b * q, arms=arms.reshape(b * q, -1)).reshape(arms.shape)
+        bits = sample_matrix(env, rng, arms.reshape(b * q, -1)).reshape(arms.shape)
         mark_u = rng.random((b, q)) if model == "marked" else None
         record_plays(bits, order, k1, model, y, mark_u)
         done += b

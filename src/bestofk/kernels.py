@@ -31,8 +31,9 @@ credits are sparse, so semi counts the order positions whose slot reads 1.
 The bits come row-major from product and planted draws and slot-major (each
 slot's column contiguous) from the gathering coverage and joint-table draws.
 Bandit and marked read them column by column either way; semi reads
-row-major bits through one reshape and copies slot-major bits slot by slot
-into a row-major table, as a reshape would copy across the slots.
+row-major bits as bool through one reshape and copies slot-major bits slot
+by slot into a row-major bool table, as a reshape would copy across the
+slots.
 A marked query credits at most one slot, the winner numbered
 tgt = floor(u * wins) from 0 in slot order: with a running count of wins
 over the k1 pool slots, it credits slot c = #{s < k1 : count_s <= tgt}
@@ -191,7 +192,8 @@ def record_plays(
                 hit[:, :, s] = bits[:, :, s].view(bool)
             hit = hit.reshape(n_plays, q * k1)[:, :m]
         else:
-            hit = bits[:, :, :k1].reshape(n_plays, q * k1)[:, :m] == 1
+            # row-major bits: the 0/1 bytes read as bool through one reshape
+            hit = bits[:, :, :k1].view(bool).reshape(n_plays, q * k1)[:, :m]
         y_out += np.bincount(order.ravel()[np.flatnonzero(hit)], minlength=len(y_out))
         return y_out
     # marked: query (p, j) names the winner numbered tgt = floor(u * wins) from

@@ -16,10 +16,10 @@ product laws (``components``, which ``Measure.exact_probs`` expands for the
 oracle without calling a sampler), best k-subset (``optimum``), the doubles a
 draw takes from the stream (``draw_doubles``, where it is a count) and document
 (``to_dict``: the class's compared fields).  Callers use those methods
-directly.  Three module-level entry points stay because they check their
-input: ``sample_matrix`` (the ``arms`` shape), ``expected_max`` (the arm set)
-and ``optimal_subset`` (k); the benchmark's tracer also times ``sample_matrix``
-and ``optimal_subset`` by name.
+directly, and those methods trust their input.  Three module-level entry
+points stay because they check it: ``sample_matrix`` (the ``arms`` shape and
+range), ``expected_max`` (the arm set) and ``optimal_subset`` (k); the
+benchmark's tracer also times ``sample_matrix`` and ``optimal_subset`` by name.
 
 Scoring all C(n, k) subsets keeps one uniqueness rule, ``_unique_best``, and
 one subset table, ``_enumerate_subsets`` (also the subset baselines' arms);
@@ -28,15 +28,16 @@ the coverage optimum scores in colex order instead, counting unions in
 
 The planted sampler takes its doubles, and gathers its per-arm cells,
 thresholds and gates, into ``held_buffer`` scratch, at most
-``DRAW_ELEMENTS`` doubles (or one row) per generator call, and checks each
-block's arms once; callers bound each draw's observed arms by
-``DRAW_ELEMENTS``.  Product and planted draws return row-major bits, as
-their uniforms come from the stream in row order.  The gathering draws
-(coverage and joint table) draw one value per row, gather each query slot's
-bits from it one slot at a time along the rows and return the transpose of
-a (w, rows) table: slot-major bits, each slot's column contiguous.  The
-planted and gathering draws raise ``IndexError`` for an arm outside
-range(n) before they take from the stream.
+``DRAW_ELEMENTS`` doubles (or one row) per generator call; callers bound
+each draw's observed arms by ``DRAW_ELEMENTS``.  Product and planted draws
+return row-major bits, as their uniforms come from the stream in row order.
+The gathering draws (coverage and joint table) draw one value per row,
+gather each query slot's bits from it one slot at a time along the rows and
+return the transpose of a (w, rows) table: slot-major bits, each slot's
+column contiguous.  No draw checks its arms (its ``np.take`` gathers clip,
+as raise mode fills a fresh copy of ``out``, and the joint table's shifts
+read 0): ``sample_matrix`` raises ``IndexError`` for an arm outside range(n)
+before anything is taken from the stream.
 
 Arms are 0-based everywhere.  All randomness flows through explicit
 ``numpy.random.Generator`` instances; measures themselves are immutable and
@@ -100,13 +101,6 @@ def _enumerate_subsets(n: int, k: int) -> np.ndarray:
     return subsets
 
 
-def _check_arms(arms: np.ndarray, n: int, kind: str) -> None:
-    """Raise ``IndexError`` unless every arm lies in range(n): one pass over the
-    arms as uint64, where a negative arm reads 2**63 or more."""
-    if arms.size and arms.astype(np.int64, copy=False).view(np.uint64).max() >= n:
-        raise IndexError(f"{kind} draw arms must lie in range({n})")
-
-
 def _unique_best(values: np.ndarray) -> int | None:
     """Index of the first largest of ``values``, or None when the next largest
     (repeats counted) lies within 1e-12 of it."""
@@ -124,8 +118,8 @@ class Measure(ABC):
 
     @abstractmethod
     def draw(self, rng: np.random.Generator, arms: np.ndarray) -> np.ndarray:
-        """(size, w) uint8 draws, row- or slot-major; row i has the joint law on
-        the distinct ``arms[i]``."""
+        """(rows, w) uint8 draws, row- or slot-major; row i has the joint law on
+        the distinct, in-range ``arms[i]`` (unchecked)."""
 
     @abstractmethod
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,9 +166,7 @@ def _marginalize(probs: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     code = np.zeros(len(idx), dtype=np.int64)
     for out_bit, p in enumerate(positions):
         code |= ((idx >> p) & 1) << out_bit
-    sub = np.zeros(2 ** len(positions))
-    np.add.at(sub, code, probs)
-    return sub
+    return np.bincount(code, weights=probs, minlength=2 ** len(positions))
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ class ProductMeasure(Measure):
         """Compare held uniforms with held gathered means; the bits are fresh.
 
         ``np.take`` clips rather than raises, because in raise mode it fills a
-        temporary copy of ``out``; ``arms`` must lie in range(n).
+        temporary copy of ``out``.
         """
         uniforms = rng.random(out=held_buffer("draw.uniforms", arms.shape, np.float64))
         means = self.mean_array.take(arms, mode="clip",
@@ -297,16 +289,13 @@ class PlantedMeasure(Measure):
 
         The cell table and the threshold and gate gathers are ``held_buffer``
         views that ``np.take`` fills in clip mode, as raise mode would fill a
-        fresh copy of ``out``; so one range check per block raises
-        ``IndexError`` for an arm outside range(n), before the block's doubles
-        are drawn.  Only the returned bits are fresh.
+        fresh copy of ``out``.  Only the returned bits are fresh.
         """
         size, k = len(arms), self.k
         rows = max(1, DRAW_ELEMENTS // (1 + k + arms.shape[1]))
         if size > rows:
             return np.concatenate([self.draw(rng, arms[i : i + rows])
                                    for i in range(0, size, rows)])
-        _check_arms(arms, self.n, self.kind)
         block = (size * (1 + k + arms.shape[1]),)
         u = rng.random(out=held_buffer("draw.uniforms", block, np.float64))
         y = u[:size] < self.p
@@ -414,11 +403,8 @@ class CoverageMeasure(Measure):
         one (rows,) buffer and gathered into row s of a (w, rows) table, whose
         transpose is returned: slot-major bits, each slot's column contiguous.
         The cell buffer is as fresh as ω: held, it raised the coverage
-        workload's peak RSS by about 1 MB and saved no time.  ``_check_arms``
-        raises ``IndexError`` for an arm outside range(n) before ω is drawn,
-        so the gathers clip.
+        workload's peak RSS by about 1 MB and saved no time.
         """
-        _check_arms(arms, self.n, self.kind)
         omega = rng.integers(0, self.m, size=len(arms))
         omega *= self.n
         cells = np.empty_like(omega)
@@ -527,10 +513,8 @@ class JointTableMeasure(Measure):
 
         Slot by slot along the rows, the bits go into row s of a (w, rows)
         table whose transpose is returned: slot-major bits, as the coverage
-        draw returns.  ``_check_arms`` raises ``IndexError`` for an arm outside
-        range(k) before the atoms are drawn.
+        draw returns.
         """
-        _check_arms(arms, self.n, self.kind)
         atoms = rng.choice(2**self.k, size=len(arms), p=np.asarray(self.probs))
         bits = np.empty(arms.shape[::-1], dtype=np.uint8)
         for slot, column in zip(bits, arms.T):
@@ -550,27 +534,27 @@ _FAMILIES = {cls.kind: cls for cls in (ProductMeasure, PlantedMeasure, CoverageM
                                        JointTableMeasure)}
 
 
-def sample_matrix(measure: Measure, rng: np.random.Generator, size: int,
-                  arms: np.ndarray | None = None) -> np.ndarray:
-    """Draw ``size`` independent reward vectors, each read at its row of ``arms``.
+def sample_matrix(measure: Measure, rng: np.random.Generator, arms: np.ndarray) -> np.ndarray:
+    """Draw one independent reward vector per row of ``arms``, read at that row.
 
-    ``arms`` is an int array of shape (size, w) naming the distinct
-    coordinates each row observes; the result is a (size, w) uint8 array
+    ``arms`` is a 2-D int array of shape (rows, w) naming the distinct
+    coordinates each row observes; the result is a (rows, w) uint8 array
     whose row i has the joint law of the measure on ``arms[i]``, drawn
-    fresh per row.  Only the observed coordinates are drawn.  Without
-    ``arms`` every row observes all n arms and the result is (size, n).
-    Product and planted draws return it row-major; the gathering coverage
-    and joint-table draws return it slot-major (the transpose of a
-    C-contiguous (w, size) table), so read it by columns, or by its strides.
+    fresh per row.  Only the observed coordinates are drawn.  Product and
+    planted draws return it row-major; the gathering coverage and
+    joint-table draws return it slot-major (the transpose of a C-contiguous
+    (w, rows) table), so read it by columns, or by its strides.
+
+    The one range check of the sampler: a single pass over the arms viewed
+    as uint64, where a negative arm reads 2**63 or more, raises
+    ``IndexError`` for an arm outside range(n) before anything is taken from
+    ``rng``.
     """
-    if size < 0:
-        raise DomainError("size must be >= 0")
-    if arms is None:
-        arms = np.broadcast_to(np.arange(measure.n), (size, measure.n))
-    else:
-        arms = np.asarray(arms, dtype=np.int64)
-        if arms.ndim != 2 or arms.shape[0] != size:
-            raise DomainError(f"arms must have shape ({size}, w), got {arms.shape}")
+    arms = np.asarray(arms, dtype=np.int64)
+    if arms.ndim != 2:
+        raise DomainError(f"arms must be a 2-D (rows, w) array, got shape {arms.shape}")
+    if arms.size and arms.view(np.uint64).max() >= measure.n:
+        raise IndexError(f"{measure.kind} draw arms must lie in range({measure.n})")
     return measure.draw(rng, arms)
 
 

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 
@@ -21,3 +22,14 @@ def allocation_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def all_arms():
+    """A function giving the ``arms`` of ``rows`` full reward vectors of a
+    measure: every row observes arms 0..n-1, as one zero-stride view."""
+
+    def arms(measure, rows):
+        return np.broadcast_to(np.arange(measure.n), (rows, measure.n))
+
+    return arms

@@ -128,14 +128,14 @@ def test_c06_kl_sandwich():
     _report("C6", started, 1.0, "13,000 random pairs over three seeds, zero violations")
 
 
-def test_c07_parity_estimator():
+def test_c07_parity_estimator(all_arms):
     started = time.perf_counter()
     draws_per = 100_000
     se = math.sqrt(0.25 / draws_per)
     rng = np.random.default_rng(31)
     for p in P_GRID:
         env = PlantedMeasure(5, 2, 0.5, p)
-        draws = sample_matrix(env, rng, draws_per)
+        draws = sample_matrix(env, rng, all_arms(env, draws_per))
         star = float((draws[:, 0] ^ draws[:, 1]).mean())
         assert abs(star - (0.5 + p / 2)) < 4 * se, (p, star)
         for other in ((0, 2), (1, 3), (2, 4)):

@@ -78,9 +78,9 @@ class TestSubsetArm:
         whole = subset_arm_identify(env, k, 0.1, np.random.default_rng(7), stage_cap=8)
         rows = []
 
-        def counted(measure, rng, size, arms=None):
+        def counted(measure, rng, arms):
             rows.append(len(arms))
-            return sample_matrix(measure, rng, size, arms=arms)
+            return sample_matrix(measure, rng, arms)
 
         monkeypatch.setattr(baselines, "DRAW_ELEMENTS", 20 * k)  # 20 rows, down to 16
         monkeypatch.setattr(baselines, "sample_matrix", counted)
@@ -121,8 +121,8 @@ class TestSubsetArm:
         # Planted stages 1-5 run undrawn unless every stage is drawn (all_drawn)
         digest = hashlib.sha256()
 
-        def hashed(measure, rng, size, arms=None):
-            draws = sample_matrix(measure, rng, size, arms=arms)
+        def hashed(measure, rng, arms):
+            draws = sample_matrix(measure, rng, arms)
             digest.update(np.ascontiguousarray(arms).tobytes() + draws.tobytes())
             return draws
 
@@ -169,9 +169,9 @@ class TestSubsetArm:
         env = PlantedMeasure(8, 2, 0.5, 1.0)
         rows = []
 
-        def counted(measure, rng, size, arms=None):
-            rows.append(size)
-            return sample_matrix(measure, rng, size, arms=arms)
+        def counted(measure, rng, arms):
+            rows.append(len(arms))
+            return sample_matrix(measure, rng, arms)
 
         monkeypatch.setattr(baselines, "sample_matrix", counted)
         rec = subset_arm_identify(env, 2, 0.1, np.random.default_rng(1))
@@ -212,11 +212,11 @@ class TestSubsetArm:
 
 
 class TestParity:
-    def test_planted_parity_means(self):
+    def test_planted_parity_means(self, all_arms):
         rng = np.random.default_rng(3)
         for p in (0.25, 0.5, 1.0):
             env = PlantedMeasure(5, 2, 0.5, p)
-            draws = sample_matrix(env, rng, 100_000)
+            draws = sample_matrix(env, rng, all_arms(env, 100_000))
             star = (draws[:, 0] ^ draws[:, 1]).mean()
             se = math.sqrt(0.25 / 100_000)
             assert abs(star - (0.5 + p / 2)) < 4 * se

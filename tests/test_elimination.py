@@ -506,9 +506,9 @@ class TestUndrawnStages:
 
         sizes = []
 
-        def counted(measure, rng, size, arms=None):
-            sizes.append(size)
-            return measures.sample_matrix(measure, rng, size, arms=arms)
+        def counted(measure, rng, arms):
+            sizes.append(len(arms))
+            return measures.sample_matrix(measure, rng, arms)
 
         monkeypatch.setattr(elim, "sample_matrix", counted)
         monkeypatch.setattr(baselines, "sample_matrix", counted)

@@ -546,8 +546,8 @@ def test_workload_hashes_tool_prints_the_seed_one_pins(workload_hashes_tool, cap
     capsys.readouterr()
     workload_hashes_tool.main(["1"])
     assert json.loads(capsys.readouterr().out) == {
-        name: {"1": [results_sha, trace_sha]}
-        for name, (results_sha, trace_sha, _, _) in WORKLOAD_PINS.items()}
+        **{name: {"1": list(pins)} for name, pins in WORKLOAD_PINS.items()},
+        "verify": hashlib.sha256(b"ok: 6 oracle checks passed\n").hexdigest()}
 
 
 def test_workload_hashes_tool_runs_elimination_workloads_under_every_model(

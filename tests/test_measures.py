@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -156,15 +157,15 @@ class TestCoverage:
 
 
 class TestSampling:
-    def test_all_zero_product(self):
+    def test_all_zero_product(self, all_arms):
         m = ProductMeasure(means=(0.0, 0.0, 0.0))
         rng = np.random.default_rng(0)
-        assert not sample_matrix(m, rng, 100).any()
+        assert not sample_matrix(m, rng, all_arms(m, 100)).any()
 
-    def test_planted_parity_deterministic_at_p_one(self):
+    def test_planted_parity_deterministic_at_p_one(self, all_arms):
         m = PlantedMeasure(5, 3, 0.5, 1.0)
         rng = np.random.default_rng(1)
-        draws = sample_matrix(m, rng, 20_000)
+        draws = sample_matrix(m, rng, all_arms(m, 20_000))
         parity = draws[:, list(m.planted_set)].sum(axis=1) % 2
         assert (parity == 1).all()
 
@@ -172,33 +173,33 @@ class TestSampling:
         # p = 1 and mu = 1/2: the planted pair's parity is 1, so one of them reads 1
         m = PlantedMeasure(4, 2, 0.5, 1.0)
         arms = np.broadcast_to(np.asarray(m.planted_set), (10_000, 2))
-        draws = sample_matrix(m, np.random.default_rng(6), 10_000, arms=arms)
+        draws = sample_matrix(m, np.random.default_rng(6), arms)
         assert fold_columns(draws, np.bitwise_or).all()
 
-    def test_coverage_frequency(self):
+    def test_coverage_frequency(self, all_arms):
         m = CoverageMeasure(4, [{0, 1}, {2}])
         rng = np.random.default_rng(2)
-        draws = sample_matrix(m, rng, 100_000)
+        draws = sample_matrix(m, rng, all_arms(m, 100_000))
         freq = draws[:, 0].mean()
         assert abs(freq - 0.5) < 0.01
 
-    def test_product_max_monte_carlo(self):
+    def test_product_max_monte_carlo(self, all_arms):
         rng = np.random.default_rng(3)
         m = ProductMeasure(means=(0.7, 0.4, 0.2, 0.1))
         s = (0, 1, 3)
-        draws = sample_matrix(m, rng, 100_000)[:, list(s)].max(axis=1)
+        draws = sample_matrix(m, rng, all_arms(m, 100_000))[:, list(s)].max(axis=1)
         exact = expected_max(m, s)
         se = math.sqrt(exact * (1 - exact) / 100_000)
         assert abs(draws.mean() - exact) < 4 * se
 
-    def test_product_draws_are_independent_arrays(self):
+    def test_product_draws_are_independent_arrays(self, all_arms):
         # the draw writes its uniforms and means into held buffers; the bits
         # it returns are its own, so a second draw leaves the first unchanged
         m = ProductMeasure(means=(0.5,) * 6)
         rng = np.random.default_rng(7)
-        first = sample_matrix(m, rng, 1000)
+        first = sample_matrix(m, rng, all_arms(m, 1000))
         kept = first.copy()
-        second = sample_matrix(m, rng, 1000)
+        second = sample_matrix(m, rng, all_arms(m, 1000))
         assert (first == kept).all()
         assert not np.shares_memory(first, second)
 
@@ -214,16 +215,16 @@ class TestSampling:
         assert (first == kept).all()
         assert not np.shares_memory(first, second)
 
-    def test_sample_reproducible_per_seed(self):
+    def test_sample_reproducible_per_seed(self, all_arms):
         m = PlantedMeasure(7, 3, 0.4, 0.5)
-        a = sample_matrix(m, np.random.default_rng(123), 50)
-        b = sample_matrix(m, np.random.default_rng(123), 50)
+        a = sample_matrix(m, np.random.default_rng(123), all_arms(m, 50))
+        b = sample_matrix(m, np.random.default_rng(123), all_arms(m, 50))
         assert (a == b).all()
 
-    def test_joint_table_sampler_frequencies(self):
+    def test_joint_table_sampler_frequencies(self, all_arms):
         m = JointTableMeasure(k=2, probs=(0.1, 0.2, 0.3, 0.4))
         rng = np.random.default_rng(4)
-        draws = sample_matrix(m, rng, 200_000)
+        draws = sample_matrix(m, rng, all_arms(m, 200_000))
         atom = draws[:, 0] + 2 * draws[:, 1]
         for a, p in enumerate(m.probs):
             assert abs((atom == a).mean() - p) < 4 * math.sqrt(p * (1 - p) / 200_000)
@@ -280,13 +281,6 @@ class TestPlantedDraw:
         measure = PlantedMeasure(80, 65, 0.5, 0.3, planted_set=range(10, 75))
         arms = np.argsort(np.random.default_rng(5).random((300, 80)), axis=1)[:, :70]
         self.assert_same_draw(measure, arms, 6)
-
-    @pytest.mark.parametrize("arm", [7, -1])  # arm n of PLANTED, and a negative arm
-    def test_arm_out_of_range_raises(self, arm):
-        rng = np.random.default_rng(0)
-        with pytest.raises(IndexError):
-            PLANTED.draw(rng, np.asarray([[0, arm]]))
-        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
     def test_zero_rows_draw_nothing(self):
         rng = np.random.default_rng(0)
@@ -390,7 +384,7 @@ def assert_law(measure, arms, draws):
 
 
 class TestObservedArms:
-    """sample_matrix(..., arms=A): row i has the exact joint law on A[i]."""
+    """sample_matrix(measure, rng, A): row i has the exact joint law on A[i]."""
 
     @pytest.mark.parametrize(
         "measure,arms",
@@ -409,7 +403,7 @@ class TestObservedArms:
     )
     def test_rows_follow_exact_table(self, measure, arms):
         rows = np.tile(np.asarray(arms), (LAW_ROWS, 1))
-        draws = sample_matrix(measure, np.random.default_rng(31), LAW_ROWS, arms=rows)
+        draws = sample_matrix(measure, np.random.default_rng(31), rows)
         assert draws.shape == (LAW_ROWS, len(arms))
         assert draws.dtype == np.uint8
         assert_law(measure, arms, draws)
@@ -427,7 +421,7 @@ class TestObservedArms:
     def test_each_row_reads_its_own_arms(self, measure, first, second):
         rows = np.empty((LAW_ROWS, len(first)), dtype=np.int64)
         rows[0::2], rows[1::2] = first, second
-        draws = sample_matrix(measure, np.random.default_rng(32), LAW_ROWS, arms=rows)
+        draws = sample_matrix(measure, np.random.default_rng(32), rows)
         assert_law(measure, first, draws[0::2])
         assert_law(measure, second, draws[1::2])
 
@@ -437,28 +431,35 @@ class TestObservedArms:
         ids=["product", "coverage", "joint", "planted"],
     )
     def test_default_arms_are_all_arms(self, measure):
-        everything = tuple(range(measure.n))
-        full = sample_matrix(measure, np.random.default_rng(33), LAW_ROWS)
-        assert full.shape == (LAW_ROWS, measure.n) and full.dtype == np.uint8
-        assert_law(measure, everything, full)
+        # rows that each observe every arm, in order, have the measure's full law
         rows = np.tile(np.arange(measure.n), (LAW_ROWS, 1))
-        assert_law(measure, everything,
-                   sample_matrix(measure, np.random.default_rng(34), LAW_ROWS, arms=rows))
+        full = sample_matrix(measure, np.random.default_rng(34), rows)
+        assert full.shape == (LAW_ROWS, measure.n) and full.dtype == np.uint8
+        assert_law(measure, tuple(range(measure.n)), full)
 
     def test_arms_shape_checked(self):
         with pytest.raises(DomainError):
-            sample_matrix(PRODUCT, np.random.default_rng(0), 3, arms=np.zeros((2, 2), int))
-        with pytest.raises(DomainError):
-            sample_matrix(PRODUCT, np.random.default_rng(0), 3, arms=np.zeros(3, int))
+            sample_matrix(PRODUCT, np.random.default_rng(0), np.zeros(3, int))
 
-    @pytest.mark.parametrize("measure", [COVERAGE, JOINT], ids=["coverage", "joint"])
+    @pytest.mark.parametrize("measure", [PRODUCT, COVERAGE, JOINT, PLANTED],
+                             ids=["product", "coverage", "joint", "planted"])
     @pytest.mark.parametrize("arm", ["n", -1])
     def test_arm_out_of_range_raises(self, measure, arm):
+        # sample_matrix checks every family's arms before it draws
         rng = np.random.default_rng(0)
         arms = np.asarray([[0, measure.n if arm == "n" else arm]] * 3)
         with pytest.raises(IndexError):
-            measure.draw(rng, arms)
+            sample_matrix(measure, rng, arms)
         assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+    @pytest.mark.parametrize("measure", [PRODUCT, COVERAGE, JOINT, PLANTED],
+                             ids=["product", "coverage", "joint", "planted"])
+    def test_broadcast_arms_draw_as_their_copy(self, measure, all_arms):
+        # zero-stride arms (broadcast views) give the bits of their contiguous copy
+        for arms in (all_arms(measure, 300), np.broadcast_to([[2, 0]], (300, 2))):
+            bits = sample_matrix(measure, np.random.default_rng(5), arms)
+            copied = sample_matrix(measure, np.random.default_rng(5), arms.copy())
+            assert bits.tolist() == copied.tolist()
 
     @pytest.mark.parametrize("measure", [COVERAGE, JOINT], ids=["coverage", "joint"])
     def test_gathering_draws_return_slot_major_bits(self, measure):
@@ -681,6 +682,19 @@ class TestOptimalSubset:
         m = CoverageMeasure(4, [{0, 1}, {2}, {3}, {0}])
         assert optimal_subset(m, 2) is None
         assert optimal_subset(CoverageMeasure(4, [{0, 1}, {2}, {3}, {2, 3}]), 2) == (0, 3)
+
+    @pytest.mark.parametrize("measure", [
+        # disjoint sets of 1..40 elements: arms 35-39 would be the one best 5-subset
+        CoverageMeasure(820, [set(range(i * (i + 1) // 2, (i + 1) * (i + 2) // 2))
+                              for i in range(40)]),
+        PlantedMeasure(40, 3, 0.3, 0.5),  # queried at a k other than its own
+    ], ids=["coverage", "planted"])
+    def test_optimum_past_the_cap_is_none(self, measure):
+        # C(40, 5) = 658,008 subsets: the optimum is not looked for at all
+        assert math.comb(measure.n, 5) > measures.SUBSET_CAP
+        started = time.perf_counter()
+        assert optimal_subset(measure, 5) is None
+        assert time.perf_counter() - started < 1.0
 
 
 class TestFoldColumns:

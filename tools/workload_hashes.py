@@ -1,14 +1,17 @@
 """Hash what the benchmark workloads write, at the seeds asked.
 
 Runs the config of each workload in ``perfbench/workloads.py`` (read, not
-changed) in this process at each seed, and prints one JSON object:
+changed) in this process at each seed, and ``bestofk bounds`` on it, then
+``bestofk verify`` once, and prints one JSON object:
 
-    {workload: {seed: [sha256 of the results file, sha256 of the .trace or null]}}
+    {workload: {seed: [sha256 of the results file, sha256 of the .trace or null,
+                       bounds exit code, sha256 of bounds' stdout]},
+     "verify": sha256 of verify's stdout}
 
 Only the traced workload (``marked-coverage-n64``) writes a ``.trace``.  At
-seed 1 the hashes are the first two entries of ``WORKLOAD_PINS`` in
-``tests/test_harness.py``.  Diff the output of two trees to check that a change
-keeps every workload's bytes:
+seed 1 the four entries are ``WORKLOAD_PINS`` in ``tests/test_harness.py``.
+Diff the output of two trees to check that a change keeps every workload's
+bytes and every printed bound:
 
     python tools/workload_hashes.py 1-10 > hashes.json
 
@@ -26,8 +29,10 @@ as numbers or inclusive ranges (``2-10``); the default is seed 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import sys
 import tempfile
@@ -69,25 +74,44 @@ def _configs(all_models: bool):
                     yield f"{name}/{model}", workload, model
 
 
-def workload_hashes(seeds: list[int], all_models: bool = False
-                    ) -> dict[str, dict[str, list[str | None]]]:
-    """The sha256 of each workload's results file and .trace (or None) per seed;
-    with ``all_models`` also of each elimination workload under the other models."""
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli(*argv: str) -> tuple[int, str]:
+    """``bestofk`` run in this process: its exit code and the sha256 of its stdout
+    (stderr is dropped)."""
+    from bestofk.cli import main
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, _sha256(printed.getvalue().encode())
+
+
+def workload_hashes(seeds: list[int], all_models: bool = False) -> dict:
+    """Per workload and seed, the sha256 of the results file and .trace (or None)
+    and the ``bounds`` exit code and stdout sha256, with ``all_models`` also of
+    each elimination workload under the other models; then the ``verify``
+    stdout sha256."""
     from bestofk.harness import ExperimentConfig, run_experiment
 
-    hashes: dict[str, dict[str, list[str | None]]] = {}
+    hashes: dict = {}
     with tempfile.TemporaryDirectory() as where:
-        out = Path(where) / "r.jsonl"
+        out, config = Path(where) / "r.jsonl", Path(where) / "config.json"
         for name, workload, model in _configs(all_models):
             for seed in seeds:
-                doc = {**workload.config_doc(seed), "out": str(out)}
+                doc = workload.config_doc(seed)
                 if model:
                     doc.update(model=model, stage_cap=OTHER_MODEL_STAGE_CAP)
-                run_experiment(ExperimentConfig.from_json(json.dumps(doc)))
-                hashes.setdefault(name, {})[str(seed)] = [
-                    hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
-                    for path in (out, Path(f"{out}.trace"))]
+                run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "out": str(out)})))
+                written = [_sha256(path.read_bytes()) if path.exists() else None
+                           for path in (out, Path(f"{out}.trace"))]
                 Path(f"{out}.trace").unlink(missing_ok=True)
+                config.write_text(json.dumps(doc))
+                hashes.setdefault(name, {})[str(seed)] = [
+                    *written, *_cli("bounds", "--config", str(config))]
+    hashes["verify"] = _cli("verify")[1]
     return hashes
 
 
