@@ -44,14 +44,15 @@ built.
 
 ``stage_play`` passes the codes and the arm buffer as ``out``: views of
 buffers held for the life of the process (``measures.held_buffer``), as are
-the chunk's permutation keys, the product draw's uniforms and gathered
-means, and the planted draw's doubles and its gathered cells, thresholds
-and gates.  Freed, these multi-megabyte chunk arrays are trimmed off the heap by glibc and
-page-faulted in again by the next chunk; held, each grows to the largest
-chunk asked of it, at most ``DRAW_ELEMENTS`` pool or query slots plus the
-remainder block's padding.  They are filled with ``out=``
-arguments; ``np.take`` gets ``mode="clip"`` (its indices are in range),
-because in its default raise mode it fills a fresh copy of ``out``.
+the chunk's permutation keys, a draw's uniforms and gathered thresholds,
+and the planted draw's cells (its threshold table is written over its
+spent Y and Z doubles).  Freed, these multi-megabyte chunk arrays are
+trimmed off the heap by glibc and page-faulted in again by the next chunk;
+held, each grows to the largest chunk asked of it, at most
+``DRAW_ELEMENTS`` pool or query slots plus the remainder block's padding.
+They are filled with ``out=`` arguments; ``np.take`` gets ``mode="clip"``
+(its indices are in range), because in its default raise mode it fills a
+fresh copy of ``out``.
 """
 
 from __future__ import annotations

@@ -26,8 +26,10 @@ one subset table, ``_enumerate_subsets`` (also the subset baselines' arms);
 the coverage optimum scores in colex order instead, counting unions in
 64-bit words packed from the ``members`` table that ``draw`` reads.
 
-The planted sampler takes its doubles, and gathers its per-arm cells,
-thresholds and gates, into ``held_buffer`` scratch, at most
+Product and planted draws compare each uniform with one gathered
+threshold: their uniforms and thresholds, and the planted cells, are
+``held_buffer`` scratch, and the planted threshold table is written over the
+block's spent Y and Z doubles.  The planted sampler takes at most
 ``DRAW_ELEMENTS`` doubles (or one row) per generator call; callers bound
 each draw's observed arms by ``DRAW_ELEMENTS``.  Product and planted draws
 return row-major bits, as their uniforms come from the stream in row order.
@@ -195,15 +197,16 @@ class ProductMeasure(Measure):
         return means
 
     def draw(self, rng, arms):
-        """Compare held uniforms with held gathered means; the bits are fresh.
+        """Compare held uniforms with held thresholds, the gathered means; the
+        bits are fresh.
 
         ``np.take`` clips rather than raises, because in raise mode it fills a
         temporary copy of ``out``.
         """
         uniforms = rng.random(out=held_buffer("draw.uniforms", arms.shape, np.float64))
-        means = self.mean_array.take(arms, mode="clip",
-                                     out=held_buffer("draw.means", arms.shape, np.float64))
-        return (uniforms < means).view(np.uint8)
+        thresholds = self.mean_array.take(
+            arms, mode="clip", out=held_buffer("draw.thresholds", arms.shape, np.float64))
+        return (uniforms < thresholds).view(np.uint8)
 
     def draw_doubles(self, size, w):
         return size * w
@@ -276,20 +279,21 @@ class PlantedMeasure(Measure):
         (1 + k + w)) rows gives, in order, Y per row, the k planted Zs per row
         and one uniform per observed arm.
 
-        An arm reads 1 when its uniform is under its threshold (2*mu planted,
-        mu otherwise) and its gate is 1.  The gate is a (k + 1, size) table:
-        row s holds slot s's Zs and row k is all ones, so an arm's gate is
-        read flat at ``slots[arm]`` * size + row.  For u in [0, 1), u <
-        2*mu*Z is Z and (u < 2*mu); any other arm's Z*U is Bernoulli(mu) and
-        independent of everything else.  Every pass runs along the rows, none
+        An arm reads 1 when its uniform is under its threshold: 2*mu*Z for the
+        planted arm in slot s, mu for any other.  For u in [0, 1), u < 2*mu*Z
+        is Z and (u < 2*mu); any other arm's Z*U is Bernoulli(mu) and
+        independent of everything else.  The thresholds are a (k + 1, size)
+        table written over the block's spent Y and Z doubles: row s holds slot
+        s's 2*mu*Z and row k holds mu, so an arm's threshold is read flat at
+        ``slots[arm]`` * size + row.  Every pass runs along the rows, none
         along the few-wide slot or arm axis: the Zs are compared with 1/2 in
-        the block's (size, k) layout and copied into the table by one
+        the block's (size, k) layout and copied into (k, size) by one
         transposing pass, and the row offsets are added down the columns of
         the cell table (``order="C"`` on its transpose).
 
-        The cell table and the threshold and gate gathers are ``held_buffer``
-        views that ``np.take`` fills in clip mode, as raise mode would fill a
-        fresh copy of ``out``.  Only the returned bits are fresh.
+        The cell table and the threshold gather are ``held_buffer`` views that
+        ``np.take`` fills in clip mode, as raise mode would fill a fresh copy
+        of ``out``.  The returned bits are fresh.
         """
         size, k = len(arms), self.k
         rows = max(1, DRAW_ELEMENTS // (1 + k + arms.shape[1]))
@@ -298,20 +302,21 @@ class PlantedMeasure(Measure):
                                    for i in range(0, size, rows)])
         block = (size * (1 + k + arms.shape[1]),)
         u = rng.random(out=held_buffer("draw.uniforms", block, np.float64))
-        y = u[:size] < self.p
-        gate = np.empty((k + 1, size), dtype=bool)
-        gate[:k] = (u[size : size * (1 + k)].reshape(size, k) < 0.5).T
-        gate[k] = True
-        # Y=1 forces odd parity over the planted set: flip Z_0 where Y and the
-        # parity is even (y > parity is y and not parity)
-        gate[0] ^= y > np.bitwise_xor.reduce(gate[:k], axis=0)
+        # the cells first, so their fresh row offsets are freed before the Zs' tables
         cell = (self.slots * size).take(arms, mode="clip",
                                         out=held_buffer("draw.cells", arms.shape, np.int64))
         np.add(cell.T, np.arange(size), out=cell.T, order="C")
-        bits = u[size * (1 + k) :].reshape(arms.shape) < self.thresholds.take(
-            arms, mode="clip", out=held_buffer("draw.thresholds", arms.shape, np.float64))
-        bits &= gate.take(cell, mode="clip", out=held_buffer("draw.gates", arms.shape, bool))
-        return bits.view(np.uint8)
+        y = u[:size] < self.p
+        z = np.ascontiguousarray((u[size : size * (1 + k)].reshape(size, k) < 0.5).T)
+        # Y=1 forces odd parity over the planted set: flip Z_0 where Y and the
+        # parity is even (y > parity is y and not parity)
+        z[0] ^= y > np.bitwise_xor.reduce(z, axis=0)
+        table = u[: size * (1 + k)].reshape(k + 1, size)
+        np.multiply(z, 2.0 * self.mu, out=table[:k])
+        table[k] = self.mu
+        thresholds = table.take(cell, mode="clip",
+                                out=held_buffer("draw.thresholds", arms.shape, np.float64))
+        return (u[size * (1 + k) :].reshape(arms.shape) < thresholds).view(np.uint8)
 
     def draw_doubles(self, size, w):
         return size * (1 + self.k + w)  # the blocks of ``draw`` add up to this
@@ -323,13 +328,6 @@ class PlantedMeasure(Measure):
         slots[list(self.planted_set)] = np.arange(self.k)
         slots.flags.writeable = False
         return slots
-
-    @cached_property
-    def thresholds(self) -> np.ndarray:
-        """Read-only float array: 2*mu for a planted arm, mu for any other."""
-        thresholds = np.where(self.slots < self.k, 2.0 * self.mu, self.mu)
-        thresholds.flags.writeable = False
-        return thresholds
 
     def marginals(self):
         return (self.mu,) * self.n

@@ -157,7 +157,7 @@ def _record_weights(width: int, k1: int, model: str) -> np.ndarray:
     fires = (atoms[:, None] >> np.arange(k1)) & 1
     if model == "semi":
         return fires.astype(np.float64)
-    on = np.array([bin(atom).count("1") for atom in atoms.tolist()])
+    on = np.bitwise_count(atoms)
     if model == "bandit":
         return np.repeat((on > 0)[:, None], k1, axis=1).astype(np.float64)
     return fires / np.maximum(on, 1)[:, None]

@@ -548,7 +548,7 @@ def w0_atoms(mu: float, k: int, w0: float) -> np.ndarray:
         raise DomainError("mu must lie in [0, 1]")
     probs = np.zeros(2**k)
     for t in range(2 ** (k - 1)):
-        weight = bin(t).count("1")
+        weight = t.bit_count()
         w_t = (-1.0) ** weight * w0 + (-1.0) ** (weight - 1) * phi(weight, mu, k)
         probs[t] = w_t  # X_k = 0 atoms: top bit clear
         probs[t | (1 << (k - 1))] = psi(weight, mu, k) - w_t

@@ -647,8 +647,8 @@ class TestStageMemory:
 
     def test_held_buffers_stay_one_chunk(self, monkeypatch):
         # a chunk holds five held arrays (keys, perm, arms, the draw's uniforms
-        # and gathered means) of at most DRAW_ELEMENTS elements each, plus the
-        # remainder block's padding; smaller stages later reuse them and add none
+        # and gathered thresholds) of at most DRAW_ELEMENTS elements each, plus
+        # the remainder block's padding; smaller stages later reuse them and add none
         monkeypatch.setattr(measures, "_HELD", {})
         n, k1 = 2048, 8
         env = ProductMeasure(means=tuple(np.linspace(0.1, 0.9, n)))

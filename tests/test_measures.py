@@ -204,7 +204,7 @@ class TestSampling:
         assert not np.shares_memory(first, second)
 
     def test_planted_draws_are_independent_arrays(self):
-        # the draw builds a gate and a cell table per call; the bits it
+        # the draw builds a threshold and a cell table per call; the bits it
         # returns are its own, so a second draw leaves the first unchanged
         m = PlantedMeasure(8, 2, 0.45, 0.8, planted_set=(1, 4))
         rng = np.random.default_rng(7)
@@ -291,14 +291,24 @@ class TestPlantedDraw:
     @pytest.mark.parametrize("rows", [14_336, measures.DRAW_ELEMENTS // 5])
     def test_warm_draw_allocates_less_than_its_cells(self, rows, allocation_peak):
         # the subset-planted-n8 workload's largest draw, and one full block of
-        # two arms with k = 2: with the cell table and the threshold and gate
-        # gathers held, only the returned bits, the Y and gate tables and the
-        # row offsets are fresh (171 and 2,460 KiB; 534 and 7,784 KiB unheld)
+        # two arms with k = 2: with the cell table and the threshold gather
+        # held and the threshold table in the spent Y and Z doubles, only the
+        # row offsets, Y, the Z tables, the parity flip and the returned bits
+        # are fresh (115 and 1,641 KiB peaks, the row offsets first)
         measure = PlantedMeasure(8, 2, 0.5, 1.0)
         arms = np.tile(np.asarray([[0, 5]]), (rows, 1))
         measure.draw(np.random.default_rng(1), arms)
         peak = allocation_peak(lambda: measure.draw(np.random.default_rng(2), arms))
         assert peak < arms.size * np.dtype(np.int64).itemsize, peak
+
+    def test_draws_hold_uniforms_thresholds_and_cells(self, monkeypatch):
+        # the planted threshold table lives in the spent Y and Z doubles, and a
+        # product draw gathers its means under the planted gather's name
+        monkeypatch.setattr(measures, "_HELD", {})
+        arms = np.asarray([[0, 1], [3, 5], [6, 2]])
+        PLANTED.draw(np.random.default_rng(0), arms)
+        ProductMeasure(means=(0.3,) * PLANTED.n).draw(np.random.default_rng(0), arms)
+        assert sorted(measures._HELD) == ["draw.cells", "draw.thresholds", "draw.uniforms"]
 
     @pytest.mark.parametrize("elements, rows", [(61, 7), (5, 1)])
     def test_blocks_of_rows_match_the_reference_block_by_block(self, monkeypatch, elements,
