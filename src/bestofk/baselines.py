@@ -14,14 +14,16 @@ whose every radius is above 1/2, cannot drop a subset; a run takes them
 undrawn before its stage loop, in elimination's one generator jump
 (``elimination._skip_undecidable_stages``, with the C(n, k) subset arms as
 the union bound's count), which counts their queries, so every record and
-the generator's end state equal the fully simulated run's.
+the generator's end state equal the fully simulated run's.  A play's
+``elimination.StageShape`` (what ``stage_shape`` states for elimination) is a
+row of k arms per subset arm and nothing else.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .elimination import STAGE_CAP, _skip_undecidable_stages, confidence_radius
+from .elimination import STAGE_CAP, StageShape, _skip_undecidable_stages, confidence_radius
 from .errors import DomainError
 from .measures import DRAW_ELEMENTS, Measure, _enumerate_subsets, fold_columns, sample_matrix
 from .trial import TrialRecord
@@ -47,9 +49,8 @@ def _eliminate_over_subsets(
     at the cap returns its empirical leader, flagged inconclusive.
 
     The leading stages that cannot drop a subset are taken undrawn before
-    the loop by ``_skip_undecidable_stages``: each of their plays is one row
-    of k arms per subset arm, and the returned record is the one the drawn
-    stages give.
+    the loop by ``_skip_undecidable_stages``, and the returned record is the
+    one the drawn stages give.
     """
     if not (1 <= k <= env.n):
         raise DomainError("need 1 <= k <= n")
@@ -60,7 +61,8 @@ def _eliminate_over_subsets(
     # a draw holds at most draw_rows rows of k arms: the largest power of two
     # (so it divides every larger 2**t) with draw_rows * k <= DRAW_ELEMENTS
     draw_rows = 1 << ((DRAW_ELEMENTS // k).bit_length() - 1)
-    t, total_queries = _skip_undecidable_stages(env, rng, n_arms, k, delta, stage_cap, n_arms, 0)
+    t, total_queries = _skip_undecidable_stages(env, rng, n_arms, delta, stage_cap,
+                                                StageShape(n_arms, k, 0, 0))
     mu = np.zeros(n_arms)
     while t <= stage_cap and len(survivors) > 1:
         big_t = 2**t

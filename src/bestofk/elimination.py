@@ -9,21 +9,22 @@ Fresh samples every stage; the budget doubles until k arms are accepted.
 
 The leading stages whose every radius is above 1/2 cannot decide anything
 (``_undecidable_stages``).  ``_skip_undecidable_stages`` takes them before
-the stage loop, in one jump of the generator past the doubles their draws
-would take, and counts their queries, so the record and the generator's end
+the stage loop, in one jump of the generator past the doubles their plays'
+shape takes, and counts their queries, so the record and the generator's end
 state equal the fully simulated run's.  This module's loop (when it keeps no
 stage log) and the subset baselines' loop both call it, and each draws every
 stage it runs.
 
-``stage_play`` is the one sampling engine behind ``run_identification``: it
-lays out a chunk of plays as queries, draws reward bits only for the queried
-arms, and hands them to the recorder.  ``oracle.exact_query_stats`` gives the
-exact per-arm recording law it is tested against.
+``stage_shape`` is the one statement of what a play draws.  ``stage_play``,
+the one sampling engine behind ``run_identification``, lays out a chunk of
+plays as queries, draws bits only for the queried arms and hands them to the
+recorder, whose exact per-arm law is ``oracle.exact_query_stats``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
@@ -37,7 +38,9 @@ from .trial import StageRecord, TrialRecord
 
 __all__ = [
     "STAGE_CAP",
+    "StageShape",
     "confidence_radius",
+    "stage_shape",
     "stage_play",
     "balance",
     "balance_set_size",
@@ -105,32 +108,47 @@ def _undecidable_stages(n_arms: int, delta: float) -> int:
     return t - 1
 
 
-def _skip_undecidable_stages(env: Measure, rng: np.random.Generator, n_arms: int, k: int,
-                             delta: float, stage_cap: int, queries: int,
-                             keys: int) -> tuple[int, int]:
-    """Take a run's undecidable stages undrawn in one generator jump; return
-    (the first stage to draw, the queries the skipped stages count).
+# what one play draws, as ``stage_shape`` states it
+StageShape = namedtuple("StageShape", "q width topoff doubles")
 
-    A play of a skipped stage is ``queries`` rows of ``k`` arms plus ``keys``
-    other doubles.  No stage is skipped unless ``env.draw_doubles`` counts a
-    draw's doubles, ``rng`` is a PCG64 with no 32-bit half held (as
-    ``harness.replicate_rng`` makes it) and ``n_arms`` (the union bound's
-    count) is more than one; otherwise the first s = min(``_undecidable_stages``,
-    ``stage_cap`` - 1) stages go, so the cap stage, whose estimates name a
-    baseline's leader, is drawn.  They hold 2 + 4 + ... + 2^s = 2^(s+1) - 2
-    plays, and a draw's count is linear in its rows, so one ``advance`` over
-    plays x ``keys`` + ``draw_doubles``(plays x ``queries``, k) doubles leaves
+
+def stage_shape(pool: int, accepted: int, rejects: int, k1: int, k2: int, model: str) -> StageShape:
+    """A play over ``pool`` arms in blocks of ``k1``, topped off by ``k2``:
+    ``q`` = ceil(pool / k1) queries of ``width`` = k1 + k2 arms, a ``topoff``
+    draw pool of the ``accepted`` arms if the ``rejects`` cannot fill k2, else
+    of the rejects (none if k2 = 0), and ``doubles``, a key per pool or
+    ``topoff`` arm and, under marked feedback, a winner uniform per query."""
+    q = queries_per_play(pool, k1)
+    topoff = 0 if k2 == 0 else accepted if rejects < k2 else rejects
+    return StageShape(q, k1 + k2, topoff, pool + topoff + (q if model == "marked" else 0))
+
+
+def _skip_undecidable_stages(env: Measure, rng: np.random.Generator, n_arms: int, delta: float,
+                             stage_cap: int, shape: StageShape) -> tuple[int, int]:
+    """Take a run's undecidable stages, whose every play has ``shape``, undrawn
+    in one generator jump; return (the first stage to draw, the queries the
+    skipped stages count).
+
+    No stage is skipped unless ``env.draw_doubles`` counts a draw's doubles,
+    ``rng`` is a PCG64 with no 32-bit half held (as ``harness.replicate_rng``
+    makes it) and ``n_arms`` (the union bound's count) is more than one;
+    otherwise the first s = min(``_undecidable_stages``, ``stage_cap`` - 1)
+    stages go, so the cap stage, whose estimates name a baseline's leader, is
+    drawn.  They hold 2 + 4 + ... + 2^s = 2^(s+1) - 2 plays, and a draw's count
+    is linear in its rows, so one ``advance`` over plays x ``shape.doubles`` +
+    ``draw_doubles``(plays x ``shape.q``, ``shape.width``) doubles leaves
     ``rng`` as drawing every stage would: a ``Generator.random`` double is one
-    PCG64 step, and ``advance`` zeroes only the 32-bit half.  No record
-    depends on the cut."""
+    PCG64 step, and ``advance`` zeroes only the 32-bit half.  No record depends
+    on the cut."""
     state = rng.bit_generator.state
-    if (n_arms < 2 or env.draw_doubles(1, k) is None or state["bit_generator"] != "PCG64"
-            or state["has_uint32"] or state["uinteger"]):
+    if (n_arms < 2 or env.draw_doubles(1, shape.width) is None
+            or state["bit_generator"] != "PCG64" or state["has_uint32"] or state["uinteger"]):
         return 1, 0
     skipped = min(_undecidable_stages(n_arms, delta), stage_cap - 1)
     plays = 2 ** (skipped + 1) - 2
-    rng.bit_generator.advance(plays * keys + env.draw_doubles(plays * queries, k))
-    return skipped + 1, plays * queries
+    rng.bit_generator.advance(plays * shape.doubles
+                              + env.draw_doubles(plays * shape.q, shape.width))
+    return skipped + 1, plays * shape.q
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +175,16 @@ def stage_play(
     One play is a uniform pass over ``u_prime``: a random permutation cut
     into blocks of k1, the leftovers padded back to k1 by other pool arms
     that are not recorded twice, and in exact-k mode k2 top-off arms (rejects
-    first, accepted arms as fill-in) joined unrecorded to every query.  Per
-    chunk (at most ``CHUNK_PLAYS`` plays, and at most ``DRAW_ELEMENTS``
-    plays x the widest row of keys a play draws: its pool or its top-off
-    pool) it draws the permutations and top-off sets, lays the plays out as
-    queries, draws one reward bit per queried arm and query, and credits
-    wins through the permuted pool order (``kernels.record_plays``), which
-    records order position i at slot i % k1 of query i // k1.  The sorted
-    pools, the top-off's fixed arms and draw pool, the query count and the
-    chunk size are settled once per stage.  Each play's per-arm recording
-    law is ``oracle.exact_query_stats``.
+    first, accepted arms as fill-in) joined unrecorded to every query, all as
+    ``stage_shape`` states.  Per chunk (at most ``CHUNK_PLAYS`` plays, and at
+    most ``DRAW_ELEMENTS`` plays x the widest row of keys a play draws: its
+    pool or its top-off pool) it draws the permutations and top-off sets,
+    lays the plays out as queries, draws one reward bit per queried arm and
+    query, and credits wins through the permuted pool order
+    (``kernels.record_plays``), which records order position i at slot
+    i % k1 of query i // k1.  The sorted pools, the top-off's fixed arms and
+    draw pool, the shape and the chunk size are settled once per stage.
+    Each play's per-arm recording law is ``oracle.exact_query_stats``.
 
     A chunk permutes its pool, and its top-off draw pool, by one in-place
     sort of packed (key, arm) codes each (``kernels.permute_pool``, which for
@@ -191,9 +209,8 @@ def stage_play(
     if len(pool) < need:
         raise InfeasibleError("cannot build a top-off set: pools too small")
 
-    q = queries_per_play(m, k1)
-    # a play draws m permutation keys and, when it draws top-off arms, one key per pool arm
-    chunk = max(1, min(CHUNK_PLAYS, DRAW_ELEMENTS // max(m, len(pool) if need else 0)))
+    shape = stage_shape(m, len(accept_pool), len(reject_pool), k1, k2, model)
+    chunk = max(1, min(CHUNK_PLAYS, DRAW_ELEMENTS // max(m, shape.topoff)))
     # every play's top-off row: the fixed arms, written once, then its drawn arms
     topoff = np.empty((min(chunk, plays), k2), dtype=np.int64)
     topoff[:, : len(fixed)] = fixed
@@ -209,14 +226,13 @@ def stage_play(
             # the first ``need`` arms of the pool in key order, permuted in the keys' memory
             picks = rng.random((b, len(pool)))
             topoff[:b, len(fixed) :] = permute_pool(picks, pool, picks.view(np.int64))[:, :need]
-        arms = play_arms(
-            order, topoff[:b], k1, out=held_buffer("stage.arms", (b, q, k1 + k2), np.int64)
-        )
-        bits = sample_matrix(env, rng, arms.reshape(b * q, -1)).reshape(arms.shape)
-        mark_u = rng.random((b, q)) if model == "marked" else None
+        arms = play_arms(order, topoff[:b], k1,
+                         out=held_buffer("stage.arms", (b, shape.q, shape.width), np.int64))
+        bits = sample_matrix(env, rng, arms.reshape(b * shape.q, -1)).reshape(arms.shape)
+        mark_u = rng.random((b, shape.q)) if model == "marked" else None
         record_plays(bits, order, k1, model, y, mark_u)
         done += b
-    return y, plays * q
+    return y, plays * shape.q
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +338,8 @@ def run_identification(
     Without the log, the leading stages that cannot decide an arm are taken
     undrawn before the loop (``_skip_undecidable_stages``).  In such a stage
     U' is all n arms, k1 = k, k2 = 0 and |B| = 0 (``balanced`` needs n >=
-    ceil(7k/2)), so each of its plays is q = ceil(n / k) queries of k arms, n
-    permutation keys and, under marked feedback, q winner uniforms.
+    ceil(7k/2)), so each of its plays has ``stage_shape(n, 0, 0, k, 0,
+    model)``.
     """
     check_model(model)
     if stage_cap < 1:
@@ -346,9 +362,8 @@ def run_identification(
 
     undecided, accepted, rejected = tuple(range(n)), (), ()
     stage_log: list[StageRecord] = []
-    q = queries_per_play(n, k)
     t, total_queries = (1, 0) if keep_log else _skip_undecidable_stages(
-        env, rng, n, k, delta, stage_cap, q, n + (q if model == "marked" else 0))
+        env, rng, n, delta, stage_cap, stage_shape(n, 0, 0, k, 0, model))
 
     while t <= stage_cap and len(accepted) < k:
         big_t, k1 = 2**t, min(len(undecided), k)

@@ -200,10 +200,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
     a baseline's C(n, k) past ``SUBSET_CAP`` raises ``SubsetCapError``, and
     each line of ``_run_warnings`` goes to stderr as a ``warning:`` line.
 
-    Elimination keeps its ``stage_log`` only when ``config.trace`` is on,
-    since the stage trace is its only reader; without it, the leading stages
-    that cannot decide anything are taken undrawn, in one advance of the
-    replicate's PCG64 (``elimination._skip_undecidable_stages``).
+    Elimination keeps its ``stage_log`` only when ``config.trace`` is on, since
+    the stage trace is its only reader; without it, the leading stages that
+    cannot decide anything are taken undrawn
+    (``elimination._skip_undecidable_stages``), in one advance of the
+    replicate's PCG64 past the doubles that ``elimination.stage_shape`` states.
     """
     env = measure_from_dict(config.measure)
     if config.out:

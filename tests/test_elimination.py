@@ -23,6 +23,7 @@ from bestofk.elimination import (
     elimination_step,
     run_identification,
     stage_play,
+    stage_shape,
 )
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
 from bestofk.harness import replicate_rng
@@ -493,13 +494,14 @@ class TestUndrawnStages:
                 assert stages > 5
                 assert sizes == [2**t for t in range(undrawn + 1, stages + 1)]
 
-    @pytest.mark.parametrize("stage_cap", [3, 5, 6, 8])
+    @pytest.mark.parametrize("stage_cap", [3, 5, 6, 8, 40])
     def test_both_identifiers_draw_from_the_same_stage(self, stage_cap, monkeypatch):
-        # the bandit-product-n12 config (elimination, untraced) and the
-        # subset-planted-n8 config (subset_arm) each have 5 undecidable
-        # stages; both take min(5, cap - 1) of them undrawn, as the cap stage
-        # always draws.  Their first stage-t draw is 2**t plays of 4 queries
-        # (12 arms, k = 3) and 2**t rows for each of the 28 subset arms.
+        # the bandit-product-n12 config under each feedback model (elimination,
+        # untraced), marked elimination on the subset-planted-n8 instance and
+        # that config itself (subset_arm) each have 5 undecidable stages; all
+        # take min(5, cap - 1) of them undrawn, as the cap stage always draws.
+        # Their first stage-t draw is 2**t plays of 4 queries (12 arms, k = 3,
+        # or 8 arms, k = 2) and 2**t rows for each of the 28 subset arms.
         from bestofk import baselines
         from bestofk import elimination as elim
         from bestofk.baselines import subset_arm_identify
@@ -510,14 +512,18 @@ class TestUndrawnStages:
             sizes.append(len(arms))
             return measures.sample_matrix(measure, rng, arms)
 
+        def eliminate(model, k):
+            return lambda env, rng: run_identification(env, model, k, 0.1, rng, stage_cap,
+                                                       keep_log=False)
+
         monkeypatch.setattr(elim, "sample_matrix", counted)
         monkeypatch.setattr(baselines, "sample_matrix", counted)
+        product = ProductMeasure(means=(0.8, 0.7, 0.6) + (0.3,) * 9)
+        planted = PlantedMeasure(8, 2, 0.5, 1.0)
         runs = [
-            (ProductMeasure(means=(0.8, 0.7, 0.6) + (0.3,) * 9), 4,
-             lambda env, rng: run_identification(env, "bandit", 3, 0.1, rng, stage_cap,
-                                                 keep_log=False)),
-            (PlantedMeasure(8, 2, 0.5, 1.0), 28,
-             lambda env, rng: subset_arm_identify(env, 2, 0.1, rng, stage_cap)),
+            *((product, 4, eliminate(model, 3)) for model in ("bandit", "semi", "marked")),
+            (planted, 4, eliminate("marked", 2)),
+            (planted, 28, lambda env, rng: subset_arm_identify(env, 2, 0.1, rng, stage_cap)),
         ]
         for env, rows_per_play, identify in runs:
             sizes.clear()
@@ -610,6 +616,80 @@ class TestStagePlayConsistency:
                                 np.random.default_rng(15))
         assert queries == plays * 2
         self._assert_matches(stats, y, plays, (0, 1, 2, 3))
+
+
+class TestStageShape:
+    """``stage_shape`` states what a play draws before any draw."""
+
+    # how a stage's queries are topped off: not at all, by one arm drawn from
+    # the rejects, by several, and by all rejects plus arms drawn from the
+    # accepted ones
+    TOPOFFS = ("none", "one", "several", "fill")
+
+    @staticmethod
+    def _random_stage(gen, topoff):
+        """(u_prime, accept, r_prime, k1, k2) with the given kind of top-off."""
+        m = int(gen.integers(1, 9))
+        k1 = int(gen.integers(1, m + 1))
+        k2 = {"none": 0, "one": 1}.get(topoff, int(gen.integers(2, 5)))
+        if topoff == "fill":
+            rejects = int(gen.integers(0, k2))
+            accepted = int(gen.integers(k2 - rejects, k2 - rejects + 4))
+        else:
+            rejects, accepted = int(gen.integers(k2, k2 + 5)), int(gen.integers(0, 4))
+        arms = gen.permutation(m + accepted + rejects).tolist()
+        return arms[:m], arms[m : m + accepted], arms[m + accepted :], k1, k2
+
+    def test_stream_use_is_what_a_stage_draws(self):
+        # a PCG64 stepped over plays x doubles + the draws' doubles ends where
+        # the drawn stage leaves the generator; balancing's permutation takes a
+        # varying count, and coverage and joint-table draws are not counted
+        gen = np.random.default_rng(36)
+        plays_choices = (1, 2, 3, 17, 256, CHUNK_PLAYS, CHUNK_PLAYS + 5)
+        for i in range(400):
+            topoff = self.TOPOFFS[i % 4]
+            model = ("semi", "bandit", "marked")[i // 4 % 3]
+            u_prime, accept, r_prime, k1, k2 = self._random_stage(gen, topoff)
+            n = len(u_prime) + len(accept) + len(r_prime)
+            if i // 12 % 2:
+                env = PlantedMeasure(n, int(gen.integers(min(2, n), n + 1)), 0.3, 0.9)
+            else:
+                env = ProductMeasure(means=tuple(gen.uniform(0.05, 0.95, n)))
+            plays = int(gen.choice(plays_choices))
+            shape = stage_shape(len(u_prime), len(accept), len(r_prime), k1, k2, model)
+            rng = np.random.default_rng(i)
+            expected = np.random.Generator(np.random.PCG64())
+            expected.bit_generator.state = rng.bit_generator.state
+            expected.bit_generator.advance(
+                plays * shape.doubles + env.draw_doubles(plays * shape.q, shape.width))
+            _, queries = stage_play(env, u_prime, accept, r_prime, k1, k2, model, plays, rng)
+            assert queries == plays * shape.q
+            assert rng.bit_generator.state == expected.bit_generator.state, (
+                i, topoff, model, type(env).__name__, plays, shape)
+
+    @pytest.mark.parametrize("model,means,k,exact_k_mode", [
+        ("semi", (0.9, 0.85, 0.5, 0.45, 0.05), 3, None),
+        ("bandit", (0.9, 0.6, 0.3, 0.05, 0.05, 0.05, 0.05), 2, None),
+        ("marked", (0.9, 0.85, 0.5, 0.45, 0.05), 3, True),
+    ])
+    def test_traced_stages_agree_with_their_shape(self, model, means, k, exact_k_mode):
+        # the balanced 7-arm bandit config of test_bandit_balancing_kicks_in
+        # samples U + B and tops off from R - B; the marked one tops off once |U| < k
+        rec = run_identification(ProductMeasure(means=means), model, k, 0.1,
+                                 np.random.default_rng(21 if model == "marked" else 0),
+                                 exact_k_mode=exact_k_mode)
+        exact_k = exact_k_mode if exact_k_mode is not None else model != "semi"
+        k2s = []
+        for s in rec.stage_log:
+            k1 = min(len(s.undecided), k)
+            k2s.append(k - k1 if exact_k else 0)
+            shape = stage_shape(len(s.undecided) + s.balancing, s.accepted,
+                                s.rejected - s.balancing, k1, k2s[-1], model)
+            assert s.queries == s.sample_size * shape.q
+        if model == "bandit":
+            assert any(s.balancing for s in rec.stage_log)
+        if model == "marked":
+            assert any(k2s)
 
 
 WIDE_PRODUCT = "ProductMeasure(means=tuple(np.linspace(0.1, 0.9, 2048)))"
