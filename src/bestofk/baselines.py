@@ -78,7 +78,7 @@ def _eliminate_over_subsets(
             draws = sample_matrix(env, rng, arms)
             hits[group] += fold_columns(draws, fold).reshape(-1, rows).sum(axis=1)
         mu = hits / big_t
-        radius = confidence_radius(mu, big_t, n_arms, t, delta)
+        radius = confidence_radius(mu, n_arms, t, delta)
         keep = mu + radius >= (mu - radius).max()
         survivors, mu, t = survivors[keep], mu[keep], t + 1
     return TrialRecord(returned=tuple(survivors[mu.argmax()].tolist()), stages=t - 1,

@@ -53,9 +53,9 @@ __all__ = [
 # Empirical Bernstein intervals.
 # ---------------------------------------------------------------------------
 
-def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
+def confidence_radius(mu_hat: float | np.ndarray, n: int, t: int,
                       delta: float) -> float | np.ndarray:
-    """Sample-variance Bernstein radius at stage t with T = 2^t samples.
+    """Sample-variance Bernstein radius at stage t >= 1 with T = 2^t samples.
 
     v_hat = T mu(1-mu)/(T-1);
     c_hat = sqrt(2 v_hat log(8 n t^2/delta) / T) + 8 log(8 n t^2/delta) / (3(T-1)).
@@ -70,8 +70,6 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
     factor 2 joins the log term before the array product: doubling is exact,
     so v_hat * (2 log) rounds the same real number as (2 v_hat) * log.
     """
-    if T < 2:
-        raise DomainError("need T >= 2 (sample variance divides by T-1)")
     mu = np.asarray(mu_hat, dtype=float)
     rest = 1.0 - mu
     if not np.minimum.reduce(np.minimum(mu, rest), axis=None, initial=0.0) >= 0.0:
@@ -80,7 +78,7 @@ def confidence_radius(mu_hat: float | np.ndarray, T: int, n: int, t: int,
         raise DomainError("delta must lie in (0, 1)")
     if n < 1 or t < 1:
         raise DomainError("need n >= 1 and t >= 1")
-    log_term = math.log(8.0 * n * t * t / delta)
+    T, log_term = 2**t, math.log(8.0 * n * t * t / delta)
     if not math.isfinite(log_term):
         raise DomainError(f"delta={delta!r} is too small: log(8 n t^2 / delta) overflows")
     v_hat = T * mu * rest / (T - 1)
@@ -103,7 +101,7 @@ def _undecidable_stages(n_arms: int, delta: float) -> int:
     ``DomainError``.
     """
     t = 1
-    while confidence_radius(0.0, 2**t, n_arms, t, delta) > 0.5:
+    while confidence_radius(0.0, n_arms, t, delta) > 0.5:
         t += 1
     return t - 1
 
@@ -129,17 +127,17 @@ def _skip_undecidable_stages(env: Measure, rng: np.random.Generator, n_arms: int
     in one generator jump; return (the first stage to draw, the queries the
     skipped stages count).
 
-    No stage is skipped unless ``env.draw_doubles`` counts a draw's doubles,
-    ``rng`` is a PCG64 with no 32-bit half held (as ``harness.replicate_rng``
-    makes it) and ``n_arms`` (the union bound's count) is more than one;
-    otherwise the first s = min(``_undecidable_stages``, ``stage_cap`` - 1)
-    stages go, so the cap stage, whose estimates name a baseline's leader, is
-    drawn.  They hold 2 + 4 + ... + 2^s = 2^(s+1) - 2 plays, and a draw's count
-    is linear in its rows, so one ``advance`` over plays x ``shape.doubles`` +
+    The first s = min(``_undecidable_stages``, ``stage_cap`` - 1) stages go,
+    so the cap stage, whose estimates name a baseline's leader, is drawn.  If
+    ``env.draw_doubles`` does not count a draw's doubles, ``rng`` is not a
+    PCG64 with no 32-bit half held (as ``harness.replicate_rng`` makes it) or
+    ``n_arms`` (the union bound's count) is one, none goes.  The s stages
+    hold 2 + 4 + ... + 2^s = 2^(s+1) - 2 plays, and a draw's count is linear
+    in its rows, so one ``advance`` over plays x ``shape.doubles`` +
     ``draw_doubles``(plays x ``shape.q``, ``shape.width``) doubles leaves
-    ``rng`` as drawing every stage would: a ``Generator.random`` double is one
-    PCG64 step, and ``advance`` zeroes only the 32-bit half.  No record depends
-    on the cut."""
+    ``rng`` as drawing every stage would: a ``Generator.random`` double is
+    one PCG64 step, and ``advance`` zeroes only the 32-bit half.  No record
+    depends on the cut."""
     state = rng.bit_generator.state
     if (n_arms < 2 or env.draw_doubles(1, shape.width) is None
             or state["bit_generator"] != "PCG64" or state["has_uint32"] or state["uinteger"]):
@@ -377,7 +375,7 @@ def run_identification(
                                 model, big_t, rng)
         total_queries += queries
         mu_hat = y.take(undecided) / big_t
-        c_hat = confidence_radius(mu_hat, big_t, n, t, delta)
+        c_hat = confidence_radius(mu_hat, n, t, delta)
         still_undecided, accepted_now, rejected_now = elimination_step(
             undecided, k - len(accepted), mu_hat, c_hat)
         if keep_log:

@@ -24,8 +24,8 @@ from .baselines import parity_identify, subset_arm_identify
 from .elimination import STAGE_CAP, run_identification
 from .errors import BestOfKError, DomainError, MismatchError
 from .game import check_model
-from .measures import (Measure, PlantedMeasure, ProductMeasure, _enumerate_subsets, checked,
-                       document, measure_from_dict, optimal_subset, read_fields)
+from .measures import (Measure, PlantedMeasure, ProductMeasure, _enumerate_subsets, _unique_best,
+                       checked, document, measure_from_dict, optimal_subset, read_fields)
 from .trial import TrialRecord
 
 __all__ = [
@@ -113,8 +113,6 @@ class ExperimentSummary:
 
 def _wilson_interval(successes: int, total: int) -> tuple[float, float]:
     z = 1.96  # two-sided 95%
-    if total == 0:
-        return 0.0, 1.0
     p = successes / total
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom
@@ -184,11 +182,11 @@ def _run_warnings(env: Measure, config: ExperimentConfig,
     lines = []
     if truth is None:
         lines.append(f"no unique best {config.k}-subset is known, so no replicate is scored")
-    if config.algorithm == "elimination" and config.k < env.n:
-        kth, next_ = sorted(env.marginals(), reverse=True)[config.k - 1:config.k + 1]
-        if kth == next_:
+    if config.algorithm == "elimination":
+        ranked = sorted(env.marginals(), reverse=True)[config.k - 1:config.k + 1]
+        if _unique_best(np.array(ranked)) is None:  # never at k = n: one marginal ranked
             lines.append(f"the arm marginals ranked {config.k} and {config.k + 1} tie at "
-                         f"{kth!r}, so elimination may return another subset than the "
+                         f"{ranked[0]!r}, so elimination may return another subset than the "
                          f"optimum or stop only at its stage cap")
     return lines
 

@@ -17,14 +17,18 @@ oracle without calling a sampler), best k-subset (``optimum``), the doubles a
 draw takes from the stream (``draw_doubles``, where it is a count) and document
 (``to_dict``: the class's compared fields).  Callers use those methods
 directly, and those methods trust their input.  Three module-level entry
-points stay because they check it: ``sample_matrix`` (the ``arms`` shape and
-range), ``expected_max`` (the arm set) and ``optimal_subset`` (k); the
-benchmark's tracer also times ``sample_matrix`` and ``optimal_subset`` by name.
+points stay because they check it, rejecting a float or bool arm or k:
+``sample_matrix`` (the ``arms`` shape and range), ``expected_max`` (the arm
+set) and ``optimal_subset`` (k); the benchmark's tracer also times
+``sample_matrix`` and ``optimal_subset`` by name.
 
-Scoring all C(n, k) subsets keeps one uniqueness rule, ``_unique_best``, and
-one subset table, ``_enumerate_subsets`` (also the subset baselines' arms);
-the coverage optimum scores in colex order instead, counting unions in
-64-bit words packed from the ``members`` table that ``draw`` reads.
+Every optimum, the product and planted closed forms included, and the run's
+tie warning decide "unique" by one tie rule, ``_unique_best``, so a planted
+set that wins by p * mu**k within its margin is not named.  Scoring all
+C(n, k) subsets reads one subset table, ``_enumerate_subsets`` (also the
+subset baselines' arms); the coverage optimum scores in colex order instead,
+counting unions in 64-bit words packed from the ``members`` table that
+``draw`` reads.
 
 Product and planted draws compare each uniform with one gathered
 threshold: their uniforms and thresholds, and the planted cells, are
@@ -105,11 +109,9 @@ def _enumerate_subsets(n: int, k: int) -> np.ndarray:
 
 def _unique_best(values: np.ndarray) -> int | None:
     """Index of the first largest of ``values``, or None when the next largest
-    (repeats counted) lies within 1e-12 of it."""
+    (repeats counted) lies within 1e-12 of it: the toolkit's one tie rule."""
     best = int(values.argmax())
-    if len(values) > 1 and values[best] - np.delete(values, best).max() <= 1e-12:
-        return None
-    return best
+    return best if values[best] - np.delete(values, best).max(initial=-np.inf) > 1e-12 else None
 
 
 class Measure(ABC):
@@ -221,14 +223,12 @@ class ProductMeasure(Measure):
         return np.ones(1), 1.0 - self.mean_array[None], self.mean_array[None]
 
     def optimum(self, k):
-        """The top k means; None when the runner-up, which swaps the top set's k-th
-        mean for the (k+1)-th, has an E[max] within 1e-12 of the top set's."""
+        """The top k means, unless ``_unique_best`` ties them by E[max] with the
+        runner-up, which swaps their k-th mean for the (k+1)-th."""
         order = sorted(range(self.n), key=lambda i: (-self.means[i], i))
-        best = sorted(order[:k])
-        if k < self.n and (self.expected_max(best)
-                           - self.expected_max(sorted(order[: k - 1] + [order[k]])) <= 1e-12):
-            return None
-        return tuple(best)
+        sets = [sorted(order[:k])] + [sorted(order[: k - 1] + [j]) for j in order[k : k + 1]]
+        best = _unique_best(np.array([self.expected_max(s) for s in sets]))
+        return None if best is None else tuple(sets[best])
 
 
 @dataclass(frozen=True)
@@ -352,10 +352,14 @@ class PlantedMeasure(Measure):
         return np.array([1.0, -self.p]), a, b
 
     def optimum(self, k):
-        """The planted set when k matches it; otherwise the C(n, k) enumeration."""
-        if k == self.k and self.p > 0:
-            return self.planted_set
-        return super().optimum(k)
+        """At the planted k, the planted set unless ``_unique_best`` ties it by E[max]
+        with another k-subset, all of which score alike; else the enumeration."""
+        if k != self.k:
+            return super().optimum(k)
+        outside = np.flatnonzero(self.slots == k)[:1].tolist()  # an arm off the planted set, if any
+        sets = [self.planted_set] + [sorted(self.planted_set[1:] + (a,)) for a in outside]
+        best = _unique_best(np.array([self.expected_max(s) for s in sets]))
+        return None if best is None else tuple(sets[best])
 
 
 @dataclass(frozen=True)
@@ -543,14 +547,17 @@ def sample_matrix(measure: Measure, rng: np.random.Generator, arms: np.ndarray) 
     joint-table draws return it slot-major (the transpose of a C-contiguous
     (w, rows) table), so read it by columns, or by its strides.
 
-    The one range check of the sampler: a single pass over the arms viewed
-    as uint64, where a negative arm reads 2**63 or more, raises
-    ``IndexError`` for an arm outside range(n) before anything is taken from
-    ``rng``.
+    The one check of the sampler, before anything is taken from ``rng``: a
+    float or bool arm raises ``DomainError`` (an array by its dtype, a list
+    arm by arm, as numpy reads a bool among integers as an integer), and a
+    single pass over the arms viewed as uint64, where a negative arm reads
+    2**63 or more, raises ``IndexError`` for an arm outside range(n).
     """
-    arms = np.asarray(arms, dtype=np.int64)
-    if arms.ndim != 2:
-        raise DomainError(f"arms must be a 2-D (rows, w) array, got shape {arms.shape}")
+    given = arms if isinstance(arms, np.ndarray) else np.array(arms, dtype=object)
+    whole = given.dtype.kind in "iu" or given.dtype == object and all(map(_is_int, given.flat))
+    if given.ndim != 2 or given.size and not whole:
+        raise DomainError(f"arms must be a 2-D (rows, w) integer array, got {reprlib.repr(arms)}")
+    arms = given.astype(np.int64, copy=False)
     if arms.size and arms.view(np.uint64).max() >= measure.n:
         raise IndexError(f"{measure.kind} draw arms must lie in range({measure.n})")
     return measure.draw(rng, arms)
@@ -595,9 +602,10 @@ def held_buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 
 def expected_max(measure: Measure, arms: Iterable[int]) -> float:
     """Exact value of E[max over ``arms``] under the measure."""
-    s = tuple(sorted(set(int(a) for a in arms)))
-    if not s:
-        raise DomainError("arms must be nonempty")
+    arms = list(arms)
+    if not arms or not all(map(_is_int, arms)):
+        raise DomainError(f"arms must be nonempty integers, got {reprlib.repr(arms)}")
+    s = tuple(sorted(set(map(int, arms))))
     if s[0] < 0 or s[-1] >= measure.n:
         raise DomainError("arm index out of range")
     return measure.expected_max(s)
@@ -605,6 +613,8 @@ def expected_max(measure: Measure, arms: Iterable[int]) -> float:
 
 def optimal_subset(measure: Measure, k: int) -> tuple[int, ...] | None:
     """The unique reward-maximizing k-subset, or None if unknown/non-unique."""
+    if not _is_int(k):
+        raise DomainError(f"k must be an integer, got {k!r}")
     if not (1 <= k <= measure.n):
         raise DomainError(f"need 1 <= k <= n, got k={k}")
     return measure.optimum(k)

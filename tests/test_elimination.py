@@ -35,7 +35,7 @@ from bestofk.theory import inversion_sample_size, kappa_constants, true_variance
 class TestConfidenceRadius:
     def test_reference_value(self):
         # mu = 1/2 at T = 8: v_hat = 8 * 1/4 / 7 = 2/7
-        c = confidence_radius(0.5, T=8, n=10, t=3, delta=0.1)
+        c = confidence_radius(0.5, n=10, t=3, delta=0.1)
         log_term = math.log(8 * 10 * 9 / 0.1)
         assert c == pytest.approx(
             math.sqrt(2 * (2 / 7) * log_term / 8) + 8 * log_term / (3 * 7)
@@ -43,33 +43,34 @@ class TestConfidenceRadius:
         assert c == pytest.approx(4.18, abs=0.01)
 
     def test_zero_variance_symmetry(self):
-        lo = confidence_radius(0.0, T=16, n=5, t=4, delta=0.1)
-        hi = confidence_radius(1.0, T=16, n=5, t=4, delta=0.1)
+        lo = confidence_radius(0.0, n=5, t=4, delta=0.1)
+        hi = confidence_radius(1.0, n=5, t=4, delta=0.1)
         assert lo == hi
         log_term = math.log(8 * 5 * 16 / 0.1)
         assert lo == pytest.approx(8 * log_term / (3 * 15))
 
     def test_small_T_rejected(self):
-        with pytest.raises(DomainError):
-            confidence_radius(0.5, T=1, n=5, t=1, delta=0.1)
+        # T = 2^t < 2 exactly when t < 1, and the sample variance divides by T - 1
+        with pytest.raises(DomainError, match="t >= 1"):
+            confidence_radius(0.5, n=5, t=0, delta=0.1)
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, np.array([0.0, 0.3, 1.0])],
                              ids=["zero", "half", "array"])
     def test_delta_too_small_for_the_log_term_rejected(self, mu):
         # 8 n t^2 / delta overflows to inf, which would make every radius inf or NaN
         with pytest.raises(DomainError, match=r"delta=1e-320 is too small: log\(8 n t\^2"):
-            confidence_radius(mu, T=8, n=10, t=3, delta=1e-320)
+            confidence_radius(mu, n=10, t=3, delta=1e-320)
 
     @pytest.mark.parametrize("t", [1, 2, 5, 12, 30])
     def test_array_equals_scalar_bit_for_bit(self, t):
         big_t, n, delta = 2**t, 37, 0.05
         rng = np.random.default_rng(t)
         mu = np.concatenate([rng.integers(0, big_t + 1, 300) / big_t, [0.0, 0.5, 1.0]])
-        radii = confidence_radius(mu, big_t, n, t, delta)
+        radii = confidence_radius(mu, n, t, delta)
         assert radii.shape == mu.shape
         log_term = math.log(8.0 * n * t * t / delta)
         for i, m in enumerate(mu.tolist()):
-            one = confidence_radius(m, big_t, n, t, delta)
+            one = confidence_radius(m, n, t, delta)
             assert type(one) is float
             assert radii[i] == one
             # the formula as written with math.sqrt gives the same float
@@ -80,7 +81,7 @@ class TestConfidenceRadius:
     @pytest.mark.parametrize("bad", [[0.2, 1.5], [-0.1, 0.5], [0.5, float("nan")]])
     def test_array_with_a_mean_outside_unit_interval_rejected(self, bad):
         with pytest.raises(DomainError):
-            confidence_radius(np.array(bad), T=8, n=5, t=3, delta=0.1)
+            confidence_radius(np.array(bad), n=5, t=3, delta=0.1)
 
 
 class TestInversion:
@@ -466,7 +467,7 @@ class TestUndrawnStages:
         from bestofk import harness
         from bestofk.harness import ExperimentConfig, run_experiment
 
-        floors = [confidence_radius(0.0, 2**t, 12, t, 0.1) for t in range(1, 7)]
+        floors = [confidence_radius(0.0, 12, t, 0.1) for t in range(1, 7)]
         assert [round(r, 2) for r in floors] == [18.31, 7.34, 3.45, 1.71, 0.87, 0.44]
         plays, per_replicate = [], []
         stage_play_, run_identification_ = elim.stage_play, harness.run_identification

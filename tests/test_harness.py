@@ -305,7 +305,12 @@ class TestRunExperiment:
         ({"type": "planted", "n": 6, "k": 2, "mu": 0.4, "p": 0.9},
          ["warning: the arm marginals ranked 2 and 3 tie at 0.4, so elimination may return "
           "another subset than the optimum or stop only at its stage cap"]),
-    ], ids=["coverage-tied-optimum", "planted"])
+        # marginals ranked 2 and 3 within 1e-13 tie, and so do the pairs they lead
+        ({"type": "product", "means": [0.9, 0.5, 0.5 - 1e-13, 0.1]},
+         ["warning: no unique best 2-subset is known, so no replicate is scored",
+          "warning: the arm marginals ranked 2 and 3 tie at 0.5, so elimination may return "
+          "another subset than the optimum or stop only at its stage cap"]),
+    ], ids=["coverage-tied-optimum", "planted", "product-near-tie"])
     def test_doubtful_runs_warn_before_the_first_replicate(self, capsys, monkeypatch, measure,
                                                            lines):
         stderr_at_replicate = []
@@ -319,6 +324,18 @@ class TestRunExperiment:
                                         replicates=2, stage_cap=4))
         assert [err.splitlines() for err in stderr_at_replicate] == [lines, []]
         assert capsys.readouterr().err == ""
+
+    def test_planted_set_within_the_tie_rule_is_not_scored(self, capsys, monkeypatch):
+        # at k = 10 the planted set wins by p * mu**10 = 0.05**10, about 9.8e-14: a
+        # tie, so not even a run that returns the planted set is scored
+        planted = PlantedMeasure(12, 10, 0.05, 1.0)
+        monkeypatch.setattr(harness, "run_identification", lambda *args: TrialRecord(
+            returned=planted.planted_set, total_queries=0, stages=0))
+        records, summary = run_experiment(ExperimentConfig(
+            measure=planted.to_dict(), model="semi", k=10, delta=0.1, replicates=2))
+        assert "warning: no unique best 10-subset is known, so no replicate is scored" in (
+            capsys.readouterr().err.splitlines())
+        assert [r.success for r in records] == [None, None] and summary.successes is None
 
     def test_workload_configs_do_not_warn(self, capsys, workloads):
         for workload in workloads.values():
@@ -494,34 +511,37 @@ def test_results_bytes_are_pinned(tmp_path, name):
     assert _written_hashes(doc, tmp_path) == [results_sha, trace_sha]
 
 
-# the benchmark workloads at seed 1: sha256 of the results file and of the .trace
-# file or None, then `bestofk bounds` on the config: its exit code and the sha256
-# of its stdout (coverage has no closed-form bounds, so one error line and none)
+# the benchmark workloads at seed 1: sha256 of the results file, of the .trace
+# file or None and of the run's stderr (its warning lines; none), then `bestofk
+# bounds` on the config: its exit code and the sha256 of its stdout (coverage
+# has no closed-form bounds, so one error line and none)
+NOTHING = hashlib.sha256(b"").hexdigest()
 WORKLOAD_PINS = {
     "semi-product-n256": (
-        "d96d7efb486da920eeee1bd7e488586374ae0d6c6ed50bca870a24b504e4fe38", None,
+        "d96d7efb486da920eeee1bd7e488586374ae0d6c6ed50bca870a24b504e4fe38", None, NOTHING,
         EXIT_OK, "b1d5606a0a23335862396a7db84c71e6af87a6450098403df3f0594b49d2bbf4"),
     "bandit-product-n12": (
-        "4d2a9908313654b063a2fa8ed494cb309f281615b403e1a460b7e8f9a8b361af", None,
+        "4d2a9908313654b063a2fa8ed494cb309f281615b403e1a460b7e8f9a8b361af", None, NOTHING,
         EXIT_OK, "5dbd390c55932526ff3613d3440ecadf745fa8b684746150f2d71c8b6494039d"),
     "marked-coverage-n64": (
         "924f338db8e1926f5916ffd7cf5eae82b69eff76e32d5aed54183d701ff1c34c",
-        "2a0d9d4f4eab0abc33c3152dfb564cbb98345cc21b58a5b93c4a5f4cd9470410",
-        EXIT_USAGE, hashlib.sha256(b"").hexdigest()),
+        "2a0d9d4f4eab0abc33c3152dfb564cbb98345cc21b58a5b93c4a5f4cd9470410", NOTHING,
+        EXIT_USAGE, NOTHING),
     "subset-planted-n8": (
-        "dbb6aa63d45b6de3ec40ecd208a234abc9de8205cbb0e4a8c9dafee0ec898f53", None,
+        "dbb6aa63d45b6de3ec40ecd208a234abc9de8205cbb0e4a8c9dafee0ec898f53", None, NOTHING,
         EXIT_OK, "4db40e9bb21a9a518c88b477a46f18945a5e483b767e1353bc7f3611bf08da18"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_PINS))
 def test_workload_outputs_are_pinned(tmp_path, capsys, workloads, name):
-    results_sha, trace_sha, bounds_exit, bounds_sha = WORKLOAD_PINS[name]
+    results_sha, trace_sha, stderr_sha, bounds_exit, bounds_sha = WORKLOAD_PINS[name]
     doc = workloads[name].config_doc(1)
+    capsys.readouterr()
     assert _written_hashes(doc, tmp_path) == [results_sha, trace_sha]
+    assert hashlib.sha256(capsys.readouterr().err.encode()).hexdigest() == stderr_sha
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
-    capsys.readouterr()
     assert main(["bounds", "--config", str(config)]) == bounds_exit
     printed = capsys.readouterr()
     assert hashlib.sha256(printed.out.encode()).hexdigest() == bounds_sha

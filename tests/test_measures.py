@@ -115,6 +115,18 @@ class TestExpectedMax:
         with pytest.raises(DomainError):
             expected_max(ProductMeasure(means=(0.5,)), ())
 
+    @pytest.mark.parametrize("arms", [[0.5, 2.9], [True], [0, np.float64(2.0)], np.array([0.0])],
+                             ids=["floats", "bool", "numpy-float", "float-array"])
+    def test_float_or_bool_arms_rejected(self, arms):
+        # [0.5, 2.9] once scored arms {0, 2}
+        with pytest.raises(DomainError, match="arms must be nonempty integers"):
+            expected_max(ProductMeasure(means=(0.5, 0.2, 0.9)), arms)
+
+    def test_integer_arms_of_any_kind_accepted(self):
+        m = ProductMeasure(means=(0.5, 0.2, 0.9))
+        value = expected_max(m, (0, 2))
+        assert expected_max(m, np.array([2, 0])) == expected_max(m, iter([np.int32(0), 2])) == value
+
     def test_planted_gap_between_subsets(self):
         m = PlantedMeasure(6, 3, 0.3, 0.5)
         best = expected_max(m, m.planted_set)
@@ -451,6 +463,30 @@ class TestObservedArms:
         with pytest.raises(DomainError):
             sample_matrix(PRODUCT, np.random.default_rng(0), np.zeros(3, int))
 
+    @pytest.mark.parametrize("arms", [
+        [[1.7, 0.2]],  # once truncated to arms 1 and 0
+        [[True, False]],  # once read as arms 1 and 0
+        [[True, 2]],  # numpy reads a bool among integers as an integer
+        [[np.float64(1.0), 0]],
+        np.array([[1.0, 0.0]]),
+        np.array([[True, False]]),
+    ], ids=["float-list", "bool-list", "bool-among-ints", "numpy-float-in-list",
+            "float-array", "bool-array"])
+    def test_float_or_bool_arms_rejected_before_drawing(self, arms):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="integer array"):
+            sample_matrix(PRODUCT, rng, arms)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+    @pytest.mark.parametrize("arms", [[[1, 0]], [np.array([1, 0])],
+                                      np.array([[1, 0]], dtype=np.int32),
+                                      np.array([[1, 0]], dtype=np.uint8)],
+                             ids=["list", "list-of-arrays", "int32", "uint8"])
+    def test_integer_arms_of_any_kind_draw_as_int64(self, arms):
+        bits = sample_matrix(PRODUCT, np.random.default_rng(3), arms)
+        expect = sample_matrix(PRODUCT, np.random.default_rng(3), np.array([[1, 0]]))
+        assert bits.tolist() == expect.tolist()
+
     @pytest.mark.parametrize("measure", [PRODUCT, COVERAGE, JOINT, PLANTED],
                              ids=["product", "coverage", "joint", "planted"])
     @pytest.mark.parametrize("arm", ["n", -1])
@@ -587,6 +623,42 @@ class TestOptimalSubset:
         m = ProductMeasure(means=(0.5, 0.5, 0.2))
         assert optimal_subset(m, 1) is None
 
+    @pytest.mark.parametrize("k", [True, 2.0, 1.5, "2", None])
+    def test_k_of_another_type_rejected(self, k):
+        # True once answered for k = 1 and 2.0 raised a bare TypeError
+        with pytest.raises(DomainError, match="k must be an integer"):
+            optimal_subset(ProductMeasure(means=(0.5, 0.2, 0.9)), k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert optimal_subset(ProductMeasure(means=(0.5, 0.2, 0.9)), np.int64(2)) == (0, 2)
+
+    @pytest.mark.parametrize("args, k, best", [
+        ((12, 10, 0.05, 1.0), 10, None),  # gap 0.05**10, about 9.8e-14: a tie
+        ((12, 10, 0.5, 1.0), 10, tuple(range(10))),
+        ((7, 6, 0.01, 0.5), 6, None),  # gap 5e-13
+        ((40, 5, 0.3, 0.5), 5, (0, 1, 2, 3, 4)),  # C(40, 5) is past SUBSET_CAP
+        ((5, 5, 0.3, 0.5), 5, (0, 1, 2, 3, 4)),  # the one 5-subset
+        ((6, 3, 0.4, 0.0), 3, None),  # p = 0: every 3-subset ties
+    ])
+    def test_planted_optimum_at_its_k_names_the_set_only_past_the_tie_rule(self, args, k, best):
+        measure = PlantedMeasure(*args)
+        assert optimal_subset(measure, k) == best
+        if math.comb(measure.n, k) <= measures.SUBSET_CAP:
+            assert measures.Measure.optimum(measure, k) == best
+
+    def test_planted_optimum_equals_the_enumeration_on_a_grid(self):
+        # every planted measure of up to 7 arms at every k, the planted set
+        # placed last, with gaps p * mu**k on both sides of 1e-12
+        for n in range(2, 8):
+            for planted in range(2, n + 1):
+                for mu in (0.01, 0.25, 0.5):
+                    for p in (0.0, 0.5, 1.0):
+                        measure = PlantedMeasure(n, planted, mu, p,
+                                                 planted_set=range(n - planted, n))
+                        for k in range(1, n + 1):
+                            expect = measures.Measure.optimum(measure, k)
+                            assert optimal_subset(measure, k) == expect, (n, planted, mu, p, k)
+
     def test_planted(self):
         m = PlantedMeasure(6, 3, 0.4, 0.5, planted_set=(1, 2, 5))
         assert optimal_subset(m, 3) == (1, 2, 5)
@@ -630,13 +702,14 @@ class TestOptimalSubset:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_generic_optimum_matches_expected_max_enumeration(self, data):
-        # the families that reach Measure.optimum: joint tables, whose atoms
-        # take few values so that repeated atoms tie, and planted measures with
-        # k other than the planted k or p = 0, where every subset that holds
-        # the planted set (or every subset, below the planted k) ties; and
-        # product measures on a grid of means, where equal means and a unit
-        # mean (every k-subset holding that arm has E[max] 1) tie, and means
-        # within 1e-12 of each other, or of 1, come within 1e-12 in E[max]
+        # every family but coverage: joint tables, whose atoms take few values
+        # so that repeated atoms tie; planted measures, where every subset that
+        # holds the planted set (or every subset, below the planted k) ties, and
+        # at the planted k with mu = 0.01 the gap p * mu**k falls on both sides
+        # of 1e-12 (k = 6 or 7); and product measures on a grid of means, where
+        # equal means and a unit mean (every k-subset holding that arm has
+        # E[max] 1) tie, and means within 1e-12 of each other, or of 1, come
+        # within 1e-12 in E[max]
         family = data.draw(st.sampled_from(["joint_table", "planted", "product"]))
         if family == "product":
             grid = [0.0, 0.25, 0.5, 0.75, 1.0, 0.5 + 1e-13, 1 - 1e-15, 0.25 + 3e-13, 1e-13, 0.999]
@@ -653,9 +726,9 @@ class TestOptimalSubset:
             n = data.draw(st.integers(2, 7))
             planted = data.draw(st.integers(2, n))
             p = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
-            measure = PlantedMeasure(n, planted, data.draw(st.sampled_from([0.25, 0.5])), p,
-                                     planted_set=data.draw(st.permutations(range(n)))[:planted])
-            k = data.draw(st.integers(1, n).filter(lambda k: k != planted or p == 0))
+            measure = PlantedMeasure(n, planted, data.draw(st.sampled_from([0.01, 0.25, 0.5])),
+                                     p, planted_set=data.draw(st.permutations(range(n)))[:planted])
+            k = data.draw(st.integers(1, n))
         values = {s: expected_max(measure, s) for s in combinations(range(measure.n), k)}
         best = max(values, key=values.get)  # the first maximum in scan order
         ordered = sorted(values.values())

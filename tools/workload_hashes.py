@@ -5,13 +5,14 @@ changed) in this process at each seed, and ``bestofk bounds`` on it, then
 ``bestofk verify`` once, and prints one JSON object:
 
     {workload: {seed: [sha256 of the results file, sha256 of the .trace or null,
+                       sha256 of the run's stderr (its warning lines),
                        bounds exit code, sha256 of bounds' stdout]},
      "verify": sha256 of verify's stdout}
 
 Only the traced workload (``marked-coverage-n64``) writes a ``.trace``.  At
 seed 1 the four entries are ``WORKLOAD_PINS`` in ``tests/test_harness.py``.
 Diff the output of two trees to check that a change keeps every workload's
-bytes and every printed bound:
+bytes, warnings and printed bounds:
 
     python tools/workload_hashes.py 1-10 > hashes.json
 
@@ -90,10 +91,10 @@ def _cli(*argv: str) -> tuple[int, str]:
 
 
 def workload_hashes(seeds: list[int], all_models: bool = False) -> dict:
-    """Per workload and seed, the sha256 of the results file and .trace (or None)
-    and the ``bounds`` exit code and stdout sha256, with ``all_models`` also of
-    each elimination workload under the other models; then the ``verify``
-    stdout sha256."""
+    """Per workload and seed, the sha256 of the results file, the .trace (or None)
+    and the run's stderr, and the ``bounds`` exit code and stdout sha256, with
+    ``all_models`` also of each elimination workload under the other models;
+    then the ``verify`` stdout sha256."""
     from bestofk.harness import ExperimentConfig, run_experiment
 
     hashes: dict = {}
@@ -104,13 +105,16 @@ def workload_hashes(seeds: list[int], all_models: bool = False) -> dict:
                 doc = workload.config_doc(seed)
                 if model:
                     doc.update(model=model, stage_cap=OTHER_MODEL_STAGE_CAP)
-                run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "out": str(out)})))
+                warned = io.StringIO()
+                with contextlib.redirect_stderr(warned):
+                    run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "out": str(out)})))
                 written = [_sha256(path.read_bytes()) if path.exists() else None
                            for path in (out, Path(f"{out}.trace"))]
                 Path(f"{out}.trace").unlink(missing_ok=True)
                 config.write_text(json.dumps(doc))
                 hashes.setdefault(name, {})[str(seed)] = [
-                    *written, *_cli("bounds", "--config", str(config))]
+                    *written, _sha256(warned.getvalue().encode()),
+                    *_cli("bounds", "--config", str(config))]
     hashes["verify"] = _cli("verify")[1]
     return hashes
 
