@@ -8,14 +8,14 @@ and reject arms whose upper bound falls under the k_t-th largest lower bound.
 Fresh samples every stage; the budget doubles until k arms are accepted.
 
 The leading stages whose every radius is above 1/2 cannot decide anything
-(``_undecidable_stages``).  ``_skip_undecidable_stages`` takes them before
-the stage loop, in one jump of the generator past the doubles their plays'
-shape takes, and counts their queries, so the record and the generator's end
-state equal the fully simulated run's.  This module's loop (when it keeps no
-stage log) and the subset baselines' loop both call it, and each draws every
-stage it runs.
+(``_undecidable_stages``), whatever they draw.  ``_skip_undecidable_stages``
+takes them undrawn before the stage loop and counts their queries, taking
+nothing from the generator, so the first drawn stage draws from the start of
+the stream.  This module's loop and the subset baselines' loop both call it,
+for every measure and generator and whether or not the run keeps a stage
+log, and each draws every stage it runs.
 
-``stage_shape`` is the one statement of what a play draws.  ``stage_play``,
+``stage_shape`` is the one statement of a play's layout.  ``stage_play``,
 the one sampling engine behind ``run_identification``, lays out a chunk of
 plays as queries, draws bits only for the queried arms and hands them to the
 recorder, whose exact per-arm law is ``oracle.exact_query_stats``.
@@ -106,47 +106,35 @@ def _undecidable_stages(n_arms: int, delta: float) -> int:
     return t - 1
 
 
-# what one play draws, as ``stage_shape`` states it
-StageShape = namedtuple("StageShape", "q width topoff doubles")
+# a play's layout, as ``stage_shape`` states it
+StageShape = namedtuple("StageShape", "q width topoff")
 
 
-def stage_shape(pool: int, accepted: int, rejects: int, k1: int, k2: int, model: str) -> StageShape:
+def stage_shape(pool: int, accepted: int, rejects: int, k1: int, k2: int) -> StageShape:
     """A play over ``pool`` arms in blocks of ``k1``, topped off by ``k2``:
-    ``q`` = ceil(pool / k1) queries of ``width`` = k1 + k2 arms, a ``topoff``
+    ``q`` = ceil(pool / k1) queries of ``width`` = k1 + k2 arms and a ``topoff``
     draw pool of the ``accepted`` arms if the ``rejects`` cannot fill k2, else
-    of the rejects (none if k2 = 0), and ``doubles``, a key per pool or
-    ``topoff`` arm and, under marked feedback, a winner uniform per query."""
-    q = queries_per_play(pool, k1)
+    of the rejects (none if k2 = 0)."""
     topoff = 0 if k2 == 0 else accepted if rejects < k2 else rejects
-    return StageShape(q, k1 + k2, topoff, pool + topoff + (q if model == "marked" else 0))
+    return StageShape(queries_per_play(pool, k1), k1 + k2, topoff)
 
 
-def _skip_undecidable_stages(env: Measure, rng: np.random.Generator, n_arms: int, delta: float,
-                             stage_cap: int, shape: StageShape) -> tuple[int, int]:
-    """Take a run's undecidable stages, whose every play has ``shape``, undrawn
-    in one generator jump; return (the first stage to draw, the queries the
-    skipped stages count).
+def _skip_undecidable_stages(n_arms: int, delta: float, stage_cap: int,
+                             queries: int) -> tuple[int, int]:
+    """Return (the first stage to draw, the queries of the stages before it,
+    each of whose plays makes ``queries`` queries); nothing is drawn.
 
     The first s = min(``_undecidable_stages``, ``stage_cap`` - 1) stages go,
-    so the cap stage, whose estimates name a baseline's leader, is drawn.  If
-    ``env.draw_doubles`` does not count a draw's doubles, ``rng`` is not a
-    PCG64 with no 32-bit half held (as ``harness.replicate_rng`` makes it) or
-    ``n_arms`` (the union bound's count) is one, none goes.  The s stages
-    hold 2 + 4 + ... + 2^s = 2^(s+1) - 2 plays, and a draw's count is linear
-    in its rows, so one ``advance`` over plays x ``shape.doubles`` +
-    ``draw_doubles``(plays x ``shape.q``, ``shape.width``) doubles leaves
-    ``rng`` as drawing every stage would: a ``Generator.random`` double is
-    one PCG64 step, and ``advance`` zeroes only the 32-bit half.  No record
-    depends on the cut."""
-    state = rng.bit_generator.state
-    if (n_arms < 2 or env.draw_doubles(1, shape.width) is None
-            or state["bit_generator"] != "PCG64" or state["has_uint32"] or state["uinteger"]):
+    so the cap stage, whose estimates name a baseline's leader, is drawn.
+    None goes when ``n_arms``, the union bound's count, is one (a baseline at
+    k = n, which queries nothing).  The s stages hold 2 + 4 + ... + 2^s =
+    2^(s+1) - 2 plays.  Every stage draws fresh samples, and these decide
+    nothing whatever they draw, so leaving them undrawn keeps every record's
+    law."""
+    if n_arms < 2:
         return 1, 0
     skipped = min(_undecidable_stages(n_arms, delta), stage_cap - 1)
-    plays = 2 ** (skipped + 1) - 2
-    rng.bit_generator.advance(plays * shape.doubles
-                              + env.draw_doubles(plays * shape.q, shape.width))
-    return skipped + 1, plays * shape.q
+    return skipped + 1, (2 ** (skipped + 1) - 2) * queries
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +195,7 @@ def stage_play(
     if len(pool) < need:
         raise InfeasibleError("cannot build a top-off set: pools too small")
 
-    shape = stage_shape(m, len(accept_pool), len(reject_pool), k1, k2, model)
+    shape = stage_shape(m, len(accept_pool), len(reject_pool), k1, k2)
     chunk = max(1, min(CHUNK_PLAYS, DRAW_ELEMENTS // max(m, shape.topoff)))
     # every play's top-off row: the fixed arms, written once, then its drawn arms
     topoff = np.empty((min(chunk, plays), k2), dtype=np.int64)
@@ -333,11 +321,11 @@ def run_identification(
     undecided arm reads the same max bit, gets the same ``mu_hat`` and
     ``c_hat``, and no rule of ``elimination_step`` can fire again.
 
-    Without the log, the leading stages that cannot decide an arm are taken
-    undrawn before the loop (``_skip_undecidable_stages``).  In such a stage
-    U' is all n arms, k1 = k, k2 = 0 and |B| = 0 (``balanced`` needs n >=
-    ceil(7k/2)), so each of its plays has ``stage_shape(n, 0, 0, k, 0,
-    model)``.
+    The leading stages that cannot decide an arm are taken undrawn before
+    the loop (``_skip_undecidable_stages``), so a kept log starts at the
+    first drawn stage.  In such a stage U' is all n arms, k1 = k, k2 = 0 and
+    |B| = 0 (``balanced`` needs n >= ceil(7k/2)), so each of its plays has
+    ``stage_shape(n, 0, 0, k, 0)``.
     """
     check_model(model)
     if stage_cap < 1:
@@ -360,8 +348,8 @@ def run_identification(
 
     undecided, accepted, rejected = tuple(range(n)), (), ()
     stage_log: list[StageRecord] = []
-    t, total_queries = (1, 0) if keep_log else _skip_undecidable_stages(
-        env, rng, n, delta, stage_cap, stage_shape(n, 0, 0, k, 0, model))
+    t, total_queries = _skip_undecidable_stages(n, delta, stage_cap,
+                                                stage_shape(n, 0, 0, k, 0).q)
 
     while t <= stage_cap and len(accepted) < k:
         big_t, k1 = 2**t, min(len(undecided), k)

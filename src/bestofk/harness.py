@@ -199,10 +199,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], Experim
     each line of ``_run_warnings`` goes to stderr as a ``warning:`` line.
 
     Elimination keeps its ``stage_log`` only when ``config.trace`` is on, since
-    the stage trace is its only reader; without it, the leading stages that
-    cannot decide anything are taken undrawn
-    (``elimination._skip_undecidable_stages``), in one advance of the
-    replicate's PCG64 past the doubles that ``elimination.stage_shape`` states.
+    the stage trace is its only reader.  Traced or not, every identifier
+    takes the leading stages that cannot decide anything undrawn
+    (``elimination._skip_undecidable_stages``), so a trace starts at the
+    first drawn stage.
     """
     env = measure_from_dict(config.measure)
     if config.out:

@@ -13,8 +13,7 @@ Four measure families are supported:
 Each family lives in one ``Measure`` subclass that holds its sampler
 (``draw``), exact marginals and E[max], exact law as a signed mixture of
 product laws (``components``, which ``Measure.exact_probs`` expands for the
-oracle without calling a sampler), best k-subset (``optimum``), the doubles a
-draw takes from the stream (``draw_doubles``, where it is a count) and document
+oracle without calling a sampler), best k-subset (``optimum``) and document
 (``to_dict``: the class's compared fields).  Callers use those methods
 directly, and those methods trust their input.  Three module-level entry
 points stay because they check it, rejecting a float or bool arm or k:
@@ -146,12 +145,6 @@ class Measure(ABC):
             table = np.concatenate([table * a[:, j, None], table * b[:, j, None]], axis=1)
         return table.sum(axis=0)
 
-    def draw_doubles(self, size: int, w: int) -> int | None:
-        """How many ``Generator.random`` doubles ``draw`` takes for ``size`` rows of
-        ``w`` arms, or None when it reads the stream another way; a count is
-        linear in ``size``."""
-        return None
-
     def optimum(self, k: int) -> tuple[int, ...] | None:
         """The ``_unique_best`` row of ``_enumerate_subsets`` by E[max]; None past the cap."""
         if not 0 < math.comb(self.n, k) <= SUBSET_CAP:  # no k-subset when k > n
@@ -209,9 +202,6 @@ class ProductMeasure(Measure):
         thresholds = self.mean_array.take(
             arms, mode="clip", out=held_buffer("draw.thresholds", arms.shape, np.float64))
         return (uniforms < thresholds).view(np.uint8)
-
-    def draw_doubles(self, size, w):
-        return size * w
 
     def marginals(self):
         return self.means
@@ -317,9 +307,6 @@ class PlantedMeasure(Measure):
         thresholds = table.take(cell, mode="clip",
                                 out=held_buffer("draw.thresholds", arms.shape, np.float64))
         return (u[size * (1 + k) :].reshape(arms.shape) < thresholds).view(np.uint8)
-
-    def draw_doubles(self, size, w):
-        return size * (1 + self.k + w)  # the blocks of ``draw`` add up to this
 
     @cached_property
     def slots(self) -> np.ndarray:

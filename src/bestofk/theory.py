@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, IdentifiabilityError, InfeasibleError
 from .game import check_model
-from .measures import JointTableMeasure
+from .measures import JointTableMeasure, _unique_best
 
 __all__ = [
     "GapProfile",
@@ -213,8 +213,9 @@ class GapProfile:
     """Means sorted descending with their top-k gaps and variances.
 
     gaps[i] = mu_i - mu_{k+1} for i < k (0-based: i <= k-1) and
-    mu_k - mu_i for i >= k; variances are mu(1-mu).  Requires a strict gap
-    at the boundary so the top k set is unique.
+    mu_k - mu_i for i >= k; variances are mu(1-mu).  Requires the top k set
+    to be unique: mu_k beats mu_{k+1} by the toolkit's one tie rule,
+    ``measures._unique_best``.
     """
 
     means: tuple[float, ...]
@@ -229,8 +230,8 @@ class GapProfile:
             raise DomainError("need 1 <= k < n")
         if any(not (0.0 <= m <= 1.0) for m in means):
             raise DomainError("means must lie in [0, 1]")
-        if means[self.k - 1] <= means[self.k]:
-            raise DomainError("top-k set not unique: mu_k must exceed mu_{k+1}")
+        if _unique_best(np.array(means[self.k - 1 : self.k + 1])) is None:
+            raise DomainError("top-k set not unique: mu_k must exceed mu_{k+1} by more than 1e-12")
         object.__setattr__(self, "means", means)
         gaps = tuple(
             means[i] - means[self.k] if i < self.k else means[self.k - 1] - means[i]

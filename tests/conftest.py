@@ -1,9 +1,14 @@
 """Helpers shared by the test modules."""
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
@@ -33,3 +38,13 @@ def all_arms():
         return np.broadcast_to(np.arange(measure.n), (rows, measure.n))
 
     return arms
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's named workloads, from ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bestofk import baselines, measures
 from bestofk.baselines import parity_identify, subset_arm_identify
-from bestofk.elimination import STAGE_CAP, run_identification
+from bestofk.elimination import STAGE_CAP, _undecidable_stages, run_identification
 from bestofk.errors import DomainError, SubsetCapError
 from bestofk.harness import ExperimentConfig
 from bestofk.measures import (
@@ -26,7 +26,7 @@ from bestofk.measures import (
     sample_matrix,
 )
 from bestofk.trial import TrialRecord
-from test_elimination import GENERATORS, generator_state, make_generator
+from test_elimination import GENERATORS, gathering_measure, generator_state, make_generator, spy
 
 
 class TestSubsetArm:
@@ -60,9 +60,9 @@ class TestSubsetArm:
         [
             (ProductMeasure(means=(0.5, 0.5, 0.5, 0.3)), 2, True, 5),
             (ProductMeasure(means=(0.5, 0.5, 0.5, 0.5, 0.3)), 3, True, 5),
-            (JointTableMeasure(k=3, probs=(0.125,) * 8), 2, True, 0),
+            (JointTableMeasure(k=3, probs=(0.125,) * 8), 2, True, 5),
             (PlantedMeasure(4, 2, 0.5, 0.0), 2, False, 5),
-            (CoverageMeasure(4, [{0}, {1}, {2}, {3}]), 2, False, 0),
+            (CoverageMeasure(4, [{0}, {1}, {2}, {3}]), 2, False, 5),
         ],
         ids=["product", "product-k3", "joint_table", "planted", "coverage"],
     )
@@ -73,8 +73,8 @@ class TestSubsetArm:
         # and joint-table draws read the stream row by row, so their records
         # cannot change; a planted draw reads Y, Z and the uniforms of all its
         # rows in turn, and a coverage draw buffers its integers per call.
-        # Product and planted stages 1-5 cannot drop a subset (their radius
-        # floor is above 1/2), so they count their queries without a draw
+        # Stages 1-5 cannot drop a subset (their radius floor is above 1/2),
+        # so they count their queries without a draw
         whole = subset_arm_identify(env, k, 0.1, np.random.default_rng(7), stage_cap=8)
         rows = []
 
@@ -92,33 +92,30 @@ class TestSubsetArm:
             assert whole.inconclusive and split == whole
 
     @pytest.mark.parametrize(
-        "identify,env,k,all_drawn,returned,total_queries,stages,inconclusive,state",
+        "identify,env,k,returned,total_queries,stages,inconclusive,state",
         [
-            (subset_arm_identify, PlantedMeasure(4, 2, 0.5, 1.0), 2, False,
-             (0, 1), 6132, 9, False, "b6c583bc17ea6062"),
-            (subset_arm_identify, PlantedMeasure(4, 2, 0.5, 1.0), 2, True,
-             (0, 1), 6132, 9, False, "a3671866207a5fb1"),
-            (subset_arm_identify, PlantedMeasure(5, 3, 0.5, 1.0), 3, True,
-             (0, 1, 2), 20460, 10, False, "663c4c5fe880fd95"),
-            (parity_identify, PlantedMeasure(5, 2, 0.5, 1.0), 2, True,
-             (0, 1), 5100, 8, False, "4b08e209566e3b90"),
-            (parity_identify, PlantedMeasure(4, 3, 0.5, 1.0), 3, False,
-             (0, 1, 2), 2040, 8, False, "54d674de8bf8f824"),
+            (subset_arm_identify, PlantedMeasure(4, 2, 0.5, 1.0), 2,
+             (0, 1), 6132, 9, False, "3839d7b300f31b7d"),
+            (subset_arm_identify, PlantedMeasure(5, 3, 0.5, 1.0), 3,
+             (0, 1, 2), 24556, 11, False, "6f9bf0748b1080f6"),
+            (parity_identify, PlantedMeasure(5, 2, 0.5, 1.0), 2,
+             (0, 1), 5100, 8, False, "8886c5d1a639fecc"),
+            (parity_identify, PlantedMeasure(4, 3, 0.5, 1.0), 3,
+             (0, 1, 2), 2040, 8, False, "74fccc873d910588"),
             (subset_arm_identify, CoverageMeasure(6, [{0, 1}, {2}, {3, 4}, {4}, {1, 5}]), 2,
-             False, (0, 2), 35820, 11, True, "9582c1ba976fd6ae"),
+             (0, 2), 34796, 11, True, "a14a00feb9707946"),
             (parity_identify, CoverageMeasure(6, [{0, 1}, {2}, {3, 4}, {4}, {1, 5}]), 3,
-             False, (0, 1, 2), 20972, 11, True, "a431aceef3d97c76"),
+             (0, 1, 2), 18924, 11, True, "47de543e7ecab8c6"),
         ],
-        ids=["arm-planted", "arm-planted-drawn", "arm-planted-k3-drawn", "parity-planted-drawn",
-             "parity-planted-k3", "arm-coverage", "parity-coverage-k3"],
+        ids=["arm-planted", "arm-planted-k3", "parity-planted", "parity-planted-k3",
+             "arm-coverage", "parity-coverage-k3"],
     )
-    def test_split_draws_are_pinned(self, identify, env, k, all_drawn, returned, total_queries,
-                                    stages, inconclusive, state, monkeypatch):
+    def test_split_draws_are_pinned(self, identify, env, k, returned, total_queries, stages,
+                                    inconclusive, state, monkeypatch):
         # a planted or coverage draw reads the stream per call, so the record,
         # the draws and the generator's end state pin where each stage is cut
-        # into draws.  A draw holds 16 rows here: stages 1-4 put whole
-        # survivors in a draw, later stages split one survivor over several.
-        # Planted stages 1-5 run undrawn unless every stage is drawn (all_drawn)
+        # into draws.  A draw holds 16 rows here, and stages 1-5 run undrawn,
+        # so every drawn stage splits one survivor over several draws
         digest = hashlib.sha256()
 
         def hashed(measure, rng, arms):
@@ -128,8 +125,6 @@ class TestSubsetArm:
 
         monkeypatch.setattr(baselines, "DRAW_ELEMENTS", 20 * k)
         monkeypatch.setattr(baselines, "sample_matrix", hashed)
-        if all_drawn:
-            monkeypatch.setattr(type(env), "draw_doubles", lambda self, size, w: None)
         rng = np.random.default_rng(1)
         rec = identify(env, k, 0.1, rng, stage_cap=11)
         digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
@@ -140,28 +135,36 @@ class TestSubsetArm:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), identify=st.sampled_from([subset_arm_identify, parity_identify]),
            stage_cap=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
-           generator=st.sampled_from(GENERATORS))
-    def test_skipped_stages_replay_the_simulated_run(self, data, identify, stage_cap, seed,
-                                                     generator):
+           generator=st.sampled_from(GENERATORS),
+           family=st.sampled_from(["product", "planted", "coverage", "joint_table"]))
+    def test_runs_draw_from_their_first_decidable_stage(self, data, identify, stage_cap, seed,
+                                                        generator, family):
         # the first 5 or 6 stages of these configs cannot drop a subset, so
-        # caps of 1-9 end inside the skipped prefix and past it
+        # caps of 1-9 end inside the skipped prefix and past it; the first
+        # draw is the first drawn stage's 2**t rows per subset arm, from the
+        # generator as the run found it
         n = data.draw(st.integers(3, 6))
         k = data.draw(st.integers(1 if identify is subset_arm_identify else 2, n - 1))
-        if data.draw(st.booleans()):
+        if family == "product":
             env = ProductMeasure(means=data.draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9]),
                                                           min_size=n, max_size=n)))
-        else:
+        elif family == "planted":
             planted = data.draw(st.integers(2, n))
             mu = 0.5 if identify is parity_identify else data.draw(st.sampled_from([0.25, 0.5]))
             env = PlantedMeasure(n, planted, mu, data.draw(st.sampled_from([0.5, 1.0])))
+        else:
+            env = gathering_measure(data, family, n)
         delta = data.draw(st.sampled_from([0.01, 0.1, 0.5]))
-        skipping_rng, simulated_rng = (make_generator(generator, seed) for _ in range(2))
-        skipping = identify(env, k, delta, skipping_rng, stage_cap)
+        rng = make_generator(generator, seed)
+        fresh, subsets = generator_state(rng), math.comb(n, k)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(type(env), "draw_doubles", lambda self, size, w: None)
-            simulated = identify(env, k, delta, simulated_rng, stage_cap)
-        assert skipping == simulated
-        assert generator_state(skipping_rng) == generator_state(simulated_rng)
+            calls = spy(mp, baselines, "sample_matrix", 1)
+            rec = identify(env, k, delta, rng, stage_cap)
+        first = min(_undecidable_stages(subsets, delta), stage_cap - 1) + 1
+        (_, _, arms), state = calls[0]
+        assert len(arms) == 2**first * subsets and state == fresh
+        drawn = sum(len(args[2]) for args, _ in calls)
+        assert rec.total_queries == (2**first - 2) * subsets + drawn
 
     def test_workload_draws_from_stage_6(self, monkeypatch):
         # the subset-planted-n8 config: the radius floor over its 28 subset

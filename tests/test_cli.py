@@ -17,6 +17,7 @@ from bestofk.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL
 from bestofk.harness import ExperimentConfig
 from bestofk.measures import PlantedMeasure, ProductMeasure, document
 from bestofk.theory import GapProfile, upper_bound_total
+from test_elimination import BANDIT_STALL_CONFIGS
 
 
 @pytest.fixture
@@ -172,19 +173,37 @@ BOUND_OVERFLOWS = "error: a closed-form bound overflows floating point for this 
 
 
 @pytest.mark.parametrize("measure, model, k, delta", [
-    # a gap of 1e-300 squares to 0.0 in tau_terms
-    ({"type": "product", "means": [1e-300] + [0.0] * 7}, "semi", 1, 0.1),
     # the gap p mu^k underflows to 0.0 in dependent_lower_bound
     ({"type": "planted", "n": 6, "k": 2, "mu": 1e-200, "p": 0.5}, "bandit", 2, 0.1),
     # 2**-1074 as a gap squares past the largest float
     ({"type": "planted", "n": 1075, "k": 1074, "mu": 0.5, "p": 1.0}, "semi", 1074, 0.1),
-], ids=["tiny-mean", "tiny-mu", "k-1074"])
+], ids=["tiny-mu", "k-1074"])
 def test_bounds_overflow_is_one_line_error(tmp_path, measure, model, k, delta):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"measure": measure, "model": model, "k": k, "delta": delta}))
     done = _cli("bounds", "--config", str(path))
     assert done.returncode == EXIT_USAGE
     assert done.stderr.splitlines() == [BOUND_OVERFLOWS]
+    assert done.stdout == ""
+
+
+TOP_K_TIES = "error: top-k set not unique: mu_k must exceed mu_{k+1} by more than 1e-12"
+
+
+@pytest.mark.parametrize("means, k", [
+    # the marginals ranked 2 and 3 lie 1e-13 apart, so `run` warns that they tie
+    ([0.6, 0.5000000000001, 0.5, 0.2, 0.1, 0.1, 0.1, 0.1], 2),
+    # a gap of 1e-300, which tau_terms would square to 0.0
+    ([1e-300] + [0.0] * 7, 1),
+], ids=["tie-margin", "tiny-mean"])
+def test_bounds_on_tied_marginals_is_one_line_error(tmp_path, means, k):
+    # the one tie rule of the optimum and the run's warning decides the gap too
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"type": "product", "means": means},
+                                "model": "semi", "k": k, "delta": 0.1}))
+    done = _cli("bounds", "--config", str(path))
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines() == [TOP_K_TIES]
     assert done.stdout == ""
 
 
@@ -249,15 +268,17 @@ def _run_cli(tmp_path, doc: dict, *options: str, **kwargs) -> subprocess.Complet
 
 
 def test_stalled_bandit_run_exits_inconclusive(tmp_path):
-    # below the balancing threshold 10 of these 40 replicates stall with |U| <= k;
-    # each stops there, so the run ends in seconds at the default stage cap
+    # below the balancing threshold some of these 40 replicates stall with
+    # |U| <= k (as many as elimination's test of the config counts); each stops
+    # there, so the run ends in seconds at the default stage cap
+    means, k, stalled = BANDIT_STALL_CONFIGS[0]
     started = time.perf_counter()
-    done = _run_cli(tmp_path, {"measure": {"type": "product", "means": [0.6, 0.6, 0.4, 0.4, 0.4]},
-                               "model": "bandit", "k": 2, "delta": 0.1, "replicates": 40,
+    done = _run_cli(tmp_path, {"measure": {"type": "product", "means": list(means)},
+                               "model": "bandit", "k": k, "delta": 0.1, "replicates": 40,
                                "base_seed": 3})
     elapsed = time.perf_counter() - started
     assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
-    assert json.loads(done.stdout)["inconclusive"] == 10
+    assert json.loads(done.stdout)["inconclusive"] == stalled
     assert elapsed < 10.0, elapsed
 
 

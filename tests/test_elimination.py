@@ -17,6 +17,7 @@ from bestofk import measures
 from bestofk.elimination import (
     CHUNK_PLAYS,
     STAGE_CAP,
+    _undecidable_stages,
     balance,
     balance_set_size,
     confidence_radius,
@@ -27,7 +28,8 @@ from bestofk.elimination import (
 )
 from bestofk.errors import DomainError, IdentifiabilityError, InfeasibleError
 from bestofk.harness import replicate_rng
-from bestofk.measures import DRAW_ELEMENTS, CoverageMeasure, PlantedMeasure, ProductMeasure
+from bestofk.measures import (DRAW_ELEMENTS, CoverageMeasure, JointTableMeasure, PlantedMeasure,
+                              ProductMeasure)
 from bestofk.oracle import exact_query_stats
 from bestofk.theory import inversion_sample_size, kappa_constants, true_variance_radius
 
@@ -229,10 +231,10 @@ class TestEliminationStepProperties:
 # bandit configs below the balancing threshold n >= ceil(7k/2): product means,
 # k, and how many of 40 replicates at base_seed 3 stall with |U| <= k
 BANDIT_STALL_CONFIGS = [
-    ((0.6, 0.6, 0.4, 0.4, 0.4), 2, 10),
-    ((0.6, 0.6, 0.4, 0.4, 0.4, 0.4), 2, 11),
-    ((0.9, 0.5, 0.2, 0.1, 0.1, 0.1), 2, 16),
-    ((0.6, 0.6, 0.6, 0.4, 0.4, 0.4, 0.4, 0.4), 3, 2),
+    ((0.6, 0.6, 0.4, 0.4, 0.4), 2, 8),
+    ((0.6, 0.6, 0.4, 0.4, 0.4, 0.4), 2, 9),
+    ((0.9, 0.5, 0.2, 0.1, 0.1, 0.1), 2, 18),
+    ((0.6, 0.6, 0.6, 0.4, 0.4, 0.4, 0.4, 0.4), 3, 1),
 ]
 
 
@@ -255,13 +257,16 @@ class TestRunIdentification:
         env = ProductMeasure(means=(0.9, 0.6, 0.2, 0.1))
         rec = run_identification(env, "semi", 2, 0.1, np.random.default_rng(1))
         sizes = [s.sample_size for s in rec.stage_log]
-        assert sizes[0] == 2
+        # the log starts at the first stage that can decide an arm
+        first = _undecidable_stages(4, 0.1) + 1
+        assert rec.stage_log[0].t == first and sizes[0] == 2**first
         assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
         for s in rec.stage_log:
             # stage queries = ceil(|U'|/k1) * T with U' = U here (semi)
             k1 = min(len(s.undecided), 2)
             assert s.queries == -(-len(s.undecided) // k1) * s.sample_size
-        assert rec.total_queries == sum(s.queries for s in rec.stage_log)
+        # the undrawn stages' 2 + 4 + ... + 2**(first - 1) plays of 2 queries count too
+        assert rec.total_queries == (2**first - 2) * 2 + sum(s.queries for s in rec.stage_log)
 
     def test_semi_efficiency_bound(self):
         env = ProductMeasure(means=(0.9, 0.6, 0.2, 0.1, 0.05))
@@ -405,10 +410,10 @@ class TestRunIdentification:
             run_identification(env, "semi", 1, 0.1)
 
 
-# the generators an undrawn stage must replay on: PCG64 as
+# the generators a run takes its undrawn stages on: PCG64 as
 # ``harness.replicate_rng`` makes it, PCG64 after one 32-bit draw (its other
 # half buffered) and after two (the spent half left in the state), and two
-# bit generators without ``advance``
+# other bit generators
 GENERATORS = ("PCG64", "PCG64 buffered", "PCG64 spent", "MT19937", "SFC64")
 
 
@@ -425,50 +430,138 @@ def generator_state(rng: np.random.Generator) -> str:
     return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
 
 
+def gathering_measure(data, family: str, n: int):
+    """A coverage or joint-table measure over ``n`` arms drawn by hypothesis,
+    every arm's mean in (0, 1) so that bandit feedback can identify it."""
+    if family == "coverage":
+        sets = st.sets(st.integers(0, 2 * n - 1), min_size=1, max_size=2 * n - 1)
+        return CoverageMeasure(2 * n, [data.draw(sets) for _ in range(n)])
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=2**n, max_size=2**n))
+    return JointTableMeasure(k=n, probs=tuple(w / math.fsum(weights) for w in weights))
+
+
+def spy(monkeypatch, module, name: str, rng_at: int) -> list:
+    """Patch ``module.name`` to note each call's positional arguments and the
+    state of its generator, the argument at ``rng_at``, before the call."""
+    calls, real = [], getattr(module, name)
+
+    def noted(*args):
+        calls.append((args, generator_state(args[rng_at])))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, noted)
+    return calls
+
+
 class TestUndrawnStages:
-    """Without a stage log, the leading stages that cannot decide an arm
-    advance the generator past their doubles undrawn."""
+    """The leading stages that cannot decide an arm are taken undrawn: the
+    first drawn stage draws from the generator as the run found it."""
+
+    # union-bound counts: the arms of elimination (n = 2 to 256, 10**6) and the
+    # subset arms of a baseline (C(8, 2) = 28, C(64, 3) = 41664)
+    UNION_COUNTS = (2, 3, 5, 12, 28, 64, 256, 41664, 10**6)
+    # worst-case estimates of 4 undecided arms: 0s and 1s, with 1/2 between
+    ESTIMATES = ((1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 1.0, 0.0),
+                 (1.0, 0.5, 0.5, 0.0), (0.5, 0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("n_arms", UNION_COUNTS)
+    def test_undecidable_stages_decide_nothing(self, n_arms, delta):
+        # the skip's premise for elimination: at every stage it leaves undrawn,
+        # no estimates can accept or reject an arm, and at the next stage the
+        # 0/1 estimates do
+        def decides(t, mu):
+            mu = np.array(mu)
+            c_hat = confidence_radius(mu, n_arms, t, delta)
+            return any(any(elimination_step(range(4), k_t, mu, c_hat)[1:]) for k_t in (1, 2, 3))
+
+        skipped = _undecidable_stages(n_arms, delta)
+        for t in range(1, skipped + 1):
+            assert not any(decides(t, mu) for mu in self.ESTIMATES), t
+        assert decides(skipped + 1, self.ESTIMATES[0])
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 28, 64])
+    def test_undecidable_stages_drop_no_subset(self, n, delta, monkeypatch):
+        # the same premise for the baselines' drop rule: subset_arm over the n
+        # singletons (k = 1, so n subset arms) draws every stage, on draws that
+        # give arm a the estimate values[a] in {0, 1/2, 1}: a survivor's rows
+        # come in even-length blocks from even rows, so alternating rows read 1/2
+        from bestofk import baselines
+        from bestofk.baselines import subset_arm_identify
+
+        def draws(measure, rng, arms):
+            value = values[arms[:, 0]]
+            return np.where(value == 0.5, np.arange(len(arms)) % 2, value).astype(np.uint8)[:, None]
+
+        monkeypatch.setattr(baselines, "_skip_undecidable_stages", lambda *args: (1, 0))
+        monkeypatch.setattr(baselines, "sample_matrix", draws)
+        env, skipped = ProductMeasure(means=(0.5,) * n), _undecidable_stages(n, delta)
+        patterns = ([1.0] + [0.0] * (n - 1), [1.0] * (n - 1) + [0.0],
+                    [(1.0, 0.5, 0.0)[a % 3] for a in range(n)])
+        for values in map(np.array, patterns):
+            rec = subset_arm_identify(env, 1, delta, np.random.default_rng(0), skipped + 1)
+            # the stage after them still queries all n subset arms: none dropped
+            assert rec.total_queries == (2 ** (skipped + 2) - 2) * n, values
+        values = np.array(patterns[0])  # 1 then 0s: that stage drops every 0
+        rec = subset_arm_identify(env, 1, delta, np.random.default_rng(0), skipped + 1)
+        assert rec.returned == (0,) and not rec.inconclusive
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), model=st.sampled_from(["semi", "bandit", "marked"]),
            exact_k_mode=st.sampled_from([None, True, False]), stage_cap=st.integers(1, 14),
            delta=st.floats(1e-6, 0.9), seed=st.integers(0, 2**32 - 1),
-           generator=st.sampled_from(GENERATORS))
-    def test_undrawn_stages_replay_the_drawn_run(self, data, model, exact_k_mode, stage_cap,
-                                                 delta, seed, generator):
+           generator=st.sampled_from(GENERATORS),
+           family=st.sampled_from(["product", "planted", "coverage", "joint_table"]))
+    def test_every_run_draws_from_its_first_decidable_stage(self, data, model, exact_k_mode,
+                                                            stage_cap, delta, seed, generator,
+                                                            family):
         # 4-8 stages cannot decide here, so caps of 1-14 end inside that
-        # prefix and past it; k = n skips none, as it samples nothing
+        # prefix and past it; k = n draws nothing.  Traced and untraced runs
+        # take the same stages undrawn and give the same record
+        import bestofk.elimination as elim
+
         n = data.draw(st.integers(2, 8))
         k = data.draw(st.integers(1, n))
-        if data.draw(st.booleans()):
+        if family == "product":
             # extreme means let the first drawn stage decide arms
             means = [0.0, 0.1, 0.5, 0.9] + ([] if model == "bandit" else [1.0])
             env = ProductMeasure(means=data.draw(st.lists(st.sampled_from(means),
                                                           min_size=n, max_size=n)))
-        else:
+        elif family == "planted":
             env = PlantedMeasure(n, data.draw(st.integers(2, n)),
                                  data.draw(st.sampled_from([0.1, 0.3, 0.5])),
                                  data.draw(st.sampled_from([0.5, 1.0])))
+        else:
+            env = gathering_measure(data, family, n)
+        first = min(_undecidable_stages(n, delta), stage_cap - 1) + 1
         runs = []
         for keep_log in (True, False):
             rng = make_generator(generator, seed)
-            rec = run_identification(env, model, k, delta, rng, stage_cap, exact_k_mode,
-                                     keep_log=keep_log)
-            runs.append((rec, generator_state(rng)))
-        (drawn, drawn_state), (undrawn, undrawn_state) = runs
-        assert undrawn == drawn
-        assert undrawn_state == drawn_state
-        assert len(drawn.stage_log) == drawn.stages and undrawn.stage_log == ()
+            fresh = generator_state(rng)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = spy(mp, elim, "stage_play", -1)
+                runs.append(run_identification(env, model, k, delta, rng, stage_cap,
+                                               exact_k_mode, keep_log=keep_log))
+            if k == n:
+                assert not calls and runs[-1].stages == 0
+            else:
+                # stage_play(..., plays, rng): stage ``first`` plays 2**first times
+                (*_, plays, _), state = calls[0]
+                assert plays == 2**first and state == fresh
+        traced, untraced = runs
+        assert untraced == traced and untraced.stage_log == ()
+        if k < n:
+            assert [s.t for s in traced.stage_log] == list(range(first, traced.stages + 1))
 
-    def test_benchmark_config_draws_from_stage_six(self, monkeypatch):
-        # the bandit-product-n12 config: the radius floor over its 12 arms is
-        # 18.3, 7.3, 3.5, 1.7 and 0.87 at stages 1-5 and 0.44 at stage 6
+    @staticmethod
+    def _first_drawn_stages(monkeypatch, config):
+        """Per replicate of ``config``, traced and untraced: (stages, the plays
+        of each drawn stage)."""
         import bestofk.elimination as elim
         from bestofk import harness
         from bestofk.harness import ExperimentConfig, run_experiment
 
-        floors = [confidence_radius(0.0, 12, t, 0.1) for t in range(1, 7)]
-        assert [round(r, 2) for r in floors] == [18.31, 7.34, 3.45, 1.71, 0.87, 0.44]
         plays, per_replicate = [], []
         stage_play_, run_identification_ = elim.stage_play, harness.run_identification
 
@@ -484,25 +577,45 @@ class TestUndrawnStages:
 
         monkeypatch.setattr(elim, "stage_play", counted_stage)
         monkeypatch.setattr(harness, "run_identification", counted_run)
+        for trace in (False, True):
+            run_experiment(ExperimentConfig.from_json(json.dumps({**config, "trace": trace})))
+        return per_replicate
+
+    def test_benchmark_config_draws_from_stage_six(self, monkeypatch):
+        # the bandit-product-n12 config: the radius floor over its 12 arms is
+        # 18.3, 7.3, 3.5, 1.7 and 0.87 at stages 1-5 and 0.44 at stage 6
+        floors = [confidence_radius(0.0, 12, t, 0.1) for t in range(1, 7)]
+        assert [round(r, 2) for r in floors] == [18.31, 7.34, 3.45, 1.71, 0.87, 0.44]
         means = (0.8, 0.7, 0.6) + (0.3,) * 9
-        for trace, undrawn in ((False, 5), (True, 0)):
-            per_replicate.clear()
-            run_experiment(ExperimentConfig(measure=ProductMeasure(means=means).to_dict(),
-                                            model="bandit", k=3, delta=0.1, replicates=3,
-                                            base_seed=1, trace=trace))
-            assert len(per_replicate) == 3
-            for stages, sizes in per_replicate:
-                assert stages > 5
-                assert sizes == [2**t for t in range(undrawn + 1, stages + 1)]
+        per_replicate = self._first_drawn_stages(monkeypatch, {
+            "measure": ProductMeasure(means=means).to_dict(), "model": "bandit", "k": 3,
+            "delta": 0.1, "replicates": 3, "base_seed": 1})
+        assert len(per_replicate) == 6
+        for stages, sizes in per_replicate:
+            assert stages > 5
+            assert sizes == [2**t for t in range(6, stages + 1)]
+
+    def test_coverage_workload_draws_from_stage_seven(self, monkeypatch, workloads):
+        # the marked-coverage-n64 config: the radius floor over its 64 arms is
+        # 22.8, 8.8, 4.1, 2.0, 1.01 and 0.51 at stages 1-6 and 0.26 at stage 7
+        floors = [confidence_radius(0.0, 64, t, 0.1) for t in range(1, 8)]
+        assert [round(r, 2) for r in floors] == [22.78, 8.82, 4.09, 2.01, 1.01, 0.51, 0.26]
+        config = workloads["marked-coverage-n64"].config_doc(1, replicates=3)
+        per_replicate = self._first_drawn_stages(monkeypatch, config)
+        assert len(per_replicate) == 6
+        for stages, sizes in per_replicate:
+            assert stages > 6
+            assert sizes == [2**t for t in range(7, stages + 1)]
 
     @pytest.mark.parametrize("stage_cap", [3, 5, 6, 8, 40])
     def test_both_identifiers_draw_from_the_same_stage(self, stage_cap, monkeypatch):
         # the bandit-product-n12 config under each feedback model (elimination,
-        # untraced), marked elimination on the subset-planted-n8 instance and
-        # that config itself (subset_arm) each have 5 undecidable stages; all
-        # take min(5, cap - 1) of them undrawn, as the cap stage always draws.
-        # Their first stage-t draw is 2**t plays of 4 queries (12 arms, k = 3,
-        # or 8 arms, k = 2) and 2**t rows for each of the 28 subset arms.
+        # traced and untraced), marked elimination on the subset-planted-n8
+        # instance and that config itself (subset_arm) each have 5 undecidable
+        # stages; all take min(5, cap - 1) of them undrawn, as the cap stage
+        # always draws.  Their first stage-t draw is 2**t plays of 4 queries
+        # (12 arms, k = 3, or 8 arms, k = 2) and 2**t rows for each of the 28
+        # subset arms.
         from bestofk import baselines
         from bestofk import elimination as elim
         from bestofk.baselines import subset_arm_identify
@@ -513,29 +626,24 @@ class TestUndrawnStages:
             sizes.append(len(arms))
             return measures.sample_matrix(measure, rng, arms)
 
-        def eliminate(model, k):
+        def eliminate(model, k, keep_log):
             return lambda env, rng: run_identification(env, model, k, 0.1, rng, stage_cap,
-                                                       keep_log=False)
+                                                       keep_log=keep_log)
 
         monkeypatch.setattr(elim, "sample_matrix", counted)
         monkeypatch.setattr(baselines, "sample_matrix", counted)
         product = ProductMeasure(means=(0.8, 0.7, 0.6) + (0.3,) * 9)
         planted = PlantedMeasure(8, 2, 0.5, 1.0)
         runs = [
-            *((product, 4, eliminate(model, 3)) for model in ("bandit", "semi", "marked")),
-            (planted, 4, eliminate("marked", 2)),
+            *((product, 4, eliminate(model, 3, keep_log)) for model in ("bandit", "semi", "marked")
+              for keep_log in (False, True)),
+            (planted, 4, eliminate("marked", 2, False)),
             (planted, 28, lambda env, rng: subset_arm_identify(env, 2, 0.1, rng, stage_cap)),
         ]
         for env, rows_per_play, identify in runs:
             sizes.clear()
-            rng = np.random.default_rng(1)
-            rec = identify(env, rng)
+            identify(env, np.random.default_rng(1))
             assert sizes and math.log2(sizes[0] // rows_per_play) == min(5, stage_cap - 1) + 1
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(type(env), "draw_doubles", lambda self, size, w: None)
-                drawn_rng = np.random.default_rng(1)
-                assert identify(env, drawn_rng) == rec
-            assert drawn_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestStagePlayConsistency:
@@ -620,53 +728,7 @@ class TestStagePlayConsistency:
 
 
 class TestStageShape:
-    """``stage_shape`` states what a play draws before any draw."""
-
-    # how a stage's queries are topped off: not at all, by one arm drawn from
-    # the rejects, by several, and by all rejects plus arms drawn from the
-    # accepted ones
-    TOPOFFS = ("none", "one", "several", "fill")
-
-    @staticmethod
-    def _random_stage(gen, topoff):
-        """(u_prime, accept, r_prime, k1, k2) with the given kind of top-off."""
-        m = int(gen.integers(1, 9))
-        k1 = int(gen.integers(1, m + 1))
-        k2 = {"none": 0, "one": 1}.get(topoff, int(gen.integers(2, 5)))
-        if topoff == "fill":
-            rejects = int(gen.integers(0, k2))
-            accepted = int(gen.integers(k2 - rejects, k2 - rejects + 4))
-        else:
-            rejects, accepted = int(gen.integers(k2, k2 + 5)), int(gen.integers(0, 4))
-        arms = gen.permutation(m + accepted + rejects).tolist()
-        return arms[:m], arms[m : m + accepted], arms[m + accepted :], k1, k2
-
-    def test_stream_use_is_what_a_stage_draws(self):
-        # a PCG64 stepped over plays x doubles + the draws' doubles ends where
-        # the drawn stage leaves the generator; balancing's permutation takes a
-        # varying count, and coverage and joint-table draws are not counted
-        gen = np.random.default_rng(36)
-        plays_choices = (1, 2, 3, 17, 256, CHUNK_PLAYS, CHUNK_PLAYS + 5)
-        for i in range(400):
-            topoff = self.TOPOFFS[i % 4]
-            model = ("semi", "bandit", "marked")[i // 4 % 3]
-            u_prime, accept, r_prime, k1, k2 = self._random_stage(gen, topoff)
-            n = len(u_prime) + len(accept) + len(r_prime)
-            if i // 12 % 2:
-                env = PlantedMeasure(n, int(gen.integers(min(2, n), n + 1)), 0.3, 0.9)
-            else:
-                env = ProductMeasure(means=tuple(gen.uniform(0.05, 0.95, n)))
-            plays = int(gen.choice(plays_choices))
-            shape = stage_shape(len(u_prime), len(accept), len(r_prime), k1, k2, model)
-            rng = np.random.default_rng(i)
-            expected = np.random.Generator(np.random.PCG64())
-            expected.bit_generator.state = rng.bit_generator.state
-            expected.bit_generator.advance(
-                plays * shape.doubles + env.draw_doubles(plays * shape.q, shape.width))
-            _, queries = stage_play(env, u_prime, accept, r_prime, k1, k2, model, plays, rng)
-            assert queries == plays * shape.q
-            assert rng.bit_generator.state == expected.bit_generator.state, (
-                i, topoff, model, type(env).__name__, plays, shape)
+    """``stage_shape`` states a play's layout before any draw."""
 
     @pytest.mark.parametrize("model,means,k,exact_k_mode", [
         ("semi", (0.9, 0.85, 0.5, 0.45, 0.05), 3, None),
@@ -685,7 +747,7 @@ class TestStageShape:
             k1 = min(len(s.undecided), k)
             k2s.append(k - k1 if exact_k else 0)
             shape = stage_shape(len(s.undecided) + s.balancing, s.accepted,
-                                s.rejected - s.balancing, k1, k2s[-1], model)
+                                s.rejected - s.balancing, k1, k2s[-1])
             assert s.queries == s.sample_size * shape.q
         if model == "bandit":
             assert any(s.balancing for s in rec.stage_log)

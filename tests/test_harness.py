@@ -35,19 +35,6 @@ from bestofk.measures import FIELDS, document, measure_from_dict, PlantedMeasure
 from bestofk.theory import BoundReport, GapProfile, upper_bound_total
 from bestofk.trial import StageRecord, TrialRecord
 
-PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    """The benchmark's named workloads, from ``perfbench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
 def _product_config(**overrides):
     base = dict(
         measure=ProductMeasure(means=(0.9, 0.6, 0.2, 0.1)).to_dict(),
@@ -367,8 +354,8 @@ GOLDEN = {
     "product-semi-elimination-traced": (
         {"measure": {"type": "product", "n": 5, "means": [0.9, 0.7, 0.4, 0.2, 0.1]},
          "model": "semi", "k": 2, "delta": 0.1, "replicates": 3, "base_seed": 11, "trace": True},
-        "6a07fc9a740509ee9a93c0b84a83bb38f491e461624e70b2e1b1819df83a3d63",
-        "6c8242aa9e529201d86b11fd134fb1ea063db4c2eee438ce0304e88f5bd61981"),
+        "3135142d318e89f1e57f126b6f415f271298245c6c80dd5756b06d8c67f60ed1",
+        "d52293844aededb7bbd6273023494e8e535d9f30d117fdb30bce1b288a198971"),
     "planted-bandit-subset_arm": (
         {"measure": {"type": "planted", "n": 4, "k": 2, "mu": 0.5, "p": 1.0},
          "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 3,
@@ -383,12 +370,12 @@ GOLDEN = {
                      "probs": [0.2, 0.3, 0.1, 0.1, 0.05, 0.1, 0.05, 0.1]},
          "model": "bandit", "k": 1, "delta": 0.1, "replicates": 3, "base_seed": 14},
         "a17b429be410153a7b1da421e00dedd326bba1455af2abeefc129ba568cef839", None),
-    # its stages 1-5 cannot drop a subset, so they take their doubles undrawn
+    # its stages 1-5 cannot drop a subset, so they run undrawn
     "product-bandit-subset_arm": (
         {"measure": {"type": "product", "n": 5, "means": [0.9, 0.7, 0.4, 0.2, 0.1]},
          "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 3,
          "base_seed": 16},
-        "4fb8659258768973de748fbe1b31d620c8146589b480efbd78c6e1c1eea229c9", None),
+        "6bc0c027c8d08769b1ba32b2f1bbf03e52ca4f560a5fa49c20848e76356a8191", None),
     "planted-semi-parity": (
         {"measure": {"type": "planted", "n": 4, "k": 2, "mu": 0.5, "p": 1.0},
          "model": "semi", "k": 2, "delta": 0.1, "algorithm": "parity", "replicates": 3,
@@ -401,7 +388,7 @@ GOLDEN = {
          "model": "semi", "k": 2, "delta": 0.1, "replicates": 2, "base_seed": 21,
          "stage_cap": 14, "trace": True},
         "ff361ea4d91669751d934f3f965e618ad21f4c51c5959df91f7cd88ae3b7da88",
-        "c9063b88117b7e476f5d39109aa9568a2220904c989973fe378fa298e39bf1c1"),
+        "6dee61697a5842376ede9ae22ce57ddd8bb2cca50d7dbdf8d20665f93c110ca0"),
     "coverage-marked-chunks": (
         {"measure": {"type": "coverage", "m": 100,
                      "sets": [list(range(40)), list(range(40, 70)), list(range(70, 99)),
@@ -416,14 +403,14 @@ GOLDEN = {
          "model": "bandit", "k": 3, "delta": 0.1, "replicates": 1, "base_seed": 23,
          "stage_cap": 14, "trace": True},
         "3d1e57f9fef2f0417f8fbf4d8be3011fb35c48eb9a94e121c660aa9c4f423151",
-        "20f52403ad09aa2270a2278b0c492169aab5edc4a8ad96c138462d751d2cd68c"),
+        "0c4a575bdf51f11938f59818b8bec0b2cb25a1460427b8201a4abdd54a652430"),
     # the subset-planted-n8 benchmark config: 28 subset arms, planted draws of
     # up to 14,336 rows
     "planted-bandit-subset_arm-n8": (
         {"measure": {"type": "planted", "n": 8, "k": 2, "mu": 0.5, "p": 1.0},
          "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 2,
          "base_seed": 24},
-        "e7fb4985ca9bece6b2b44a28b224ff903b8ec552a1ceadb82dfef5b45c0695e7", None),
+        "64e2adbd454abbabb194b260ef520fba666970dcd3cecf91c0d7063d441bbe3f", None),
     # p < 1 and mu < 1/2: Y = 0 rows and the planted threshold 2*mu < 1 both
     # reach the results, on a planted set that is not arms 0..k-1
     "planted-bandit-subset_arm-threshold": (
@@ -431,7 +418,7 @@ GOLDEN = {
                      "planted_set": [1, 4]},
          "model": "bandit", "k": 2, "delta": 0.1, "algorithm": "subset_arm", "replicates": 2,
          "base_seed": 31, "stage_cap": 12},
-        "81830c738e25a07e9993903415e9e80195359feb931c439e61d610c12574a811", None),
+        "034128c9d6ba1a2631d94560f907d8fa0978c55a526e5f384deb727da8e2c172", None),
     # planted draws of up to 8192 rows inside stage chunks; planted runs can
     # stall, and this one decides no arm before the cap ends it
     "planted-marked-elimination": (
@@ -440,7 +427,7 @@ GOLDEN = {
          "model": "marked", "k": 3, "delta": 0.1, "replicates": 2, "base_seed": 25,
          "stage_cap": 12, "trace": True},
         "bbeab980f82d4f168668bdfa4f657d4e8c030f69d04f6b6bef16f63d3155e95d",
-        "45c91fd5f32bbce212e5689d78f855eb875bbec0979df5d35be89e0766799760"),
+        "b836558b243ed81f6de57050b6137b7370c319a80c3fa3804f189eae92ee9e3b"),
     # the traced benchmark workload's family and model on 12 arms, so trace
     # objects hold keys "10" and "11"; replicate 0's last stage tops off a
     # 2-arm pool with one accepted arm
@@ -452,10 +439,8 @@ GOLDEN = {
                               [31, 32, 33], [38]]},
          "model": "marked", "k": 3, "delta": 0.1, "replicates": 3, "base_seed": 26,
          "stage_cap": 12, "trace": True},
-        "90e6a1516c8e06aa8de8c8cb99a92bc9a2a0d2a56a404fcce50172416d121418",
-        "e836940dfcd78de2f6d62a1b5e9b26d4f893017024c51ab3420d6fff92c72f3d"),
-    # untraced elimination on product and planted measures takes its leading
-    # undecidable stages undrawn; these pin that path to the drawn run's bytes.
+        "d5f30ee2303437ee1f727e519f06c217308d2ff4e98ef2874c0eb3d41c39674f",
+        "f6cdbe5017d6c9cd319bc318afc7f58d53c6d2cd6a6b59486acb452512afa4c9"),
     # The bandit-product-n12 benchmark config: stages 1-5 undrawn, then
     # balancing and exact-k top-off
     "product-bandit-elimination-n12": (
@@ -474,7 +459,7 @@ GOLDEN = {
         {"measure": {"type": "product", "n": 7, "means": [0.9, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1]},
          "model": "semi", "k": 3, "delta": 0.1, "replicates": 3, "base_seed": 28,
          "exact_k_mode": True},
-        "7f05fc0112ae64ebbbdf7cccbf5291f28837d88fa7e8be011965e4ba2938e339", None),
+        "f498c2c3e70e09d1502d4bcc268bcf2e0e0f282e92049671658f253ffb0d9e64", None),
     # coverage draws under the semi and bandit recorders: stages 1-9 pad a
     # 5-arm pool's last block, the stages after the first accept top it off
     "coverage-semi-elimination-exact_k": (
@@ -482,8 +467,8 @@ GOLDEN = {
                      "sets": [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9], [0, 1, 2], [9], [4, 5]]},
          "model": "semi", "k": 2, "delta": 0.1, "replicates": 3, "base_seed": 17,
          "stage_cap": 12, "exact_k_mode": True, "trace": True},
-        "62e86edbcbdf54d21ab5d91a7e2096597c7b26bcb838446c270ee0d7f4e6a8c4",
-        "20f971d8c98f88808cb962de2dd6d681223572282cc3856d29538da923107e52"),
+        "0b3ce1744b4e97db72a987657d715da5af6ba326e624b3834b3fbe64347bfd99",
+        "1435e4b2c67a9aec509494a40227d289cf5600802f9496b3778cd7ea8200be51"),
     # 8 arms with k = 2: balancing and exact-k top-off
     "coverage-bandit-elimination": (
         {"measure": {"type": "coverage", "m": 20,
@@ -518,17 +503,17 @@ def test_results_bytes_are_pinned(tmp_path, name):
 NOTHING = hashlib.sha256(b"").hexdigest()
 WORKLOAD_PINS = {
     "semi-product-n256": (
-        "d96d7efb486da920eeee1bd7e488586374ae0d6c6ed50bca870a24b504e4fe38", None, NOTHING,
+        "deae33cb65eba0e0e7ecbd1b13fb5c6bf662a7b366aa4f5962c07a29be498967", None, NOTHING,
         EXIT_OK, "b1d5606a0a23335862396a7db84c71e6af87a6450098403df3f0594b49d2bbf4"),
     "bandit-product-n12": (
-        "4d2a9908313654b063a2fa8ed494cb309f281615b403e1a460b7e8f9a8b361af", None, NOTHING,
+        "bf0881e5dceb4973ef0a42d3823128e8b56dda675c26647ee3b3777ced431a1b", None, NOTHING,
         EXIT_OK, "5dbd390c55932526ff3613d3440ecadf745fa8b684746150f2d71c8b6494039d"),
     "marked-coverage-n64": (
-        "924f338db8e1926f5916ffd7cf5eae82b69eff76e32d5aed54183d701ff1c34c",
-        "2a0d9d4f4eab0abc33c3152dfb564cbb98345cc21b58a5b93c4a5f4cd9470410", NOTHING,
+        "491111c0513a4720a5dda9518f230c085e2ceaf1d7cac8f6702a2ef16859103a",
+        "da70e335f36e3e5c477e72b51b7e02986e44fbddff830ac51f62c04420006d4d", NOTHING,
         EXIT_USAGE, NOTHING),
     "subset-planted-n8": (
-        "dbb6aa63d45b6de3ec40ecd208a234abc9de8205cbb0e4a8c9dafee0ec898f53", None, NOTHING,
+        "564a70630e82caf3d6a585ec6d765bce3dbd39eeb06da045d3252d7a410ee53c", None, NOTHING,
         EXIT_OK, "4db40e9bb21a9a518c88b477a46f18945a5e483b767e1353bc7f3611bf08da18"),
 }
 

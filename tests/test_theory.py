@@ -123,6 +123,17 @@ class TestGapProfile:
         with pytest.raises(DomainError):
             GapProfile(means=(0.5, 0.5, 0.1), k=1)
 
+    @pytest.mark.parametrize("gap, unique", [(1e-13, False), (1e-11, True)])
+    def test_topk_is_unique_by_the_one_tie_rule(self, gap, unique):
+        # measures._unique_best ties values within 1e-12, as the optimum and
+        # the run's tie warning do
+        means = (0.6, 0.5 + gap, 0.5, 0.2, 0.1)
+        if unique:
+            assert GapProfile(means=means, k=2).gaps[1] == pytest.approx(gap, rel=1e-3)
+        else:
+            with pytest.raises(DomainError, match="not unique"):
+                GapProfile(means=means, k=2)
+
 
 class TestTauTerms:
     def test_semi_equal_variances_collapse(self):
